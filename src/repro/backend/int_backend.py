@@ -13,7 +13,17 @@ Differences from the reference executor are purely mechanical:
   (:class:`~repro.backend.packed.PackedWeightStore`) instead of
   re-encoded from float on every call — the memory story;
 * activation taps reuse precomputed :class:`~repro.backend.kernels.FusedEncoder`
-  tables instead of re-deriving registers per tensor — the latency story;
+  tables instead of re-deriving registers per tensor, and encode in one
+  in-place pass per tap (registry ops ``qub.shifted`` / ``qub.store_load``,
+  variant ``inplace``, :meth:`FusedEncoder.shifted_f64`): one float64
+  codes buffer, one selector and a few boolean masks, and no int64 round
+  trip on the store/load path — the latency story.  Most of the old
+  encoder time was allocation, not arithmetic: on a 1 MB tap tensor
+  (8x66x256 float64, one Xeon vCPU, NumPy 2.4) ``np.rint(x / d)`` took
+  0.7-1.0 ms into fresh arrays and 0.14 ms into ``out=`` buffers,
+  because page-faulting new memory costs 5-7x the arithmetic.  The
+  rescale after each GEMM and the integer SFU quantize steps skip their
+  extra copies too;
 * the integer SFU variants dispatch through the kernel registry to the
   vectorized kernels of :mod:`repro.backend.sfu` (exact-equal to the
   :mod:`repro.hw.int_sfu` references, which ``REPRO_KERNELS=reference``
@@ -67,7 +77,7 @@ class IntNativeBackend(ServingBackend):
         self.weights = PackedWeightStore.from_pipeline(model, pipeline, self.bits)
         self._batches = 0
         self._gemm_calls = 0
-        self._sfu_calls = 0
+        self._store_load_calls = 0
 
     # ------------------------------------------------------------------
     def _encoder(self, tap: str) -> FusedEncoder:
@@ -91,7 +101,7 @@ class IntNativeBackend(ServingBackend):
 
     def _store_load(self, values: np.ndarray, tap: str, recorder) -> np.ndarray:
         self._record(recorder, tap, values)
-        self._sfu_calls += 1
+        self._store_load_calls += 1
         return self._encoder(tap).store_load(values)
 
     def _linear(self, values: np.ndarray, tap_in: str, layer, recorder) -> np.ndarray:
@@ -103,43 +113,48 @@ class IntNativeBackend(ServingBackend):
         weight = self.weights[weight_tap]
         acc = get_kernel("gemm.int")(encoder.shifted(flat), weight.shifted())
         self._gemm_calls += 1
-        out = acc.astype(np.float64) * (encoder.base_delta * weight.base_delta)
+        # int64 -> float64 inside the multiply, as astype would; then in place.
+        out = acc * (encoder.base_delta * weight.base_delta)
         if layer.bias is not None:
-            out = out + layer.bias.data
+            out += layer.bias.data
         return out.reshape(*shape[:-1], -1)
 
     # ------------------------------------------------------------------
     # Integer SFU paths dispatch through the kernel registry (vectorized
     # kernels by default, scalar references under REPRO_KERNELS=reference;
     # exact-integer-equal either way).
+    @staticmethod
+    def _integer_sfu(op: str, values: np.ndarray, scale: float, **kwargs) -> np.ndarray:
+        """``q_out * s_out`` of ``op`` on ``rint(values / scale)`` codes.
+
+        The quotient is rounded straight into the int64 codes (one pass,
+        no astype copy), and its buffer then receives the output.
+        """
+        buffer = values / scale
+        codes = np.rint(buffer, out=np.empty(buffer.shape, np.int64), casting="unsafe")
+        q_out, s_out = get_kernel(op)(codes, scale, **kwargs)
+        return np.multiply(q_out, s_out, out=buffer)
+
     def _layernorm(self, values: np.ndarray, weight, bias) -> np.ndarray:
         if self.integer_sfu:
-            scale = 2.0**-14
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.layernorm")(
-                q, scale, weight=weight, bias=bias, out_bits=12
+            return self._integer_sfu(
+                "sfu.layernorm", values, 2.0**-14,
+                weight=weight, bias=bias, out_bits=12,
             )
-            return q_out * s_out
         mean = values.mean(axis=-1, keepdims=True)
         var = values.var(axis=-1, keepdims=True)
         return (values - mean) / np.sqrt(var + 1e-6) * weight + bias
 
     def _softmax(self, values: np.ndarray) -> np.ndarray:
         if self.integer_sfu:
-            scale = 2.0**-10
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.softmax")(q, scale, out_bits=16)
-            return q_out * s_out
+            return self._integer_sfu("sfu.softmax", values, 2.0**-10, out_bits=16)
         shifted = values - values.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
     def _gelu(self, values: np.ndarray) -> np.ndarray:
         if self.integer_sfu:
-            scale = 2.0**-10
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.gelu")(q, scale)
-            return q_out * s_out
+            return self._integer_sfu("sfu.gelu", values, 2.0**-10)
         return values * 0.5 * (1.0 + erf(values / np.sqrt(2.0)))
 
     # ------------------------------------------------------------------
@@ -164,7 +179,8 @@ class IntNativeBackend(ServingBackend):
             enc_q.shifted(q), np.swapaxes(enc_k.shifted(k), -1, -2)
         )
         self._gemm_calls += 1
-        scores = acc * (enc_q.base_delta * enc_k.base_delta) * attn.scale
+        scores = acc * (enc_q.base_delta * enc_k.base_delta)
+        scores *= attn.scale
         scores = self._store_load(scores, f"{tap}.attn.scores", recorder)
 
         probs = self._softmax(scores)
@@ -174,8 +190,12 @@ class IntNativeBackend(ServingBackend):
         enc_v = self._encoder(f"{tap}.attn.v")
         ctx_acc = get_kernel("gemm.int")(enc_p.shifted(probs), enc_v.shifted(v))
         self._gemm_calls += 1
-        ctx = ctx_acc * (enc_p.base_delta * enc_v.base_delta)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, c)
+        # Rescale straight into token-major layout (no transposed copy).
+        ctx = np.empty((b, n, heads, head_dim))
+        np.multiply(
+            ctx_acc, enc_p.base_delta * enc_v.base_delta, out=ctx.transpose(0, 2, 1, 3)
+        )
+        ctx = ctx.reshape(b, n, c)
 
         attn_out = self._linear(ctx, f"{tap}.attn.proj.input", attn.proj, recorder)
         attn_out = self._store_load(attn_out, f"{tap}.attn_residual", recorder)
@@ -218,6 +238,9 @@ class IntNativeBackend(ServingBackend):
             tokens = self._run_block(tokens, block, index, recorder)
 
         tokens = self._store_load(tokens, "final_norm_input", recorder)
+        # LayerNorm is per token, and the heads read only the class (and
+        # distillation) token: normalize just those rows.
+        tokens = tokens[:, : 1 if model.head_dist is None else 2]
         mean = tokens.mean(axis=-1, keepdims=True)
         var = tokens.var(axis=-1, keepdims=True)
         normed = (tokens - mean) / np.sqrt(var + 1e-6)
@@ -237,5 +260,5 @@ class IntNativeBackend(ServingBackend):
         return {
             "batches_total": self._batches,
             "int_gemm_calls": self._gemm_calls,
-            "int_sfu_calls": self._sfu_calls,
+            "int_store_load_calls": self._store_load_calls,
         }

@@ -20,12 +20,17 @@ Exactness contract (pinned by the parity tests): for any finite input,
   words — the PE-array operand of Eq. (5);
 * :meth:`FusedEncoder.store_load` equals ``EncodedTensor.to_float()``
   bit for bit, including the float operation order.
+
+The last two dispatch through the kernel registry (ops ``qub.shifted`` /
+``qub.store_load``): :meth:`FusedEncoder.route` is their reference,
+:meth:`FusedEncoder.shifted_f64` the in-place pass that serves them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import get_kernel
 from ..quant.params import QUQParams, Subrange, SubrangeSpec
 from ..quant.qub import FCRegisters, decode, legalize_for_hardware
 
@@ -168,6 +173,92 @@ class FusedEncoder:
             codes = np.where((selector == slot) & (codes == 0), np.int64(-1), codes)
         return codes, selector
 
+    def shifted_f64(
+        self, x: np.ndarray, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``D << n_sh`` as exact-integer float64, in one in-place pass.
+
+        Equals ``codes << shift[selector]`` of :meth:`route` (a zero may
+        come out as ``-0.0``).  ``x`` is only read.  The pass writes one
+        fresh float64 result, one ``intp`` selector, three boolean masks
+        and ``scratch`` (float64, ``x``'s shape, allocated when not
+        given), which holds the gathered tables.  No step is a masked
+        ufunc (``where=``): in NumPy those run an order of magnitude
+        slower than the bitwise blends here.
+
+        Two of :meth:`route`'s fix-ups drop out because a zero code
+        decodes to zero in every slot: zero re-homing moves only the
+        selector of zero codes, and it leaves the negative-reserved clamp
+        nothing to do on a two-sided layout.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        codes = np.empty(x.shape)
+        selector = np.empty(x.shape, dtype=np.intp)
+        fine = np.empty(x.shape, dtype=bool)
+        spare = np.empty(x.shape, dtype=bool)
+        if scratch is None:
+            scratch = np.empty(x.shape)
+        two_sided = self._has_pos and self._has_neg
+        # Magnitude compare against the side's fine span, as route does:
+        # |x| on a two-sided layout, x or -x when one side is absent.
+        if two_sided:
+            negative = np.less(x, 0.0)  # zero lives in the positive code space
+            np.abs(x, out=codes)
+            np.less_equal(codes, self._span_pos, out=fine)
+            np.less_equal(codes, self._span_neg, out=spare)
+            # fine = where(negative, spare, fine)
+            np.bitwise_xor(spare, fine, out=spare)
+            np.bitwise_and(spare, negative, out=spare)
+            np.bitwise_xor(fine, spare, out=fine)
+            # selector = negative * 2 + fine, in uint8, widened once.
+            side = spare.view(np.uint8)
+            np.left_shift(negative.view(np.uint8), 1, out=side)
+            np.bitwise_or(side, fine.view(np.uint8), out=side)
+            np.copyto(selector, side)
+        elif self._has_pos:
+            np.less_equal(x, self._span_pos, out=fine)
+            np.copyto(selector, fine)
+        else:
+            np.negative(x, out=codes)
+            np.less_equal(codes, self._span_neg, out=fine)
+            np.copyto(selector, fine)
+            selector += 2
+        # mode="clip" is a no-op on a 0..3 selector and keeps `out=`
+        # unbuffered (numpy buffers it under the default mode="raise").
+        np.take(self._delta, selector, out=codes, mode="clip")
+        np.divide(x, codes, out=codes)
+        np.rint(codes, out=codes)
+        # clip(codes, lo, hi).  Two-sided, each slot sees only its own
+        # side's signs, so one bound per slot (hi, or -lo) does; one-sided,
+        # the bound at zero is the same scalar for every slot.
+        if two_sided:
+            np.take(self._hi - self._lo, selector, out=scratch, mode="clip")
+            np.minimum(codes, scratch, out=codes)
+            np.negative(scratch, out=scratch)
+            np.maximum(codes, scratch, out=codes)
+        elif self._has_pos:
+            np.maximum(codes, 0.0, out=codes)
+            np.take(self._hi, selector, out=scratch, mode="clip")
+            np.minimum(codes, scratch, out=codes)
+        else:
+            np.take(self._lo, selector, out=scratch, mode="clip")
+            np.maximum(codes, scratch, out=codes)
+            np.minimum(codes, 0.0, out=codes)
+        # NaN park.  The clamped codes are bounded, so their sum is NaN
+        # iff one of them is.
+        if np.isnan(codes.sum()):
+            nan = np.isnan(codes)
+            np.putmask(codes, nan, self._nan_code)
+            np.putmask(selector, nan, self._nan_slot)
+        if not self._has_pos:
+            # Every slot a negative-only layout selects is negative-reserved
+            # and cannot express zero: clamp zeros to -1.
+            np.putmask(codes, codes == 0.0, -1.0)
+        if self._pow2.max() > 1.0:
+            np.take(self._pow2, selector, out=scratch, mode="clip")
+            np.multiply(codes, scratch, out=codes)  # exact: |D << n_sh| < 2**53
+        return codes
+
     def encode(self, x: np.ndarray) -> np.ndarray:
         """QUB words for ``x``; equals ``encode_tensor(...).qubs`` exactly."""
         codes, selector = self.route(x)
@@ -177,18 +268,23 @@ class FusedEncoder:
         return qubs.astype(np.uint8 if self.bits <= 8 else np.uint16)
 
     def shifted(self, x: np.ndarray) -> np.ndarray:
-        """PE-array operand ``D << n_sh`` (int64), skipping the QUB trip."""
-        codes, selector = self.route(x)
-        return codes << self._shift[selector]
+        """PE-array operand ``D << n_sh`` (int64), skipping the QUB trip.
+
+        Dispatches through the kernel registry (op ``qub.shifted``): the
+        in-place :meth:`shifted_f64` pass by default, the :meth:`route`
+        formula under ``REPRO_KERNELS=reference``.
+        """
+        return get_kernel("qub.shifted")(x, self.params, self.bits)
 
     def store_load(self, x: np.ndarray) -> np.ndarray:
         """Store-then-reload through the SFU path: quantize, decode, scale.
 
         Bit-identical to ``encode_tensor(x, bits, params).to_float()``
         (same float operation order: ``D * 2^n_sh`` then ``* base_delta``).
+        Dispatches through the kernel registry (op ``qub.store_load``),
+        like :meth:`shifted`.
         """
-        codes, selector = self.route(x)
-        return (codes.astype(np.float64) * self._pow2[selector]) * self.base_delta
+        return get_kernel("qub.store_load")(x, self.params, self.bits)
 
     @property
     def lut(self) -> np.ndarray:
@@ -201,7 +297,5 @@ class FusedEncoder:
         once — a fresh table under ``REPRO_KERNELS=reference``.
         """
         if self._lut is None:
-            from ..kernels import get_kernel
-
             self._lut = get_kernel("qub.decode_lut")(self.registers, self.bits)
         return self._lut

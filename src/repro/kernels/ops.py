@@ -15,6 +15,9 @@ op                   reference              fast
 ``quq.quantize``     masked four-pass       (none — codes path is the spec)
 ``quq.fake_quantize``quantize->dequantize   ``fused`` four-slot table
 ``qub.encode``       quantize + encode      ``fused`` :class:`FusedEncoder`
+``qub.shifted``      route + ``<< shift``   ``inplace`` one-pass
+                                            :meth:`FusedEncoder.shifted_f64`
+``qub.store_load``   route + int64 decode   ``inplace`` float64 throughout
 ``qub.encode_batch`` per-tensor loop        ``fused`` one concatenated pass
 ``qub.pack``         pure-Python bit loop   ``packbits`` vectorized
 ``qub.decode_lut``   fresh table per call   ``cached`` shared per
@@ -113,22 +116,36 @@ KERNELS.register(
 
 #: Fused encoders memoized per (legal params, bits) — QUQParams is frozen,
 #: so equal parameter sets (e.g. successive batches at one tap) share the
-#: precomputed tables instead of rebuilding them per construction.
+#: precomputed tables instead of rebuilding them per construction.  An
+#: encoder is filed under its legalized params (its own ``params``) and
+#: under the raw params it was asked for, so both resolve to one instance
+#: with one dict lookup, and legalization runs only on a miss.
 _ENCODER_CACHE: dict[tuple[QUQParams, int], FusedEncoder] = {}
 
 
-def fused_encoder(params: QUQParams, bits: int) -> FusedEncoder:
-    """The shared :class:`FusedEncoder` for ``(params, bits)`` (memoized)."""
+def _shared_encoder(params: QUQParams, bits: int) -> tuple[FusedEncoder, bool]:
+    """``(encoder, cache_hit)`` for ``(params, bits)``, uncounted."""
     key = (params, bits)
     with _CACHE_LOCK:
         encoder = _ENCODER_CACHE.get(key)
     if encoder is not None:
-        KERNELS.count("qub.encode:cache_hit")
-        return encoder
-    encoder = FusedEncoder(params, bits)
+        return encoder, True
+    legal_key = (legalize_for_hardware(params), bits)
     with _CACHE_LOCK:
-        encoder = _ENCODER_CACHE.setdefault(key, encoder)
-    KERNELS.count("qub.encode:cache_miss")
+        encoder = _ENCODER_CACHE.get(legal_key)
+    hit = encoder is not None
+    if not hit:
+        encoder = FusedEncoder(params, bits)
+    with _CACHE_LOCK:
+        encoder = _ENCODER_CACHE.setdefault(legal_key, encoder)
+        _ENCODER_CACHE[key] = encoder
+    return encoder, hit
+
+
+def fused_encoder(params: QUQParams, bits: int) -> FusedEncoder:
+    """The shared :class:`FusedEncoder` for ``(params, bits)`` (memoized)."""
+    encoder, hit = _shared_encoder(params, bits)
+    KERNELS.count("qub.encode:cache_hit" if hit else "qub.encode:cache_miss")
     return encoder
 
 
@@ -178,6 +195,96 @@ KERNELS.register(
         "word for word, including the NaN park and zero re-homing",
     ),
     contract=_ENCODE_CONTRACT,
+)
+
+
+def _shifted_reference(
+    x: np.ndarray, params: QUQParams, bits: int
+) -> np.ndarray:
+    """``D << n_sh`` from the route formula, with freshly built tables."""
+    encoder = FusedEncoder(params, bits)
+    codes, selector = encoder.route(x)
+    return codes << encoder._shift[selector]
+
+
+def _shifted_inplace(
+    x: np.ndarray, params: QUQParams, bits: int
+) -> np.ndarray:
+    # The backend's own encoder for this tap; the lookup is not a
+    # ``qub.encode`` cache event, so it is not counted as one.
+    encoder, _ = _shared_encoder(params, bits)
+    out = np.empty(np.shape(x), dtype=np.int64)
+    # The output's bytes double as the pass's scratch until the cast.
+    shifted = encoder.shifted_f64(x, out.view(np.float64))
+    np.copyto(out, shifted, casting="unsafe")
+    return out
+
+
+def _store_load_reference(
+    x: np.ndarray, params: QUQParams, bits: int
+) -> np.ndarray:
+    """Decoded floats from the route formula, with freshly built tables."""
+    encoder = FusedEncoder(params, bits)
+    codes, selector = encoder.route(x)
+    return (codes.astype(np.float64) * encoder._pow2[selector]) * encoder.base_delta
+
+
+def _store_load_inplace(
+    x: np.ndarray, params: QUQParams, bits: int
+) -> np.ndarray:
+    encoder, _ = _shared_encoder(params, bits)
+    values = encoder.shifted_f64(x)
+    # +0.0 turns a -0.0 code into the +0.0 an int64 round trip gives.
+    np.add(values, 0.0, out=values)
+    np.multiply(values, encoder.base_delta, out=values)
+    return values
+
+
+_SHIFTED_CONTRACT = {
+    "inputs": "(x: float array, params: QUQParams, bits: int)",
+    "output": "int64 array, x's shape: the PE-array operand D << n_sh",
+    "domain": "any float input; raises ValueError when the legalized "
+    "params.bits exceed the QUB width",
+}
+_STORE_LOAD_CONTRACT = {
+    "inputs": "(x: float array, params: QUQParams, bits: int)",
+    "output": "float64 array, x's shape: (D * 2**n_sh) * base_delta",
+    "domain": "any float input; raises ValueError when the legalized "
+    "params.bits exceed the QUB width",
+}
+
+KERNELS.register(
+    "qub.shifted", "reference", _shifted_reference, contract=_SHIFTED_CONTRACT
+)
+KERNELS.register(
+    "qub.shifted",
+    "inplace",
+    _shifted_inplace,
+    parity=ParitySpec(
+        bit_exact=True,
+        notes="FusedEncoder.shifted_f64: one in-place float64 pass; "
+        "D * 2**n_sh is an exact integer, so its int64 cast equals "
+        "codes << shift",
+    ),
+    contract=_SHIFTED_CONTRACT,
+)
+KERNELS.register(
+    "qub.store_load",
+    "reference",
+    _store_load_reference,
+    contract=_STORE_LOAD_CONTRACT,
+)
+KERNELS.register(
+    "qub.store_load",
+    "inplace",
+    _store_load_inplace,
+    parity=ParitySpec(
+        bit_exact=True,
+        notes="same float operation order as the reference (codes * 2**n_sh, "
+        "then * base_delta) without the int64 round trip; -0.0 codes are "
+        "normalised to +0.0 first",
+    ),
+    contract=_STORE_LOAD_CONTRACT,
 )
 
 _ENCODE_BATCH_CONTRACT = {
@@ -300,6 +407,11 @@ def _gemm_int_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
+def _max_magnitude(a: np.ndarray) -> int:
+    """``max |a|`` as a Python int: ``np.abs`` would wrap INT64_MIN."""
+    return max(-int(a.min()), int(a.max()))
+
+
 def _gemm_int_blas_f64(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """BLAS float64 matmul inside its exact-integer window, else int64.
 
@@ -317,7 +429,7 @@ def _gemm_int_blas_f64(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.size == 0 or w.size == 0:
         return x @ w
     k = x.shape[-1] if x.ndim else 1
-    bound = k * int(np.abs(x).max()) * int(np.abs(w).max())
+    bound = k * _max_magnitude(x) * _max_magnitude(w)
     if bound < (1 << 53):
         return (x.astype(np.float64) @ w.astype(np.float64)).astype(np.int64)
     return x @ w
@@ -432,7 +544,7 @@ def cache_info() -> dict:
     ``qub.decode_lut:cache_*``)."""
     with _CACHE_LOCK:
         return {
-            "fused_encoders": len(_ENCODER_CACHE),
+            "fused_encoders": len({id(e) for e in _ENCODER_CACHE.values()}),
             "decode_luts": len(_LUT_CACHE),
         }
 

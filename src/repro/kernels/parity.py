@@ -5,12 +5,13 @@ Enumerates every registered ``(op, reference, fast)`` pair
 (:meth:`KernelRegistry.pairs`) and drives it over deterministic seeded
 cases: legalized QUQ parameter sets fitted at several bit-widths on
 qualitatively different data (two-sided, positive-only softmax-like,
-one-sided negative, GELU-shaped, heavy-tailed), plus adversarial inputs —
+one-sided negative, GELU-shaped, heavy-tailed) and, for the activation
+encoders, hand-built parameters in every mode, plus adversarial inputs —
 NaN, ``+/-inf``, denormals, exact zeros, all-negative tensors, zero-size
 arrays.  A pair passes a case when both variants return equal results
-(``np.array_equal`` with NaNs compared positionally, or ``np.allclose``
-for tolerance specs) **or** both raise the same exception type with no
-output at all.
+(``np.array_equal`` with NaNs compared positionally and zeros by sign,
+or ``np.allclose`` for tolerance specs) **or** both raise the same
+exception type with no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
 the CI perf environment carries no hypothesis; the property-based
@@ -25,14 +26,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..quant.params import QUQParams
+from ..quant.params import QUQParams, SubrangeSpec
 from ..quant.qub import FCRegisters, legalize_for_hardware
 from ..quant.quq import quantize_with_params
 from ..quant.relax import progressive_relaxation
 from . import kernel_pairs
 from .registry import KernelImpl
 
-__all__ = ["run_kernel_parity", "parity_cases", "fitted_params_pool"]
+__all__ = ["run_kernel_parity", "parity_cases", "fitted_params_pool",
+           "mode_params_pool"]
 
 #: Report schema version (bump on breaking shape changes).
 SCHEMA_VERSION = 1
@@ -74,6 +76,43 @@ def fitted_params_pool(seed: int = 0) -> list[tuple[str, int, QUQParams]]:
                 progressive_relaxation(data, bits)
             )
             pool.append((kind, bits, params))
+    return pool
+
+
+def mode_params_pool(
+    bits_options: Iterable[int] = PARAM_BITS,
+) -> list[tuple[str, int, QUQParams]]:
+    """``(mode, bits, params)`` covering every Figure-4 layout by construction.
+
+    Fitting does not reach every mode at every width (the fitted pool has
+    Mode A only at 4 bits), so these are built by hand: Mode A, and both
+    orientations of Modes B, C and D (``+`` keeps the positive side's
+    coarse space, ``-`` the negative side's).  Each layout comes twice:
+    with a distinct shift per subrange, which exercises every slot of the
+    shift tables, and with all deltas equal (suffix ``=``), where every
+    shift is zero.  The one-sided negative spaces exercise the zero clamp.
+    """
+    pool = []
+    for bits in bits_options:
+        half, quarter = 2 ** (bits - 1), 2 ** (bits - 2)
+        # (shift, levels) per subrange, in QUQParams order F-, F+, C-, C+.
+        layouts = {
+            "A": ((0, quarter), (1, quarter), (3, quarter), (4, quarter)),
+            "B+": (None, (0, half), None, (2, half)),
+            "B-": ((0, half), None, (1, half), None),
+            "C+": ((0, quarter), (1, quarter), None, (3, half)),
+            "C-": ((1, quarter), (0, quarter), (2, half), None),
+            "D+": (None, (0, half), (2, half), None),
+            "D-": ((0, half), None, None, (1, half)),
+        }
+        for name, layout in layouts.items():
+            for suffix, spread in (("", 1), ("=", 0)):
+                specs = [
+                    None if part is None
+                    else SubrangeSpec(0.01 * 2.0 ** (part[0] * spread), part[1])
+                    for part in layout
+                ]
+                pool.append((name + suffix, bits, QUQParams(bits, *specs)))
     return pool
 
 
@@ -159,6 +198,23 @@ def parity_cases(
         yield _Case("bits_overflow", (floats[0][1], wide, wide.bits - 1), {})
         return
 
+    if op in ("qub.shifted", "qub.store_load"):
+        # The int backend's operand shapes: the strided q/k/v views its
+        # qkv transpose hands the encoder, float32, signed zeros.
+        qkv = rng.normal(0.0, 1.0, size=(2, 5, 3, 2, 4)).transpose(2, 0, 3, 1, 4)
+        floats += [
+            ("signed_zeros", np.array([-0.0, 0.0, -0.0, 1e-300, -1e-300])),
+            ("strided_q", qkv[0]),
+            ("strided_v", qkv[2]),
+            ("float32", rng.normal(0.0, 1.0, size=(3, 7)).astype(np.float32)),
+        ]
+        for kind, bits, params in pool + mode_params_pool():
+            for name, x in floats:
+                yield _Case(f"{kind}/b{bits}/{name}", (x, params, bits), {})
+        _, _, wide = pool[-1]
+        yield _Case("bits_overflow", (floats[0][1], wide, wide.bits - 1), {})
+        return
+
     if op == "qub.encode_batch":
         for kind, bits, params in pool[:: len(PARAM_BITS)]:
             members = [
@@ -208,6 +264,9 @@ def parity_cases(
         # Outside the 2**53 exactness window: the fast path must fall back.
         big = np.full((2, 2), (1 << 31) - 1, dtype=np.int64)
         yield _Case("overflow_window", (big, big), {})
+        # |INT64_MIN| wraps under np.abs; the guard must still fall back.
+        int64_min = np.array([[np.iinfo(np.int64).min, 1]], dtype=np.int64)
+        yield _Case("int64_min", (int64_min, np.array([[2], [1]])), {})
         for index in range(cases):
             k = int(rng.integers(1, 96))
             x = rng.integers(-(1 << 14), 1 << 14, size=(rng.integers(1, 8), k))
@@ -287,7 +346,12 @@ def _parts_equal(a, b, parity) -> bool:
         if parity is not None and not parity.bit_exact:
             return bool(np.allclose(a_arr, b_arr, rtol=parity.rtol,
                                     atol=parity.atol, equal_nan=True))
-        return bool(np.array_equal(a_arr, b_arr, equal_nan=True))
+        if not np.array_equal(a_arr, b_arr, equal_nan=True):
+            return False
+        # Bit-exact floats also agree on the sign of zero.
+        return a_arr.dtype.kind != "f" or bool(np.array_equal(
+            np.signbit(a_arr[a_arr == 0]), np.signbit(b_arr[b_arr == 0])
+        ))
     if isinstance(a, float) and isinstance(b, float):
         return a == b or (np.isnan(a) and np.isnan(b))
     return a == b

@@ -74,9 +74,10 @@ class ParitySpec:
     """How a fast variant must agree with its op's reference impl.
 
     ``bit_exact`` requires identical outputs (``np.array_equal`` with
-    NaNs compared positionally); otherwise outputs must agree within
-    ``rtol``/``atol`` (``np.allclose``).  ``notes`` documents any input
-    domain the contract is restricted to (e.g. "finite inputs only").
+    NaNs compared positionally and zeros by sign); otherwise outputs must
+    agree within ``rtol``/``atol`` (``np.allclose``).  ``notes`` documents
+    any input domain the contract is restricted to (e.g. "finite inputs
+    only").
     """
 
     bit_exact: bool = True

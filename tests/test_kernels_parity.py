@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import get_kernel, kernel_pairs, run_kernel_parity
-from repro.kernels.parity import fitted_params_pool
+from repro.kernels.parity import fitted_params_pool, mode_params_pool
 from repro.quant.quq import QUQQuantizer, quantize_with_params
 
 BITS = (4, 6, 8)
+ACTIVATION_OPS = ("qub.shifted", "qub.store_load")
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,10 @@ def params_pool():
 
 def _params_for(params_pool, bits):
     return [p for _, b, p in params_pool if b == bits]
+
+
+def _modes_for(bits):
+    return [p for _, b, p in mode_params_pool((bits,))]
 
 
 FLOATS = st.floats(
@@ -60,6 +65,34 @@ class TestFloatOpPairs:
         np.testing.assert_array_equal(fast_q, ref_q)
         assert fast_r == ref_r
         assert fast_d == ref_d
+
+    @pytest.mark.parametrize("op", ACTIVATION_OPS)
+    @pytest.mark.parametrize("bits", BITS)
+    @settings(max_examples=40, deadline=None)
+    @given(x=FLOAT_ARRAYS, data=st.data())
+    def test_activation_encode(self, params_pool, op, bits, x, data):
+        """Fitted params and every mode, over signed zeros, NaN, +/-inf,
+        subnormals, zero-size and strided views."""
+        params = data.draw(st.sampled_from(
+            _params_for(params_pool, bits) + _modes_for(bits)
+        ))
+        view = data.draw(st.sampled_from(["flat", "strided", "float32"]))
+        if view == "strided":
+            x = np.stack([x, -x, 2.0 * x], axis=-1)[..., ::2].T
+        elif view == "float32":
+            x = x.astype(np.float32)
+        fast = get_kernel(op, "inplace")(x, params, bits)
+        ref = get_kernel(op, "reference")(x, params, bits)
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        # Bit for bit, so signed zeros must agree too.
+        assert fast.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("op", ACTIVATION_OPS)
+    def test_activation_encode_bits_overflow(self, params_pool, op):
+        _, _, wide = params_pool[-1]
+        for variant in ("inplace", "reference"):
+            with pytest.raises(ValueError, match="do not fit"):
+                get_kernel(op, variant)(np.zeros(3), wide, wide.bits - 1)
 
     @pytest.mark.parametrize("bits", BITS)
     @settings(max_examples=20, deadline=None)
@@ -107,6 +140,16 @@ class TestIntOpPairs:
         ref = get_kernel("gemm.int", "reference")(x, w)
         np.testing.assert_array_equal(fast, ref)
         assert fast.dtype == ref.dtype == np.int64
+
+    def test_gemm_int64_min_falls_back(self):
+        """np.abs wraps INT64_MIN, which used to under-report the bound and
+        send this product down the inexact BLAS path."""
+        x = np.array([[np.iinfo(np.int64).min, 1]], dtype=np.int64)
+        w = np.array([[2], [1]], dtype=np.int64)
+        np.testing.assert_array_equal(
+            get_kernel("gemm.int", "blas_f64")(x, w),
+            get_kernel("gemm.int", "reference")(x, w),
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -180,6 +223,37 @@ class TestIntOpPairs:
         )
         np.testing.assert_array_equal(fast_q, ref_q)
         assert fast_s == ref_s
+
+
+class TestActivationKernelsReadOnly:
+    """The in-place kernels write only buffers they allocate: the int
+    backend reuses its block input for the residual add after encoding it,
+    and ``np.asarray(x, float64)`` hands a float64 caller's own array
+    straight through."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(4)
+        x = rng.normal(0.0, 1.0, size=(8, 66, 64))
+        x[0, :3, 0] = [np.nan, -0.0, -np.inf]
+        # The int backend's qkv transpose: q, k, v are strided views.
+        qkv = rng.normal(0.0, 1.0, size=(2, 5, 3, 4, 16)).transpose(2, 0, 3, 1, 4)
+        return {
+            "float64": x,
+            "float32": x.astype(np.float32),
+            "q_view": qkv[0],
+            "k_view": qkv[1],
+            "v_view": qkv[2],
+        }
+
+    @pytest.mark.parametrize("op", ACTIVATION_OPS)
+    def test_input_bytes_unchanged(self, params_pool, op):
+        kernel = get_kernel(op, "inplace")
+        for name, x in self._inputs().items():
+            for p in _params_for(params_pool, 6) + _modes_for(6):
+                before = x.tobytes()
+                kernel(x, p, 6)
+                assert x.tobytes() == before, (name, p.describe())
 
 
 class TestHarness:

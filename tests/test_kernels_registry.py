@@ -145,6 +145,7 @@ class TestBuiltinRegistry:
         ops = {op for op, _, _ in kernel_pairs()}
         assert ops == {
             "quq.fake_quantize", "qub.encode", "qub.encode_batch",
+            "qub.shifted", "qub.store_load",
             "qub.pack", "qub.decode_lut", "gemm.int",
             "sfu.sqrt", "sfu.exp", "sfu.softmax", "sfu.gelu",
             "sfu.layernorm",
@@ -187,6 +188,31 @@ class TestBuiltinRegistry:
         assert KERNELS.counters["qub.encode:cache_miss"] == 1
         assert KERNELS.counters["qub.encode:cache_hit"] == 1
         assert kernel_cache_info()["fused_encoders"] >= 1
+
+    def test_activation_encode_reuses_the_tap_encoder_uncounted(self):
+        """Raw params and the encoder's legalized copy share one encoder,
+        and the qub.shifted / qub.store_load lookups are not counted as
+        qub.encode cache events."""
+        from repro.quant.params import QUQParams, SubrangeSpec
+        from repro.quant.qub import MAX_SHIFT
+
+        # A fine/coarse ratio past the 3-bit shift field: legalization
+        # changes these params.
+        wide = QUQParams(
+            6, f_neg=None, f_pos=SubrangeSpec(0.01, 32),
+            c_neg=None, c_pos=SubrangeSpec(0.01 * 2.0 ** (MAX_SHIFT + 2), 32),
+        )
+        x = np.linspace(-1.0, 40.0, 64)
+        clear_kernel_caches()
+        KERNELS.reset_counters()
+        encoder = fused_encoder(wide, 6)
+        assert encoder.params != wide
+        assert fused_encoder(encoder.params, 6) is encoder
+        KERNELS.reset_counters()
+        encoder.shifted(x)
+        encoder.store_load(x)
+        assert kernel_cache_info()["fused_encoders"] == 1
+        assert not any(key.startswith("qub.encode:") for key in KERNELS.counters)
 
     def test_lut_cache_shared_and_counted(self):
         from repro.quant.qub import FCRegisters

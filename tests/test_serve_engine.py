@@ -335,6 +335,12 @@ class TestSnapshotConsistencyUnderLoad:
             ]
             for thread in threads:
                 thread.start()
+            # A lane opens on its spec's first submit, not on warm(): wait
+            # for both before asserting on the snapshot's lane set.
+            deadline = time.monotonic() + 30.0
+            while set(engine.snapshot()["lanes"]) != expected_lanes:
+                assert time.monotonic() < deadline, "lanes never opened"
+                time.sleep(0.001)
 
             last = {"requests_total": 0, "responses_total": 0, "rejected_total": 0}
             for _ in range(60):
