@@ -10,14 +10,12 @@ shard is respawned without deadlock.
 
 Self-contained (random tiny ViT, synthetic calibration): overload
 dynamics do not depend on trained weights, so this never touches the
-zoo.  Writes the JSON report to ``benchmarks/results/scale_bench.json``
-next to the usual text table; ``python -m repro scale-bench --tiny``
-regenerates the checked-in ``BENCH_scale.json`` from the same harness.
+zoo.  Writes the usual text table to ``benchmarks/results/scale_bench.txt``;
+the JSON report is ``BENCH_scale.json``, which ``python -m repro
+scale-bench --tiny`` regenerates from the same harness.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -38,7 +36,7 @@ from repro.serve import (
     tenant_mix,
 )
 
-from conftest import RESULTS_DIR, fast_mode, save_result
+from conftest import fast_mode, save_result
 
 SEED = 0
 
@@ -69,10 +67,6 @@ def test_scale_bench_flash_crowd():
     finally:
         engine.stop()
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "scale_bench.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
     save_result("scale_bench", format_scale_report(report))
 
     assert report["trace"]["flash_over_steady"] >= 3.0, "flash crowd too weak"

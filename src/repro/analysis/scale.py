@@ -196,9 +196,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
     # A modest pool of distinct synthetic images, cycled across arrivals.
     size = getattr(getattr(engine, "cluster", None), "image_hw", None)
     if size is None:
-        from ..serve.loadgen import _image_size
-
-        size = _image_size(key)
+        size = key.image_size
     rng = np.random.default_rng(config.trace.seed)
     pool = rng.standard_normal((128, size, size, 3)).astype(np.float32)
 

@@ -451,7 +451,6 @@ def cmd_scale_bench(args) -> None:
     from .serve import AdmissionController, AdmissionPolicy, BatchPolicy
     from .serve.autoscaler import AutoscalePolicy
     from .serve.cluster import ClusterEngine, ClusterPolicy
-    from .serve.loadgen import _image_size
     from .serve.registry import ModelKey
     from .serve.traces import TraceConfig, load_trace, tenant_mix
 
@@ -511,7 +510,7 @@ def cmd_scale_bench(args) -> None:
         image_hw = 16
     else:
         loader = None  # each shard builds its own registry entry
-        image_hw = _image_size(key)
+        image_hw = key.image_size
     cluster = ClusterPolicy(shards=args.shards, image_hw=image_hw)
     engine = ClusterEngine(
         loader=loader,

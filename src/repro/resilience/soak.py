@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..serve.engine import ServeEngine
-from ..serve.loadgen import _image_size, synthetic_requests
+from ..serve.loadgen import synthetic_requests
 from ..serve.registry import ModelKey
 from ..serve.scheduler import QueueFullError
 from .breaker import CLOSED
@@ -83,7 +83,7 @@ def run_chaos_soak(
     """
     config = ChaosSoakConfig() if config is None else config
     key = ModelKey.parse(config.spec)
-    size = config.image_size or _image_size(key)
+    size = config.image_size or key.image_size
     images = synthetic_requests(config.requests, size, seed=config.seed)
 
     warm_error = None

@@ -7,10 +7,16 @@ Turns the offline reproduction into a request-serving system:
   serialized quantizer state across restarts.
 * :mod:`repro.serve.scheduler` — dynamic micro-batching with bounded
   queues, per-request timeouts, and reject-with-reason backpressure.
-* :mod:`repro.serve.engine` — worker threads running batches through the
-  quantized model, degrading to the float model on artifact failure.
+* :mod:`repro.serve.core` — the one lane core both engines share:
+  admission, breaker/degrade, quant->float failover and guard
+  accounting, completion with deadline withholding, drain/stop/snapshot,
+  parameterised by an executor that runs a batch on one datapath.
+* :mod:`repro.serve.engine` — the core with in-process executors: worker
+  threads running batches through the registry's (quantized) model,
+  degrading to the float model on artifact failure.
 * :mod:`repro.serve.metrics` — counters, batch/queue distributions, and
-  latency histograms exported as a JSON snapshot.
+  latency histograms exported as a JSON snapshot; ``Metrics.count``
+  fills every label rollup declared for a counter family.
 * :mod:`repro.serve.loadgen` — synthetic open-loop benchmark driver
   (``python -m repro serve-bench``).
 * :mod:`repro.serve.drift` — activation-drift monitoring and online
@@ -19,9 +25,10 @@ Turns the offline reproduction into a request-serving system:
 * :mod:`repro.serve.admission` — admission control in front of submit:
   token-bucket rate limits, queue/p99-derived load shedding, weighted
   fair queuing with starvation guards, and a degrade ladder.
-* :mod:`repro.serve.cluster` — sharded multi-process serving: replica
+* :mod:`repro.serve.cluster` — the core with shard executors: replica
   worker processes per model over shared-memory rings, supervised
-  (health checks, restarts, in-flight re-routing) by the parent.
+  (health checks, restarts, in-flight re-routing) by the parent; a
+  quarantined lane swaps them for an in-parent float executor.
 * :mod:`repro.serve.traces` — seeded traffic traces (diurnal cycles,
   flash crowds, heavy-tailed tenant mixes, priority bands/deadlines)
   for the scale benchmark (``python -m repro scale-bench``), plus JSONL

@@ -19,13 +19,13 @@ process-level concerns in the parent:
   in-flight batch** to the replacement, bounded by ``max_redispatch``;
   :meth:`check_watchdog` additionally restarts shards that crash while
   idle, reusing the watchdog/backoff idioms of :mod:`repro.resilience`;
-* **the same defense stack as the thread engine** — per-lane circuit
-  breaker over the quantized path, numeric guard scan on every batch of
-  logits, admission control (degrade ladder forces the float mode),
-  deterministic fault injection (``stall`` faults are delivered *into*
-  the shard through the slot header, so the worker genuinely stops
-  heartbeating), and the identical metrics counter families, so the
-  chaos-soak harness audits a process topology with unchanged code.
+* **the same lane core as the thread engine** (:mod:`repro.serve.core`)
+  — admission, breaker, numeric guard, failover, deadline withholding
+  and the metrics counter families are one implementation; each shard
+  is one executor of the lane, so the chaos-soak harness audits a
+  process topology with unchanged code.  ``stall`` faults are delivered
+  *into* the shard through the slot header, so the worker genuinely
+  stops heartbeating.
 
 Slot protocol (all header words are aligned int64; single-writer
 ownership alternates on the status word, which is written last on x86's
@@ -37,7 +37,7 @@ status owner / meaning
 ====== =============================================================
 0      EMPTY — parent may fill
 1      REQ   — shard executes (``len``, ``mode``, ``stall_ns`` valid)
-2      RES   — parent collects logits (``classes``, ``quant`` valid)
+2      RES   — parent collects logits (``classes``, ``path`` valid)
 3      ERR   — parent collects the UTF-8 error message (``msg_len``)
 ====== =============================================================
 
@@ -52,11 +52,11 @@ drains one away — the retiring shard is *fenced* (its dispatch thread
 stops pulling new batches), the in-flight batch runs to completion, and
 only then are the process and its rings released, so a scale-down can
 never lose a request.  A crash-looping spec can be **quarantined**
-(:meth:`ClusterEngine.quarantine_lane`): dead shards stay down instead
-of respawn-spinning and the dispatch threads serve batches in-parent on
-the float path until :meth:`ClusterEngine.clear_quarantine` probes the
-shards back.  The :mod:`~repro.serve.autoscaler` drives all three knobs
-from ladder/queue/crash pressure.
+(:meth:`ClusterEngine.quarantine_lane`): the lane swaps its shard
+executors for an in-parent float executor, and dead shards stay down
+instead of respawn-spinning, until :meth:`ClusterEngine.clear_quarantine`
+probes the shards back.  The :mod:`~repro.serve.autoscaler` drives all
+three knobs from ladder/queue/crash pressure.
 """
 
 from __future__ import annotations
@@ -70,23 +70,12 @@ import time
 import numpy as np
 
 from ..resilience import ResiliencePolicy
-from ..resilience.breaker import CircuitBreaker
-from ..resilience.faults import BATCH_EXCEPTION, STALL, FaultPlan
-from ..resilience.guards import NumericGuard, NumericGuardError
-from .admission import AdmissionController, LaneView
-from .engine import ServeResult
+from ..resilience.faults import STALL, FaultPlan
+from .admission import AdmissionController
+from .core import DATAPATHS, FLOAT, BatchLost, Executor, Lane, LaneCore, datapath
 from .metrics import Metrics
 from .registry import ModelKey
-from .scheduler import (
-    DEFAULT_PRIORITY,
-    Batch,
-    BatchPolicy,
-    DeadlineExceededError,
-    MicroBatchScheduler,
-    QueueFullError,
-    ServeRequest,
-)
-from .timing import wait_until
+from .scheduler import DEFAULT_PRIORITY, BatchPolicy
 
 __all__ = ["ClusterPolicy", "ClusterEngine", "default_shard_loader"]
 
@@ -94,8 +83,9 @@ __all__ = ["ClusterPolicy", "ClusterEngine", "default_shard_loader"]
 EMPTY, REQ, RES, ERR = 0, 1, 2, 3
 # Execution modes the parent requests.
 MODE_QUANT, MODE_FLOAT = 0, 1
-# Header word indices.
-H_STATUS, H_LEN, H_CLASSES, H_MODE, H_STALL_NS, H_QUANT, H_MSG_LEN, H_SEQ = range(8)
+# Header word indices; H_PATH holds the DATAPATHS index of the path
+# that answered.
+H_STATUS, H_LEN, H_CLASSES, H_MODE, H_STALL_NS, H_PATH, H_MSG_LEN, H_SEQ = range(8)
 HEADER_WORDS = 8
 # Control word indices (one control block per shard segment).
 C_HEARTBEAT, C_READY, C_STOP = 0, 1, 2
@@ -242,18 +232,16 @@ def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
         images = views.images[slot][:n]
         try:
             if mode == MODE_FLOAT:
-                logits = servable.predict_float(images)
-                quantized = False
+                logits, path = servable.predict_float(images), FLOAT
             else:
-                logits = servable.predict(images)
-                quantized = bool(servable.quantized)
+                logits, path = servable.predict(images), datapath(servable)
             logits = np.asarray(logits, dtype=np.float32)
             if logits.ndim != 2 or logits.shape[0] != n:
                 raise ValueError(f"model returned logits of shape {logits.shape}")
             classes = min(logits.shape[1], views.max_classes)
             views.logits[slot][:n, :classes] = logits[:, :classes]
             row[H_CLASSES] = classes
-            row[H_QUANT] = int(quantized)
+            row[H_PATH] = DATAPATHS.index(path)
             row[H_STATUS] = RES
         except BaseException as error:
             views.write_error(slot, f"{type(error).__name__}: {error}")
@@ -262,27 +250,68 @@ def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
         slot = (slot + 1) % views.slots
 
 
-class _Shard:
-    """Parent-side handle: process + segment + dispatch bookkeeping."""
+class _ShardExecutor(Executor):
+    """One shard: a forked replica answering batches over its own ring.
 
-    def __init__(self, index: int, process, shm, views: _RingViews):
+    A respawn replaces the process and ring behind the same index.
+    ``lock`` is held by whoever operates the shard: its dispatch thread,
+    the idle-crash sweep, or a rolling restart.
+    """
+
+    def __init__(self, engine: "ClusterEngine", lane: Lane, index: int):
+        self.engine = engine
+        self.lane = lane
         self.index = index
-        self.process = process
-        self.shm = shm
-        self.views = views
-        self.seq = 0  # batches dispatched; seq % slots is the next slot
+        self.lock = threading.Lock()
         self.restarts = 0
-        self.lock = threading.Lock()  # held by whoever operates the shard
+        self.stall_ns = 0  # injected stall, delivered with the next dispatch
+        self.lost = 0  # times the current batch was lost with its shard
 
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid
+    def spawn(self) -> None:
+        """Fork a replica over a fresh ring; block until it has loaded."""
+        from multiprocessing import shared_memory
+
+        engine, cluster = self.engine, self.engine.cluster
+        shape = (cluster.image_hw, cluster.image_hw, cluster.channels)
+        layout = (cluster.ring_slots, engine.policy.max_batch_size, shape,
+                  cluster.max_classes)
+        self.shm = shared_memory.SharedMemory(
+            create=True, size=_RingViews.required_bytes(*layout)
+        )
+        self.views = _RingViews(self.shm, *layout)
+        self.views.ctrl[:] = 0
+        self.views.hdr[:] = 0
+        self.seq = 0  # batches dispatched; seq % slots is the next slot
+        self.process = engine._ctx.Process(
+            target=_shard_main,
+            args=(self.lane.key.spec, engine.loader, self.views, cluster.poll_s),
+            name=f"shard-{self.lane.key.slug}-{self.index}",
+            daemon=True,
+        )
+        self.process.start()
+        deadline = time.monotonic() + cluster.ready_timeout_s
+        while time.monotonic() < deadline:
+            state = int(self.views.ctrl[C_READY])
+            if state == READY_OK:
+                return
+            if state == READY_FAILED or not self.alive():
+                message = self.views.read_error(0) or "shard died during load"
+                self.destroy()
+                raise RuntimeError(
+                    f"shard {self.index} for {self.process.name} failed to "
+                    f"load: {message}"
+                )
+            time.sleep(cluster.poll_s)
+        self.destroy()
+        raise TimeoutError(
+            f"shard {self.index} not ready within {cluster.ready_timeout_s}s"
+        )
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def destroy(self) -> None:
-        """Kill the process and release the segment (idempotent)."""
+        """Kill the process and release the ring (idempotent)."""
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=1.0)
@@ -295,52 +324,151 @@ class _Shard:
         except FileNotFoundError:
             pass
 
+    def close(self) -> None:
+        if self.alive():
+            self.views.ctrl[C_STOP] = 1
+            self.process.join(timeout=1.0)
+        self.destroy()
 
-class _ClusterLane:
-    """Per-model-spec queue, shard pool, breaker, and in-flight ledger.
+    def respawn(self, reason: str) -> None:
+        """Kill (if needed) and respawn the shard; counts the restart.
 
-    The pool is a dict keyed by shard index so replicas can be added and
-    retired at runtime without renumbering; ``fenced`` indices keep their
-    process and in-flight batch but pull no new work (the drain phase of
-    a scale-down), and ``quarantined`` short-circuits the whole pool to
-    the parent-side float path.
-    """
+        ``reason`` is ``"stall"`` (heartbeat went silent — the watchdog
+        family, so chaos-soak recovery evidence holds across topologies)
+        or ``"crash"`` (process died).
+        """
+        engine, lane, spec = self.engine, self.lane, self.lane.key.spec
+        self.destroy()
+        if reason == "crash":
+            # Recorded before the respawn so the autoscaler's crash-loop
+            # window sees the death even if the respawn below fails too.
+            lane.record_crash(engine.clock())
+        self.spawn()
+        self.restarts += 1
+        with lane.lock:
+            lane.restarts += 1
+        engine._update_live_gauge(lane)
+        engine.metrics.count("shard_restarts_total", spec=spec)
+        engine.metrics.count(
+            "watchdog_restarts_total" if reason == "stall" else "shard_crashes_total",
+            spec=spec,
+        )
 
-    def __init__(self, key: ModelKey, scheduler: MicroBatchScheduler,
-                 breaker: CircuitBreaker):
+    def view(self, fenced: bool) -> dict:
+        return {"index": self.index, "alive": self.alive(), "pid": self.process.pid,
+                "restarts": self.restarts, "fenced": fenced}
+
+    def begin(self, batch) -> bool:
+        # An injected stall rides into the shard with the batch's first
+        # dispatch, so the worker process itself goes silent.
+        faults, spec = self.engine.faults, self.lane.key.spec
+        window = faults.fire(STALL, site=spec) if faults is not None else None
+        self.stall_ns = int(window.stall_s * 1e9) if window is not None else 0
+        self.lost = 0
+        return True
+
+    def run(self, batch, quantized: bool):
+        """Dispatch to the shard, respawning it and re-routing the batch when
+        it dies or stalls, at most ``max_redispatch`` times."""
+        engine, lane = self.engine, self.lane
+        while True:
+            if engine._stopping:
+                raise BatchLost("cluster engine stopped mid-batch")
+            with self.lock:
+                # A shard found dead is respawned first; that is no loss.
+                dispatched, reason = self.alive(), "crash"
+                if dispatched:
+                    stall_ns, self.stall_ns = self.stall_ns, 0
+                    answer = self._dispatch(batch, quantized, stall_ns)
+                    if not isinstance(answer, str):
+                        return answer
+                    reason = answer
+                if lane.quarantined:
+                    # Crash-loop endpoint: no respawn; answer in the parent.
+                    return lane.stand_in.run(batch, False)
+                try:
+                    # Under the dispatch lock, so the idle-crash sweep cannot
+                    # race us into a double restart.
+                    self.respawn(reason)
+                except Exception as error:
+                    raise BatchLost(f"shard {self.index} did not respawn: {error}") from error
+            if dispatched:
+                self.lost += 1
+                if self.lost > engine.cluster.max_redispatch:
+                    raise BatchLost(
+                        f"batch abandoned after {self.lost} shard losses (last: {reason})"
+                    )
+                with lane.lock:
+                    lane.reroutes += 1
+                engine.metrics.count("reroutes_total", spec=lane.key.spec)
+
+    def _dispatch(self, batch, quantized: bool, stall_ns: int):
+        """Write the batch into the shard's next slot and await the answer.
+
+        Returns ``(logits, path)``, or why the shard was lost with the
+        batch: ``"crash"`` (the process died) or ``"stall"`` (its heartbeat
+        went silent past ``watchdog_stall_s``).  A shard-side exception is
+        raised as :class:`RuntimeError`.
+        """
+        engine, views = self.engine, self.views
+        slot = self.seq % views.slots
+        self.seq += 1
+        row = views.hdr[slot]
+        if int(row[H_STATUS]) != EMPTY:
+            # The previous incarnation died mid-protocol; reclaim the slot.
+            row[H_STATUS] = EMPTY
+        n = len(batch)
+        views.images[slot][:n] = batch.images
+        row[H_LEN] = n
+        row[H_MODE] = MODE_QUANT if quantized else MODE_FLOAT
+        row[H_STALL_NS] = stall_ns
+        row[H_SEQ] = self.seq
+        row[H_STATUS] = REQ  # ownership hand-off: written last
+        stall_after = engine.resilience.watchdog_stall_s
+        last_beat = int(views.ctrl[C_HEARTBEAT])
+        last_change = time.monotonic()
+        while True:
+            status = int(row[H_STATUS])
+            if status == RES:
+                logits = np.array(views.logits[slot][:n, : int(row[H_CLASSES])])
+                path = DATAPATHS[int(row[H_PATH])]
+                row[H_STATUS] = EMPTY
+                return logits, path
+            if status == ERR:
+                message = views.read_error(slot)
+                row[H_STATUS] = EMPTY
+                raise RuntimeError(f"shard error: {message}")
+            if not self.alive():
+                return "crash"
+            beat = int(views.ctrl[C_HEARTBEAT])
+            if beat != last_beat:
+                last_beat, last_change = beat, time.monotonic()
+            elif time.monotonic() - last_change >= stall_after:
+                return "stall"
+            if engine._stopping:
+                raise BatchLost("cluster engine stopped mid-batch")
+            time.sleep(engine.cluster.poll_s)
+
+
+class _ParentExecutor(Executor):
+    """The in-parent float path a quarantined lane's batches swap to."""
+
+    def __init__(self, engine: "ClusterEngine", key: ModelKey):
+        self.engine = engine
         self.key = key
-        self.scheduler = scheduler
-        self.breaker = breaker
-        self.shards: dict[int, _Shard] = {}
-        self.threads: dict[int, threading.Thread] = {}
-        self.fenced: set[int] = set()
-        self.next_index = 0
-        self.in_flight = 0
-        self.active: list[Batch] = []
-        self.reroutes = 0
-        self.restarts = 0  # shard restarts, stall + crash combined
-        self.crash_times: list[float] = []  # engine-clock crash instants
-        self.quarantined = False
-        self.servable = None  # lazily-built parent replica for quarantine
-        self.force_float_until = 0.0
+        self.servable = None  # built by the engine's loader on first use
         self.lock = threading.Lock()
 
-    def degraded(self, now: float) -> bool:
-        with self.lock:
-            return now < self.force_float_until
+    def begin(self, batch) -> bool:
+        return False  # float only, so it never takes a half-open probe
 
-    def degrade(self, until: float) -> None:
+    def run(self, batch, quantized: bool):
         with self.lock:
-            self.force_float_until = max(self.force_float_until, until)
-
-    def is_quarantined(self) -> bool:
-        with self.lock:
-            return self.quarantined
-
-    def record_crash(self, now: float) -> None:
-        with self.lock:
-            self.crash_times.append(now)
-            del self.crash_times[:-64]  # bounded history for the autoscaler
+            if self.servable is None:
+                self.servable = self.engine.loader(self.key.spec)
+        logits = np.asarray(self.servable.predict_float(batch.images), dtype=np.float32)
+        self.engine.metrics.count("quarantine_batches_total", spec=self.key.spec)
+        return logits, FLOAT
 
 
 class _RegistryView:
@@ -364,15 +492,17 @@ class _RegistryView:
         return self._engine.registry_snapshot()
 
 
-class ClusterEngine:
+class ClusterEngine(LaneCore):
     """Sharded multi-process counterpart of :class:`ServeEngine`.
 
-    Exposes the same operational surface (``warm`` / ``submit`` /
-    ``check_watchdog`` / ``drain`` / ``stop`` / ``snapshot``, plus
-    ``policy``, ``guard`` and a ``registry`` facade) so the load
-    generator, the admission controller, and the chaos-soak harness run
-    against either topology unchanged.
+    The lane core with one :class:`_ShardExecutor` per shard, so it has the
+    same operational surface (``warm`` / ``submit`` / ``check_watchdog`` /
+    ``drain`` / ``stop`` / ``snapshot``, plus ``policy``, ``guard`` and a
+    ``registry`` facade) and the load generator, the admission controller
+    and the chaos-soak harness run against either topology unchanged.
     """
+
+    join_timeout_s = 5.0
 
     def __init__(
         self,
@@ -385,114 +515,51 @@ class ClusterEngine:
         faults: FaultPlan | None = None,
         admission: AdmissionController | None = None,
     ):
+        super().__init__(policy, metrics, clock, resilience, faults, admission)
         self.loader = default_shard_loader if loader is None else loader
-        self.policy = BatchPolicy() if policy is None else policy
         self.cluster = ClusterPolicy() if cluster is None else cluster
-        self.metrics = Metrics() if metrics is None else metrics
-        self.clock = clock
-        self.resilience = ResiliencePolicy() if resilience is None else resilience
-        self.faults = faults
-        self.admission = admission
-        if admission is not None:
-            admission.attach_latency_probe(
-                lambda: self.metrics.histogram("e2e_latency_ms").percentile(99)
-            )
-        self.guard = NumericGuard(saturation_limit=self.resilience.guard_saturation)
         self.registry = _RegistryView(self)
         self._ctx = multiprocessing.get_context("fork")
-        self._lanes: dict[ModelKey, _ClusterLane] = {}
-        self._lock = threading.Lock()
-        self._stopping = False
-        self._stopped = False
 
     # ------------------------------------------------------------------
-    # Shard lifecycle
-    def _spawn_shard(self, lane: _ClusterLane, index: int) -> _Shard:
-        from multiprocessing import shared_memory
-
-        shape = (self.cluster.image_hw, self.cluster.image_hw, self.cluster.channels)
-        size = _RingViews.required_bytes(
-            self.cluster.ring_slots, self.policy.max_batch_size,
-            shape, self.cluster.max_classes,
-        )
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        views = _RingViews(
-            shm, self.cluster.ring_slots, self.policy.max_batch_size,
-            shape, self.cluster.max_classes,
-        )
-        views.ctrl[:] = 0
-        views.hdr[:] = 0
-        process = self._ctx.Process(
-            target=_shard_main,
-            args=(lane.key.spec, self.loader, views, self.cluster.poll_s),
-            name=f"shard-{lane.key.slug}-{index}",
-            daemon=True,
-        )
-        process.start()
-        return _Shard(index, process, shm, views)
-
-    def _await_ready(self, shard: _Shard) -> None:
-        deadline = time.monotonic() + self.cluster.ready_timeout_s
-        while time.monotonic() < deadline:
-            state = int(shard.views.ctrl[C_READY])
-            if state == READY_OK:
-                return
-            if state == READY_FAILED or not shard.alive():
-                message = shard.views.read_error(0) or "shard died during load"
-                shard.destroy()
-                raise RuntimeError(
-                    f"shard {shard.index} for {shard.process.name} failed to "
-                    f"load: {message}"
-                )
-            time.sleep(self.cluster.poll_s)
-        shard.destroy()
-        raise TimeoutError(
-            f"shard {shard.index} not ready within {self.cluster.ready_timeout_s}s"
-        )
-
-    def _restart_shard(self, lane: _ClusterLane, index: int, reason: str) -> _Shard:
-        """Kill (if needed) and respawn one shard; counts the restart.
-
-        ``reason`` is ``"stall"`` (heartbeat went silent — the watchdog
-        family, so chaos-soak recovery evidence holds across topologies)
-        or ``"crash"`` (process died).
-        """
-        spec = lane.key.spec
-        with lane.lock:
-            old = lane.shards.get(index)
-        if old is not None:
-            old.destroy()
-        if reason == "crash":
-            # Recorded before the respawn so the autoscaler's crash-loop
-            # window sees the death even if the respawn below fails too.
-            lane.record_crash(self.clock())
-        shard = self._spawn_shard(lane, index)
-        self._await_ready(shard)
-        shard.restarts = (old.restarts + 1) if old is not None else 1
-        with lane.lock:
-            lane.shards[index] = shard
-            lane.restarts += 1
+    # Lanes and shards
+    def _open(self, lane: Lane) -> None:
+        lane.stand_in = _ParentExecutor(self, lane.key)
+        for _ in range(self.cluster.shards):
+            self._add(lane)
         self._update_live_gauge(lane)
-        self.metrics.counter("shard_restarts_total").inc()
-        self.metrics.counter("shard_restarts_total", labels={"spec": spec}).inc()
-        if reason == "stall":
-            self.metrics.counter("watchdog_restarts_total").inc()
-            self.metrics.counter(
-                "watchdog_restarts_total", labels={"spec": spec}
-            ).inc()
-        else:
-            self.metrics.counter("shard_crashes_total").inc()
-            self.metrics.counter("shard_crashes_total", labels={"spec": spec}).inc()
-        return shard
 
-    def _update_live_gauge(self, lane: _ClusterLane) -> None:
+    def _add(self, lane: Lane) -> None:
+        """Spawn one shard at a fresh index and start its dispatch thread."""
+        index = lane.claim()
+        executor = _ShardExecutor(self, lane, index)
+        executor.spawn()
+        self._start(lane, index, executor, name="dispatch")
+
+    def _update_live_gauge(self, lane: Lane) -> None:
         with lane.lock:
             live = sum(
-                1
-                for index, shard in lane.shards.items()
-                if index not in lane.fenced and shard.alive()
+                1 for index, executor in lane.executors.items()
+                if index not in lane.fenced and executor.alive()
             )
         self.metrics.gauge("shards_live", labels={"spec": lane.key.spec}).set(live)
+
+    def warm(self, spec: str | ModelKey) -> None:
+        """Spawn (and block until ready) the spec's shard pool."""
+        self._lane(ModelKey.parse(spec))
+
+    def submit(self, spec, image, tenant="default", priority=DEFAULT_PRIORITY,
+               deadline_ms=None):
+        """Enqueue one image (see :meth:`LaneCore.submit`); it must fit the
+        shared rings."""
+        image = np.asarray(image, dtype=np.float32)
+        expected = (self.cluster.image_hw, self.cluster.image_hw, self.cluster.channels)
+        if image.shape != expected:
+            raise ValueError(
+                f"image shape {image.shape} does not fit the cluster's shared "
+                f"rings (expected {expected}; set ClusterPolicy.image_hw)"
+            )
+        return super().submit(spec, image, tenant, priority, deadline_ms)
 
     def kill_shard(self, spec: str | ModelKey, index: int = 0) -> int:
         """SIGKILL one shard process (chaos/testing hook); returns the pid.
@@ -501,39 +568,33 @@ class ClusterEngine:
         :meth:`check_watchdog` if the shard was idle) respawns the shard
         and re-routes whatever batch was in flight on it.
         """
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes[key]
-        with lane.lock:
-            shard = lane.shards.get(index)
-        if shard is None or not shard.alive():
-            raise RuntimeError(f"shard {index} of {key.spec} is not running")
-        pid = shard.pid
+        lane = self._find(spec)
+        executor = lane.executors.get(index) if lane is not None else None
+        if executor is None or not executor.alive():
+            raise RuntimeError(
+                f"shard {index} of {ModelKey.parse(spec).spec} is not running"
+            )
+        pid = executor.process.pid
         os.kill(pid, signal.SIGKILL)
         return pid
 
     def restart_lane(self, spec: str | ModelKey) -> bool:
         """Rolling restart of every idle shard in a lane (registry
         ``invalidate`` analogue — replicas reload their artifacts)."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
+        lane = self._find(spec)
         if lane is None:
             return False
         restarted = False
         with lane.lock:
-            indices = sorted(lane.shards)
+            indices = sorted(lane.executors)
         for index in indices:
-            with lane.lock:
-                shard = lane.shards.get(index)
-            if shard is None:
-                continue
-            if shard.lock.acquire(blocking=False):  # skip busy shards
-                try:
-                    self._restart_shard(lane, index, reason="crash")
+            executor = lane.executors.get(index)
+            if executor is not None and executor.lock.acquire(blocking=False):
+                try:  # busy shards are skipped
+                    executor.respawn("crash")
                     restarted = True
                 finally:
-                    shard.lock.release()
+                    executor.lock.release()
         return restarted
 
     # ------------------------------------------------------------------
@@ -547,39 +608,17 @@ class ClusterEngine:
         crash-loop breaker reacts to repeated failures, the engine does
         not retry on its own).
         """
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            if self._stopping:
-                return False
-            lane = self._lanes.get(key)
-        if lane is None:
+        lane = self._find(spec)
+        if lane is None or self._stopping:
             return False
-        with lane.lock:
-            index = lane.next_index
-            lane.next_index += 1
         try:
-            shard = self._spawn_shard(lane, index)
-            self._await_ready(shard)
+            self._add(lane)
         except Exception:
-            self.metrics.counter("shard_spawn_failures_total").inc()
-            self.metrics.counter(
-                "shard_spawn_failures_total", labels={"spec": key.spec}
-            ).inc()
+            self.metrics.count("shard_spawn_failures_total", spec=lane.key.spec)
             lane.record_crash(self.clock())
             return False
-        thread = threading.Thread(
-            target=self._dispatch_loop,
-            args=(lane, index),
-            name=f"dispatch-{key.slug}-{index}",
-            daemon=True,
-        )
-        with lane.lock:
-            lane.shards[index] = shard
-            lane.threads[index] = thread
-        thread.start()
         self._update_live_gauge(lane)
-        self.metrics.counter("scale_ups_total").inc()
-        self.metrics.counter("scale_ups_total", labels={"spec": key.spec}).inc()
+        self.metrics.count("scale_ups_total", spec=lane.key.spec)
         return True
 
     def retire_shard(self, spec: str | ModelKey, index: int | None = None,
@@ -594,13 +633,11 @@ class ClusterEngine:
         the caller (autoscaler) simply retries on a later tick.  The last
         unfenced shard of a lane is never retired.
         """
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
+        lane = self._find(spec)
         if lane is None:
             return False
         with lane.lock:
-            candidates = [i for i in lane.shards if i not in lane.fenced]
+            candidates = [i for i in lane.executors if i not in lane.fenced]
             if len(candidates) <= 1:
                 return False  # never drain the pool to zero
             if index is None:
@@ -621,54 +658,41 @@ class ClusterEngine:
                 self._update_live_gauge(lane)
                 return False
         with lane.lock:
-            shard = lane.shards.pop(index, None)
+            executor = lane.executors.pop(index, None)
             lane.threads.pop(index, None)
             lane.fenced.discard(index)
-        if shard is not None:
-            if shard.alive():
-                shard.views.ctrl[C_STOP] = 1
-                shard.process.join(timeout=1.0)
-            shard.destroy()
+        if executor is not None:
+            executor.close()
         self._update_live_gauge(lane)
-        self.metrics.counter("scale_downs_total").inc()
-        self.metrics.counter("scale_downs_total", labels={"spec": key.spec}).inc()
+        self.metrics.count("scale_downs_total", spec=lane.key.spec)
         return True
 
     def quarantine_lane(self, spec: str | ModelKey) -> bool:
-        """Stop respawning the spec's shards; serve in-parent float instead.
+        """Swap the spec's shards for the in-parent float executor.
 
         The crash-loop endpoint: dead shards stay down (no respawn
         spinning), live ones idle, and every batch runs on a parent-side
         replica's float path until :meth:`clear_quarantine`.
         """
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
-        if lane is None:
-            return False
-        with lane.lock:
-            if lane.quarantined:
-                return False
-            lane.quarantined = True
-        self.metrics.gauge("lane_quarantined", labels={"spec": key.spec}).set(1)
-        self.metrics.counter("quarantines_total").inc()
-        self.metrics.counter("quarantines_total", labels={"spec": key.spec}).inc()
-        return True
+        return self._quarantine(spec, True)
 
     def clear_quarantine(self, spec: str | ModelKey) -> bool:
         """Lift the quarantine: the next batch on a dead shard respawns it
         (the recovery probe — if the spec still crash-loops, the
         autoscaler re-quarantines with a longer backoff)."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
+        return self._quarantine(spec, False)
+
+    def _quarantine(self, spec: str | ModelKey, on: bool) -> bool:
+        lane = self._find(spec)
         if lane is None:
             return False
         with lane.lock:
-            if not lane.quarantined:
+            if lane.quarantined == on:
                 return False
-            lane.quarantined = False
-        self.metrics.gauge("lane_quarantined", labels={"spec": key.spec}).set(0)
+            lane.quarantined = on
+        self.metrics.gauge("lane_quarantined", labels={"spec": lane.key.spec}).set(int(on))
+        if on:
+            self.metrics.count("quarantines_total", spec=lane.key.spec)
         return True
 
     def lane_specs(self) -> list[str]:
@@ -678,423 +702,33 @@ class ClusterEngine:
 
     def shard_count(self, spec: str | ModelKey) -> int:
         """Unfenced shards currently serving the spec (0 if no lane)."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
+        lane = self._find(spec)
         if lane is None:
             return 0
         with lane.lock:
-            return len([i for i in lane.shards if i not in lane.fenced])
+            return len(lane.executors.keys() - lane.fenced)
 
     def lane_stats(self, spec: str | ModelKey) -> dict | None:
         """One consistent pressure/health reading for the autoscaler."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        with self._lock:
-            lane = self._lanes.get(key)
+        lane = self._find(spec)
         if lane is None:
             return None
         queued = lane.scheduler.qsize()
         with lane.lock:
-            unfenced = [i for i in lane.shards if i not in lane.fenced]
+            unfenced = [e for i, e in lane.executors.items() if i not in lane.fenced]
             return {
-                "spec": key.spec,
+                "spec": lane.key.spec,
                 "queue_depth": queued,
                 "queue_capacity": self.policy.max_queue,
-                "in_flight": lane.in_flight,
+                "in_flight": len(lane.active),
                 "shards": len(unfenced),
-                "shards_alive": sum(
-                    1 for i in unfenced if lane.shards[i].alive()
-                ),
+                "shards_alive": sum(1 for executor in unfenced if executor.alive()),
                 "quarantined": lane.quarantined,
                 "crash_times": list(lane.crash_times),
             }
 
     # ------------------------------------------------------------------
-    # Lane lifecycle
-    def _lane(self, key: ModelKey) -> _ClusterLane:
-        with self._lock:
-            if self._stopping:
-                raise RuntimeError("cluster engine is stopped")
-            lane = self._lanes.get(key)
-            if lane is not None:
-                return lane
-            lane = _ClusterLane(
-                key,
-                MicroBatchScheduler(
-                    self.policy, clock=self.clock,
-                    on_expire=lambda req, spec=key.spec: self._count_expiry(
-                        spec, req
-                    ),
-                ),
-                CircuitBreaker(
-                    failure_threshold=self.resilience.breaker_failures,
-                    cooldown_s=self.resilience.breaker_cooldown_s,
-                    clock=self.clock,
-                ),
-            )
-            self._lanes[key] = lane
-        for index in range(self.cluster.shards):
-            shard = self._spawn_shard(lane, index)
-            self._await_ready(shard)
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                args=(lane, index),
-                name=f"dispatch-{key.slug}-{index}",
-                daemon=True,
-            )
-            with lane.lock:
-                lane.shards[index] = shard
-                lane.threads[index] = thread
-                lane.next_index = index + 1
-            thread.start()
-        self._update_live_gauge(lane)
-        return lane
-
-    def warm(self, spec: str | ModelKey) -> None:
-        """Spawn (and block until ready) the spec's shard pool."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        self._lane(key)
-
-    # ------------------------------------------------------------------
-    # Submission (same admission + metrics contract as ServeEngine)
-    def _count_rejection(self, spec: str, reason: str) -> None:
-        self.metrics.counter("rejected_total").inc()
-        self.metrics.counter("rejected_total", labels={"spec": spec}).inc()
-        self.metrics.counter("rejections_total", labels={"reason": reason}).inc()
-        self.metrics.counter(
-            "rejections_total", labels={"reason": reason, "spec": spec}
-        ).inc()
-
-    def _count_deadline_miss(self, spec: str, priority: str) -> None:
-        self.metrics.counter("deadline_misses_total").inc()
-        self.metrics.counter(
-            "deadline_misses_total", labels={"band": priority}
-        ).inc()
-        self.metrics.counter(
-            "deadline_misses_total", labels={"band": priority, "spec": spec}
-        ).inc()
-
-    def _count_expiry(self, spec: str, request: ServeRequest) -> None:
-        reason = request.expire_reason or "timeout"
-        self._count_rejection(spec, reason)
-        if reason == "deadline":
-            self._count_deadline_miss(spec, request.priority)
-
-    def submit(
-        self, spec: str | ModelKey, image: np.ndarray, tenant: str = "default",
-        priority: str = DEFAULT_PRIORITY, deadline_ms: float | None = None,
-    ) -> ServeRequest:
-        """Enqueue one image onto the spec's lane (see
-        :meth:`ServeEngine.submit` for the admission/rejection and
-        priority/deadline contract)."""
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        lane = self._lane(key)
-        image = np.asarray(image, dtype=np.float32)
-        expected = (self.cluster.image_hw, self.cluster.image_hw, self.cluster.channels)
-        if image.shape != expected:
-            raise ValueError(
-                f"image shape {image.shape} does not fit the cluster's shared "
-                f"rings (expected {expected}; set ClusterPolicy.image_hw)"
-            )
-        if self.admission is not None:
-            now = self.clock()
-            decision = self.admission.decide(
-                tenant,
-                LaneView(
-                    queue_depth=lane.scheduler.qsize(),
-                    queue_capacity=self.policy.max_queue,
-                    breaker_state=lane.breaker.state,
-                ),
-                now=now,
-                priority=priority,
-            )
-            if not decision.admitted:
-                self._count_rejection(key.spec, decision.reason)
-                raise decision.error
-            if decision.force_float:
-                lane.degrade(now + self.admission.policy.degrade_hold_s)
-        try:
-            request = lane.scheduler.submit(
-                image, priority=priority, deadline_ms=deadline_ms
-            )
-        except QueueFullError:
-            self._count_rejection(key.spec, "queue_full")
-            raise
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter("requests_total", labels={"spec": key.spec}).inc()
-        self.metrics.distribution("queue_depth").observe(lane.scheduler.qsize())
-        return request
-
-    # ------------------------------------------------------------------
-    # Dispatch: one parent thread per shard owns its batches end-to-end
-    def _dispatch_loop(self, lane: _ClusterLane, index: int) -> None:
-        while not self._stopping:
-            with lane.lock:
-                if index not in lane.shards or index in lane.fenced:
-                    return  # retired or draining: stop pulling work
-                idle = lane.in_flight == 0
-            batch = lane.scheduler.wait_for_batch(timeout=0.1, idle=idle)
-            if batch is None:
-                continue
-            # A fence raised during wait_for_batch does not strand this
-            # batch: it runs to completion below, and retire_shard joins
-            # this thread before releasing the rings.
-            with lane.lock:
-                lane.in_flight += 1
-                lane.active.append(batch)
-            try:
-                self._run_batch(lane, index, batch)
-            finally:
-                with lane.lock:
-                    lane.in_flight -= 1
-                    if batch in lane.active:
-                        lane.active.remove(batch)
-
-    def _dispatch(self, shard: _Shard, batch: Batch, mode: int, stall_ns: int):
-        """Write the batch into the shard's next slot and await the verdict.
-
-        Returns ``("ok", logits, quantized)``, ``("error", message)``, or
-        ``("lost", reason)`` — the latter when the shard died or went
-        silent past the stall threshold, meaning the batch must be
-        re-routed to a replacement shard.
-        """
-        views = shard.views
-        slot = shard.seq % views.slots
-        shard.seq += 1
-        row = views.hdr[slot]
-        if int(row[H_STATUS]) != EMPTY:
-            # The previous incarnation died mid-protocol; reclaim the slot.
-            row[H_STATUS] = EMPTY
-        n = len(batch)
-        views.images[slot][:n] = batch.images
-        row[H_LEN] = n
-        row[H_MODE] = mode
-        row[H_STALL_NS] = stall_ns
-        row[H_SEQ] = shard.seq
-        row[H_STATUS] = REQ  # ownership hand-off: written last
-        stall_after = self.resilience.watchdog_stall_s
-        last_beat = int(views.ctrl[C_HEARTBEAT])
-        last_change = time.monotonic()
-        while True:
-            status = int(row[H_STATUS])
-            if status == RES:
-                classes = int(row[H_CLASSES])
-                logits = np.array(views.logits[slot][:n, :classes])
-                quantized = bool(row[H_QUANT])
-                row[H_STATUS] = EMPTY
-                return ("ok", logits, quantized)
-            if status == ERR:
-                message = views.read_error(slot)
-                row[H_STATUS] = EMPTY
-                return ("error", message)
-            if not shard.alive():
-                return ("lost", "crash")
-            beat = int(views.ctrl[C_HEARTBEAT])
-            if beat != last_beat:
-                last_beat = beat
-                last_change = time.monotonic()
-            elif time.monotonic() - last_change >= stall_after:
-                return ("lost", "stall")
-            if self._stopping:
-                return ("error", "cluster engine stopped mid-batch")
-            time.sleep(self.cluster.poll_s)
-
-    def _fail_batch(self, lane: _ClusterLane, batch: Batch, error: BaseException) -> None:
-        spec = lane.key.spec
-        if isinstance(error, NumericGuardError):
-            self.metrics.counter("guard_trips_total").inc()
-            self.metrics.counter("guard_trips_total", labels={"spec": spec}).inc()
-        self.metrics.counter("errors_total").inc()
-        self.metrics.counter("errors_total", labels={"spec": spec}).inc()
-        now = self.clock()
-        for request in batch.requests:
-            request.set_exception(error, now=now)
-
-    def _parent_servable(self, lane: _ClusterLane):
-        """Lazily build the parent-side replica quarantine serving uses."""
-        with lane.lock:
-            servable = lane.servable
-        if servable is None:
-            servable = self.loader(lane.key.spec)
-            with lane.lock:
-                if lane.servable is None:
-                    lane.servable = servable
-                servable = lane.servable
-        return servable
-
-    def _run_quarantined(self, lane: _ClusterLane, batch: Batch,
-                         started: float) -> None:
-        """Serve one batch in-parent on the float path (quarantine mode,
-        also the fallback when a batch races a retired shard index)."""
-        spec = lane.key.spec
-        try:
-            servable = self._parent_servable(lane)
-            logits = np.asarray(
-                servable.predict_float(batch.images), dtype=np.float32
-            )
-            verdict = self.guard.scan(logits)
-            if not verdict.ok:
-                raise NumericGuardError(verdict.reason)
-        except Exception as error:
-            self._fail_batch(lane, batch, error)
-            return
-        self.metrics.counter("quarantine_batches_total").inc()
-        self.metrics.counter(
-            "quarantine_batches_total", labels={"spec": spec}
-        ).inc()
-        self._complete_batch(lane, batch, logits, quantized=False, started=started)
-
-    def _run_batch(self, lane: _ClusterLane, index: int, batch: Batch) -> None:
-        spec = lane.key.spec
-        started = self.clock()
-        if lane.is_quarantined():
-            self._run_quarantined(lane, batch, started)
-            return
-        # Injected stall: delivered into the shard through the slot header
-        # so the worker process itself goes silent (no parent-side sleep).
-        stall_ns = 0
-        if self.faults is not None:
-            window = self.faults.fire(STALL, site=spec)
-            if window is not None:
-                stall_ns = int(window.stall_s * 1e9)
-        degraded = lane.degraded(started)
-        if degraded:
-            self.metrics.counter("degraded_batches_total").inc()
-            self.metrics.counter("degraded_batches_total", labels={"spec": spec}).inc()
-        quantized_path = not degraded and lane.breaker.allow()
-        mode = MODE_QUANT if quantized_path else MODE_FLOAT
-        attempts = 0
-        while True:
-            if self._stopping:
-                self._fail_batch(
-                    lane, batch, RuntimeError("cluster engine stopped mid-batch")
-                )
-                return
-            with lane.lock:
-                shard = lane.shards.get(index)
-            if shard is None or lane.is_quarantined():
-                # Index retired under us, or the autoscaler quarantined the
-                # spec mid-flight: serve in-parent rather than respawn.
-                self._run_quarantined(lane, batch, started)
-                return
-            with shard.lock:
-                if not shard.alive():
-                    if lane.is_quarantined():
-                        self._run_quarantined(lane, batch, started)
-                        return
-                    try:
-                        shard = self._restart_shard(lane, index, reason="crash")
-                    except Exception as error:
-                        self._fail_batch(lane, batch, error)
-                        return
-                if mode == MODE_QUANT and self.faults is not None:
-                    try:
-                        self.faults.raise_if(BATCH_EXCEPTION, site=spec)
-                    except Exception:
-                        # Injected quantized-path failure: breaker + failover
-                        # to float, identical to the thread engine.
-                        lane.breaker.record_failure()
-                        self.metrics.counter("failovers_total").inc()
-                        self.metrics.counter(
-                            "failovers_total", labels={"spec": spec}
-                        ).inc()
-                        mode = MODE_FLOAT
-                        continue
-                outcome = self._dispatch(shard, batch, mode, stall_ns)
-                if outcome[0] == "lost":
-                    if lane.is_quarantined():
-                        # Crash-loop endpoint: stop respawning, serve the
-                        # batch in-parent on the float path instead.
-                        self._run_quarantined(lane, batch, started)
-                        return
-                    # Respawn under the same shard lock as the dispatch so
-                    # check_watchdog cannot race us into a double restart.
-                    try:
-                        self._restart_shard(lane, index, reason=outcome[1])
-                    except Exception as error:
-                        self._fail_batch(lane, batch, error)
-                        return
-            stall_ns = 0  # an injected stall fires at most once per batch
-            kind = outcome[0]
-            if kind == "lost":
-                attempts += 1
-                if attempts > self.cluster.max_redispatch:
-                    self._fail_batch(lane, batch, RuntimeError(
-                        f"batch abandoned after {attempts} shard losses "
-                        f"(last: {outcome[1]})"
-                    ))
-                    return
-                with lane.lock:
-                    lane.reroutes += 1
-                self.metrics.counter("reroutes_total").inc()
-                self.metrics.counter("reroutes_total", labels={"spec": spec}).inc()
-                continue
-            if kind == "error":
-                message = outcome[1]
-                if mode == MODE_QUANT:
-                    lane.breaker.record_failure()
-                    self.metrics.counter("failovers_total").inc()
-                    self.metrics.counter("failovers_total", labels={"spec": spec}).inc()
-                    mode = MODE_FLOAT
-                    continue
-                self._fail_batch(lane, batch, RuntimeError(f"shard error: {message}"))
-                return
-            _, logits, quantized = outcome
-            if mode == MODE_QUANT and self.faults is not None:
-                logits = self.faults.corrupt_logits(logits, site=spec)
-            verdict = self.guard.scan(logits)
-            if not verdict.ok:
-                if mode == MODE_QUANT:
-                    lane.breaker.record_failure()
-                    self.metrics.counter("failovers_total").inc()
-                    self.metrics.counter("failovers_total", labels={"spec": spec}).inc()
-                    self.metrics.counter("guard_trips_total").inc()
-                    self.metrics.counter("guard_trips_total", labels={"spec": spec}).inc()
-                    mode = MODE_FLOAT
-                    continue
-                self._fail_batch(lane, batch, NumericGuardError(verdict.reason))
-                return
-            if mode == MODE_QUANT:
-                lane.breaker.record_success()
-            self._complete_batch(lane, batch, logits, quantized and mode == MODE_QUANT, started)
-            return
-
-    def _complete_batch(
-        self, lane, batch: Batch, logits: np.ndarray, quantized: bool, started: float
-    ) -> None:
-        spec = lane.key.spec
-        finished = self.clock()
-        self.metrics.counter("batches_total").inc()
-        self.metrics.distribution("batch_size").observe(len(batch))
-        self.metrics.histogram("exec_latency_ms").observe((finished - started) * 1e3)
-        labels = logits.argmax(axis=-1)
-        for request, label, row in zip(batch.requests, labels, logits):
-            self.metrics.histogram("queue_wait_ms").observe(
-                (batch.created_at - request.enqueued_at) * 1e3
-            )
-            self.metrics.histogram("e2e_latency_ms").observe(
-                (finished - request.enqueued_at) * 1e3
-            )
-            if request.deadline_at is not None and finished > request.deadline_at:
-                # Never silently serve a late result: fail fast, typed.
-                late_ms = (finished - request.deadline_at) * 1e3
-                self._count_rejection(spec, "deadline")
-                self._count_deadline_miss(spec, request.priority)
-                request.set_exception(
-                    DeadlineExceededError(
-                        f"completed {late_ms:.1f} ms past the deadline "
-                        f"({request.priority} request); result withheld"
-                    ),
-                    now=finished,
-                )
-                continue
-            self.metrics.counter("responses_total").inc()
-            request.set_result(
-                ServeResult(int(label), row, len(batch), quantized), now=finished
-            )
-
-    # ------------------------------------------------------------------
-    # Supervision, observability, shutdown
+    # Supervision and observability
     def check_watchdog(self, now: float | None = None) -> list[str]:
         """Respawn shards that died while idle; returns affected specs.
 
@@ -1109,26 +743,30 @@ class ClusterEngine:
             lanes = list(self._lanes.values())
         restarted = []
         for lane in lanes:
-            if lane.is_quarantined():
-                continue  # quarantined specs stay down until cleared
             with lane.lock:
-                indices = sorted(lane.shards)
-            for index in indices:
-                with lane.lock:
-                    shard = lane.shards.get(index)
-                    fenced = index in lane.fenced
-                if shard is None or fenced or shard.alive():
-                    continue
-                if not shard.lock.acquire(blocking=False):
-                    continue  # its dispatch thread is already handling it
+                if lane.quarantined:
+                    continue  # quarantined specs stay down until cleared
+                executors = [e for i, e in sorted(lane.executors.items())
+                             if i not in lane.fenced]
+            for executor in executors:
+                if executor.alive() or not executor.lock.acquire(blocking=False):
+                    continue  # healthy, or its dispatch thread is handling it
                 try:
-                    self._restart_shard(lane, index, reason="crash")
+                    executor.respawn("crash")
                     restarted.append(lane.key.spec)
                 except Exception:
                     pass  # the dispatch thread will retry on next batch
                 finally:
-                    shard.lock.release()
+                    executor.lock.release()
         return restarted
+
+    def _shard_views(self, lane: Lane) -> list[dict]:
+        return [executor.view(index in lane.fenced)
+                for index, executor in sorted(lane.executors.items())]
+
+    def _lane_view(self, lane: Lane) -> dict:
+        return {**super()._lane_view(lane), "reroutes": lane.reroutes,
+                "quarantined": lane.quarantined, "shards": self._shard_views(lane)}
 
     def registry_snapshot(self) -> dict:
         with self._lock:
@@ -1136,112 +774,9 @@ class ClusterEngine:
         shards = {}
         for lane in lanes:
             with lane.lock:
-                shards[lane.key.spec] = [
-                    {
-                        "index": index,
-                        "alive": s.alive(),
-                        "pid": s.pid,
-                        "restarts": s.restarts,
-                        "fenced": index in lane.fenced,
-                    }
-                    for index, s in sorted(lane.shards.items())
-                ]
+                shards[lane.key.spec] = self._shard_views(lane)
         return {
             "entries": [lane.key.spec for lane in lanes],
             "shards": shards,
             "size": len(lanes),
         }
-
-    def snapshot(self) -> dict:
-        """Consistent metrics + lane + shard view (same shape as
-        :meth:`ServeEngine.snapshot`, with per-shard health added)."""
-        lane_views: dict[str, dict] = {}
-        with self._lock:
-            for lane in self._lanes.values():
-                with lane.lock:
-                    stats = lane.scheduler.stats()
-                    lane_views[lane.key.spec] = {
-                        **stats,
-                        "breaker": lane.breaker.snapshot(),
-                        "watchdog_restarts": lane.restarts,
-                        "in_flight": lane.in_flight,
-                        "reroutes": lane.reroutes,
-                        "degraded": self.clock() < lane.force_float_until,
-                        "quarantined": lane.quarantined,
-                        "shards": [
-                            {
-                                "index": index,
-                                "alive": s.alive(),
-                                "pid": s.pid,
-                                "restarts": s.restarts,
-                                "fenced": index in lane.fenced,
-                            }
-                            for index, s in sorted(lane.shards.items())
-                        ],
-                    }
-        timeouts = sum(view["timed_out"] for view in lane_views.values())
-        extra = {
-            "registry": self.registry_snapshot(),
-            "drift": {},
-            "lanes": lane_views,
-            "timeouts_total": timeouts,
-        }
-        if self.admission is not None:
-            extra["admission"] = self.admission.snapshot()
-        return self.metrics.snapshot(extra=extra)
-
-    def drain(self, timeout: float = 30.0, wall_cap: float | None = None) -> bool:
-        """Wait until every queue is empty and nothing is in flight
-        (:func:`~repro.serve.timing.wait_until` dual-deadline semantics)."""
-        def settled() -> bool:
-            with self._lock:
-                lanes = list(self._lanes.values())
-            return not any(
-                lane.scheduler.qsize() > 0 or lane.in_flight > 0 for lane in lanes
-            )
-
-        return wait_until(settled, self.clock, timeout, wall_cap)
-
-    def stop(self) -> None:
-        self._stopping = True
-        with self._lock:
-            # Idempotent: the segments are unmapped on the first stop, so a
-            # second pass must not touch any (now dangling) ring view.
-            if self._stopped:
-                return
-            self._stopped = True
-            lanes = list(self._lanes.values())
-        if self.faults is not None:
-            self.faults.release_stalls()
-        for lane in lanes:
-            lane.scheduler.close()
-        for lane in lanes:
-            with lane.lock:
-                threads = list(lane.threads.values())
-            for thread in threads:
-                thread.join(timeout=5.0)
-        for lane in lanes:
-            with lane.lock:
-                shards = list(lane.shards.values())
-                lane.shards = {}
-                lane.threads = {}
-                lane.fenced = set()
-            for shard in shards:
-                if shard.alive():
-                    shard.views.ctrl[C_STOP] = 1
-            for shard in shards:
-                shard.process.join(timeout=1.0)
-                shard.destroy()
-            with lane.lock:
-                pending = [r for b in lane.active for r in b.requests]
-            for request in pending:
-                if not request.done():
-                    request.set_exception(
-                        RuntimeError("cluster engine stopped before batch completed")
-                    )
-
-    def __enter__(self) -> "ClusterEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -187,7 +187,7 @@ class RecalibrationManager:
             for image in np.asarray(images):
                 state.buffer.append(np.array(image, dtype=np.float32))
             if outcome.alerted:
-                self._inc("drift_alerts_total", spec)
+                self.metrics.count("drift_alerts_total", spec=spec)
             if not verdict.sustained:
                 return outcome
             now = self.clock()
@@ -207,7 +207,7 @@ class RecalibrationManager:
         # Shadow build outside the state lock: the lane keeps serving the
         # stale entry (registry.get) while the candidate calibrates.
         outcome.attempted = True
-        self._inc("recalibrations_total", spec)
+        self.metrics.count("recalibrations_total", spec=spec)
         swapped, agreement = self._recalibrate(key, buffered)
         with state.lock:
             state.last_canary_agreement = agreement
@@ -218,9 +218,9 @@ class RecalibrationManager:
                 state.rejects += 1
         outcome.swapped = swapped
         outcome.rejected = not swapped
-        self._inc(
+        self.metrics.count(
             "recalibration_swaps_total" if swapped else "recalibration_rejects_total",
-            spec,
+            spec=spec,
         )
         return outcome
 
@@ -247,10 +247,6 @@ class RecalibrationManager:
             return False, None
 
     # ------------------------------------------------------------------
-    def _inc(self, name: str, spec: str) -> None:
-        self.metrics.counter(name).inc()
-        self.metrics.counter(name, labels={"spec": spec}).inc()
-
     def snapshot(self) -> dict:
         """JSON-serializable per-lane drift state for the metrics snapshot."""
         with self._lock:

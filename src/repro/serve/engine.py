@@ -1,20 +1,15 @@
-"""Worker executor: registry + micro-batching scheduler + metrics + defenses.
+"""In-process serving: the lane core plus worker threads over the registry.
 
-One *lane* per model spec, each with its own bounded queue and worker
-thread(s): workers pull coalesced batches from the lane's scheduler, run
-them through the registry's (quantized) model, and complete the waiting
-requests.  The registry already degrades to the float model when a
-quantized artifact fails to load; the engine protects the steady state
-on top of that (:mod:`repro.resilience`):
+One *lane* per model spec (:mod:`repro.serve.core`), each with its own
+bounded queue and worker thread(s): a worker pulls coalesced batches from
+the lane's scheduler and runs them through the registry's (quantized)
+model, looked up afresh for every batch.  The registry already degrades
+to the float model when a quantized artifact fails to load; the core
+protects the steady state on top of that (:mod:`repro.resilience`) with
+a per-lane **circuit breaker**, a **numeric guardrail** on every batch of
+logits, and admission control.  This module adds what is specific to
+running batches on threads of the serving process:
 
-* a per-lane **circuit breaker** — after ``breaker_failures`` consecutive
-  quantized-path failures the lane trips to the float model, then
-  re-admits the quantized artifact through a half-open probe after
-  ``breaker_cooldown_s`` on the engine clock;
-* a **numeric guardrail** — every batch's logits are scanned for
-  NaN/Inf/saturation before completion; a failed scan fails over to the
-  float path, and a batch that is bad on both paths is failed, never
-  served;
 * a **worker watchdog** — a lane that is busy but silent past
   ``watchdog_stall_s`` gets a replacement worker via
   :meth:`ServeEngine.check_watchdog` (the wedged daemon thread finishes
@@ -37,70 +32,59 @@ scheduler's busy/idle dispatch paths.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..resilience import ResiliencePolicy
-from ..resilience.breaker import CircuitBreaker
-from ..resilience.faults import BATCH_EXCEPTION, FaultPlan
-from ..resilience.guards import NumericGuard, NumericGuardError
+from ..resilience.faults import FaultPlan
 from ..resilience.watchdog import WorkerWatchdog
-from .admission import AdmissionController, LaneView
+from .admission import AdmissionController
+from .core import FLOAT, Executor, Lane, LaneCore, ServeResult, datapath
 from .drift import DriftPolicy, RecalibrationManager
 from .metrics import Metrics
 from .registry import ModelKey, ModelRegistry
-from .scheduler import (
-    DEFAULT_PRIORITY,
-    Batch,
-    BatchPolicy,
-    DeadlineExceededError,
-    MicroBatchScheduler,
-    QueueFullError,
-    ServeRequest,
-)
-from .timing import wait_until
+from .scheduler import BatchPolicy
 
 __all__ = ["ServeResult", "ServeEngine"]
 
 
-@dataclass
-class ServeResult:
-    """Completed classification for one request."""
+class _LocalExecutor(Executor):
+    """Runs batches on its worker thread through the registry's model."""
 
-    label: int
-    logits: np.ndarray
-    batch_size: int
-    quantized: bool
-
-
-class _Lane:
-    """Per-model-spec queue, workers, breaker, and in-flight accounting."""
-
-    def __init__(self, key: ModelKey, scheduler: MicroBatchScheduler,
-                 breaker: CircuitBreaker):
+    def __init__(self, engine: "ServeEngine", key: ModelKey):
+        self.engine = engine
         self.key = key
-        self.scheduler = scheduler
-        self.breaker = breaker
-        self.threads: list[threading.Thread] = []
-        self.in_flight = 0
-        self.active: list[Batch] = []  # batches currently executing
-        self.restarts = 0  # watchdog-spawned replacement workers
-        self.force_float_until = 0.0  # admission degrade: serve float until then
-        self.lock = threading.Lock()
+        self.servable = None
 
-    def degraded(self, now: float) -> bool:
-        with self.lock:
-            return now < self.force_float_until
+    def begin(self, batch) -> bool:
+        engine, spec = self.engine, self.key.spec
+        engine.watchdog.beat(spec, now=engine.clock())
+        if engine.faults is not None:
+            engine.faults.serve_stall(site=spec)  # stuck/slow-worker injection
+        # Looked up per batch, so a drift swap or an invalidation serves
+        # from the next batch on.
+        self.servable = engine.registry.get(self.key)
+        return self.servable.quantized
 
-    def degrade(self, until: float) -> None:
-        with self.lock:
-            self.force_float_until = max(self.force_float_until, until)
+    def run(self, batch, quantized: bool):
+        servable, drift = self.servable, self.engine.drift
+        if not quantized:
+            return servable.predict_float(batch.images), FLOAT
+        recorder = drift.recorder_for(self.key, servable) if drift is not None else None
+        return servable.predict(batch.images, recorder=recorder), datapath(servable)
+
+    def end(self, batch) -> None:
+        # Drift bookkeeping after the requests were answered; a sustained
+        # verdict recalibrates synchronously on this worker (the stale
+        # entry keeps serving via registry.get meanwhile), so keep the
+        # watchdog fed across the potentially long swap.
+        engine = self.engine
+        if engine.drift is not None:
+            engine.watchdog.beat(self.key.spec, now=engine.clock())
+            engine.drift.finish_batch(self.key, self.servable, batch.images)
+            engine.watchdog.beat(self.key.spec, now=engine.clock())
 
 
-class ServeEngine:
+class ServeEngine(LaneCore):
     """Batched inference over a :class:`~repro.serve.registry.ModelRegistry`."""
 
     def __init__(
@@ -117,15 +101,11 @@ class ServeEngine:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(policy, metrics, clock, resilience, faults, admission)
         # `is None` rather than `or`: an empty registry has len() == 0 and
         # would otherwise be silently replaced with a default-loader one.
         self.registry = ModelRegistry() if registry is None else registry
-        self.policy = BatchPolicy() if policy is None else policy
-        self.metrics = Metrics() if metrics is None else metrics
         self.workers = workers
-        self.clock = clock
-        self.resilience = ResiliencePolicy() if resilience is None else resilience
-        self.faults = faults
         # Drift-aware serving is opt-in: pass a DriftPolicy (the engine
         # builds the manager over its own registry/metrics/clock) or a
         # pre-wired RecalibrationManager.
@@ -134,294 +114,25 @@ class ServeEngine:
                 self.registry, drift, metrics=self.metrics, clock=clock
             )
         self.drift = drift
-        # Admission control is opt-in; when present every submit passes
-        # through its degrade ladder before touching the lane queue.  The
-        # p99 probe is wired here so latency-derived shedding reads the
-        # engine's own end-to-end histogram.
-        self.admission = admission
-        if admission is not None:
-            admission.attach_latency_probe(
-                lambda: self.metrics.histogram("e2e_latency_ms").percentile(99)
-            )
-        self.guard = NumericGuard(saturation_limit=self.resilience.guard_saturation)
         self.watchdog = WorkerWatchdog(
             stall_after_s=self.resilience.watchdog_stall_s, clock=clock
         )
-        self._lanes: dict[ModelKey, _Lane] = {}
-        self._lock = threading.Lock()
-        self._stopping = False
 
-    # ------------------------------------------------------------------
-    def _lane(self, key: ModelKey) -> _Lane:
-        with self._lock:
-            if self._stopping:
-                raise RuntimeError("engine is stopped")
-            lane = self._lanes.get(key)
-            if lane is None:
-                lane = _Lane(
-                    key,
-                    MicroBatchScheduler(
-                        self.policy, clock=self.clock,
-                        on_expire=lambda req, spec=key.spec: self._count_expiry(
-                            spec, req
-                        ),
-                    ),
-                    CircuitBreaker(
-                        failure_threshold=self.resilience.breaker_failures,
-                        cooldown_s=self.resilience.breaker_cooldown_s,
-                        clock=self.clock,
-                    ),
-                )
-                self.watchdog.reset(key.spec, now=self.clock())
-                for _ in range(self.workers):
-                    self._start_worker(lane)
-                self._lanes[key] = lane
-            return lane
+    def _open(self, lane: Lane) -> None:
+        self.watchdog.reset(lane.key.spec, now=self.clock())
+        for _ in range(self.workers):
+            self._start_worker(lane)
 
-    def _start_worker(self, lane: _Lane) -> None:
-        thread = threading.Thread(
-            target=self._worker,
-            args=(lane,),
-            name=f"serve-{lane.key.slug}-{len(lane.threads)}",
-            daemon=True,
-        )
-        lane.threads.append(thread)
-        thread.start()
+    def _start_worker(self, lane: Lane) -> None:
+        self._start(lane, lane.claim(), _LocalExecutor(self, lane.key), name="serve")
+
+    def _beat(self, lane: Lane) -> None:
+        self.watchdog.beat(lane.key.spec, now=self.clock())
 
     def warm(self, spec: str | ModelKey) -> None:
         """Load (and calibrate or warm-start) a model before traffic arrives."""
         self.registry.get(spec)
 
-    def _count_rejection(self, spec: str, reason: str) -> None:
-        """One refused/expired request: ``rejected_total`` plus the
-        reason-labelled ``rejections_total`` family (global + per-spec,
-        the PR 5 ``requests_total`` parity pattern)."""
-        self.metrics.counter("rejected_total").inc()
-        self.metrics.counter("rejected_total", labels={"spec": spec}).inc()
-        self.metrics.counter("rejections_total", labels={"reason": reason}).inc()
-        self.metrics.counter(
-            "rejections_total", labels={"reason": reason, "spec": spec}
-        ).inc()
-
-    def _count_deadline_miss(self, spec: str, priority: str) -> None:
-        """One request that could not meet its deadline: the per-band
-        ``deadline_misses_total`` family (global + {band} + {band, spec},
-        same parity pattern as ``rejections_total``)."""
-        self.metrics.counter("deadline_misses_total").inc()
-        self.metrics.counter(
-            "deadline_misses_total", labels={"band": priority}
-        ).inc()
-        self.metrics.counter(
-            "deadline_misses_total", labels={"band": priority, "spec": spec}
-        ).inc()
-
-    def _count_expiry(self, spec: str, request: ServeRequest) -> None:
-        """Queue-expiry accounting: the scheduler tells us whether the
-        request died of the policy timeout or its own deadline."""
-        reason = request.expire_reason or "timeout"
-        self._count_rejection(spec, reason)
-        if reason == "deadline":
-            self._count_deadline_miss(spec, request.priority)
-
-    def submit(
-        self, spec: str | ModelKey, image: np.ndarray, tenant: str = "default",
-        priority: str = DEFAULT_PRIORITY, deadline_ms: float | None = None,
-    ) -> ServeRequest:
-        """Enqueue one image; returns the request handle to wait on.
-
-        Raises :class:`~repro.serve.scheduler.QueueFullError` when the
-        lane's bounded queue is full (backpressure), or an
-        :class:`~repro.serve.admission.AdmissionError` subclass when the
-        admission controller refuses the request (shed, rate-limited, or
-        breaker-open reject).  Only *accepted* requests count toward
-        ``requests_total`` (global and per-spec, like every other counter
-        family) and the queue-depth distribution; every refusal
-        increments ``rejected_total`` (global and per-lane) plus the
-        reason-labelled ``rejections_total`` family.
-
-        ``priority`` selects the shedding/scheduling band
-        (:data:`~repro.serve.scheduler.PRIORITIES`); ``deadline_ms``
-        (optional) fails the request with
-        :class:`~repro.serve.scheduler.DeadlineExceededError` if it
-        cannot be served in time — late results are never silently
-        delivered.
-        """
-        key = ModelKey.parse(spec) if isinstance(spec, str) else spec
-        lane = self._lane(key)
-        if self.admission is not None:
-            now = self.clock()
-            decision = self.admission.decide(
-                tenant,
-                LaneView(
-                    queue_depth=lane.scheduler.qsize(),
-                    queue_capacity=self.policy.max_queue,
-                    breaker_state=lane.breaker.state,
-                ),
-                now=now,
-                priority=priority,
-            )
-            if not decision.admitted:
-                self._count_rejection(key.spec, decision.reason)
-                raise decision.error
-            if decision.force_float:
-                lane.degrade(now + self.admission.policy.degrade_hold_s)
-        try:
-            request = lane.scheduler.submit(
-                np.asarray(image, dtype=np.float32),
-                priority=priority, deadline_ms=deadline_ms,
-            )
-        except QueueFullError:
-            self._count_rejection(key.spec, "queue_full")
-            raise
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter("requests_total", labels={"spec": key.spec}).inc()
-        self.metrics.distribution("queue_depth").observe(lane.scheduler.qsize())
-        return request
-
-    # ------------------------------------------------------------------
-    def _worker(self, lane: _Lane) -> None:
-        spec = lane.key.spec
-        while not self._stopping:
-            self.watchdog.beat(spec, now=self.clock())
-            with lane.lock:
-                idle = lane.in_flight == 0
-            batch = lane.scheduler.wait_for_batch(timeout=0.1, idle=idle)
-            if batch is None:
-                continue
-            with lane.lock:
-                lane.in_flight += 1
-                lane.active.append(batch)
-            try:
-                self._execute(lane, batch)
-            finally:
-                with lane.lock:
-                    lane.in_flight -= 1
-                    if batch in lane.active:
-                        lane.active.remove(batch)
-
-    def _fail_batch(self, lane: _Lane, batch: Batch, error: BaseException) -> None:
-        spec = lane.key.spec
-        if isinstance(error, NumericGuardError):
-            self.metrics.counter("guard_trips_total").inc()
-            self.metrics.counter("guard_trips_total", labels={"spec": spec}).inc()
-        self.metrics.counter("errors_total").inc()
-        self.metrics.counter("errors_total", labels={"spec": spec}).inc()
-        now = self.clock()
-        for request in batch.requests:
-            request.set_exception(error, now=now)
-
-    def _execute(self, lane: _Lane, batch: Batch) -> None:
-        spec = lane.key.spec
-        started = self.clock()
-        self.watchdog.beat(spec, now=started)
-        if self.faults is not None:
-            self.faults.serve_stall(site=spec)  # stuck/slow-worker injection
-        try:
-            servable = self.registry.get(lane.key)
-        except Exception as error:
-            lane.breaker.record_failure()
-            self._fail_batch(lane, batch, error)
-            return
-        # Admission degrade ladder level 2 forces the float fallback for
-        # the hold window — same degraded-but-available stance as an open
-        # breaker, driven by overload instead of failures.
-        degraded = lane.degraded(started)
-        if degraded:
-            self.metrics.counter("degraded_batches_total").inc()
-            self.metrics.counter(
-                "degraded_batches_total", labels={"spec": spec}
-            ).inc()
-        # breaker.allow() is consulted last so a degraded batch never
-        # consumes (and then abandons) a half-open probe slot.
-        quantized = servable.quantized and not degraded and lane.breaker.allow()
-        logits = None
-        if quantized:
-            try:
-                if self.faults is not None:
-                    self.faults.raise_if(BATCH_EXCEPTION, site=spec)
-                recorder = (
-                    self.drift.recorder_for(lane.key, servable)
-                    if self.drift is not None
-                    else None
-                )
-                candidate = servable.predict(batch.images, recorder=recorder)
-                if self.faults is not None:
-                    candidate = self.faults.corrupt_logits(candidate, site=spec)
-                verdict = self.guard.scan(candidate)
-                if not verdict.ok:
-                    raise NumericGuardError(verdict.reason)
-                logits = candidate
-                lane.breaker.record_success()
-                backend = getattr(servable, "backend", None)
-                if backend is not None and backend.name == "int":
-                    # Integer-native batches get their own counter family
-                    # so dashboards can split traffic by datapath.
-                    self.metrics.counter("int_batches_total").inc()
-                    self.metrics.counter(
-                        "int_batches_total", labels={"spec": spec}
-                    ).inc()
-            except Exception as error:
-                # The quantized artifact misbehaved: count it against the
-                # breaker, then fail over to the float path for this batch
-                # rather than failing the waiting requests.
-                lane.breaker.record_failure()
-                quantized = False
-                self.metrics.counter("failovers_total").inc()
-                self.metrics.counter("failovers_total", labels={"spec": spec}).inc()
-                if isinstance(error, NumericGuardError):
-                    self.metrics.counter("guard_trips_total").inc()
-                    self.metrics.counter("guard_trips_total", labels={"spec": spec}).inc()
-        if logits is None:
-            try:
-                candidate = servable.predict_float(batch.images)
-                verdict = self.guard.scan(candidate)
-                if not verdict.ok:
-                    raise NumericGuardError(verdict.reason)
-                logits = candidate
-            except Exception as error:
-                self._fail_batch(lane, batch, error)
-                return
-        finished = self.clock()
-        self.metrics.counter("batches_total").inc()
-        self.metrics.distribution("batch_size").observe(len(batch))
-        self.metrics.histogram("exec_latency_ms").observe((finished - started) * 1e3)
-        labels = logits.argmax(axis=-1)
-        for request, label, row in zip(batch.requests, labels, logits):
-            self.metrics.histogram("queue_wait_ms").observe(
-                (batch.created_at - request.enqueued_at) * 1e3
-            )
-            self.metrics.histogram("e2e_latency_ms").observe(
-                (finished - request.enqueued_at) * 1e3
-            )
-            if request.deadline_at is not None and finished > request.deadline_at:
-                # The answer exists but arrived late: fail fast rather
-                # than silently serving past the deadline the caller set.
-                late_ms = (finished - request.deadline_at) * 1e3
-                self._count_rejection(spec, "deadline")
-                self._count_deadline_miss(spec, request.priority)
-                request.set_exception(
-                    DeadlineExceededError(
-                        f"completed {late_ms:.1f} ms past the deadline "
-                        f"({request.priority} request); result withheld"
-                    ),
-                    now=finished,
-                )
-                continue
-            self.metrics.counter("responses_total").inc()
-            request.set_result(
-                ServeResult(int(label), row, len(batch), quantized),
-                now=finished,
-            )
-        if self.drift is not None:
-            # Drift bookkeeping after the requests were answered; a
-            # sustained verdict recalibrates synchronously on this worker
-            # (the stale entry keeps serving via registry.get meanwhile),
-            # so keep the watchdog fed across the potentially long swap.
-            self.watchdog.beat(spec, now=self.clock())
-            self.drift.finish_batch(lane.key, servable, batch.images)
-            self.watchdog.beat(spec, now=self.clock())
-
-    # ------------------------------------------------------------------
     def check_watchdog(self, now: float | None = None) -> list[str]:
         """Restart any lane that is busy but has stopped heartbeating.
 
@@ -437,97 +148,16 @@ class ServeEngine:
         restarted = []
         for lane in lanes:
             with lane.lock:
-                busy = lane.in_flight > 0
+                busy = bool(lane.active)
             if not busy or not self.watchdog.stalled(lane.key.spec, now=now):
                 continue
             with self._lock:
                 if self._stopping:
                     break
                 self._start_worker(lane)
-            lane.restarts += 1
+            with lane.lock:
+                lane.restarts += 1
             self.watchdog.reset(lane.key.spec, now=now)
-            self.metrics.counter("watchdog_restarts_total").inc()
-            self.metrics.counter(
-                "watchdog_restarts_total", labels={"spec": lane.key.spec}
-            ).inc()
+            self.metrics.count("watchdog_restarts_total", spec=lane.key.spec)
             restarted.append(lane.key.spec)
         return restarted
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Full metrics snapshot: engine instruments + scheduler + registry.
-
-        Lane state is collected under the engine lock with each lane's
-        own lock and the scheduler's atomic :meth:`~MicroBatchScheduler.stats`
-        held per lane, so the queued/timed-out/rejected/breaker/in-flight
-        numbers for a lane describe one consistent instant — concurrent
-        submits and completions cannot interleave between the reads.
-        """
-        lane_views: dict[str, dict] = {}
-        with self._lock:
-            for lane in self._lanes.values():
-                with lane.lock:
-                    stats = lane.scheduler.stats()
-                    lane_views[lane.key.spec] = {
-                        **stats,
-                        "breaker": lane.breaker.snapshot(),
-                        "watchdog_restarts": lane.restarts,
-                        "in_flight": lane.in_flight,
-                        "degraded": self.clock() < lane.force_float_until,
-                    }
-        timeouts = sum(view["timed_out"] for view in lane_views.values())
-        extra = {
-            "registry": self.registry.snapshot(),
-            "drift": self.drift.snapshot() if self.drift is not None else {},
-            "lanes": lane_views,
-            "timeouts_total": timeouts,
-        }
-        if self.admission is not None:
-            extra["admission"] = self.admission.snapshot()
-        return self.metrics.snapshot(extra=extra)
-
-    def drain(self, timeout: float = 30.0, wall_cap: float | None = None) -> bool:
-        """Wait until every queue is empty and nothing is in flight.
-
-        ``timeout`` is measured on the injected engine clock, so
-        fake-clock tests can exercise the deadline; ``wall_cap`` (default:
-        ``timeout``) is a real-time safety bound so a clock that never
-        advances cannot spin forever (:func:`~repro.serve.timing.wait_until`).
-        """
-        def settled() -> bool:
-            with self._lock:
-                lanes = list(self._lanes.values())
-            return not any(
-                lane.scheduler.qsize() > 0 or lane.in_flight > 0 for lane in lanes
-            )
-
-        return wait_until(settled, self.clock, timeout, wall_cap)
-
-    def stop(self) -> None:
-        self._stopping = True
-        if self.faults is not None:
-            self.faults.release_stalls()  # let injected stalls unwind
-        with self._lock:
-            lanes = list(self._lanes.values())
-        for lane in lanes:
-            lane.scheduler.close()
-        for lane in lanes:
-            for thread in lane.threads:
-                thread.join(timeout=2.0)
-        # A worker that would not join is wedged inside a batch; fail that
-        # batch's requests so no submitter hangs (late completions by the
-        # wedged daemon are first-wins no-ops).
-        for lane in lanes:
-            with lane.lock:
-                pending = [r for b in lane.active for r in b.requests]
-            for request in pending:
-                if not request.done():
-                    request.set_exception(
-                        RuntimeError("engine stopped before batch completed")
-                    )
-
-    def __enter__(self) -> "ServeEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

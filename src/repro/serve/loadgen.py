@@ -14,19 +14,11 @@ import time
 import numpy as np
 
 from ..analysis import format_table
-from ..models import get_config
-from ..models.cnn import CNN_MINI
 from .engine import ServeEngine
 from .registry import ModelKey
 from .scheduler import QueueFullError
 
 __all__ = ["synthetic_requests", "run_serve_benchmark", "format_snapshot"]
-
-
-def _image_size(key: ModelKey) -> int:
-    if key.model == CNN_MINI.name:
-        return CNN_MINI.image_size
-    return get_config(key.model).image_size
 
 
 def synthetic_requests(count: int, size: int, seed: int = 0) -> np.ndarray:
@@ -54,7 +46,7 @@ def run_serve_benchmark(
     key = ModelKey.parse(spec)
     if warm:
         engine.warm(key)  # load/calibrate before the clock starts
-    images = synthetic_requests(requests, image_size or _image_size(key), seed=seed)
+    images = synthetic_requests(requests, image_size or key.image_size, seed=seed)
 
     handles = []
     rejected = 0

@@ -14,7 +14,27 @@ import threading
 
 import numpy as np
 
-__all__ = ["Counter", "Distribution", "Gauge", "Histogram", "Metrics"]
+__all__ = ["ROLLUPS", "Counter", "Distribution", "Gauge", "Histogram", "Metrics"]
+
+_PER_SPEC = ((), ("spec",))
+#: The series one counted event lands in, per counter family: each tuple
+#: names the labels of one series, ``()`` being the unlabelled total.
+#: :meth:`Metrics.count` increments all of them, so a coarser series always
+#: equals the sum of its finer children.  Unlisted families (``batches_total``,
+#: ``responses_total``) keep only their unlabelled total.
+ROLLUPS = {
+    **dict.fromkeys((
+        "requests_total", "rejected_total", "errors_total", "failovers_total",
+        "guard_trips_total", "degraded_batches_total", "int_batches_total",
+        "watchdog_restarts_total", "reroutes_total", "quarantines_total",
+        "quarantine_batches_total", "shard_restarts_total", "shard_crashes_total",
+        "shard_spawn_failures_total", "scale_ups_total", "scale_downs_total",
+        "drift_alerts_total", "recalibrations_total",
+        "recalibration_swaps_total", "recalibration_rejects_total",
+    ), _PER_SPEC),
+    "rejections_total": (("reason",), ("reason", "spec")),
+    "deadline_misses_total": ((), ("band",), ("band", "spec")),
+}
 
 
 def _labelled(name: str, labels: dict | None) -> str:
@@ -197,6 +217,12 @@ class Metrics:
     def counter(self, name: str, labels: dict | None = None) -> Counter:
         with self._lock:
             return self._counters.setdefault(_labelled(name, labels), Counter())
+
+    def count(self, name: str, **labels) -> None:
+        """Count one event into every series :data:`ROLLUPS` declares for
+        ``name`` (``labels`` must carry each label those series use)."""
+        for keys in ROLLUPS.get(name, ((),)):
+            self.counter(name, {key: labels[key] for key in keys}).inc()
 
     def gauge(self, name: str, labels: dict | None = None) -> Gauge:
         with self._lock:

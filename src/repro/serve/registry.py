@@ -28,7 +28,7 @@ from ..backend import BACKEND_NAMES, make_backend
 from ..data import calibration_set, make_splits
 from ..kernels import active_kernels as _active_kernels
 from ..kernels import kernels_snapshot as _kernels_snapshot
-from ..models import MINI_CONFIGS, MINI_FOR_PAPER, get_trained_model
+from ..models import MINI_CONFIGS, MINI_FOR_PAPER, get_config, get_trained_model
 from ..models.cnn import CNN_MINI
 from ..models.zoo import DATASET_SPEC, cache_dir
 from ..quant.qmodel import METHODS, PTQPipeline
@@ -51,12 +51,15 @@ class ModelKey:
     backend: str = "float"
 
     @classmethod
-    def parse(cls, spec: str) -> "ModelKey":
+    def parse(cls, spec: "str | ModelKey") -> "ModelKey":
         """Parse ``model/method/bits[/coverage[/backend]]``.
 
         E.g. ``vit_s/quq/6`` (float fake-quant serving, the default) or
-        ``vit_s/quq/6/full/int`` (integer-native backend).
+        ``vit_s/quq/6/full/int`` (integer-native backend).  A key is
+        returned as it is.
         """
+        if isinstance(spec, ModelKey):
+            return spec
         parts = spec.strip().strip("/").split("/")
         if len(parts) not in (3, 4, 5):
             raise ValueError(
@@ -119,6 +122,13 @@ class ModelKey:
     def slug(self) -> str:
         base = f"{self.model}-{self.method}-{self.bits}-{self.coverage}"
         return base if self.backend == "float" else f"{base}-{self.backend}"
+
+    @property
+    def image_size(self) -> int:
+        """Side length of the square images the model takes."""
+        if self.model == CNN_MINI.name:
+            return CNN_MINI.image_size
+        return get_config(self.model).image_size
 
 
 class ServableModel:

@@ -132,9 +132,8 @@ class TestEngineIntBackend:
         assert counters["int_batches_total"] >= 1
 
     def test_int_batches_label_parity(self, registry, tiny_data):
-        # Same invariant as TestEngineCounterLabelParity: the global
-        # int_batches_total must equal the sum of its per-spec children,
-        # and float lanes must not contribute.
+        # The rollup walk in test_serve_metrics keeps the global equal to
+        # its per-spec children; here the float lane must not contribute.
         _, val_set = tiny_data
         policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64)
         specs = (INT_SPEC, "vit_s/quq/4")
@@ -153,7 +152,6 @@ class TestEngineIntBackend:
             for name, value in counters.items()
             if name.startswith('int_batches_total{spec="')
         }
-        assert counters["int_batches_total"] == sum(labelled.values())
         assert counters["int_batches_total"] >= 1
         # Only the int lane carries the label; the float lane served the
         # same model without ever touching the integer datapath.

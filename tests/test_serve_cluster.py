@@ -5,7 +5,10 @@ inherit it (and the loader closure) by address-space copy — no pickling,
 no model build inside the child, instant spawn.
 """
 
+import os
+import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +16,23 @@ import pytest
 from repro.resilience import ResiliencePolicy
 from repro.resilience.faults import (
     BATCH_EXCEPTION,
+    NUMERIC,
     QUEUE_SPIKE,
     STALL,
     FaultPlan,
     FaultSpec,
 )
 from repro.resilience.soak import ChaosSoakConfig, run_chaos_soak
-from repro.serve import BatchPolicy, ClusterEngine, ClusterPolicy, ModelKey
+from repro.serve import (
+    AdmissionController,
+    AdmissionPolicy,
+    BatchPolicy,
+    ClusterEngine,
+    ClusterPolicy,
+    ModelKey,
+    ServeEngine,
+)
+from tests.test_serve_metrics import assert_rollups_hold
 
 SPEC = "vit_s/quq/6"
 FULL_SPEC = ModelKey.parse(SPEC).spec  # normalized lane/registry key
@@ -42,17 +55,51 @@ class StubServable:
         return self.predict(images)
 
 
+class IntStubServable(StubServable):
+    """The stub on the integer-native backend."""
+
+    backend = SimpleNamespace(name="int")
+
+
+class CrashingServable(StubServable):
+    """Its quantized forward kills the shard process; float still works."""
+
+    def predict(self, images, recorder=None):
+        os._exit(1)
+
+    def predict_float(self, images):
+        return StubServable.predict(self, images)
+
+
+SLOW = 7.0  # images at least this bright take SLOW_S to predict
+
+
+class ScriptServable(StubServable):
+    """The stub, slow on bright images (to finish past a deadline)."""
+
+    SLOW_S = 1.2
+
+    def predict(self, images, recorder=None):
+        if np.asarray(images).max() >= SLOW:
+            time.sleep(self.SLOW_S)
+        return StubServable.predict(self, images)
+
+
 def stub_loader(spec):
     return StubServable()
 
 
-def make_engine(shards=2, stall_s=0.3, **kwargs):
+POLICY = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64, timeout_ms=5000.0)
+
+
+def make_engine(shards=2, stall_s=0.3, loader=stub_loader, max_redispatch=3,
+                resilience=None, **kwargs):
     return ClusterEngine(
-        loader=stub_loader,
-        policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64,
-                           timeout_ms=5000.0),
-        cluster=ClusterPolicy(shards=shards, image_hw=16, max_classes=16),
-        resilience=ResiliencePolicy(watchdog_stall_s=stall_s),
+        loader=loader,
+        policy=POLICY,
+        cluster=ClusterPolicy(shards=shards, image_hw=16, max_classes=16,
+                              max_redispatch=max_redispatch),
+        resilience=resilience or ResiliencePolicy(watchdog_stall_s=stall_s),
         **kwargs,
     )
 
@@ -93,6 +140,45 @@ class TestClusterLifecycle:
         finally:
             engine.stop()
 
+    def test_failed_warm_leaves_no_lane_to_strand_requests(self):
+        def broken_loader(spec):
+            raise RuntimeError("artifact missing")
+
+        with make_engine(shards=1, loader=broken_loader) as engine:
+            with pytest.raises(RuntimeError, match="artifact missing"):
+                engine.warm(SPEC)
+            assert engine.lane_specs() == []
+            assert engine.lane_stats(SPEC) is None
+            # The next submit retries the open instead of queueing on a
+            # lane no shard will ever serve.
+            with pytest.raises(RuntimeError, match="artifact missing"):
+                engine.submit(SPEC, IMAGE)
+            assert engine.snapshot()["counters"].get("requests_total", 0) == 0
+            assert engine.drain(timeout=1.0)
+
+    def test_concurrent_first_submits_share_one_pool(self):
+        with make_engine(shards=2) as engine:
+            threads = [threading.Thread(target=engine.warm, args=(SPEC,))
+                       for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            handles = [engine.submit(SPEC, IMAGE) for _ in range(4)]
+            assert all(h.result(timeout=30.0).label == 1 for h in handles)
+            assert len(engine.registry.snapshot()["shards"][FULL_SPEC]) == 2
+            assert engine.shard_count(SPEC) == 2
+
+    def test_int_backend_batches_are_counted(self):
+        with make_engine(shards=1, loader=lambda spec: IntStubServable()) as engine:
+            handles = [engine.submit(SPEC, IMAGE) for _ in range(4)]
+            assert all(h.result(timeout=30.0).quantized for h in handles)
+            counters = engine.snapshot()["counters"]
+        assert counters["int_batches_total"] >= 1
+        assert counters[f'int_batches_total{{spec="{FULL_SPEC}"}}'] == (
+            counters["int_batches_total"]
+        )
+
     def test_rejects_images_that_do_not_fit_the_rings(self):
         with make_engine(shards=1) as engine:
             engine.warm(SPEC)
@@ -117,7 +203,19 @@ class TestClusterSupervision:
             engine.kill_shard(SPEC, index=0)
             handles += [engine.submit(SPEC, IMAGE) for _ in range(12)]
             results = [h.result(timeout=30.0) for h in handles]
-            snap = engine.snapshot()
+            # If shard 1 took every later batch, shard 0 died idle, and only
+            # the sweep notices that.
+            deadline = time.monotonic() + 30.0
+            while True:
+                snap = engine.snapshot()
+                shards = snap["lanes"][FULL_SPEC]["shards"]
+                if snap["counters"].get("shard_crashes_total") and all(
+                    s["alive"] for s in shards
+                ):
+                    break
+                assert time.monotonic() < deadline, "killed shard never respawned"
+                engine.check_watchdog()
+                time.sleep(0.01)
         # Zero silent loss: every admitted request got a real answer.
         assert len(results) == 24
         assert snap["counters"]["responses_total"] == 24
@@ -129,10 +227,12 @@ class TestClusterSupervision:
         with make_engine(shards=1) as engine:
             engine.warm(SPEC)
             engine.kill_shard(SPEC, index=0)
-            key = ModelKey.parse(SPEC)
-            with engine._lock:
-                shard = engine._lanes[key].shards[0]
-            shard.process.join(timeout=5.0)
+            # Nothing but the sweep respawns an idle shard: wait until the
+            # kill has landed, then drive the sweep.
+            deadline = time.monotonic() + 5.0
+            while engine.lane_stats(SPEC)["shards_alive"]:
+                assert time.monotonic() < deadline, "killed shard still alive"
+                time.sleep(0.005)
             restarted = engine.check_watchdog()
             assert restarted == [FULL_SPEC]
             result = engine.submit(SPEC, IMAGE).result(timeout=30.0)
@@ -158,6 +258,22 @@ class TestClusterSupervision:
             snap = engine.snapshot()
         assert result.quantized is False
         assert snap["counters"]["failovers_total"] >= 1
+
+    def test_redispatch_exhaustion_fails_without_float_failover(self):
+        # Every quantized dispatch kills its shard; the float path would
+        # answer, but a batch lost more than max_redispatch times fails.
+        loader = lambda spec: CrashingServable()  # noqa: E731
+        with make_engine(shards=1, loader=loader, max_redispatch=1) as engine:
+            handle = engine.submit(SPEC, IMAGE)
+            with pytest.raises(RuntimeError, match="abandoned after 2 shard losses"):
+                handle.result(timeout=30.0)
+            snap = engine.snapshot()
+        counters = snap["counters"]
+        assert counters["reroutes_total"] == 1
+        assert counters["shard_crashes_total"] == 2
+        assert counters["errors_total"] == 1
+        assert counters.get("failovers_total", 0) == 0
+        assert snap["lanes"][FULL_SPEC]["breaker"]["consecutive_failures"] == 0
 
     def test_degraded_lane_serves_the_float_path(self):
         with make_engine(shards=1) as engine:
@@ -335,6 +451,54 @@ class TestElasticCluster:
         assert snap["gauges"][f'lane_quarantined{{spec="{FULL_SPEC}"}}'] == 0
         assert snap["counters"]["quarantines_total"] == 1
 
+    def test_quarantined_batches_record_no_breaker_outcome(self):
+        plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=1)])
+        resilience = ResiliencePolicy(breaker_failures=1, breaker_cooldown_s=0.0)
+        with make_engine(shards=1, faults=plan, resilience=resilience) as engine:
+            # One failover opens the breaker; with no cooldown the next
+            # quantized batch would be its half-open probe.
+            assert engine.submit(SPEC, IMAGE).result(timeout=30.0).quantized is False
+            assert engine.quarantine_lane(SPEC) is True
+            results = [engine.submit(SPEC, IMAGE).result(timeout=30.0) for _ in range(3)]
+            breaker = engine.snapshot()["lanes"][FULL_SPEC]["breaker"]
+            assert not any(r.quantized for r in results)
+            assert breaker["state"] == "open"
+            assert (breaker["probes"], breaker["recoveries"], breaker["trips"]) == (0, 0, 1)
+            # Back on the shards, the next batch takes the probe and closes it.
+            assert engine.clear_quarantine(SPEC) is True
+            assert engine.submit(SPEC, IMAGE).result(timeout=30.0).quantized is True
+            breaker = engine.snapshot()["lanes"][FULL_SPEC]["breaker"]
+        assert (breaker["state"], breaker["probes"], breaker["recoveries"]) == ("closed", 1, 1)
+
+    def test_batch_lost_after_quarantine_is_answered_in_parent(self):
+        plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=1)])
+        resilience = ResiliencePolicy(breaker_failures=1, breaker_cooldown_s=0.0,
+                                      watchdog_stall_s=5.0)
+        loader = lambda spec: ScriptServable()  # noqa: E731
+        with make_engine(shards=1, loader=loader, faults=plan,
+                         resilience=resilience) as engine:
+            assert engine.submit(SPEC, IMAGE).result(timeout=30.0).quantized is False
+            # The breaker is open with no cooldown: this slow batch is its
+            # half-open probe, dispatched to the shard.
+            handle = engine.submit(SPEC, IMAGE + SLOW)
+            deadline = time.monotonic() + 10.0
+            while not engine.lane_stats(SPEC)["in_flight"]:
+                assert time.monotonic() < deadline, "batch never dispatched"
+                time.sleep(0.005)
+            assert engine.quarantine_lane(SPEC) is True
+            engine.kill_shard(SPEC, 0)
+            result = handle.result(timeout=30.0)
+            snap = engine.snapshot()
+        assert result.quantized is False
+        counters = snap["counters"]
+        assert counters["quarantine_batches_total"] == 1
+        assert counters.get("shard_crashes_total", 0) == 0  # no respawn
+        # Answered by the float stand-in: the probe records no outcome.
+        breaker = snap["lanes"][FULL_SPEC]["breaker"]
+        assert (breaker["state"], breaker["probes"], breaker["recoveries"]) == (
+            "half_open", 1, 0
+        )
+
     def test_crash_history_is_recorded_for_the_breaker(self):
         with make_engine(shards=2) as engine:
             engine.warm(SPEC)
@@ -400,3 +564,78 @@ class TestClusterBorrowReturn:
         assert snap["counters"]["responses_total"] == 18
         assert snap["gauges"][f'shards_live{{spec="{hot_key}"}}'] == 2
         assert snap["gauges"][f'shards_live{{spec="{idle_key}"}}'] == 2
+
+
+class _StubRegistry:
+    def __init__(self, servable):
+        self.servable = servable
+
+    def get(self, spec):
+        return self.servable
+
+    def snapshot(self) -> dict:
+        return {}
+
+
+#: Counter families only one topology has.
+TOPOLOGY_ONLY = ("shard_", "reroutes_total", "scale_", "quarantine")
+
+
+class TestCrossTopology:
+    """One script, both engines: the lane core decides every outcome and
+    counter, so only where a batch ran may differ."""
+
+    def run_script(self, engine):
+        outcomes = []
+        for step, image in enumerate((IMAGE, IMAGE, IMAGE, IMAGE + SLOW, IMAGE)):
+            deadline_ms = 300.0 if step == 3 else None
+            try:
+                result = engine.submit(SPEC, image, deadline_ms=deadline_ms).result(
+                    timeout=30.0
+                )
+                outcomes.append("quantized" if result.quantized else "float")
+            except Exception as error:
+                outcomes.append(type(error).__name__)
+        return outcomes
+
+    def test_same_script_same_outcomes_and_counters(self):
+        def defenses():
+            return dict(
+                resilience=ResiliencePolicy(breaker_failures=5, watchdog_stall_s=5.0),
+                # Step 2 raises in the quantized path, step 3 returns NaN.
+                faults=FaultPlan([
+                    FaultSpec(BATCH_EXCEPTION, start=1, count=1),
+                    FaultSpec(NUMERIC, start=1, count=1, mode="nan"),
+                ]),
+                # The slow step 4 lifts p99 past 2.5x target: step 5 is shed.
+                admission=AdmissionController(
+                    AdmissionPolicy(p99_target_ms=400.0, latency_refresh_s=0.0)
+                ),
+            )
+
+        engines = {
+            "local": ServeEngine(_StubRegistry(ScriptServable()), POLICY, **defenses()),
+            "cluster": ClusterEngine(
+                loader=lambda spec: ScriptServable(), policy=POLICY,
+                cluster=ClusterPolicy(shards=1, image_hw=16, max_classes=16),
+                **defenses(),
+            ),
+        }
+        seen = {}
+        for name, engine in engines.items():
+            with engine:
+                outcomes = self.run_script(engine)
+                counters = engine.snapshot()["counters"]
+            assert_rollups_hold(counters)
+            seen[name] = outcomes, {
+                key: value for key, value in counters.items()
+                if not key.startswith(TOPOLOGY_ONLY)
+            }
+        outcomes, counters = seen["local"]
+        assert outcomes == [
+            "quantized", "float", "float", "DeadlineExceededError", "ShedError",
+        ]
+        assert counters["failovers_total"] == 2 and counters["guard_trips_total"] == 1
+        assert counters['rejections_total{reason="shed"}'] == 1
+        assert counters['deadline_misses_total{band="batch"}'] == 1
+        assert seen["cluster"] == seen["local"]

@@ -60,6 +60,16 @@ class TestModelKey:
             ModelKey.parse("vit_s/fp32/33")
 
 
+    def test_image_size_and_key_pass_through(self):
+        from repro.models import get_config
+        from repro.models.cnn import CNN_MINI
+
+        key = ModelKey.parse("vit_s/quq/6")
+        assert key.image_size == get_config("vit_mini_s").image_size
+        assert ModelKey.parse(f"{CNN_MINI.name}/quq/6").image_size == CNN_MINI.image_size
+        assert ModelKey.parse(key) is key
+
+
 class TestRegistryCache:
     def test_miss_then_hit(self, registry):
         first = registry.get("vit_s/quq/4")

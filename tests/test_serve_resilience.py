@@ -170,6 +170,28 @@ class TestBatchExceptionRecovery:
         assert counters.get("errors_total", 0) == 0  # nothing user-visible failed
 
 
+class TestDegradedBatchKeepsTheProbe:
+    def test_degraded_batch_does_not_take_the_half_open_probe(
+        self, tmp_path, calib_images, tiny_data
+    ):
+        plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=1)])
+        registry = make_registry(tmp_path, calib_images, plan)
+        _, val_set = tiny_data
+        clock = FakeClock()
+        with make_engine(registry, plan, clock, breaker_failures=1) as engine:
+            assert not serve_one(engine, val_set.images[0]).quantized  # trips
+            clock.advance(5.0)  # cooldown over: the next quantized batch probes
+            engine._lane(ModelKey.parse(SPEC)).degrade(clock() + 1.0)
+            assert not serve_one(engine, val_set.images[1]).quantized
+            breaker = engine.snapshot()["lanes"][LANE]["breaker"]
+            assert (breaker["state"], breaker["probes"]) == (OPEN, 0)
+            clock.advance(1.0)  # the degrade hold expires
+            assert serve_one(engine, val_set.images[2]).quantized
+            breaker = engine.snapshot()["lanes"][LANE]["breaker"]
+            assert (breaker["state"], breaker["probes"]) == (CLOSED, 1)
+        assert engine.snapshot()["counters"]["degraded_batches_total"] == 1
+
+
 class TestNumericGuard:
     @pytest.mark.parametrize("mode", ["nan", "inf", "overflow"])
     def test_polluted_logits_fail_over_to_float(
