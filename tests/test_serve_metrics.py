@@ -137,6 +137,122 @@ class TestMetricsRegistry:
         assert snap["registry"]["hit_rate"] == 0.5
 
 
+class TestEngineCounterLabelParity:
+    """Every ``*_total`` family the engine maintains must keep its global
+    counter equal to the sum of its per-spec labelled children — a global
+    increment without the matching labelled increment (the old
+    ``requests_total`` bug) breaks per-model accounting silently."""
+
+    FAMILIES = (
+        "requests_total",
+        "rejected_total",
+        "errors_total",
+        "failovers_total",
+        "guard_trips_total",
+    )
+
+    def test_global_equals_sum_of_per_spec(self, tmp_path, calib_images, tiny_data):
+        from repro.serve import BatchPolicy, ModelRegistry, ServeEngine
+        from tests.test_serve_registry import tiny_loader
+
+        _, val_set = tiny_data
+        registry = ModelRegistry(
+            capacity=2,
+            artifact_dir=tmp_path,
+            loader=tiny_loader,
+            calib_provider=lambda: calib_images[:16],
+        )
+        policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64)
+        specs = ("vit_s/quq/4", "vit_s/baseq/6")
+        with ServeEngine(registry, policy) as engine:
+            for spec in specs:
+                engine.warm(spec)
+            handles = [
+                engine.submit(specs[i % len(specs)], image)
+                for i, image in enumerate(val_set.images[:10])
+            ]
+            for handle in handles:
+                handle.result(timeout=30.0)
+        counters = engine.snapshot()["counters"]
+
+        for family in self.FAMILIES:
+            labelled_sum = sum(
+                value
+                for name, value in counters.items()
+                if name.startswith(family + "{") and 'spec="' in name
+            )
+            assert counters.get(family, 0) == labelled_sum, family
+
+        # The accepted traffic must show up per-spec, not just globally.
+        per_spec_requests = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith('requests_total{spec="')
+        }
+        assert len(per_spec_requests) == len(specs)
+        assert sum(per_spec_requests.values()) == 10
+
+
+class TestRejectionReasonLabelParity:
+    """Every refusal funnels through the lane core's ``_reject``, which must
+    keep three views in lockstep: the unlabelled ``rejected_total``, the
+    per-reason ``rejections_total{reason=...}`` counters, and their
+    per-spec children — so dashboards can slice rejections by cause
+    without the totals drifting apart."""
+
+    SCRIPT = (
+        ("vit_mini_s/quq/6/full", "shed"),
+        ("vit_mini_s/quq/6/full", "shed"),
+        ("vit_mini_s/quq/4/full", "queue_full"),
+        ("vit_mini_s/quq/6/full", "timeout"),
+        ("vit_mini_s/quq/4/full", "rate_limited"),
+        ("vit_mini_s/quq/6/full", "breaker_open"),
+        ("vit_mini_s/quq/4/full", "shed"),
+        ("vit_mini_s/quq/6/full", "deadline"),
+    )
+
+    def _replay(self, engine):
+        from repro.serve import DEFAULT_PRIORITY
+
+        for spec, reason in self.SCRIPT:
+            engine._reject(spec, reason, DEFAULT_PRIORITY)
+        return engine.snapshot()["counters"]
+
+    def _assert_parity(self, counters):
+        from repro.serve import REJECT_REASONS
+
+        assert counters["rejected_total"] == len(self.SCRIPT)
+        reason_total = 0
+        for reason in REJECT_REASONS:
+            global_name = f'rejections_total{{reason="{reason}"}}'
+            child_sum = sum(
+                value
+                for name, value in counters.items()
+                if name.startswith(f'rejections_total{{reason="{reason}",spec="')
+            )
+            assert counters.get(global_name, 0) == child_sum, reason
+            reason_total += counters.get(global_name, 0)
+        # Every rejection carries exactly one reason label.
+        assert reason_total == counters["rejected_total"]
+        # Only documented reasons ever appear on the family.
+        used = {
+            name.split('reason="', 1)[1].split('"', 1)[0]
+            for name in counters
+            if name.startswith("rejections_total{")
+        }
+        assert used == set(REJECT_REASONS)
+
+    def test_thread_engine_keeps_reason_parity(self):
+        from repro.serve import ServeEngine
+
+        self._assert_parity(self._replay(ServeEngine()))
+
+    def test_cluster_engine_keeps_reason_parity(self):
+        from repro.serve import ClusterEngine
+
+        self._assert_parity(self._replay(ClusterEngine()))
+
+
 def assert_rollups_hold(counters: dict) -> int:
     """Walk :data:`ROLLUPS`: every coarser series of a family must equal the
     sum of its finer children (a missing series counts as zero).  Returns
