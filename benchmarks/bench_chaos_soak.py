@@ -7,15 +7,12 @@ configuration — under a seeded fault plan covering every fault class
 pollution, worker stalls, queue spikes).  The soak passes only when the
 run is deadlock-free, no response ever carried non-finite or saturated
 logits, availability stays above the floor, and each injected class
-shows recovery evidence.
-
-Writes the JSON report to ``benchmarks/results/chaos_soak.json`` next to
-the usual text table.
+shows recovery evidence.  Writes the usual text table to
+``benchmarks/results/chaos_soak.txt``; ``python -m repro chaos-soak
+--output FILE`` writes the JSON report of the same harness.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -24,7 +21,7 @@ from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.soak import ChaosSoakConfig, format_soak_report, run_chaos_soak
 from repro.serve import BatchPolicy, ModelRegistry, ServeEngine
 
-from conftest import RESULTS_DIR, fast_mode, save_result
+from conftest import fast_mode, save_result
 
 SPEC = "vit_s/quq/6"
 SEED = 0
@@ -47,10 +44,6 @@ def test_chaos_soak_flagship_artifact():
     with ServeEngine(registry, policy, resilience=resilience, faults=plan) as engine:
         report = run_chaos_soak(engine, plan, config)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "chaos_soak.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
     save_result("chaos_soak", format_soak_report(report))
 
     assert report["deadlock_free"], "soak must drain with every request resolved"

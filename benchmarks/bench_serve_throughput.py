@@ -1,7 +1,8 @@
 """Serving throughput/latency vs. batching policy.
 
-Drives the `repro.serve` runtime with an open-loop synthetic load and
-sweeps the micro-batching policy: batch size 1 (no coalescing) against
+Drives the `repro.serve` runtime with a constant-rate open-loop load
+(the shared `Replay` of `repro.analysis.scale`) and sweeps the
+micro-batching policy: batch size 1 (no coalescing) against
 progressively wider batches.  The expected shape — the reason serving
 batches at all — is that wider batches raise sustained throughput by
 amortizing per-call overhead, at some cost in tail latency at low load.
@@ -15,10 +16,13 @@ cache/warm counters make visible.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.analysis import format_table
-from repro.serve import BatchPolicy, ModelRegistry, ServeEngine, run_serve_benchmark
+from repro.analysis.scale import Replay, image_pool
+from repro.serve import BatchPolicy, ModelKey, ModelRegistry, ServeEngine, TraceEvent
 
 from conftest import fast_mode, save_result
 
@@ -34,10 +38,20 @@ def _policies():
     ]
 
 
-def _run(policy: BatchPolicy, requests: int, rate: float) -> dict:
+def _run(policy: BatchPolicy, requests: int, rate: float) -> tuple[dict, int, float]:
+    """One constant-rate run: (snapshot, completed, completed per second)."""
+    key = ModelKey.parse(SPEC)
+    arrivals = [TraceEvent(index / rate, "default") for index in range(requests)]
     registry = ModelRegistry()  # shared on-disk artifacts: warm after row 1
     with ServeEngine(registry, policy) as engine:
-        return run_serve_benchmark(engine, SPEC, requests=requests, rate=rate)
+        engine.warm(key)  # load/calibrate before the clock starts
+        replay = Replay(engine, key, image_pool(requests, key.image_size, seed=0))
+        start = time.monotonic()
+        outcomes = replay.run(arrivals, settle_s=120.0)
+        duration = time.monotonic() - start
+        snapshot = engine.snapshot()
+    completed = sum(outcome.result is not None for outcome in outcomes)
+    return snapshot, completed, round(completed / duration, 2)
 
 
 @pytest.mark.slow
@@ -46,20 +60,19 @@ def test_serve_throughput_vs_batch_policy():
     rate = 400.0
     rows = []
     for policy in _policies():
-        snapshot = _run(policy, requests, rate)
-        summary = snapshot["summary"]
+        snapshot, completed, throughput = _run(policy, requests, rate)
         latency = snapshot["histograms"]["e2e_latency_ms"]
         registry = snapshot["registry"]
         rows.append([
             policy.max_batch_size,
-            summary["completed"],
-            summary["throughput_rps"],
+            completed,
+            throughput,
             latency["p50"], latency["p95"], latency["p99"],
             registry["warm_loads"], registry["calibrations"],
             round(registry["hit_rate"], 3),
         ])
-        assert summary["completed"] > 0
-        assert summary["throughput_rps"] > 0
+        assert completed > 0
+        assert throughput > 0
 
     save_result(
         "serve_throughput",

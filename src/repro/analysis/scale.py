@@ -32,7 +32,12 @@ and audits the outcome the way a capacity review would:
 Exposed as ``python -m repro scale-bench``; the ``--tiny`` mode is fully
 self-contained (random tiny ViT, synthetic calibration) for CI smoke,
 and ``--trace FILE`` replays a recorded JSONL trace through the same
-harness.
+harness.  With ``--flash-multiplier 1 --tenants 1 --no-kill
+--no-autoscale`` it is a plain steady-load run of the serving runtime.
+
+:class:`Replay` is the one open-loop sender every serving harness runs
+on: this benchmark, the chaos soak (:mod:`repro.resilience.soak`) and
+the serving-throughput sweep.
 """
 
 from __future__ import annotations
@@ -42,14 +47,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..serve.admission import AdmissionError
 from ..serve.autoscaler import AutoscalePolicy, Autoscaler
+from ..serve.core import ServeResult
 from ..serve.registry import ModelKey
-from ..serve.scheduler import PRIORITIES, QueueFullError
+from ..serve.scheduler import PRIORITIES, QueueFullError, ServeRequest
 from ..serve.traces import TraceConfig, TraceEvent, generate_trace, tenant_mix, trace_stats
 
 __all__ = [
     "SCHEMA_VERSION",
+    "Outcome",
+    "Replay",
     "ScaleBenchConfig",
+    "image_pool",
     "tiny_scale_servable",
     "run_scale_benchmark",
     "format_scale_report",
@@ -133,12 +143,123 @@ def tiny_scale_servable(seed: int = 0, bits: int = 6):
     return ServableModel(ModelKey.parse(f"vit_s/quq/{bits}"), model, 0.0, pipeline)
 
 
-def _classify_rejection(error: BaseException) -> str:
-    """Map a submit-time refusal to its metrics reason label."""
-    if isinstance(error, QueueFullError):
-        return "queue_full"
-    reason = getattr(error, "reason", None)
-    return reason if isinstance(reason, str) else "queue_full"
+def image_pool(count: int, size: int, seed: int) -> np.ndarray:
+    """Unit-normal noise images, shaped like normalized dataset samples."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, size, size, 3)).astype(np.float32)
+
+
+@dataclass
+class Outcome:
+    """What became of one offered request.
+
+    A refused request carries its typed ``refused`` reason; an admitted
+    one its ``handle`` and, after the replay's outcome scan, either the
+    ``result`` it was served or the ``error`` it failed with.
+    """
+
+    event: TraceEvent
+    refused: str | None = None
+    handle: ServeRequest | None = None
+    result: ServeResult | None = None
+    error: BaseException | None = None
+    nonfinite: bool = False  # served with NaN/Inf/saturated logits
+
+
+class Replay:
+    """Open-loop replay of time-sorted arrivals against a serving engine.
+
+    Open loop: each arrival is sent at its due time however fast answers
+    come back, so queueing delay shows instead of being self-throttled
+    away.  Between arrivals the engine is supervised on a fixed cadence —
+    ``check_watchdog`` every ``watchdog_every`` arrivals and the
+    autoscaler's ``tick`` every ``tick_every``.  Every request sent
+    (arrival, burst copy or settle probe) is one :class:`Outcome`.
+    """
+
+    def __init__(self, engine, key: ModelKey, pool: np.ndarray, autoscaler=None,
+                 watchdog_every: int = 1, tick_every: int = 1):
+        self.engine = engine
+        self.key = key  # the spec of arrivals that name none
+        self.pool = pool
+        self.autoscaler = autoscaler
+        self.watchdog_every = watchdog_every
+        self.tick_every = tick_every
+        self.outcomes: list[Outcome] = []
+        self.drained = False
+
+    def send(self, event: TraceEvent, index: int) -> None:
+        """Offer one request with pool image ``index``, booking a typed
+        refusal; any other ``submit`` error propagates."""
+        outcome = Outcome(event)
+        try:
+            outcome.handle = self.engine.submit(
+                ModelKey.parse(event.spec) if event.spec else self.key,
+                self.pool[index % len(self.pool)], tenant=event.tenant,
+                priority=event.priority, deadline_ms=event.deadline_ms,
+            )
+        except QueueFullError:
+            outcome.refused = "queue_full"
+        except AdmissionError as error:
+            outcome.refused = error.reason
+        self.outcomes.append(outcome)
+
+    def _supervise(self, index: int) -> None:
+        if index % self.watchdog_every == 0:
+            self.engine.check_watchdog()
+        if self.autoscaler is not None and index % self.tick_every == 0:
+            self.autoscaler.tick()
+
+    def run(self, events: list[TraceEvent], settle_s: float, on_arrival=None,
+            keep_settling=None) -> list[Outcome]:
+        """Send ``events`` at their ``at_s`` offsets, settle, scan outcomes.
+
+        ``on_arrival(index, event)`` runs just before arrival ``index`` is
+        sent and returns how many copies of it to send.  Once the arrivals
+        are out, the engine is supervised (every pass) while it drains for
+        up to ``settle_s``; after each drain ``keep_settling()`` says
+        whether the run still waits on something, and may :meth:`send`.
+        """
+        start = time.monotonic()
+        for index, event in enumerate(events):
+            delay = (start + event.at_s) - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            copies = 1 if on_arrival is None else on_arrival(index, event)
+            for _ in range(copies):
+                self.send(event, index)
+            self._supervise(index)
+        settle_deadline = time.monotonic() + settle_s
+        while time.monotonic() < settle_deadline:
+            self._supervise(0)  # index 0 is due for both: every pass
+            if self.engine.drain(timeout=0.25):
+                self.drained = True
+                if keep_settling is None or not keep_settling():
+                    break
+            time.sleep(0.05)
+        self._scan()
+        return self.outcomes
+
+    def _scan(self) -> None:
+        wait_budget = max(5.0, 2.0 * self.engine.policy.timeout_ms / 1000.0)
+        limit = self.engine.guard.saturation_limit
+        for outcome in self.outcomes:
+            if outcome.handle is None:
+                continue
+            try:
+                outcome.result = outcome.handle.result(timeout=wait_budget)
+            except Exception as error:
+                outcome.error = error
+                continue
+            logits = outcome.result.logits
+            outcome.nonfinite = bool(
+                not np.isfinite(logits).all() or np.abs(logits).max() > limit
+            )
+
+    @property
+    def resolved(self) -> bool:
+        """Every admitted request has an answer or an error."""
+        return all(o.handle.done() for o in self.outcomes if o.handle is not None)
 
 
 def _recorded_trace_stats(events: list[TraceEvent]) -> dict:
@@ -193,13 +314,6 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
             clock=engine.clock, admission=getattr(engine, "admission", None),
         )
 
-    # A modest pool of distinct synthetic images, cycled across arrivals.
-    size = getattr(getattr(engine, "cluster", None), "image_hw", None)
-    if size is None:
-        size = key.image_size
-    rng = np.random.default_rng(config.trace.seed)
-    pool = rng.standard_normal((128, size, size, 3)).astype(np.float32)
-
     weights = {}
     if getattr(engine, "admission", None) is not None:
         weights = dict(engine.admission.policy.tenant_weights)
@@ -224,6 +338,40 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
     kills_delivered = 0
     killed_pid = None
 
+    def deliver_kills(index: int, event: TraceEvent) -> int:
+        nonlocal kills_delivered, killed_pid
+        while kill_times and event.at_s >= kill_times[0]:
+            kill_times.pop(0)
+            try:
+                killed_pid = engine.kill_shard(key, 0)
+                kills_delivered += 1
+            except Exception:
+                killed_pid = killed_pid or -1  # already down; supervision owns it
+        return 1
+
+    def elastic_pending() -> bool:
+        # Keep settling until the elastic story completes (or the budget
+        # runs out): a drained scale-down, every loan returned, and the
+        # quarantine probe when a crash burst was delivered.
+        if autoscaler is None:
+            return False
+        actions = {e["action"] for e in autoscaler.events}
+        return (
+            (elastic_demanded and "scale_down" not in actions)
+            or (burst_requested and "quarantine_clear" not in actions)
+            or bool(autoscaler.snapshot()["active_loans"])
+        )
+
+    # A modest pool of distinct synthetic images, cycled across arrivals.
+    size = getattr(getattr(engine, "cluster", None), "image_hw", None)
+    replay = Replay(
+        engine, key, image_pool(128, size or key.image_size, config.trace.seed),
+        autoscaler=autoscaler, watchdog_every=config.watchdog_every,
+        tick_every=config.tick_every,
+    )
+    outcomes = replay.run(trace, config.settle_s, on_arrival=deliver_kills,
+                          keep_settling=elastic_pending)
+
     per_tenant = {
         name: {"offered": 0, "admitted": 0, "completed": 0} for name in mix
     }
@@ -234,95 +382,35 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
     }
     rejections = {reason: 0 for reason in
                   ("queue_full", "shed", "rate_limited", "breaker_open")}
-    handles: list[tuple] = []
-    offered = admitted = 0
-    start = time.monotonic()
-    for index, event in enumerate(trace):
-        delay = (start + event.at_s) - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        while kill_times and event.at_s >= kill_times[0]:
-            kill_times.pop(0)
-            try:
-                killed_pid = engine.kill_shard(key, 0)
-                kills_delivered += 1
-            except Exception:
-                killed_pid = killed_pid or -1  # already down; supervision owns it
-        event_key = ModelKey.parse(event.spec) if event.spec else key
+    latencies_ms: list[float] = []
+    for outcome in outcomes:
+        event, handle = outcome.event, outcome.handle
         tenant = per_tenant.setdefault(
             event.tenant, {"offered": 0, "admitted": 0, "completed": 0}
         )
         band = per_band[event.priority]
-        offered += 1
         tenant["offered"] += 1
         band["offered"] += 1
-        try:
-            handle = engine.submit(
-                event_key, pool[index % len(pool)], tenant=event.tenant,
-                priority=event.priority, deadline_ms=event.deadline_ms,
-            )
-        except Exception as error:
-            reason = _classify_rejection(error)
-            rejections[reason] = rejections.get(reason, 0) + 1
+        if outcome.refused is not None:
+            rejections[outcome.refused] = rejections.get(outcome.refused, 0) + 1
             continue
-        admitted += 1
         tenant["admitted"] += 1
         band["admitted"] += 1
-        handles.append((event.tenant, event.priority, handle))
-        if index % config.watchdog_every == 0:
-            engine.check_watchdog()
-        if autoscaler is not None and index % config.tick_every == 0:
-            autoscaler.tick()
-
-    # Settle: keep supervising (and autoscaling) while in-flight drains,
-    # then keep ticking so post-flash scale-downs, borrow returns, and
-    # quarantine-recovery probes land inside the run.
-    settle_deadline = time.monotonic() + config.settle_s
-    drained = False
-    while time.monotonic() < settle_deadline:
-        engine.check_watchdog()
-        if autoscaler is not None:
-            autoscaler.tick()
-        if engine.drain(timeout=0.25):
-            drained = True
-            if autoscaler is None:
-                break
-            counts = {
-                e["action"] for e in autoscaler.events
-            }
-            # Stay in the settle loop until the elastic story completes
-            # (or the budget runs out): a drained scale-down, every loan
-            # returned, and the quarantine probe when a crash burst was
-            # delivered.
-            need_down = elastic_demanded and "scale_down" not in counts
-            need_probe = burst_requested and "quarantine_clear" not in counts
-            need_return = bool(autoscaler.snapshot()["active_loans"])
-            if not need_down and not need_probe and not need_return:
-                break
-        time.sleep(0.05)
-
-    completed = failed = nonfinite_served = 0
-    latencies_ms: list[float] = []
-    wait_budget = max(5.0, 2.0 * engine.policy.timeout_ms / 1000.0)
-    for tenant_name, priority, handle in handles:
-        band = per_band[priority]
-        try:
-            result = handle.result(timeout=wait_budget)
-        except Exception as error:
-            failed += 1
+        if outcome.result is None:
             band["failed"] += 1
-            if getattr(error, "reason", None) == "deadline":
+            if getattr(outcome.error, "reason", None) == "deadline":
                 band["deadline_missed"] += 1
             continue
-        completed += 1
-        per_tenant[tenant_name]["completed"] += 1
+        tenant["completed"] += 1
         band["completed"] += 1
         if handle.completed_at is not None:
             latencies_ms.append((handle.completed_at - handle.enqueued_at) * 1e3)
-        if not np.isfinite(result.logits).all() or (
-            np.abs(result.logits).max() > engine.guard.saturation_limit
-        ):
-            nonfinite_served += 1
+    offered = len(outcomes)
+    admitted, completed, failed = (
+        sum(row[column] for row in per_band.values())
+        for column in ("admitted", "completed", "failed")
+    )
+    nonfinite_served = sum(outcome.nonfinite for outcome in outcomes)
 
     # ------------------------------------------------------------------
     # Fairness: each tenant's share of admissions vs its fair-queue weight.
@@ -378,10 +466,9 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
             deadline_ok = miss_rate <= config.deadline_miss_bound + 1e-12
 
     rejected = sum(rejections.values())
-    resolved = sum(1 for _, _, h in handles if h.done())
     ledger_ok = (offered == admitted + rejected) and (
         admitted == completed + failed
-    ) and resolved == admitted
+    ) and replay.resolved
     availability = completed / admitted if admitted else 0.0
     shed_rate = rejections.get("shed", 0) / offered if offered else 0.0
 
@@ -395,7 +482,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
 
     snapshot = engine.snapshot()
     counters = snapshot["counters"]
-    deadlock_free = drained and all(h.done() for _, _, h in handles)
+    deadlock_free = replay.drained and replay.resolved
     recovery = {
         "shard_kill_requested": kills_requested > 0,
         "kills_delivered": kills_delivered,

@@ -8,12 +8,12 @@ Commands
 ``table4``         print the accelerator area/power table
 ``memory``         print the Figure-2 peak-memory table
 ``inspect``        fit QUQ on a model's calibration tensors, print modes
-``serve-bench``    drive synthetic traffic through the serving runtime
 ``chaos-soak``     serve under a seeded fault plan, audit the recovery
 ``fault-sweep``    bit-fault injection sweep over the QUA datapath
 ``corruption-sweep``  SynthShapes-C robustness grid + drift recovery curve
 ``perf-bench``     hot-path latency: calibrate/first-batch/steady per method
-``scale-bench``    flash-crowd trace vs sharded cluster + admission control
+``scale-bench``    open-loop trace (flash crowd or steady load) vs the
+                   sharded cluster + admission control
 ``kernel-parity``  reference-vs-fast parity over the kernel registry
 
 Model-dependent commands share ``--seed`` (calibration/val sampling) and
@@ -166,45 +166,6 @@ def cmd_inspect(args) -> None:
         rows.append([name, quantizer.mode.value, quantizer.params.describe()])
     print(format_table(["tensor", "mode", "parameters"], rows,
                        title=f"QUQ parameters, block {args.block}"))
-
-
-def cmd_serve_bench(args) -> None:
-    import json
-
-    from .serve import (
-        BatchPolicy,
-        ModelRegistry,
-        ServeEngine,
-        format_snapshot,
-        run_serve_benchmark,
-    )
-
-    from .serve.registry import ModelKey
-
-    spec = f"{args.model}/{args.method}/{args.bits}/{args.coverage}"
-    if args.backend != "float":
-        spec = f"{spec}/{args.backend}"
-    try:
-        ModelKey.parse(spec)
-        policy = BatchPolicy(
-            max_batch_size=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.queue,
-            timeout_ms=args.timeout_ms,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro serve-bench: error: {error}")
-    registry = ModelRegistry(capacity=args.cache_capacity)
-    with ServeEngine(registry, policy, workers=args.workers) as engine:
-        snapshot = run_serve_benchmark(
-            engine, spec,
-            requests=args.requests, rate=args.rate,
-            seed=0 if args.seed is None else args.seed,
-        )
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        print(format_snapshot(snapshot))
 
 
 def cmd_chaos_soak(args) -> None:
@@ -573,33 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_repro_flags(inspect)
     inspect.set_defaults(fn=cmd_inspect)
 
-    serve = commands.add_parser(
-        "serve-bench", help="synthetic open-loop benchmark of the serving runtime"
-    )
-    serve.add_argument("--model", default="vit_s",
-                       help="paper (vit_s) or zoo (vit_mini_s) model name")
-    serve.add_argument("--method", default="quq",
-                       choices=["baseq", "quq", "biscaled", "fqvit", "ptq4vit", "fp32"])
-    serve.add_argument("--bits", type=int, default=6)
-    serve.add_argument("--coverage", default="full", choices=["partial", "full"])
-    serve.add_argument("--backend", default="float", choices=["float", "int"],
-                       help="serving backend: float fake-quant forward or the "
-                            "integer-native QUB datapath (quq/full only)")
-    serve.add_argument("--requests", type=int, default=256)
-    serve.add_argument("--rate", type=float, default=200.0,
-                       help="offered load, requests per second")
-    serve.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    serve.add_argument("--max-wait-ms", type=float, default=10.0, dest="max_wait_ms")
-    serve.add_argument("--queue", type=int, default=128,
-                       help="bounded queue size (backpressure threshold)")
-    serve.add_argument("--timeout-ms", type=float, default=5000.0, dest="timeout_ms")
-    serve.add_argument("--workers", type=int, default=1)
-    serve.add_argument("--cache-capacity", type=int, default=2, dest="cache_capacity")
-    serve.add_argument("--json", action="store_true",
-                       help="print the raw metrics snapshot as JSON")
-    _add_repro_flags(serve)
-    serve.set_defaults(fn=cmd_serve_bench)
-
     soak = commands.add_parser(
         "chaos-soak",
         help="serve synthetic traffic under a seeded fault plan and audit recovery",
@@ -720,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = commands.add_parser(
         "scale-bench",
-        help="flash-crowd trace against the sharded cluster with admission "
+        help="open-loop trace (flash crowd, or steady load with "
+             "--flash-multiplier 1) against the sharded cluster with admission "
              "control (availability, tail latency, shed rate, fairness)",
     )
     scale.add_argument("--tiny", action="store_true",
@@ -734,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="steady-state offered load, requests/s")
     scale.add_argument("--flash-multiplier", type=float, default=4.0,
                        dest="flash_multiplier",
-                       help="flash-crowd multiple of the steady rate")
+                       help="flash-crowd multiple of the steady rate "
+                            "(1: no flash crowd)")
     scale.add_argument("--tenants", type=int, default=4,
                        help="tenants in the heavy-tailed request mix")
     scale.add_argument("--shards", type=int, default=2,

@@ -13,10 +13,11 @@ fault schedule.  This package provides both halves:
 * :mod:`repro.resilience.retry` — bounded retry-with-backoff for
   transient loads, injectable sleep.
 * :mod:`repro.resilience.guards` — numeric guardrail over batch logits.
-* :mod:`repro.resilience.watchdog` — heartbeat-based stalled-lane
-  detection behind the engine's worker restarts.
+* :mod:`repro.resilience.watchdog` — heartbeat-based stalled-worker
+  detection (one beat per worker) behind the engine's worker restarts.
 * :mod:`repro.resilience.soak` — the chaos soak harness
-  (``python -m repro chaos-soak``), which runs the load generator
+  (``python -m repro chaos-soak``), which replays constant-rate load
+  through the shared open-loop replay of :mod:`repro.analysis.scale`
   against a fault plan and reports availability and per-class recovery.
 
 :class:`ResiliencePolicy` bundles the tunables the serving engine wires

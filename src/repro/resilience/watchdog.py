@@ -1,11 +1,12 @@
-"""Worker watchdog: detect stalled serving lanes via heartbeats.
+"""Worker watchdog: detect stalled serving workers via heartbeats.
 
-Each lane's worker beats the watchdog on every scheduling loop and at the
-start of every batch; a lane that is busy (a batch in flight) but whose
-last beat is older than ``stall_after_s`` is *stalled* — its worker is
-wedged inside batch execution.  The engine's ``check_watchdog`` restarts
-such a lane by spawning a replacement worker thread (the wedged one is a
-daemon and completes or dies on its own), so the lane keeps serving.
+Each worker beats the watchdog under its own name on every scheduling
+loop and at the start of every batch; a worker whose own batch is in
+flight but whose last beat is older than ``stall_after_s`` is *stalled*
+— wedged inside batch execution.  The engine's ``check_watchdog``
+retires such a worker and starts a replacement thread (the wedged one is
+a daemon: it finishes its batch and exits), so the lane keeps serving.
+An idle sibling's beats never hide a wedged worker.
 
 Clock-injected: stall detection is a pure function of the beat table and
 ``now``, so tests drive it with a fake clock.
@@ -31,7 +32,7 @@ class WorkerWatchdog:
         self._beats: dict[str, float] = {}
 
     def beat(self, name: str, now: float | None = None) -> None:
-        """Record liveness for ``name`` (a lane spec)."""
+        """Record liveness for ``name`` (one worker)."""
         with self._lock:
             self._beats[name] = self.clock() if now is None else now
 
@@ -46,7 +47,7 @@ class WorkerWatchdog:
     def stalled(self, name: str, now: float | None = None) -> bool:
         """Has ``name`` gone ``stall_after_s`` without a beat?
 
-        Never-seen names are not stalled — a lane registers by beating.
+        Never-seen names are not stalled — a worker registers by beating.
         """
         with self._lock:
             beat = self._beats.get(name)

@@ -17,8 +17,6 @@ Turns the offline reproduction into a request-serving system:
 * :mod:`repro.serve.metrics` — counters, batch/queue distributions, and
   latency histograms exported as a JSON snapshot; ``Metrics.count``
   fills every label rollup declared for a counter family.
-* :mod:`repro.serve.loadgen` — synthetic open-loop benchmark driver
-  (``python -m repro serve-bench``).
 * :mod:`repro.serve.drift` — activation-drift monitoring and online
   recalibration (fingerprint compare -> shadow recalibrate -> canary ->
   atomic swap).
@@ -31,8 +29,9 @@ Turns the offline reproduction into a request-serving system:
   quarantined lane swaps them for an in-parent float executor.
 * :mod:`repro.serve.traces` — seeded traffic traces (diurnal cycles,
   flash crowds, heavy-tailed tenant mixes, priority bands/deadlines)
-  for the scale benchmark (``python -m repro scale-bench``), plus JSONL
-  record/replay.
+  for the scale benchmark (``python -m repro scale-bench``, whose
+  open-loop replay in :mod:`repro.analysis.scale` every serving harness
+  shares), plus JSONL record/replay.
 * :mod:`repro.serve.autoscaler` — elastic control plane: scales shard
   replicas between ``min_shards``/``max_shards`` on ladder/queue/ring
   pressure with hysteresis + cooldown, quarantines crash-looping specs
@@ -79,7 +78,6 @@ from .traces import (
     tenant_mix,
     trace_stats,
 )
-from .loadgen import format_snapshot, run_serve_benchmark, synthetic_requests
 
 __all__ = [
     "Counter",
@@ -125,7 +123,4 @@ __all__ = [
     "save_trace",
     "tenant_mix",
     "trace_stats",
-    "format_snapshot",
-    "run_serve_benchmark",
-    "synthetic_requests",
 ]

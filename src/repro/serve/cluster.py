@@ -474,7 +474,7 @@ class _ParentExecutor(Executor):
 class _RegistryView:
     """Duck-typed registry facade over the shard pools.
 
-    The chaos-soak harness (and the loadgen snapshot formatter) expect an
+    The lane core's snapshot and the chaos-soak harness expect an
     ``engine.registry`` with ``invalidate`` and a ``snapshot()["entries"]``
     listing; a cluster has no in-process model cache, so this reports the
     lanes whose shard pools are live.
@@ -498,8 +498,8 @@ class ClusterEngine(LaneCore):
     The lane core with one :class:`_ShardExecutor` per shard, so it has the
     same operational surface (``warm`` / ``submit`` / ``check_watchdog`` /
     ``drain`` / ``stop`` / ``snapshot``, plus ``policy``, ``guard`` and a
-    ``registry`` facade) and the load generator, the admission controller
-    and the chaos-soak harness run against either topology unchanged.
+    ``registry`` facade), and the open-loop replay harnesses and the
+    admission controller run against either topology unchanged.
     """
 
     join_timeout_s = 5.0
@@ -729,36 +729,23 @@ class ClusterEngine(LaneCore):
 
     # ------------------------------------------------------------------
     # Supervision and observability
-    def check_watchdog(self, now: float | None = None) -> list[str]:
-        """Respawn shards that died while idle; returns affected specs.
+    def _supervise(self, lane, index, executor, busy, now) -> bool:
+        """Respawn a shard that died while idle.
 
         Busy shards are supervised inline by their dispatch thread (which
         also re-routes the in-flight batch); this sweep catches crashes
         that happen between batches, so a lane never waits for the next
         batch to discover it is down a replica.
         """
-        with self._lock:
-            if self._stopping:
-                return []
-            lanes = list(self._lanes.values())
-        restarted = []
-        for lane in lanes:
-            with lane.lock:
-                if lane.quarantined:
-                    continue  # quarantined specs stay down until cleared
-                executors = [e for i, e in sorted(lane.executors.items())
-                             if i not in lane.fenced]
-            for executor in executors:
-                if executor.alive() or not executor.lock.acquire(blocking=False):
-                    continue  # healthy, or its dispatch thread is handling it
-                try:
-                    executor.respawn("crash")
-                    restarted.append(lane.key.spec)
-                except Exception:
-                    pass  # the dispatch thread will retry on next batch
-                finally:
-                    executor.lock.release()
-        return restarted
+        if executor.alive() or not executor.lock.acquire(blocking=False):
+            return False  # healthy, or its dispatch thread is handling it
+        try:
+            executor.respawn("crash")
+            return True
+        except Exception:
+            return False  # the dispatch thread will retry on next batch
+        finally:
+            executor.lock.release()
 
     def _shard_views(self, lane: Lane) -> list[dict]:
         return [executor.view(index in lane.fenced)

@@ -85,12 +85,16 @@ class Executor:
     """Where a lane's batches run; one thread drives each executor, except
     a quarantine stand-in, which every thread of its lane shares.
 
+    :meth:`beat` runs on every pass of the executor's thread, busy or idle.
     :meth:`begin` readies the model for one batch and says whether it has a
     quantized path; raising fails the batch against the breaker with no
     float retry.  :meth:`run` returns the batch's logits and the datapath
     that produced them.  :meth:`end` follows an answered batch, and
     :meth:`close` releases the executor once its thread has stopped.
     """
+
+    def beat(self) -> None:
+        pass
 
     def begin(self, batch: Batch) -> bool:
         return True
@@ -121,7 +125,7 @@ class Lane:
         self.threads: dict[int, threading.Thread] = {}
         self.fenced: set[int] = set()
         self.next_index = 0
-        self.active: list[Batch] = []  # batches executing now
+        self.active: dict[int, Batch] = {}  # batches executing now, by executor
         self.restarts = 0  # executors restarted by supervision
         self.reroutes = 0  # batches re-run after their executor was lost
         self.quarantined = False  # while set, every batch runs on stand_in
@@ -250,18 +254,15 @@ class LaneCore:
             lane.threads[index] = thread
         thread.start()
 
-    def _beat(self, lane: Lane) -> None:
-        """Called on every pass of every executor thread, busy or idle."""
-
     def _serve(self, lane: Lane, index: int) -> None:
         """Executor thread: run the lane's batches until stopped or retired."""
         while not self._stopping:
-            self._beat(lane)
             with lane.lock:
                 executor = lane.executors.get(index)
                 if executor is None or index in lane.fenced:
                     return  # retired or draining: stop pulling work
                 idle = not lane.active
+            executor.beat()
             batch = lane.scheduler.wait_for_batch(timeout=0.1, idle=idle)
             if batch is None:
                 continue
@@ -269,14 +270,47 @@ class LaneCore:
             # batch: it runs to completion, and a retire joins this thread
             # before releasing the executor.
             with lane.lock:
-                lane.active.append(batch)
+                lane.active[index] = batch
                 if lane.quarantined:
                     executor = lane.stand_in
             try:
                 self._execute(lane, executor, batch)
             finally:
                 with lane.lock:
-                    lane.active.remove(batch)
+                    del lane.active[index]
+
+    # ------------------------------------------------------------------
+    # Supervision
+    def _supervise(self, lane: Lane, index: int, executor: Executor, busy: bool,
+                   now: float) -> bool:
+        """Replace or repair one executor found wedged or dead; say if it was."""
+        return False
+
+    def check_watchdog(self, now: float | None = None) -> list[str]:
+        """One supervision sweep over every unfenced executor.
+
+        Returns the spec of each executor restarted.  Callers drive the
+        sweep explicitly (the replay harness between arrivals; tests with a
+        fake clock call it directly), so detection is deterministic.  A
+        quarantined lane's executors stay down until the quarantine clears.
+        """
+        now = self.clock() if now is None else now
+        with self._lock:
+            if self._stopping:
+                return []
+            lanes = list(self._lanes.values())
+        restarted = []
+        for lane in lanes:
+            with lane.lock:
+                if lane.quarantined:
+                    continue
+                executors = [(index, executor, index in lane.active)
+                             for index, executor in sorted(lane.executors.items())
+                             if index not in lane.fenced]
+            for index, executor, busy in executors:
+                if self._supervise(lane, index, executor, busy, now):
+                    restarted.append(lane.key.spec)
+        return restarted
 
     # ------------------------------------------------------------------
     # Admission
@@ -507,7 +541,7 @@ class LaneCore:
             # that batch's requests so no submitter hangs (a late
             # completion by the wedged thread is a first-wins no-op).
             with lane.lock:
-                pending = [r for b in lane.active for r in b.requests]
+                pending = [r for b in lane.active.values() for r in b.requests]
             for request in pending:
                 request.set_exception(RuntimeError("engine stopped before batch completed"))
 

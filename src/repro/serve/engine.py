@@ -10,10 +10,12 @@ a per-lane **circuit breaker**, a **numeric guardrail** on every batch of
 logits, and admission control.  This module adds what is specific to
 running batches on threads of the serving process:
 
-* a **worker watchdog** — a lane that is busy but silent past
-  ``watchdog_stall_s`` gets a replacement worker via
-  :meth:`ServeEngine.check_watchdog` (the wedged daemon thread finishes
-  or dies on its own; late completions are first-wins no-ops);
+* a **worker watchdog** — every worker heartbeats under its own name; a
+  worker whose own batch is in flight but whose own beat is older than
+  ``watchdog_stall_s`` is retired and replaced by
+  :meth:`~repro.serve.core.LaneCore.check_watchdog` (the wedged daemon
+  thread finishes its batch and exits; late completions are first-wins
+  no-ops);
 * optional **drift-aware recalibration** (:mod:`repro.serve.drift`) —
   lanes sample input/activation statistics against the calibration
   fingerprint, and sustained drift triggers a shadow recalibration on
@@ -50,14 +52,19 @@ __all__ = ["ServeResult", "ServeEngine"]
 class _LocalExecutor(Executor):
     """Runs batches on its worker thread through the registry's model."""
 
-    def __init__(self, engine: "ServeEngine", key: ModelKey):
+    def __init__(self, engine: "ServeEngine", key: ModelKey, index: int):
         self.engine = engine
         self.key = key
+        self.name = f"{key.spec}#{index}"  # this worker's watchdog heartbeat
         self.servable = None
+        self.beat()
+
+    def beat(self) -> None:
+        self.engine.watchdog.beat(self.name, now=self.engine.clock())
 
     def begin(self, batch) -> bool:
         engine, spec = self.engine, self.key.spec
-        engine.watchdog.beat(spec, now=engine.clock())
+        self.beat()
         if engine.faults is not None:
             engine.faults.serve_stall(site=spec)  # stuck/slow-worker injection
         # Looked up per batch, so a drift swap or an invalidation serves
@@ -77,11 +84,11 @@ class _LocalExecutor(Executor):
         # verdict recalibrates synchronously on this worker (the stale
         # entry keeps serving via registry.get meanwhile), so keep the
         # watchdog fed across the potentially long swap.
-        engine = self.engine
-        if engine.drift is not None:
-            engine.watchdog.beat(self.key.spec, now=engine.clock())
-            engine.drift.finish_batch(self.key, self.servable, batch.images)
-            engine.watchdog.beat(self.key.spec, now=engine.clock())
+        drift = self.engine.drift
+        if drift is not None:
+            self.beat()
+            drift.finish_batch(self.key, self.servable, batch.images)
+            self.beat()
 
 
 class ServeEngine(LaneCore):
@@ -119,45 +126,29 @@ class ServeEngine(LaneCore):
         )
 
     def _open(self, lane: Lane) -> None:
-        self.watchdog.reset(lane.key.spec, now=self.clock())
         for _ in range(self.workers):
             self._start_worker(lane)
 
     def _start_worker(self, lane: Lane) -> None:
-        self._start(lane, lane.claim(), _LocalExecutor(self, lane.key), name="serve")
+        index = lane.claim()
+        self._start(lane, index, _LocalExecutor(self, lane.key, index), name="serve")
 
-    def _beat(self, lane: Lane) -> None:
-        self.watchdog.beat(lane.key.spec, now=self.clock())
+    def _supervise(self, lane, index, executor, busy, now) -> bool:
+        """Retire and replace a worker wedged inside its own batch."""
+        if not busy or not self.watchdog.stalled(executor.name, now=now):
+            return False
+        with self._lock:
+            if self._stopping:
+                return False
+            with lane.lock:
+                # Fenced, the wedged worker finishes its batch and exits,
+                # and no later sweep replaces it again.
+                lane.fenced.add(index)
+                lane.restarts += 1
+            self._start_worker(lane)
+        self.metrics.count("watchdog_restarts_total", spec=lane.key.spec)
+        return True
 
     def warm(self, spec: str | ModelKey) -> None:
         """Load (and calibrate or warm-start) a model before traffic arrives."""
         self.registry.get(spec)
-
-    def check_watchdog(self, now: float | None = None) -> list[str]:
-        """Restart any lane that is busy but has stopped heartbeating.
-
-        Returns the specs restarted.  Callers drive this explicitly (the
-        chaos soak does so between arrivals; tests with a fake clock call
-        it directly) so detection is deterministic.
-        """
-        now = self.clock() if now is None else now
-        with self._lock:
-            if self._stopping:
-                return []
-            lanes = list(self._lanes.values())
-        restarted = []
-        for lane in lanes:
-            with lane.lock:
-                busy = bool(lane.active)
-            if not busy or not self.watchdog.stalled(lane.key.spec, now=now):
-                continue
-            with self._lock:
-                if self._stopping:
-                    break
-                self._start_worker(lane)
-            with lane.lock:
-                lane.restarts += 1
-            self.watchdog.reset(lane.key.spec, now=now)
-            self.metrics.count("watchdog_restarts_total", spec=lane.key.spec)
-            restarted.append(lane.key.spec)
-        return restarted

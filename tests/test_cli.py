@@ -32,10 +32,10 @@ class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
         for command in ("zoo", "quantize", "export", "table4", "memory",
-                        "inspect", "serve-bench", "chaos-soak", "fault-sweep",
+                        "inspect", "chaos-soak", "fault-sweep",
                         "corruption-sweep"):
             # Should parse without SystemExit for arg-free commands…
-            if command in ("zoo", "table4", "memory", "serve-bench",
+            if command in ("zoo", "table4", "memory",
                            "chaos-soak", "fault-sweep", "corruption-sweep"):
                 args = parser.parse_args([command])
                 assert callable(args.fn)
@@ -49,20 +49,11 @@ class TestParser:
         for argv in (
             ["export", "vit_mini_s", "out.npz", "--seed", "5"],
             ["inspect", "vit_mini_s", "--seed", "5"],
-            ["serve-bench", "--seed", "5"],
+            ["scale-bench", "--seed", "5"],
         ):
             assert parser.parse_args(argv).seed == 5
         # Defaults preserve the historical sampling behaviour.
         assert parser.parse_args(["quantize", "vit_mini_s"]).seed is None
-
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.model == "vit_s"
-        assert args.method == "quq"
-        assert args.bits == 6
-        assert args.requests == 256
-        assert args.max_batch == 8
-        assert args.workers == 1
 
     def test_chaos_soak_defaults(self):
         args = build_parser().parse_args(["chaos-soak"])
@@ -133,17 +124,6 @@ class TestParser:
     def test_corruption_sweep_rejects_bad_method(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["corruption-sweep", "--methods", "awq"])
-
-    def test_serve_bench_policy_flags(self):
-        args = build_parser().parse_args([
-            "serve-bench", "--model", "deit_s", "--method", "baseq",
-            "--max-batch", "16", "--max-wait-ms", "2.5", "--queue", "32",
-            "--timeout-ms", "500", "--rate", "50", "--json",
-        ])
-        assert args.model == "deit_s" and args.method == "baseq"
-        assert args.max_batch == 16 and args.max_wait_ms == 2.5
-        assert args.queue == 32 and args.timeout_ms == 500.0
-        assert args.rate == 50.0 and args.json
 
 
 class TestAnalyticalCommands:

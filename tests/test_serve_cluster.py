@@ -373,6 +373,29 @@ class TestScaleBenchmarkSmoke:
         assert "Shard-loss recovery" in rendered
         assert "Gates" in rendered
 
+    def test_only_typed_refusals_are_booked(self):
+        from repro.analysis.scale import ScaleBenchConfig, run_scale_benchmark
+        from repro.serve import QueueFullError, ShedError, TraceConfig
+
+        engine = make_engine(shards=1)
+        refusals = iter([QueueFullError("full"), ShedError("shed"),
+                         RuntimeError("not a refusal")])
+
+        def submit(*args, **kwargs):
+            raise next(refusals)
+
+        engine.submit = submit
+        config = ScaleBenchConfig(
+            spec=SPEC, kill_shard_at=None, settle_s=1.0,
+            trace=TraceConfig(duration_s=0.5, base_rate=50.0, seed=0,
+                              tenants=1, flash_multiplier=1.0),
+        )
+        try:
+            with pytest.raises(RuntimeError, match="not a refusal"):
+                run_scale_benchmark(engine, config)
+        finally:
+            engine.stop()
+
 
 class TestElasticCluster:
     """The add/retire/quarantine surface the autoscaler drives."""

@@ -1,4 +1,4 @@
-"""End-to-end tests for the serving engine and the benchmark driver."""
+"""End-to-end tests for the serving engine, also under the open-loop replay."""
 
 import threading
 import time
@@ -6,13 +6,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.scale import Replay, image_pool
 from repro.serve import (
     BatchPolicy,
+    ModelKey,
     ModelRegistry,
     QueueFullError,
     ServeEngine,
-    format_snapshot,
-    run_serve_benchmark,
+    TraceEvent,
 )
 from tests.test_serve_registry import tiny_loader
 
@@ -273,23 +274,20 @@ class TestServeBenchmark:
         policy = BatchPolicy(
             max_batch_size=8, max_wait_ms=5.0, max_queue=256, timeout_ms=30000.0
         )
+        key = ModelKey.parse(SPEC)
+        arrivals = [TraceEvent(index / 500.0, "default") for index in range(200)]
         with ServeEngine(registry, policy) as engine:
-            snapshot = run_serve_benchmark(
-                engine, SPEC, requests=200, rate=500.0, image_size=16
-            )
-        summary = snapshot["summary"]
-        assert summary["completed"] == 200
-        assert summary["throughput_rps"] > 0
+            engine.warm(key)
+            replay = Replay(engine, key, image_pool(200, 16, seed=0))
+            outcomes = replay.run(arrivals, settle_s=30.0)
+            snapshot = engine.snapshot()
+        assert sum(outcome.result is not None for outcome in outcomes) == 200
         latency = snapshot["histograms"]["e2e_latency_ms"]
         assert latency["count"] == 200
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
         assert snapshot["distributions"]["batch_size"]
         # Warmed once, then every batch is a registry hit.
         assert snapshot["registry"]["hit_rate"] > 0.5
-        rendered = format_snapshot(snapshot)
-        assert "Serving benchmark" in rendered
-        assert "Batch-size distribution" in rendered
-        assert "Registry" in rendered
 
 
 class TestSnapshotConsistencyUnderLoad:

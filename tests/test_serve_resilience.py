@@ -67,12 +67,13 @@ def make_registry(tmp_path, calib_images, plan, attempts=4):
     )
 
 
-def make_engine(registry, plan, clock, **policy_kwargs):
+def make_engine(registry, plan, clock, workers=1, **policy_kwargs):
     defaults = dict(breaker_failures=2, breaker_cooldown_s=5.0, watchdog_stall_s=2.0)
     defaults.update(policy_kwargs)
     return ServeEngine(
         registry,
         BatchPolicy(max_batch_size=4, max_wait_ms=5.0, max_queue=64),
+        workers=workers,
         clock=clock,
         resilience=ResiliencePolicy(**defaults),
         faults=plan,
@@ -270,6 +271,32 @@ class TestStallWatchdog:
         assert lane["watchdog_restarts"] == 1
         assert plan.injected(STALL) == 1
 
+    def test_idle_sibling_does_not_hide_a_wedged_worker(
+        self, tmp_path, calib_images, tiny_data
+    ):
+        plan = FaultPlan([FaultSpec(STALL, start=0, count=1, stall_s=60.0)])
+        registry = make_registry(tmp_path, calib_images, plan)
+        _, val_set = tiny_data
+        clock = FakeClock()
+        with make_engine(registry, plan, clock, workers=2) as engine:
+            engine.warm(SPEC)
+            stuck = engine.submit(SPEC, val_set.images[0])
+            # Wait (real time) until one worker is wedged inside the batch.
+            deadline = time.monotonic() + 10.0
+            while plan.injected(STALL) == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            clock.advance(2.0)  # past the stall threshold
+            time.sleep(0.3)  # the idle sibling beats on every 0.1 s pass
+            assert engine.check_watchdog() == [LANE]
+            # The wedged worker was retired with its replacement, so a
+            # second sweep finds nothing to replace.
+            assert engine.check_watchdog() == []
+            plan.release_stalls()
+            assert np.isfinite(stuck.result(timeout=30.0).logits).all()
+        counters = engine.snapshot()["counters"]
+        assert counters["watchdog_restarts_total"] == 1
+        assert engine.snapshot()["lanes"][LANE]["watchdog_restarts"] == 1
+
     def test_check_watchdog_ignores_idle_lanes(self, tmp_path, calib_images, tiny_data):
         plan = FaultPlan()
         registry = make_registry(tmp_path, calib_images, plan)
@@ -357,3 +384,26 @@ class TestChaosSoakMini:
         assert report["passed"], report
         rendered = format_soak_report(report)
         assert "Chaos soak" in rendered and "PASS" in rendered
+
+    def test_breaker_opened_at_the_end_is_probed_closed(self, tmp_path, calib_images):
+        # Traffic lasts 4 ms: the two injected failures trip the breaker
+        # as it ends, so only settle-phase probes can close it.
+        plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=2)])
+        registry = make_registry(tmp_path, calib_images, plan)
+        engine = ServeEngine(
+            registry,
+            BatchPolicy(max_batch_size=4, max_wait_ms=5.0, max_queue=64),
+            resilience=ResiliencePolicy(breaker_failures=2, breaker_cooldown_s=0.2),
+            faults=plan,
+        )
+        config = ChaosSoakConfig(spec=SPEC, requests=4, rate=1000.0,
+                                 image_size=16, settle_s=2.0)
+        with engine:
+            report = run_chaos_soak(engine, plan, config)
+        assert report["faults"][BATCH_EXCEPTION] == {"injected": 2, "recovered": True}
+        assert report["snapshot"]["lanes"][LANE]["breaker"]["state"] == CLOSED
+        assert report["passed"], report
+        # Probes count as offered, and the ledger still balances.
+        assert report["offered"] > config.requests
+        assert (report["completed"] + report["failed"] + report["rejected"]
+                == report["offered"])
