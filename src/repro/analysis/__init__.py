@@ -23,13 +23,6 @@ from .corruption import (
     run_corruption_sweep,
     run_recovery_curve,
 )
-from .hotpath import (
-    TINY_HOTPATH_VIT,
-    HotpathConfig,
-    format_hotpath_report,
-    run_hotpath_bench,
-    tiny_hotpath_model,
-)
 
 __all__ = [
     "FIGURE3_TENSORS",
@@ -51,9 +44,4 @@ __all__ = [
     "RecoveryCurveConfig",
     "run_recovery_curve",
     "format_recovery_report",
-    "HotpathConfig",
-    "TINY_HOTPATH_VIT",
-    "tiny_hotpath_model",
-    "run_hotpath_bench",
-    "format_hotpath_report",
 ]

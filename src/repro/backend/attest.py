@@ -6,9 +6,9 @@ decode to the same integers ``encode_tensor`` would produce, the fused
 activation kernels emit the same codes, and the float glue copies the
 reference operation order.  This module turns that claim into a runtime
 check: run both stacks on the same batch and require ``array_equal`` on
-the logits, in both SFU modes.  The perf benchmark and the CI perf-smoke
-job gate on the result, so a refactor that silently breaks equivalence
-fails the build rather than shipping a subtly different model.
+the logits, in both SFU modes.  The backend test suite gates on the
+result at every serving width, so a refactor that silently breaks
+equivalence fails the build rather than shipping a subtly different model.
 
 Alongside the hard gate it reports soft diagnostics: worst-case logit
 divergence from the *fake-quantized* float model (the accuracy-table

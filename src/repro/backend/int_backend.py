@@ -5,7 +5,7 @@ quantize through the fused four-slot kernels into shifted integers, every
 GEMM is an int64 matmul against QUB-packed weights decoded by LUT, and
 requantization is the Eq. (6)-(7) shift/scale — while staying bit-exact
 with the reference :class:`repro.hw.executor.ModelExecutor` (attested in
-:mod:`repro.backend.attest` and in the perf benchmark).
+:mod:`repro.backend.attest` and by the backend test suite).
 
 Differences from the reference executor are purely mechanical:
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import get_kernel
-from ..quant.params import QUQParams, Subrange, SubrangeSpec
+from ..quant.params import QUQParams
 from ..quant.qub import FCRegisters, decode, legalize_for_hardware
+from ..quant.quq import _fused_tables
 
 __all__ = ["FusedEncoder", "decode_lut"]
 
@@ -54,14 +55,6 @@ def decode_lut(registers: FCRegisters, bits: int) -> np.ndarray:
 class FusedEncoder:
     """Quantize + QUB-encode one tap's tensors under fixed parameters."""
 
-    # Selector slots (side*2 + fine): 0=C+, 1=F+, 2=C-, 3=F-.
-    _SLOTS = (
-        (Subrange.C_POS, False),
-        (Subrange.F_POS, False),
-        (Subrange.C_NEG, True),
-        (Subrange.F_NEG, True),
-    )
-
     def __init__(self, params: QUQParams, bits: int):
         params = legalize_for_hardware(params)
         if params.bits > bits:
@@ -75,46 +68,18 @@ class FusedEncoder:
         self._half = 2 ** (bits - 1)
         self._has_pos = params.f_pos is not None or params.c_pos is not None
         self._has_neg = params.f_neg is not None or params.c_neg is not None
-        self._build_tables(params)
         self._lut: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    def _build_tables(self, params: QUQParams) -> None:
-        delta = np.ones(4, dtype=np.float64)
-        lo = np.zeros(4, dtype=np.float64)
-        hi = np.zeros(4, dtype=np.float64)
-        shift = np.zeros(4, dtype=np.int64)
-        for slot, (subrange, negative) in enumerate(self._SLOTS):
-            spec = params.spec(subrange)
-            if spec is None:
-                # Mirror the side's active subrange: the slot is routed to
-                # only by non-finite inputs, which must still gather sane
-                # table entries (quq._fused_tables does the same).
-                mirror = Subrange.F_NEG if negative else Subrange.F_POS
-                if subrange.is_fine:
-                    mirror = Subrange.C_NEG if negative else Subrange.C_POS
-                spec = params.spec(mirror)
-                if spec is None:  # fully absent side: inert, never selected
-                    continue
-                subrange = mirror
-            delta[slot] = spec.delta
-            lo[slot] = float(-spec.levels) if negative else 0.0
-            hi[slot] = 0.0 if negative else float(spec.levels - 1)
-            shift[slot] = params.shift(subrange)
-
-        def span(fine: SubrangeSpec | None, coarse: SubrangeSpec | None,
-                 negative: bool) -> float:
-            if fine is None:
-                return -np.inf  # coarse-only (or absent): never route fine
-            if coarse is None:
-                return np.inf  # fine-only: always route fine
-            base = fine.levels if negative else fine.levels - 1
-            return base * fine.delta * (1.0 + 1e-6)
-
-        self._delta, self._lo, self._hi, self._shift = delta, lo, hi, shift
-        self._pow2 = (np.int64(1) << shift).astype(np.float64)
-        self._span_pos = span(params.f_pos, params.c_pos, False)
-        self._span_neg = span(params.f_neg, params.c_neg, True)
+        # Four-slot tables indexed by the selector side*2 + fine (slots
+        # C+, F+, C-, F-), shared with the fused fake-quantize kernel.
+        self._span_pos, self._span_neg, self._delta, self._lo, self._hi = (
+            _fused_tables(params)
+        )
+        # Eq. (5) shift per slot: a mirrored slot shares its mirror's; a
+        # fully absent side is never selected and keeps shift 0.
+        present = np.repeat([self._has_pos, self._has_neg], 2)
+        shift = np.rint(np.log2(self._delta / self.base_delta))
+        self._shift = np.where(present, shift, 0.0).astype(np.int64)
+        self._pow2 = (np.int64(1) << self._shift).astype(np.float64)
         # Negative zeros re-home into the positive code space (zero has no
         # pattern in a negative-reserved layout); -1 disables re-homing.
         if self._has_pos and self._has_neg:

@@ -11,7 +11,6 @@ Commands
 ``chaos-soak``     serve under a seeded fault plan, audit the recovery
 ``fault-sweep``    bit-fault injection sweep over the QUA datapath
 ``corruption-sweep``  SynthShapes-C robustness grid + drift recovery curve
-``perf-bench``     hot-path latency: calibrate/first-batch/steady per method
 ``scale-bench``    open-loop trace (flash crowd or steady load) vs the
                    sharded cluster + admission control
 ``kernel-parity``  reference-vs-fast parity over the kernel registry
@@ -125,11 +124,13 @@ def cmd_memory(args) -> None:
         rows, title=f"Peak on-chip memory at {args.bits}-bit",
     ))
     if args.measured:
-        from .analysis import tiny_hotpath_model
         from .backend import PackedWeightStore
         from .hw.memory import measured_weight_summary
+        from .models import build_model
 
-        store = PackedWeightStore.from_model(tiny_hotpath_model(), args.bits)
+        # Packed bytes depend only on the weight shapes and the bit width,
+        # not on trained values, so a random-init zoo geometry suffices.
+        store = PackedWeightStore.from_model(build_model("vit_mini_s"), args.bits)
         summary = measured_weight_summary(store)
         detail = [
             [row["tap"], row["elements"], round(row["analytic_bytes"]),
@@ -143,7 +144,7 @@ def cmd_memory(args) -> None:
             detail,
             title=(
                 f"Measured QUB-packed weight buffers at {args.bits}-bit "
-                f"(tiny hotpath model)"
+                "(random-init vit_mini_s)"
             ),
         ))
         print(
@@ -319,55 +320,6 @@ def cmd_corruption_sweep(args) -> None:
     else:
         print("\n\n".join(sections))
     if "recovery" in report and not report["recovery"]["passed"]:
-        raise SystemExit(1)
-
-
-def cmd_perf_bench(args) -> None:
-    import json
-
-    from .analysis import (
-        HotpathConfig,
-        format_hotpath_report,
-        run_hotpath_bench,
-        tiny_hotpath_model,
-    )
-
-    seed = 0 if args.seed is None else args.seed
-    try:
-        config = HotpathConfig(
-            methods=tuple(args.methods),
-            bits=args.bits,
-            coverage=args.coverage,
-            batch_size=args.batch_size,
-            measured_batches=args.batches,
-            calib_count=args.calib_count,
-            seed=seed,
-            backends=("float", "int") if args.backend == "int" else ("float",),
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro perf-bench: error: {error}")
-
-    if args.tiny:
-        # Self-contained: random weights, synthetic calibration images —
-        # latency and the bit-exactness attestation need neither the zoo
-        # nor the dataset, so this path suits CI smoke runs.
-        report = run_hotpath_bench(config, model_factory=tiny_hotpath_model)
-    else:
-        model, _, calib, _ = _setup(args.model, 64, seed=args.seed)
-        report = run_hotpath_bench(
-            config,
-            model_factory=lambda _seed: model,
-            calib=calib[: config.calib_count],
-        )
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_hotpath_report(report))
-    if not report["attestation"]["bit_exact"]:
         raise SystemExit(1)
 
 
@@ -623,34 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the raw report as JSON")
     _add_repro_flags(corruption)
     corruption.set_defaults(fn=cmd_corruption_sweep)
-
-    perf = commands.add_parser(
-        "perf-bench",
-        help="hot-path latency benchmark with weight-cache attestation",
-    )
-    perf.add_argument("--tiny", action="store_true",
-                      help="self-contained tiny ViT with synthetic calibration "
-                           "(no zoo training; suitable for CI smoke runs)")
-    perf.add_argument("--model", default="vit_mini_s", choices=_TRAINABLE,
-                      help="zoo model to benchmark when --tiny is not set")
-    perf.add_argument("--methods", nargs="+", default=["fp32", "baseq", "quq"],
-                      choices=["fp32", "baseq", "quq", "biscaled", "fqvit",
-                               "ptq4vit"])
-    perf.add_argument("--bits", type=int, default=6)
-    perf.add_argument("--coverage", default="full", choices=["partial", "full"])
-    perf.add_argument("--backend", default="float", choices=["float", "int"],
-                      help="'int' adds the integer-native backend section "
-                           "(gated on bit-exactness vs the reference executor)")
-    perf.add_argument("--batches", type=int, default=20,
-                      help="steady-state batches measured per method")
-    perf.add_argument("--calib-count", type=int, default=16, dest="calib_count",
-                      help="calibration images used for the timed calibrate")
-    perf.add_argument("--output", default="BENCH_serve.json",
-                      help="write the JSON report here ('' to skip)")
-    perf.add_argument("--json", action="store_true",
-                      help="print the raw report as JSON")
-    _add_repro_flags(perf)
-    perf.set_defaults(fn=cmd_perf_bench, batch_size=2)
 
     scale = commands.add_parser(
         "scale-bench",

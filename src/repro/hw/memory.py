@@ -242,7 +242,7 @@ def measured_weight_summary(store, tolerance: float = 0.02) -> dict:
     """Model-level totals over :func:`packed_weight_rows`.
 
     ``reduction`` is float32 storage over measured packed storage — the
-    number the serve benchmark's int section reports; ``flagged`` lists
+    number ``python -m repro memory --measured`` prints; ``flagged`` lists
     any taps whose measurement diverges from the analytic estimate.
     """
     rows = packed_weight_rows(store, tolerance=tolerance)

@@ -8,8 +8,9 @@ Public surface:
   (fast-by-default, ``REPRO_KERNELS`` / ``prefer=`` overrides).
 * :func:`kernel_pairs` / :func:`run_kernel_parity` — enumerate and drive
   the pairwise reference-vs-fast parity suite.
-* :func:`kernels_snapshot` / :func:`active_kernels` — observability for
-  the serve registry snapshot and the perf report.
+* :func:`kernels_snapshot` / :func:`active_kernels` — observability: the
+  selected variant per op (shown in the serve registry snapshot) and the
+  dispatch and cache counters.
 
 Built-in registrations load lazily on first dispatch so that low-level
 modules (``quant.quq``, ``hw.accelerator``) can import this package

@@ -14,7 +14,7 @@ or ``np.allclose`` for tolerance specs) **or** both raise the same
 exception type with no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
-the CI perf environment carries no hypothesis; the property-based
+the CI ``kernel-parity`` job installs no hypothesis; the property-based
 deep fuzzing lives in ``tests/test_kernels_parity.py``.
 """
 
@@ -397,8 +397,7 @@ def run_kernel_parity(seed: int = 0, cases: int = 8) -> dict:
     """Drive every registered pair over its case list; JSON-able report.
 
     The report's ``passed`` is True iff every pair agreed on every case;
-    ``source`` marks it as coming from the registry harness, which the
-    perf benchmark's attestation block keys on.
+    ``source`` marks it as coming from the registry harness.
     """
     pairs = kernel_pairs()  # loads the built-in registrations
     ops: dict[str, dict] = {}

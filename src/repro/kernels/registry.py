@@ -26,7 +26,8 @@ Resolution precedence, strongest first:
    reference impl for every op end-to-end (the bisection switch),
    ``fast`` restores the default, and a comma-separated list of
    ``op=variant`` pairs pins individual ops
-   (``REPRO_KERNELS=gemm.int=reference`` bisects just the GEMM);
+   (``REPRO_KERNELS=gemm.int=reference`` bisects just the GEMM; a pin
+   on an unregistered op raises :class:`KernelRegistryError`);
 3. the default: the newest registered fast variant, else the reference.
 
 Production call sites (``QuantEnv``, the serving backends,
@@ -108,7 +109,7 @@ class KernelImpl:
     #: Required for fast variants: the agreement contract vs the reference.
     parity: ParitySpec | None = None
     #: Declared input contract — dtype/shape/params domain, documentation
-    #: grade (the parity harness generates inputs from it by op family).
+    #: only (the parity harness builds its inputs per op family).
     contract: dict = field(default_factory=dict)
 
     @property
@@ -254,6 +255,16 @@ class KernelRegistry:
         if cached is not None and cached[0] == raw:
             return cached[1]
         parsed = _parse_env(raw)
+        if isinstance(parsed, dict):
+            # Checked once per new value, not per dispatch: a pin on a
+            # mistyped op would otherwise be silently ignored.
+            registered = self.ops()
+            unknown = sorted(set(parsed) - set(registered))
+            if unknown:
+                raise KernelRegistryError(
+                    f"{ENV_VAR} pins unknown kernel op(s) {unknown}; "
+                    f"registered: {registered}"
+                )
         self._env_cache = (raw, parsed)
         return parsed
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..backend import BACKEND_NAMES, make_backend
+from ..backend import BACKEND_NAMES, FloatFakeQuantBackend, make_backend
 from ..data import calibration_set, make_splits
 from ..kernels import active_kernels as _active_kernels
 from ..kernels import kernels_snapshot as _kernels_snapshot
@@ -149,10 +149,9 @@ class ServableModel:
         self.fp32_top1 = fp32_top1
         self.pipeline = pipeline
         self.fallback_reason = fallback_reason
-        # Serving backend (repro.backend.ServingBackend).  None preserves
-        # the legacy inline forward path for directly-constructed
-        # servables; registry-built entries always carry one.
-        self.backend = backend
+        # Serving backend (repro.backend.ServingBackend); the float
+        # fake-quant backend unless the caller picked one.
+        self.backend = backend or FloatFakeQuantBackend(model, pipeline)
         # Calibration fingerprints (repro.quant.drift.TapFingerprint by
         # tap name) recorded when the pipeline was calibrated; the drift
         # monitor compares live traffic against them.
@@ -172,15 +171,7 @@ class ServableModel:
         the lock, so concurrent predicts never see another batch's hook.
         """
         with self._lock:
-            if self.backend is not None:
-                return self.backend.predict(images, recorder=recorder)
-            if recorder is None or self.pipeline is None:
-                return self._forward(images)
-            self.pipeline.env.stats_recorder = recorder
-            try:
-                return self._forward(images)
-            finally:
-                self.pipeline.env.stats_recorder = None
+            return self.backend.predict(images, recorder=recorder)
 
     def predict_float(self, images: np.ndarray) -> np.ndarray:
         """Logits through the float weights, quantization detached.
@@ -291,10 +282,7 @@ class ModelRegistry:
     def _build(self, key: ModelKey) -> ServableModel:
         model, fp32 = self._load_model(key)
         if key.method == "fp32":
-            return ServableModel(
-                key, model, fp32, pipeline=None,
-                backend=make_backend("float", model, None),
-            )
+            return ServableModel(key, model, fp32, pipeline=None)
         try:
             pipeline = PTQPipeline(
                 model, method=key.method, bits=key.bits, coverage=key.coverage
@@ -341,10 +329,7 @@ class ModelRegistry:
             self.stats["fallbacks"] += 1
             model.set_tap_dispatcher(None)
             reason = f"{type(error).__name__}: {error}"
-            return ServableModel(
-                key, model, fp32, None, fallback_reason=reason,
-                backend=make_backend("float", model, None),
-            )
+            return ServableModel(key, model, fp32, None, fallback_reason=reason)
 
     # ------------------------------------------------------------------
     def get(self, spec: str | ModelKey) -> ServableModel:
@@ -464,15 +449,14 @@ class ModelRegistry:
                 "backends": {
                     key.spec: servable.backend.describe()
                     for key, servable in self._entries.items()
-                    if servable.backend is not None
                 },
                 # Process-wide kernel registry configuration: which
                 # variant serves each op and any REPRO_KERNELS override.
                 # Deliberately no dispatch/cache counters here — they are
                 # cumulative process-global state, and registry snapshots
                 # must be deterministic for equal serving histories (the
-                # recovery-curve harness byte-compares them).  Counters
-                # live in the perf-bench report's "kernels" section.
+                # recovery-curve harness byte-compares them).  Read the
+                # counters from repro.kernels.kernels_snapshot().
                 "kernels": {
                     "selected": _active_kernels(),
                     "override": _kernels_snapshot()["override"],

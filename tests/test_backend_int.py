@@ -14,25 +14,46 @@ from repro.quant.qmodel import PTQPipeline
 
 
 @pytest.fixture(scope="module")
-def quantized():
+def quantized_at():
+    """``bits -> (model, pipeline, images)``: a tiny ViT calibrated at
+    that QUB width, built once per width."""
     from repro.models.configs import ModelConfig
     from repro.models.vit import build_vit
 
-    model = build_vit(ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2), seed=0)
-    rng = np.random.default_rng(0)
-    calib = rng.normal(size=(24, 16, 16, 3)).astype(np.float32)
-    pipeline = PTQPipeline(model, method="quq", bits=8)
-    pipeline.calibrate(calib)
-    images = rng.normal(size=(4, 16, 16, 3)).astype(np.float32)
-    return model, pipeline, images
+    built = {}
+
+    def build(bits):
+        if bits not in built:
+            model = build_vit(
+                ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2), seed=0
+            )
+            rng = np.random.default_rng(0)
+            calib = rng.normal(size=(24, 16, 16, 3)).astype(np.float32)
+            pipeline = PTQPipeline(model, method="quq", bits=bits)
+            pipeline.calibrate(calib)
+            images = rng.normal(size=(4, 16, 16, 3)).astype(np.float32)
+            built[bits] = model, pipeline, images
+        return built[bits]
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def quantized(quantized_at):
+    return quantized_at(8)
 
 
 class TestIntNativeBackend:
-    @pytest.mark.parametrize("integer_sfu", [False, True])
-    def test_bit_exact_with_reference_executor(self, quantized, integer_sfu):
-        model, pipeline, images = quantized
+    # Every serving width in both SFU modes; the 8-bit cases keep their
+    # original bare ``[False]`` / ``[True]`` IDs.
+    @pytest.mark.parametrize("bits,integer_sfu", [
+        pytest.param(bits, sfu, id=str(sfu) if bits == 8 else f"{bits}bit-{sfu}")
+        for bits in (8, 6, 4) for sfu in (False, True)
+    ])
+    def test_bit_exact_with_reference_executor(self, quantized_at, bits, integer_sfu):
+        model, pipeline, images = quantized_at(bits)
         backend = IntNativeBackend(model, pipeline, integer_sfu=integer_sfu)
-        executor = ModelExecutor(model, pipeline, bits=8, integer_sfu=integer_sfu)
+        executor = ModelExecutor(model, pipeline, bits=bits, integer_sfu=integer_sfu)
         np.testing.assert_array_equal(backend.predict(images), executor.run(images))
 
     def test_bit_exact_with_distillation_head(self):

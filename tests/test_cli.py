@@ -136,3 +136,10 @@ class TestAnalyticalCommands:
         cmd_memory(build_parser().parse_args(["memory", "--bits", "6"]))
         out = capsys.readouterr().out
         assert "vit_l" in out and "overhead" in out
+
+    def test_memory_measured_prints_packed_buffers(self, capsys):
+        cmd_memory(build_parser().parse_args(["memory", "--bits", "6", "--measured"]))
+        out = capsys.readouterr().out
+        assert "Measured QUB-packed weight buffers at 6-bit" in out
+        assert "analytic B" in out and "measured B" in out
+        assert "flagged taps: none" in out

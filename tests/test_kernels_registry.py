@@ -105,6 +105,14 @@ class TestDispatch:
         assert populated.resolve("op.a").variant == "reference"
         assert populated.resolve("op.b").variant == "reference"  # no fast
 
+    def test_env_pin_on_unknown_op_raises(self, populated, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "op.z=reference")
+        with pytest.raises(KernelRegistryError, match=r"op\.z.*registered"):
+            populated.resolve("op.a")
+        # Not cached as valid: every dispatch under the bad value raises.
+        with pytest.raises(KernelRegistryError, match="op.z"):
+            populated.get("op.b")
+
     def test_env_bad_entry(self, populated, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "garbage")
         with pytest.raises(ValueError, match="REPRO_KERNELS"):
@@ -159,6 +167,16 @@ class TestBuiltinRegistry:
         assert selected["quq.fake_quantize"] == "fused"
         assert selected["gemm.int"] == "blas_f64"
         assert selected["quq.quantize"] == "reference"
+
+    def test_env_pin_typo_is_reported(self, monkeypatch):
+        """A pin on a mistyped op fails loudly instead of leaving the
+        real op on its fast variant."""
+        monkeypatch.setenv("REPRO_KERNELS", "gemm.in=reference")
+        with pytest.raises(KernelRegistryError, match="gemm.in") as error:
+            get_kernel("gemm.int")
+        assert "gemm.int" in str(error.value)  # lists the registered ops
+        monkeypatch.setenv("REPRO_KERNELS", "gemm.int=reference")
+        assert active_kernels()["gemm.int"] == "reference"
 
     def test_env_forces_reference_everywhere(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "reference")
