@@ -33,7 +33,7 @@ import numpy as np
 from ..kernels import get_kernel
 from ..quant.params import QUQParams
 from ..quant.qub import FCRegisters, decode, legalize_for_hardware
-from ..quant.quq import _fused_tables
+from ..quant.quq import _fused_route, _fused_tables
 
 __all__ = ["FusedEncoder", "decode_lut"]
 
@@ -66,23 +66,19 @@ class FusedEncoder:
         self.base_delta = params.base_delta
         self.registers = FCRegisters.from_params(params)
         self._half = 2 ** (bits - 1)
-        self._has_pos = params.f_pos is not None or params.c_pos is not None
-        self._has_neg = params.f_neg is not None or params.c_neg is not None
         self._lut: np.ndarray | None = None
         # Four-slot tables indexed by the selector side*2 + fine (slots
         # C+, F+, C-, F-), shared with the fused fake-quantize kernel.
-        self._span_pos, self._span_neg, self._delta, self._lo, self._hi = (
-            _fused_tables(params)
-        )
+        self._tables = t = _fused_tables(params)
         # Eq. (5) shift per slot: a mirrored slot shares its mirror's; a
         # fully absent side is never selected and keeps shift 0.
-        present = np.repeat([self._has_pos, self._has_neg], 2)
-        shift = np.rint(np.log2(self._delta / self.base_delta))
+        present = np.repeat([t.has_pos, t.has_neg], 2)
+        shift = np.rint(np.log2(t.delta / self.base_delta))
         self._shift = np.where(present, shift, 0.0).astype(np.int64)
         self._pow2 = (np.int64(1) << self._shift).astype(np.float64)
         # Negative zeros re-home into the positive code space (zero has no
         # pattern in a negative-reserved layout); -1 disables re-homing.
-        if self._has_pos and self._has_neg:
+        if t.has_pos and t.has_neg:
             self._rehome_slot = 1 if params.f_pos is not None else 0
         else:
             self._rehome_slot = -1
@@ -91,14 +87,6 @@ class FusedEncoder:
             for slot, register in ((3, self.registers.fine), (2, self.registers.coarse))
             if register.negative_reserved
         )
-        # Non-finite inputs fail every routing comparison; the reference
-        # parks NaNs at code -1 in the negative space when one exists.
-        if self._has_neg:
-            self._nan_slot = 3 if params.f_neg is not None else 2
-            self._nan_code = -1.0
-        else:
-            self._nan_slot = 1 if params.f_pos is not None else 0
-            self._nan_code = 0.0
 
     # ------------------------------------------------------------------
     def route(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,25 +98,26 @@ class FusedEncoder:
         (bit 0 = fine space, bit 1 = negative side).
         """
         x = np.asarray(x, dtype=np.float64)
-        if self._has_pos and self._has_neg:
+        t = self._tables
+        if t.has_pos and t.has_neg:
             negative = x < 0  # zero lives in the positive code space
-        elif self._has_pos:
+        elif t.has_pos:
             negative = np.zeros(x.shape, dtype=bool)
         else:
             negative = np.ones(x.shape, dtype=bool)
         with np.errstate(invalid="ignore"):
             magnitude = np.where(negative, -x, x)
-            fine = magnitude <= np.where(negative, self._span_neg, self._span_pos)
+            fine = magnitude <= np.where(negative, t.span_neg, t.span_pos)
             selector = negative * 2 + fine
             codes = np.clip(
-                np.rint(x / self._delta[selector]),
-                self._lo[selector],
-                self._hi[selector],
+                np.rint(x / t.delta[selector]),
+                t.lo[selector],
+                t.hi[selector],
             )
         invalid = np.isnan(codes)
         if invalid.any():
-            codes = np.where(invalid, self._nan_code, codes)
-            selector = np.where(invalid, self._nan_slot, selector)
+            codes = np.where(invalid, t.nan_code, codes)
+            selector = np.where(invalid, t.nan_slot, selector)
         codes = codes.astype(np.int64)
         if self._rehome_slot >= 0:
             zero_neg = (selector >= 2) & (codes == 0)
@@ -144,78 +133,24 @@ class FusedEncoder:
         """``D << n_sh`` as exact-integer float64, in one in-place pass.
 
         Equals ``codes << shift[selector]`` of :meth:`route` (a zero may
-        come out as ``-0.0``).  ``x`` is only read.  The pass writes one
-        fresh float64 result, one ``intp`` selector, three boolean masks
-        and ``scratch`` (float64, ``x``'s shape, allocated when not
-        given), which holds the gathered tables.  No step is a masked
-        ufunc (``where=``): in NumPy those run an order of magnitude
-        slower than the bitwise blends here.
+        come out as ``-0.0``).  ``x`` is only read.  The pass runs
+        :func:`~repro.quant.quq._fused_route`, the route the fused
+        fake-quantize kernel runs too, with the gathered deltas in the
+        result buffer (the divide consumes them) and the clip bounds in
+        ``scratch`` (float64, ``x``'s shape, allocated when not given),
+        which then holds the gathered shifts.  It writes one fresh float64
+        result, one ``intp`` selector and two boolean masks.
 
         Two of :meth:`route`'s fix-ups drop out because a zero code
         decodes to zero in every slot: zero re-homing moves only the
         selector of zero codes, and it leaves the negative-reserved clamp
         nothing to do on a two-sided layout.
         """
-        x = np.asarray(x, dtype=np.float64)
-        codes = np.empty(x.shape)
-        selector = np.empty(x.shape, dtype=np.intp)
-        fine = np.empty(x.shape, dtype=bool)
-        spare = np.empty(x.shape, dtype=bool)
+        codes = np.empty(np.shape(x))
         if scratch is None:
-            scratch = np.empty(x.shape)
-        two_sided = self._has_pos and self._has_neg
-        # Magnitude compare against the side's fine span, as route does:
-        # |x| on a two-sided layout, x or -x when one side is absent.
-        if two_sided:
-            negative = np.less(x, 0.0)  # zero lives in the positive code space
-            np.abs(x, out=codes)
-            np.less_equal(codes, self._span_pos, out=fine)
-            np.less_equal(codes, self._span_neg, out=spare)
-            # fine = where(negative, spare, fine)
-            np.bitwise_xor(spare, fine, out=spare)
-            np.bitwise_and(spare, negative, out=spare)
-            np.bitwise_xor(fine, spare, out=fine)
-            # selector = negative * 2 + fine, in uint8, widened once.
-            side = spare.view(np.uint8)
-            np.left_shift(negative.view(np.uint8), 1, out=side)
-            np.bitwise_or(side, fine.view(np.uint8), out=side)
-            np.copyto(selector, side)
-        elif self._has_pos:
-            np.less_equal(x, self._span_pos, out=fine)
-            np.copyto(selector, fine)
-        else:
-            np.negative(x, out=codes)
-            np.less_equal(codes, self._span_neg, out=fine)
-            np.copyto(selector, fine)
-            selector += 2
-        # mode="clip" is a no-op on a 0..3 selector and keeps `out=`
-        # unbuffered (numpy buffers it under the default mode="raise").
-        np.take(self._delta, selector, out=codes, mode="clip")
-        np.divide(x, codes, out=codes)
-        np.rint(codes, out=codes)
-        # clip(codes, lo, hi).  Two-sided, each slot sees only its own
-        # side's signs, so one bound per slot (hi, or -lo) does; one-sided,
-        # the bound at zero is the same scalar for every slot.
-        if two_sided:
-            np.take(self._hi - self._lo, selector, out=scratch, mode="clip")
-            np.minimum(codes, scratch, out=codes)
-            np.negative(scratch, out=scratch)
-            np.maximum(codes, scratch, out=codes)
-        elif self._has_pos:
-            np.maximum(codes, 0.0, out=codes)
-            np.take(self._hi, selector, out=scratch, mode="clip")
-            np.minimum(codes, scratch, out=codes)
-        else:
-            np.take(self._lo, selector, out=scratch, mode="clip")
-            np.maximum(codes, scratch, out=codes)
-            np.minimum(codes, 0.0, out=codes)
-        # NaN park.  The clamped codes are bounded, so their sum is NaN
-        # iff one of them is.
-        if np.isnan(codes.sum()):
-            nan = np.isnan(codes)
-            np.putmask(codes, nan, self._nan_code)
-            np.putmask(selector, nan, self._nan_slot)
-        if not self._has_pos:
+            scratch = np.empty(codes.shape)
+        selector = _fused_route(x, self._tables, codes, codes, scratch)
+        if not self._tables.has_pos:
             # Every slot a negative-only layout selects is negative-reserved
             # and cannot express zero: clamp zeros to -1.
             np.putmask(codes, codes == 0.0, -1.0)

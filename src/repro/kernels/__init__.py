@@ -20,6 +20,8 @@ registrations reference are fully imported.
 
 from __future__ import annotations
 
+import threading
+
 from .registry import (
     ENV_VAR,
     KernelImpl,
@@ -49,14 +51,25 @@ __all__ = [
 KERNELS = KernelRegistry()
 
 _builtin_loaded = False
+_builtin_lock = threading.Lock()
 
 
 def _ensure_builtin() -> None:
-    """Import the built-in registrations exactly once (idempotent)."""
+    """Import the built-in registrations exactly once (idempotent).
+
+    Double-checked: the per-dispatch fast path is one flag read.  The flag
+    is set only after the import succeeds, so a concurrent first dispatch
+    waits for the registrations instead of seeing an empty registry, and a
+    failed load is retried (and its error raised) on the next dispatch.
+    """
     global _builtin_loaded
-    if not _builtin_loaded:
-        _builtin_loaded = True
-        from . import ops  # noqa: F401  (import side effect: registration)
+    if _builtin_loaded:
+        return
+    with _builtin_lock:
+        if not _builtin_loaded:
+            from . import ops  # noqa: F401  (import side effect: registration)
+
+            _builtin_loaded = True
 
 
 def get_kernel(op: str, prefer: str | None = None):

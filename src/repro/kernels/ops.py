@@ -13,7 +13,9 @@ Registered ops (reference + fast variants):
 op                   reference              fast
 ===================  =====================  ==============================
 ``quq.quantize``     masked four-pass       (none — codes path is the spec)
-``quq.fake_quantize``quantize->dequantize   ``fused`` four-slot table
+``quq.fake_quantize``quantize->dequantize   ``fused`` one in-place
+                                            float64 pass on the shared
+                                            four-slot route
 ``qub.encode``       quantize + encode      ``fused`` :class:`FusedEncoder`
 ``qub.shifted``      route + ``<< shift``   ``inplace`` one-pass
                                             :meth:`FusedEncoder.shifted_f64`
@@ -32,7 +34,8 @@ op                   reference              fast
 
 Every fast variant declares a bit-exact :class:`ParitySpec`; the harness
 in :mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
-drives each pair over legalized parameters and adversarial inputs.
+drives each pair over fitted and hand-built parameters and adversarial
+inputs.
 """
 
 from __future__ import annotations
@@ -99,8 +102,10 @@ KERNELS.register(
     fake_quantize_with_params,
     parity=ParitySpec(
         bit_exact=True,
-        notes="four-slot gather; NaN parks at nan_park_value like the "
-        "reference, +/-inf clips to the side's representable extreme",
+        notes="one in-place float64 pass over the four-slot route shared "
+        "with FusedEncoder.shifted_f64; codes times the kept deltas, +0.0, "
+        "then float32, so zeros match the reference by sign; NaN parks at "
+        "nan_park_value, +/-inf clips to the side's representable extreme",
     ),
     contract={
         "inputs": "(x: float array, params: QUQParams)",
@@ -262,7 +267,8 @@ KERNELS.register(
     _shifted_inplace,
     parity=ParitySpec(
         bit_exact=True,
-        notes="FusedEncoder.shifted_f64: one in-place float64 pass; "
+        notes="FusedEncoder.shifted_f64: one in-place float64 pass over "
+        "the four-slot route shared with the fused fake-quantize kernel; "
         "D * 2**n_sh is an exact integer, so its int64 cast equals "
         "codes << shift",
     ),

@@ -5,10 +5,12 @@ Enumerates every registered ``(op, reference, fast)`` pair
 (:meth:`KernelRegistry.pairs`) and drives it over deterministic seeded
 cases: legalized QUQ parameter sets fitted at several bit-widths on
 qualitatively different data (two-sided, positive-only softmax-like,
-one-sided negative, GELU-shaped, heavy-tailed) and, for the activation
-encoders, hand-built parameters in every mode, plus adversarial inputs —
-NaN, ``+/-inf``, denormals, exact zeros, all-negative tensors, zero-size
-arrays.  A pair passes a case when both variants return equal results
+one-sided negative, GELU-shaped, heavy-tailed, outlier channels) and, for
+the float fake-quantizer and the activation encoders, the raw fits and
+hand-built parameters in every mode, plus adversarial inputs — NaN,
+``+/-inf``, denormals, exact zeros, all-negative tensors, zero-size
+arrays — and the strided, float32 and signed-zero operands the forward
+passes send.  A pair passes a case when both variants return equal results
 (``np.array_equal`` with NaNs compared positionally and zeros by sign,
 or ``np.allclose`` for tolerance specs) **or** both raise the same
 exception type with no output at all.
@@ -44,7 +46,7 @@ PARAM_BITS = (4, 6, 8)
 
 #: Names of the calibration distributions in the parameter pool.
 DISTRIBUTIONS = ("two_sided", "positive_softmax", "negative_one_sided",
-                 "gelu_like", "heavy_tail")
+                 "gelu_like", "heavy_tail", "outliers")
 
 
 def _calibration_tensor(rng: np.random.Generator, kind: str) -> np.ndarray:
@@ -62,21 +64,33 @@ def _calibration_tensor(rng: np.random.Generator, kind: str) -> np.ndarray:
         return np.where(x > 0, x, 0.05 * x)
     if kind == "heavy_tail":
         return rng.standard_t(2.0, size=2048) * 2.0
+    if kind == "outliers":
+        # A few huge channels over a narrow bulk: the fit's coarse/fine
+        # ratio exceeds the 3-bit shift field, so legalization changes it.
+        x = rng.normal(0.0, 1e-3, size=2048)
+        x[:8] = rng.choice([-1.0, 1.0], size=8) * rng.uniform(5.0, 10.0, size=8)
+        return x
     raise ValueError(f"unknown calibration kind {kind!r}")
 
 
-def fitted_params_pool(seed: int = 0) -> list[tuple[str, int, QUQParams]]:
-    """``(distribution, bits, legalized params)`` triples for the harness."""
+def _raw_params_pool(seed: int = 0) -> list[tuple[str, int, QUQParams]]:
+    """``(distribution, bits, params)`` as progressive relaxation fits
+    them, before hardware legalization: the float forward's parameters."""
     rng = np.random.default_rng(seed)
     pool = []
     for kind in DISTRIBUTIONS:
         data = _calibration_tensor(rng, kind)
         for bits in PARAM_BITS:
-            params = legalize_for_hardware(
-                progressive_relaxation(data, bits)
-            )
-            pool.append((kind, bits, params))
+            pool.append((kind, bits, progressive_relaxation(data, bits)))
     return pool
+
+
+def fitted_params_pool(seed: int = 0) -> list[tuple[str, int, QUQParams]]:
+    """``(distribution, bits, legalized params)`` triples for the harness."""
+    return [
+        (kind, bits, legalize_for_hardware(params))
+        for kind, bits, params in _raw_params_pool(seed)
+    ]
 
 
 def mode_params_pool(
@@ -123,6 +137,7 @@ def _float_inputs(
     inputs: list[tuple[str, np.ndarray]] = [
         ("zero_size_1d", np.zeros((0,), dtype=np.float64)),
         ("zero_size_3d", np.zeros((3, 0, 5), dtype=np.float64)),
+        ("zero_dim", np.array(-0.3)),
         ("all_zero", np.zeros((4, 4), dtype=np.float64)),
         ("denormals", np.array(
             [5e-324, -5e-324, 1e-310, -1e-310, 0.0, 1.0, -1.0])),
@@ -139,6 +154,18 @@ def _float_inputs(
                         size=(rng.integers(1, 5), rng.integers(1, 65))))
         )
     return inputs
+
+
+def _operand_inputs(rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+    """Tensors as the forward passes hand them to a quantizer: the strided
+    q/k/v views of a qkv transpose, float32, signed zeros."""
+    qkv = rng.normal(0.0, 1.0, size=(2, 5, 3, 2, 4)).transpose(2, 0, 3, 1, 4)
+    return [
+        ("signed_zeros", np.array([-0.0, 0.0, -0.0, 1e-300, -1e-300])),
+        ("strided_q", qkv[0]),
+        ("strided_v", qkv[2]),
+        ("float32", rng.normal(0.0, 1.0, size=(3, 7)).astype(np.float32)),
+    ]
 
 
 def _int_inputs(
@@ -184,7 +211,11 @@ def parity_cases(
     floats = _float_inputs(rng, cases)
 
     if op in ("quq.fake_quantize", "quq.quantize"):
-        for kind, bits, params in pool:
+        # The float forward quantizes with the raw fits (legalization is
+        # the int backend's), on its own operand shapes.
+        floats += _operand_inputs(rng)
+        raw = [(f"{kind}-raw", bits, p) for kind, bits, p in _raw_params_pool(seed)]
+        for kind, bits, params in pool + raw + mode_params_pool():
             for name, x in floats:
                 yield _Case(f"{kind}/b{bits}/{name}", (x, params), {})
         return
@@ -199,15 +230,7 @@ def parity_cases(
         return
 
     if op in ("qub.shifted", "qub.store_load"):
-        # The int backend's operand shapes: the strided q/k/v views its
-        # qkv transpose hands the encoder, float32, signed zeros.
-        qkv = rng.normal(0.0, 1.0, size=(2, 5, 3, 2, 4)).transpose(2, 0, 3, 1, 4)
-        floats += [
-            ("signed_zeros", np.array([-0.0, 0.0, -0.0, 1e-300, -1e-300])),
-            ("strided_q", qkv[0]),
-            ("strided_v", qkv[2]),
-            ("float32", rng.normal(0.0, 1.0, size=(3, 7)).astype(np.float32)),
-        ]
+        floats += _operand_inputs(rng)  # the int backend's operand shapes
         for kind, bits, params in pool + mode_params_pool():
             for name, x in floats:
                 yield _Case(f"{kind}/b{bits}/{name}", (x, params, bits), {})

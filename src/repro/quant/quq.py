@@ -10,7 +10,9 @@ proportional to its value and no zero points exist.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,18 +180,35 @@ def nan_park_value(params: QUQParams) -> float:
     return 0.0
 
 
-def _fused_tables(params: QUQParams) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-subrange lookup tables for the fused fake-quantize kernel.
+class _FusedTables(NamedTuple):
+    """Per-params tables of the four-slot route (see :func:`_fused_tables`)."""
 
-    Returns ``(span_pos, span_neg, delta, lo, hi)`` where the arrays are
-    indexed by the 2-bit selector ``side * 2 + fine`` (slots: positive
-    coarse, positive fine, negative coarse, negative fine).  A side with a
-    single active subrange gets ``span = +/-inf`` so routing always (or
-    never) picks the fine slot, and the unused slot mirrors the active one
-    so NaN inputs — which fail every comparison and land in the coarse
-    slot — gather sane table entries on their way to the NaN park.  A
-    fully absent side is never selected (the side mask routes every
-    element to the active side) and holds inert values.
+    span_pos: float
+    span_neg: float
+    delta: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    has_pos: bool
+    has_neg: bool
+    nan_slot: int
+    nan_code: float
+
+
+def _fused_tables(params: QUQParams) -> _FusedTables:
+    """Per-subrange lookup tables for the four-slot route, built afresh.
+
+    ``delta``, ``lo`` and ``hi`` are indexed by the 2-bit selector
+    ``side * 2 + fine`` (slots: positive coarse, positive fine, negative
+    coarse, negative fine); ``span_pos``/``span_neg`` are the fine spans
+    each side's magnitudes are compared against.  A side with a single
+    active subrange gets ``span = +/-inf`` so routing always (or never)
+    picks the fine slot, and the unused slot mirrors the active one so NaN
+    inputs — which fail every comparison and land in a coarse slot —
+    gather sane table entries on their way to the NaN park.  A fully
+    absent side is never selected (the side mask routes every element to
+    the active side) and holds inert values.  NaN parks at code
+    ``nan_code`` in slot ``nan_slot``, where the reference code path puts
+    it (see :func:`nan_park_value`).
     """
 
     def side_tables(fine, coarse, negative):
@@ -214,52 +233,123 @@ def _fused_tables(params: QUQParams) -> tuple[float, float, np.ndarray, np.ndarr
 
     span_pos, f_pos, c_pos = side_tables(params.f_pos, params.c_pos, False)
     span_neg, f_neg, c_neg = side_tables(params.f_neg, params.c_neg, True)
-    delta = np.array([c_pos[0], f_pos[0], c_neg[0], f_neg[0]], dtype=np.float64)
-    lo = np.array([c_pos[1], f_pos[1], c_neg[1], f_neg[1]], dtype=np.float64)
-    hi = np.array([c_pos[2], f_pos[2], c_neg[2], f_neg[2]], dtype=np.float64)
-    return span_pos, span_neg, delta, lo, hi
+    delta, lo, hi = np.array([c_pos, f_pos, c_neg, f_neg], dtype=np.float64).T.copy()
+    has_pos = params.f_pos is not None or params.c_pos is not None
+    has_neg = params.f_neg is not None or params.c_neg is not None
+    # NaN parks at code -1 in the negative space when one exists (its fine
+    # slot if present), else at code 0 in the positive space.
+    fine_park = (params.f_neg if has_neg else params.f_pos) is not None
+    return _FusedTables(
+        span_pos, span_neg, delta, lo, hi, has_pos, has_neg,
+        nan_slot=2 * has_neg + fine_park, nan_code=-1.0 if has_neg else 0.0,
+    )
+
+
+def _fused_route(
+    x: np.ndarray, t: _FusedTables, codes: np.ndarray, deltas: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Eq. (3) from selector to NaN park, in place; returns the selector.
+
+    Writes the clamped code of each element of ``x`` into ``codes`` and
+    its slot's delta into ``deltas``; ``scratch`` holds the gathered clip
+    bounds.  The caller supplies all three float64 buffers, ``x``'s shape,
+    so it decides what it allocates: ``deltas`` may be ``codes`` itself
+    when the caller needs no deltas afterwards (the divide consumes
+    them).  ``x`` is only read; a float64 ``x`` is not copied.  A zero
+    code may come out as ``-0.0``.  The selector is a fresh ``intp``
+    array; the pass also allocates two boolean masks.  No step is a
+    masked ufunc (``where=``): in NumPy those run an order of magnitude
+    slower than the bitwise blends here.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    selector = np.empty(x.shape, dtype=np.intp)
+    fine = np.empty(x.shape, dtype=bool)
+    spare = np.empty(x.shape, dtype=bool)
+    two_sided = t.has_pos and t.has_neg
+    if two_sided:
+        # fine = |x| <= the span of x's side.  With both spans clamped at
+        # zero each compare passes the other side's elements; the clamp
+        # only sends a zero on a coarse-only side to its mirrored slot.
+        np.less_equal(x, max(t.span_pos, 0.0), out=fine)
+        np.greater_equal(x, -max(t.span_neg, 0.0), out=spare)
+        np.bitwise_and(fine, spare, out=fine)
+        # selector = negative * 2 + fine, in uint8, widened once.
+        side = spare.view(np.uint8)
+        np.less(x, 0.0, out=spare)  # zero lives in the positive code space
+        np.left_shift(side, 1, out=side)
+        np.bitwise_or(side, fine.view(np.uint8), out=side)
+        np.copyto(selector, side)
+    elif t.has_pos:
+        np.less_equal(x, t.span_pos, out=fine)
+        np.copyto(selector, fine)
+    else:
+        np.greater_equal(x, -t.span_neg, out=fine)  # -x <= span_neg
+        np.copyto(selector, fine)
+        selector += 2
+    # mode="clip" is a no-op on a 0..3 selector and keeps `out=`
+    # unbuffered (numpy buffers it under the default mode="raise").
+    np.take(t.delta, selector, out=deltas, mode="clip")
+    np.divide(x, deltas, out=codes)
+    np.rint(codes, out=codes)
+    # clip(codes, lo, hi).  Two-sided, each slot sees only its own side's
+    # signs, so one bound per slot (hi, or -lo) does; one-sided, the bound
+    # at zero is the same scalar for every slot.
+    if two_sided:
+        np.take(t.hi - t.lo, selector, out=scratch, mode="clip")
+        np.minimum(codes, scratch, out=codes)
+        np.negative(scratch, out=scratch)
+        np.maximum(codes, scratch, out=codes)
+    elif t.has_pos:
+        np.maximum(codes, 0.0, out=codes)
+        np.take(t.hi, selector, out=scratch, mode="clip")
+        np.minimum(codes, scratch, out=codes)
+    else:
+        np.take(t.lo, selector, out=scratch, mode="clip")
+        np.maximum(codes, scratch, out=codes)
+        np.minimum(codes, 0.0, out=codes)
+    # NaN park.  The clamped codes are bounded, so their sum is NaN iff
+    # one of them is.
+    if np.isnan(codes.sum()):
+        nan = np.isnan(codes)
+        np.putmask(selector, nan, t.nan_slot)
+        # Delta first: when ``deltas`` is ``codes``, the parked code wins.
+        np.putmask(deltas, nan, t.delta[t.nan_slot])
+        np.putmask(codes, nan, t.nan_code)
+    return selector
+
+
+#: Route tables per params object for :func:`fake_quantize_with_params`.
+#: Weakly keyed, so an entry dies with its params: Hessian grid
+#: candidates and drift recalibration keep minting new ones.
+_TABLES: weakref.WeakKeyDictionary[QUQParams, _FusedTables] = weakref.WeakKeyDictionary()
 
 
 def fake_quantize_with_params(x: np.ndarray, params: QUQParams) -> np.ndarray:
     """Quantize-dequantize under Eq. (3) without materializing codes.
 
-    Fused fast path, equivalent to
-    ``quantize_with_params(x, params).dequantize()`` (tested); used on the
-    inference hot path where only values matter.  Instead of snapping each
-    subrange over the full tensor and blending with ``np.where`` (up to
-    four round/clamp passes), every element gathers its own
-    ``(delta, lo, hi)`` from a four-slot table via a 2-bit selector
-    (side, fine/coarse), so the divide/round/clamp/scale sequence runs
-    exactly once.  Code selection runs in float64 to match the code path —
+    Fused fast path, bit-identical to
+    ``quantize_with_params(x, params).dequantize()`` (tested, sign of zero
+    included); used on the inference hot path where only values matter.
+    One in-place float64 pass through :func:`_fused_route`, the route the
+    integer encoder's :meth:`~repro.backend.kernels.FusedEncoder.shifted_f64`
+    runs too: every element gathers its delta and clip bound once from
+    the four-slot tables, which are built once per params object, and
+    the clamped codes are scaled by the kept deltas.  ``+ 0.0`` turns the
+    ``-0.0`` value of a negative zero code into the ``+0.0`` an integer
+    code gives.  Code selection runs in float64 to match the code path —
     a float32 ratio picks the adjacent code when an element sits a hair
     from a rounding tie — and only the output is float32.
     """
-    x = np.asarray(x, dtype=np.float64)
-    span_pos, span_neg, delta_t, lo_t, hi_t = _fused_tables(params)
-
-    has_positive = params.f_pos is not None or params.c_pos is not None
-    has_negative = params.f_neg is not None or params.c_neg is not None
-    if has_positive and has_negative:
-        negative = x < 0  # zero lives in the positive code space
-    elif has_positive:
-        negative = np.zeros(x.shape, dtype=bool)  # one-sided: clamp at zero
-    else:
-        negative = np.ones(x.shape, dtype=bool)
-
-    magnitude = np.abs(x)
-    with np.errstate(invalid="ignore"):
-        fine = magnitude <= np.where(negative, span_neg, span_pos)
-        selector = negative * 2 + fine
-        delta = delta_t[selector]
-        out = np.clip(np.rint(x / delta), lo_t[selector], hi_t[selector]) * delta
-    # Non-finite parity with the code path: +/-inf clipped to the side's
-    # representable extreme above; NaN (the only input that survives the
-    # divide/round/clamp as NaN) parks where quantize().dequantize() does
-    # instead of propagating.
-    invalid = np.isnan(out)
-    if invalid.any():
-        out = np.where(invalid, nan_park_value(params), out)
-    return out.astype(np.float32)
+    tables = _TABLES.get(params)
+    if tables is None:
+        tables = _TABLES.setdefault(params, _fused_tables(params))
+    shape = np.shape(x)
+    codes, deltas, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+    _fused_route(x, tables, codes, deltas, scratch)
+    out = np.empty(shape, dtype=np.float32)
+    np.multiply(codes, deltas, out=out, casting="same_kind")
+    out += 0.0
+    return out
 
 
 class QUQQuantizer(Quantizer):

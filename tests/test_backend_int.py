@@ -180,7 +180,40 @@ class TestIntNativeBackend:
         assert report["bit_exact"]
 
 
+@pytest.fixture(scope="module")
+def quantized_swin():
+    """A tiny Swin calibrated at 6 bits, with its images."""
+    from repro.models.configs import SwinConfig
+    from repro.models.swin import build_swin
+
+    model = build_swin(SwinConfig("tiny_swin", 16, 2, 3, 10, 16, (1, 1), (2, 2), 4), seed=0)
+    rng = np.random.default_rng(0)
+    pipeline = PTQPipeline(model, method="quq", bits=6)
+    pipeline.calibrate(rng.normal(size=(24, 16, 16, 3)).astype(np.float32))
+    return model, pipeline, rng.normal(size=(4, 16, 16, 3)).astype(np.float32)
+
+
 class TestFloatFakeQuantBackend:
+    @pytest.mark.parametrize("family", ["vit", "swin"])
+    def test_reference_kernels_bit_identical(self, request, family, monkeypatch):
+        """Fast kernels and REPRO_KERNELS=reference give the same logits to
+        the last bit, so a float-path regression can be bisected by kernel."""
+        from repro.kernels import KERNELS
+
+        fixture = "quantized" if family == "vit" else "quantized_swin"
+        model, pipeline, images = request.getfixturevalue(fixture)
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        pipeline.env.invalidate_weight_cache()
+        fast = FloatFakeQuantBackend(model, pipeline).predict(images)
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
+        # Cached weights replay the fast kernel's values: refill them.
+        pipeline.env.invalidate_weight_cache()
+        KERNELS.reset_counters()
+        reference = FloatFakeQuantBackend(model, pipeline).predict(images)
+        assert KERNELS.counters.get("quq.fake_quantize:reference", 0) > 0
+        pipeline.env.invalidate_weight_cache()
+        assert fast.tobytes() == reference.tobytes()
+
     def test_matches_model_forward(self, quantized):
         model, pipeline, images = quantized
         from repro.autograd import Tensor, no_grad

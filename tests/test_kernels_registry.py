@@ -1,9 +1,16 @@
 """The kernel registry: registration rules, dispatch precedence, env
 override, counters, caches, snapshot shape, and the routed call sites."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.kernels import (
     KERNELS,
     KernelRegistry,
@@ -254,3 +261,71 @@ class TestBuiltinRegistry:
         import json
 
         json.dumps(kernels_snapshot())
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter (registry not yet loaded); stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env.pop("REPRO_KERNELS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestBuiltinLoad:
+    """The lazy load of the built-in registrations, in fresh interpreters."""
+
+    def test_failed_load_is_retried(self):
+        """A failed first load raises its own error, and the next
+        dispatch loads the registrations instead of reporting an empty
+        registry."""
+        out = _fresh_interpreter("""
+            import sys
+            import repro.kernels as kernels
+
+            assert not kernels._builtin_loaded
+            sfu = sys.modules["repro.backend.sfu"]
+            sys.modules["repro.backend.sfu"] = None  # the first load fails
+            try:
+                kernels.get_kernel("gemm.int")
+            except ImportError:
+                pass
+            else:
+                raise SystemExit("the first load did not fail")
+            sys.modules["repro.backend.sfu"] = sfu
+            kernels.get_kernel("gemm.int")
+            print(kernels.active_kernels()["quq.fake_quantize"])
+        """)
+        assert out == "fused"
+
+    def test_concurrent_first_dispatch_sees_the_registrations(self):
+        out = _fresh_interpreter("""
+            import sys
+            import threading
+            import repro.kernels as kernels
+
+            assert not kernels._builtin_loaded
+            sys.setswitchinterval(1e-6)
+            ops = ("quq.fake_quantize", "gemm.int") * 2
+            barrier = threading.Barrier(len(ops))
+            errors = []
+
+            def dispatch(op):
+                barrier.wait()
+                try:
+                    kernels.get_kernel(op)
+                except Exception as error:
+                    errors.append(repr(error))
+
+            threads = [threading.Thread(target=dispatch, args=(op,)) for op in ops]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            print(errors or "ok")
+        """)
+        assert out == "ok"
