@@ -7,12 +7,15 @@ Two implementations of one interface (:class:`ServingBackend`):
     forward pass with fake-quantization simulated in float and cached
     pre-quantized weights.
 ``int``
-    :class:`IntNativeBackend` — batched integer-native execution: QUB
-    bit-packed weight storage (:class:`PackedWeightStore`), fused
-    quantize→encode activation kernels (:class:`FusedEncoder`), int64
-    GEMMs, and vectorized integer SFUs — attested bit-exact against the
-    reference :class:`repro.hw.executor.ModelExecutor` by
-    :func:`attest_int_backend`.
+    :class:`IntNativeBackend` — batched integer-native execution: the
+    integer walk of :mod:`repro.hw.walk` over QUB bit-packed weight
+    storage (:class:`PackedWeightStore`), fused quantize→encode
+    activation kernels (:class:`FusedEncoder`), int64 GEMMs, and
+    vectorized integer SFUs.  The reference
+    :class:`repro.hw.executor.ModelExecutor` runs the same walk on the
+    behavioral QUA, so the two are bit-exact by construction;
+    :func:`attest_int_backend` checks the datapaths against each other
+    and the walk against the float model.
 
 The serve registry picks a backend per model spec (``.../int`` suffix)
 and the engine dispatches through it uniformly; see DESIGN.md for the

@@ -10,9 +10,10 @@ Two implementations exist:
 
 * :class:`~repro.backend.float_backend.FloatFakeQuantBackend` — the tapped
   float forward pass with cached fake-quantization (the historical path).
-* :class:`~repro.backend.int_backend.IntNativeBackend` — QUB-packed
-  weights plus batched integer GEMM / shift-requantize kernels, bit-exact
-  with :class:`repro.hw.executor.ModelExecutor`.
+* :class:`~repro.backend.int_backend.IntNativeBackend` — the integer
+  walk of :mod:`repro.hw.walk` over QUB-packed weights and batched
+  integer GEMM / shift-requantize kernels; bit-exact with
+  :class:`repro.hw.executor.ModelExecutor`, which runs the same walk.
 
 Backends assume the caller serializes :meth:`predict` calls per instance
 (the :class:`~repro.serve.registry.ServableModel` lock does this); they

@@ -102,8 +102,9 @@ class PackedWeightStore:
         """Pack every linear weight under the pipeline's fitted QUQ params.
 
         Uses the exact reference encode path (``encode_tensor``), so the
-        packed words match what :class:`repro.hw.executor.ModelExecutor`
-        would re-encode from float on every call.
+        packed words match what :class:`repro.hw.executor.QUADatapath`
+        re-encodes from float on every call: the one place the two
+        datapaths of the integer walk could disagree on a weight.
         """
         from ..hw.accelerator import encode_tensor
 

@@ -119,9 +119,9 @@ class QUA:
 
     ``faults`` (a :class:`BitFaultInjector`) arms soft-error injection at
     the QUB/register/accumulator/SFU sites; ``protection`` selects which
-    hardening schemes absorb them, and ``stats`` is the shared
-    detected-vs-silent ledger (one per executor, passed down so every
-    block's QUA writes the same ledger).
+    hardening schemes absorb them, and ``stats`` is the
+    detected-vs-silent ledger (pass one in to share it; an executor runs
+    every GEMM and reload of a forward pass on a single QUA).
     """
 
     def __init__(

@@ -1,34 +1,71 @@
-"""Run a quantized transformer block end to end on the QUA datapath.
+"""Run a quantized transformer end to end on the QUA datapath.
 
 The PTQ pipeline simulates quantization in float ("fake quantization");
-this executor closes the loop by running the *actual* hardware pipeline:
+these executors close the loop by running the *actual* hardware pipeline:
 activations and weights travel as QUB bytes, every GEMM goes through the
 integer PE array, the activations are requantized at each tap with the
 calibrated QUQ parameters, and the special functions run on decoded
 integers (optionally via the fully integer-only kernels of
 :mod:`repro.hw.int_sfu`).
 
-Its output is validated against the fake-quantized model in the test
-suite — the demonstration that the QUB encoding and the Eq. (5) integer
-arithmetic implement the algorithm the accuracy tables measure.
+The step order and the float glue are the integer walk of
+:mod:`repro.hw.walk`; :class:`QUADatapath` supplies its four datapath
+operations on the behavioral QUA, where every fetch and accumulator is a
+fault site.  The output is validated against the fake-quantized model in
+the test suite — the demonstration that the QUB encoding and the Eq. (5)
+integer arithmetic implement the algorithm the accuracy tables measure.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
-from ..autograd import Tensor, no_grad
-from ..kernels import get_kernel
 from ..nn.attention import TransformerBlock
-from ..quant.params import QUQParams
 from ..quant.qmodel import PTQPipeline
-from ..quant.quq import QUQQuantizer
 from .accelerator import QUA, EncodedTensor, encode_tensor
 from .faults import BitFaultInjector
 from .protect import ProtectionConfig, ProtectionStats
+from .walk import check_walkable, run_block, run_model
 
-__all__ = ["BlockExecutor", "ModelExecutor"]
+__all__ = ["QUADatapath", "BlockExecutor", "ModelExecutor"]
+
+
+class QUADatapath:
+    """The walk's datapath on one :class:`QUA`.
+
+    Every operand is re-encoded from float per call (weights included),
+    every GEMM runs through :meth:`QUA.integer_gemm` and every reload
+    through :meth:`QUA.sfu_load`, so each tap is a fault site named by
+    its full tap (``"<model>.blocks.0.attn.scores"``), and the QUA's
+    protection and ledger apply throughout.
+    """
+
+    def __init__(self, pipeline: PTQPipeline, bits: int, qua: QUA):
+        self.pipeline = pipeline
+        self.bits = bits
+        self.qua = qua
+
+    def _params(self, tap: str):
+        return self.pipeline.quantizer_for(tap).params
+
+    def _encode(self, values: np.ndarray, tap: str) -> EncodedTensor:
+        # Poisoned floats (a corrupted SFU load upstream) must trip the
+        # guard here, not be laundered into in-range QUB codes.
+        values = self.qua.check_values(values, site=tap)
+        return encode_tensor(values, self.bits, params=self._params(tap))
+
+    def store_load(self, values: np.ndarray, tap: str) -> np.ndarray:
+        return self.qua.sfu_load(self._encode(values, tap), site=tap)
+
+    def linear(self, values: np.ndarray, name: str, layer) -> tuple[np.ndarray, float]:
+        ex = self._encode(values, f"{name}.input")
+        ew = encode_tensor(layer.weight.data, self.bits, params=self._params(f"{name}.weight"))
+        acc = self.qua.integer_gemm(ex, ew, site=f"{name}.input")
+        return acc, ex.base_delta * ew.base_delta
+
+    def matmul(self, a, a_tap: str, b, b_tap: str, site: str) -> tuple[np.ndarray, float]:
+        ea, eb = self._encode(a, a_tap), self._encode(b, b_tap)
+        return self.qua.integer_gemm(ea, eb, site=site), ea.base_delta * eb.base_delta
 
 
 class BlockExecutor:
@@ -39,8 +76,9 @@ class BlockExecutor:
     block:
         The float block whose weights are used.
     pipeline:
-        A calibrated ``method="quq"`` :class:`PTQPipeline` over the parent
-        model; the executor reuses its fitted per-tap QUQ parameters.
+        A calibrated ``method="quq"``, full-coverage :class:`PTQPipeline`
+        over the parent model; the executor reuses its fitted per-tap QUQ
+        parameters.
     prefix:
         The block's tap prefix (e.g. ``"vit_mini_s.blocks.0"``).
     integer_sfu:
@@ -64,144 +102,28 @@ class BlockExecutor:
         protection: ProtectionConfig | None = None,
         stats: ProtectionStats | None = None,
     ):
-        if not pipeline.calibrated:
-            raise RuntimeError("pipeline must be calibrated first")
-        if pipeline.method != "quq":
-            raise ValueError("BlockExecutor requires a QUQ-calibrated pipeline")
+        check_walkable(pipeline)
         self.block = block
-        self.pipeline = pipeline
         self.prefix = prefix.rstrip(".")
-        self.bits = bits
         self.integer_sfu = integer_sfu
         self.qua = QUA(faults=faults, protection=protection, stats=stats)
+        self.datapath = QUADatapath(pipeline, bits, self.qua)
 
-    # ------------------------------------------------------------------
-    def _params(self, tap: str) -> QUQParams:
-        quantizer = self.pipeline.quantizer_for(f"{self.prefix}.{tap}")
-        if not isinstance(quantizer, QUQQuantizer):
-            raise TypeError(f"tap {tap} is not QUQ-quantized")
-        return quantizer.params
-
-    def _site(self, tap: str) -> str:
-        return f"{self.prefix}.{tap}"
-
-    def _encode(self, values: np.ndarray, tap: str) -> EncodedTensor:
-        # Poisoned floats (a corrupted SFU load upstream) must trip the
-        # guard here, not be laundered into in-range QUB codes.
-        values = self.qua.check_values(values, site=self._site(tap))
-        return encode_tensor(values, self.bits, params=self._params(tap))
-
-    def _load(self, encoded: EncodedTensor, tap: str) -> np.ndarray:
-        """Store-then-reload a tensor through the (faultable) SFU path."""
-        return self.qua.sfu_load(encoded, site=self._site(tap))
-
-    # ------------------------------------------------------------------
-    # The integer SFU paths dispatch through the kernel registry: the
-    # vectorized kernels by default, the scalar-reference ones under
-    # ``REPRO_KERNELS=reference`` (both are exact-integer-equal).
-    def _layernorm(self, values: np.ndarray, weight, bias) -> np.ndarray:
-        if self.integer_sfu:
-            scale = 2.0**-14
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.layernorm")(
-                q, scale, weight=weight, bias=bias, out_bits=12
-            )
-            return q_out * s_out
-        mean = values.mean(axis=-1, keepdims=True)
-        var = values.var(axis=-1, keepdims=True)
-        return (values - mean) / np.sqrt(var + 1e-6) * weight + bias
-
-    def _softmax(self, values: np.ndarray) -> np.ndarray:
-        if self.integer_sfu:
-            scale = 2.0**-10
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.softmax")(q, scale, out_bits=16)
-            return q_out * s_out
-        shifted = values - values.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
-
-    def _gelu(self, values: np.ndarray) -> np.ndarray:
-        if self.integer_sfu:
-            scale = 2.0**-10
-            q = np.rint(values / scale).astype(np.int64)
-            q_out, s_out = get_kernel("sfu.gelu")(q, scale)
-            return q_out * s_out
-        return values * 0.5 * (1.0 + erf(values / np.sqrt(2.0)))
-
-    # ------------------------------------------------------------------
-    def _linear(self, values: np.ndarray, tap_in: str, layer) -> np.ndarray:
-        """Quantize the input, run the integer GEMM, add the float bias."""
-        shape = values.shape
-        flat = values.reshape(-1, shape[-1])
-        ex = self._encode(flat, tap_in)
-        ew = encode_tensor(
-            layer.weight.data, self.bits, params=self._params_weight(tap_in)
-        )
-        out = self.qua.gemm(ex, ew, site=self._site(tap_in))
-        if layer.bias is not None:
-            out = out + layer.bias.data
-        return out.reshape(*shape[:-1], -1)
-
-    def _params_weight(self, tap_in: str) -> QUQParams:
-        weight_tap = tap_in.rsplit(".", 1)[0] + ".weight"
-        return self._params(weight_tap)
-
-    # ------------------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the block; input/output are float arrays of token features."""
-        block = self.block
-        attn = block.attn
-        b, n, c = x.shape
-        heads, head_dim = attn.num_heads, attn.head_dim
-
-        # Residual stream enters the block quantized (stored as QUBs).
-        x = self._load(self._encode(x, "block_input"), "block_input")
-
-        # --- attention branch ---
-        normed = self._layernorm(x, block.norm1.weight.data, block.norm1.bias.data)
-        qkv = self._linear(normed, "attn.qkv.input", attn.qkv)
-        qkv = qkv.reshape(b, n, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        eq = self._encode(q, "attn.q")
-        ek = self._encode(k, "attn.k")
-        scores_acc = self.qua.integer_gemm(
-            eq, ek.transposed(), site=self._site("attn.scores")
-        )
-        scores = scores_acc * (eq.base_delta * ek.base_delta) * attn.scale
-        scores = self._load(self._encode(scores, "attn.scores"), "attn.scores")
-
-        probs = self._softmax(scores)
-        ep = self._encode(probs, "attn.probs")
-        ev = self._encode(v, "attn.v")
-        ctx_acc = self.qua.integer_gemm(ep, ev, site=self._site("attn.context"))
-        ctx = ctx_acc * (ep.base_delta * ev.base_delta)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, c)
-
-        attn_out = self._linear(ctx, "attn.proj.input", attn.proj)
-        attn_out = self._load(self._encode(attn_out, "attn_residual"), "attn_residual")
-        x = x + attn_out
-
-        # --- MLP branch ---
-        x = self._load(self._encode(x, "mid_input"), "mid_input")
-        normed = self._layernorm(x, block.norm2.weight.data, block.norm2.bias.data)
-        hidden = self._linear(normed, "mlp.fc1.input", block.mlp.fc1)
-        hidden = self._load(self._encode(hidden, "mlp.act.input"), "mlp.act.input")
-        hidden = self._gelu(hidden)
-        mlp_out = self._linear(hidden, "mlp.fc2.input", block.mlp.fc2)
-        mlp_out = self._load(self._encode(mlp_out, "mlp_residual"), "mlp_residual")
-        return x + mlp_out
+        return run_block(self.datapath, self.block, self.prefix, x, self.integer_sfu)
 
 
 class ModelExecutor:
     """Run an entire ViT/DeiT through the QUA pipeline.
 
-    Composes one :class:`BlockExecutor` per transformer block with the
-    integer patch-embedding and classifier GEMMs; only the token-bookkeeping
-    glue (class-token concat, positional add, final LayerNorm) runs in the
-    SFU domain.  This is the "full integer inference" demonstration: its
-    Top-1 accuracy matches the fake-quantized model's within noise.
+    The integer walk over one :class:`QUADatapath`: patch embedding,
+    every block and the classifier heads run as integer GEMMs; only the
+    token-bookkeeping glue (class-token concat, positional add, final
+    LayerNorm) runs in the SFU domain.  This is the "full integer
+    inference" demonstration: its Top-1 accuracy matches the
+    fake-quantized model's within noise.  One QUA, so one protection
+    ledger (``stats``), serves every GEMM and reload.
     """
 
     def __init__(
@@ -214,90 +136,14 @@ class ModelExecutor:
         protection: ProtectionConfig | None = None,
         stats: ProtectionStats | None = None,
     ):
-        if not pipeline.calibrated:
-            raise RuntimeError("pipeline must be calibrated first")
-        if pipeline.method != "quq":
-            raise ValueError("ModelExecutor requires a QUQ-calibrated pipeline")
+        check_walkable(pipeline, model)
         self.model = model
-        self.pipeline = pipeline
-        self.bits = bits
+        self.integer_sfu = integer_sfu
         self.faults = faults
-        # One shared ledger across the top-level QUA and every block's.
-        self.stats = stats if stats is not None else ProtectionStats()
-        self.qua = QUA(faults=faults, protection=protection, stats=self.stats)
-        prefix = model.config.name
-        self.blocks = [
-            BlockExecutor(
-                block,
-                pipeline,
-                f"{prefix}.blocks.{i}",
-                bits,
-                integer_sfu,
-                faults=faults,
-                protection=protection,
-                stats=self.stats,
-            )
-            for i, block in enumerate(model.blocks)
-        ]
-        self._prefix = prefix
-
-    def _params(self, tap: str) -> QUQParams:
-        quantizer = self.pipeline.quantizer_for(f"{self._prefix}.{tap}")
-        return quantizer.params
-
-    def _linear(self, values: np.ndarray, tap_in: str, layer) -> np.ndarray:
-        shape = values.shape
-        flat = values.reshape(-1, shape[-1])
-        site = f"{self._prefix}.{tap_in}"
-        flat = self.qua.check_values(flat, site=site)
-        ex = encode_tensor(flat, self.bits, params=self._params(tap_in))
-        weight_tap = tap_in.rsplit(".", 1)[0] + ".weight"
-        ew = encode_tensor(layer.weight.data, self.bits, params=self._params(weight_tap))
-        out = self.qua.gemm(ex, ew, site=site)
-        if layer.bias is not None:
-            out = out + layer.bias.data
-        return out.reshape(*shape[:-1], -1)
+        self.qua = QUA(faults=faults, protection=protection, stats=stats)
+        self.stats = self.qua.stats
+        self.datapath = QUADatapath(pipeline, bits, self.qua)
 
     def run(self, images: np.ndarray) -> np.ndarray:
         """Classify ``images``; returns logits (class/dist heads averaged)."""
-        model = self.model
-        batch = images.shape[0]
-        # Patch extraction is a pure reshape; the projection is an integer GEMM.
-        from ..autograd.ops import unfold_patches
-
-        with no_grad():
-            windows = unfold_patches(Tensor(images), model.patch_embed.patch_size).data
-        tokens = self._linear(
-            windows.astype(np.float64), "patch_embed.proj.input", model.patch_embed.proj
-        )
-
-        # Token bookkeeping in the SFU domain.
-        specials = [np.broadcast_to(model.cls_token.data, (batch, 1, tokens.shape[-1]))]
-        if model.dist_token is not None:
-            specials.append(
-                np.broadcast_to(model.dist_token.data, (batch, 1, tokens.shape[-1]))
-            )
-        tokens = np.concatenate(specials + [tokens], axis=1)
-        tokens = tokens + model.pos_embed.data
-
-        for executor in self.blocks:
-            tokens = executor.run(tokens)
-
-        # Final norm input is a stored (quantized) tensor.
-        tokens = self.qua.check_values(
-            tokens, site=f"{self._prefix}.final_norm_input"
-        )
-        tokens = self.qua.sfu_load(
-            encode_tensor(tokens, self.bits, params=self._params("final_norm_input")),
-            site=f"{self._prefix}.final_norm_input",
-        )
-        mean = tokens.mean(axis=-1, keepdims=True)
-        var = tokens.var(axis=-1, keepdims=True)
-        normed = (tokens - mean) / np.sqrt(var + 1e-6)
-        normed = normed * model.norm.weight.data + model.norm.bias.data
-
-        logits = self._linear(normed[:, 0], "head.input", model.head)
-        if model.head_dist is not None:
-            dist = self._linear(normed[:, 1], "head_dist.input", model.head_dist)
-            logits = 0.5 * (logits + dist)
-        return logits
+        return run_model(self.datapath, self.model, images, self.integer_sfu)

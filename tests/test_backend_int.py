@@ -9,31 +9,35 @@ from repro.backend import (
     attest_int_backend,
     make_backend,
 )
-from repro.hw.executor import ModelExecutor
+from repro.hw.executor import BlockExecutor, ModelExecutor
 from repro.quant.qmodel import PTQPipeline
 
 
 @pytest.fixture(scope="module")
 def quantized_at():
-    """``bits -> (model, pipeline, images)``: a tiny ViT calibrated at
-    that QUB width, built once per width."""
+    """``(bits, distilled=False) -> (model, pipeline, images)``: a tiny
+    ViT (or distilled DeiT) calibrated at that QUB width, built once per
+    case."""
     from repro.models.configs import ModelConfig
     from repro.models.vit import build_vit
 
     built = {}
 
-    def build(bits):
-        if bits not in built:
-            model = build_vit(
-                ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2), seed=0
+    def build(bits, distilled=False):
+        if (bits, distilled) not in built:
+            config = (
+                ModelConfig("tiny_deit", "deit", 16, 4, 3, 10, 32, 2, 2, distilled=True)
+                if distilled
+                else ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2)
             )
+            model = build_vit(config, seed=0)
             rng = np.random.default_rng(0)
             calib = rng.normal(size=(24, 16, 16, 3)).astype(np.float32)
             pipeline = PTQPipeline(model, method="quq", bits=bits)
             pipeline.calibrate(calib)
             images = rng.normal(size=(4, 16, 16, 3)).astype(np.float32)
-            built[bits] = model, pipeline, images
-        return built[bits]
+            built[bits, distilled] = model, pipeline, images
+        return built[bits, distilled]
 
     return build
 
@@ -90,13 +94,24 @@ class TestIntNativeBackend:
         assert KERNELS.counters.get("qub.shifted:reference", 0) > 0
         assert fast.tobytes() == reference.tobytes() == expected.tobytes()
 
-    def test_float_parity_within_tolerance(self, quantized):
-        model, pipeline, images = quantized
-        report = attest_int_backend(model, pipeline, images)
+    # The float fake-quant forward is the walk's independent oracle: the
+    # two datapaths share the walk, so their bit-exactness cannot catch
+    # a wrong step in it.  Every width and SFU mode, plus the distilled
+    # DeiT.
+    @pytest.mark.parametrize("bits,integer_sfu,distilled", [
+        pytest.param(bits, sfu, distilled, id=f"{name}{bits}bit-{'int' if sfu else 'float'}_sfu")
+        for name, distilled, widths in (("", False, (8, 6, 4)), ("deit-", True, (8,)))
+        for bits in widths for sfu in (False, True)
+    ])
+    def test_float_parity_within_tolerance(self, quantized_at, bits, integer_sfu, distilled):
+        model, pipeline, images = quantized_at(bits, distilled)
+        report = attest_int_backend(model, pipeline, images, integer_sfu=integer_sfu)
         assert report["bit_exact"]
         # Fake-quant and integer stores round in different float orders,
         # so exact-zero divergence is not expected — but it must be tiny.
-        assert report["float_max_abs_diff"] < 1e-4
+        # The integer SFUs approximate Softmax/GELU/LayerNorm on fixed-point
+        # grids, so they drift further; top-1 must still agree.
+        assert report["float_max_abs_diff"] < (0.1 if integer_sfu else 1e-6)
         assert report["float_top1_agreement"] == 1.0
 
     def test_attest_reuses_provided_backend(self, quantized):
@@ -143,22 +158,36 @@ class TestIntNativeBackend:
         assert "tiny_vit.blocks.1.mlp_residual" in recorder.taps
         assert "tiny_vit.final_norm_input" in recorder.taps
 
+    # Both shells over the integer walk check its preconditions when
+    # built, not on the first batch.
     def test_rejects_uncalibrated_pipeline(self, tiny_vit):
         pipeline = PTQPipeline(tiny_vit, method="quq", bits=8)
-        with pytest.raises(RuntimeError, match="calibrated"):
-            IntNativeBackend(tiny_vit, pipeline)
+        for build in (IntNativeBackend, ModelExecutor):
+            with pytest.raises(RuntimeError, match="calibrated"):
+                build(tiny_vit, pipeline)
 
     def test_rejects_non_quq_pipeline(self, tiny_vit, calib_images):
         pipeline = PTQPipeline(tiny_vit, method="baseq", bits=8)
         pipeline.calibrate(calib_images[:8])
-        with pytest.raises(ValueError, match="QUQ"):
-            IntNativeBackend(tiny_vit, pipeline)
+        for build in (IntNativeBackend, ModelExecutor):
+            with pytest.raises(ValueError, match="QUQ"):
+                build(tiny_vit, pipeline)
 
     def test_rejects_non_vit_topology(self, tiny_swin, calib_images):
         pipeline = PTQPipeline(tiny_swin, method="quq", bits=8)
         pipeline.calibrate(calib_images[:8])
-        with pytest.raises(ValueError, match="ViT"):
-            IntNativeBackend(tiny_swin, pipeline)
+        for build in (IntNativeBackend, ModelExecutor):
+            with pytest.raises(ValueError, match="ViT"):
+                build(tiny_swin, pipeline)
+
+    def test_rejects_partial_coverage(self, tiny_vit, calib_images):
+        pipeline = PTQPipeline(tiny_vit, method="quq", bits=8, coverage="partial")
+        pipeline.calibrate(calib_images[:8])
+        for build in (IntNativeBackend, ModelExecutor):
+            with pytest.raises(ValueError, match="full coverage"):
+                build(tiny_vit, pipeline)
+        with pytest.raises(ValueError, match="full coverage"):
+            BlockExecutor(tiny_vit.blocks[0], pipeline, "tiny_vit.blocks.0")
 
     def test_four_bit_model_halves_weight_storage(self):
         from repro.models.configs import ModelConfig

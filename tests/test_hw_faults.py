@@ -3,14 +3,19 @@
 Covers the injector's determinism contract, each protection scheme's
 detect/correct/silent accounting, the satellite guardrail in the QU, and
 the golden-output regression proving the fault machinery changed nothing
-when disarmed.
+when disarmed, the pinned fault-site fixture, and the fault sweep.
 """
+
+import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.hw import (
     ACC_PHYSICAL_BITS,
+    FaultSweepConfig,
     QUA,
     BitFaultInjector,
     BlockExecutor,
@@ -26,12 +31,14 @@ from repro.hw import (
     parity_filter,
     popcount,
     protection_overhead,
+    run_fault_sweep,
 )
 from repro.quant import PTQPipeline, progressive_relaxation
 from repro.resilience import BIT_FLIP, FaultPlan, FaultSpec, NumericGuardError
 
 ALL_ON = ProtectionConfig()
 ALL_OFF = ProtectionConfig(parity=False, tmr=False, range_guard=False)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +353,21 @@ class TestGoldenRegression:
         assert np.array_equal(qua.sfu(ex, "softmax"), golden[f"{tag}:softmax"])
 
 
+class TestFaultSiteRegression:
+    """Replays tests/data/make_hw_fault_sites.py against the pinned
+    tests/data/hw_fault_sites.json: every run must consume the same
+    ``(kind, site)`` events.  A renamed or dropped site changes which
+    bits every fault sweep flips, yet a same-seed rerun still agrees
+    with itself."""
+
+    def test_every_run_consumes_the_pinned_sites(self):
+        expected = json.loads((DATA / "hw_fault_sites.json").read_text())
+        actual = runpy.run_path(str(DATA / "make_hw_fault_sites.py"))["build"]()
+        assert sorted(actual) == sorted(expected)
+        for run, sites in expected.items():
+            assert actual[run] == sites, run
+
+
 # ----------------------------------------------------------------------
 class TestExecutorFaultWiring:
     def test_armed_zero_ber_matches_unarmed(
@@ -422,6 +444,22 @@ class TestExecutorFaultWiring:
         err_unprot = np.abs(out_unprot - baseline).max()
         assert stats_unprot.silent_total() > stats_prot.silent_total()
         assert err_prot < err_unprot
+
+
+# ----------------------------------------------------------------------
+class TestFaultSweep:
+    def test_sweep_passes_and_reproduces(self, tiny_trained, quq_pipeline, calib_images):
+        config = FaultSweepConfig(bers=(1e-3,), site_cases=("all",), batch=4)
+
+        def sweep():
+            return run_fault_sweep(tiny_trained, quq_pipeline, calib_images[:16], config)
+
+        report = sweep()
+        assert report["passed"]
+        match = {row["protection"]: row["match_fault_free"] for row in report["rows"]}
+        assert match["unprotected"] < 1.0
+        assert match["protected"] == 1.0
+        assert json.dumps(report, sort_keys=True) == json.dumps(sweep(), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
