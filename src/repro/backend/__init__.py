@@ -9,9 +9,9 @@ Two implementations of one interface (:class:`ServingBackend`):
 ``int``
     :class:`IntNativeBackend` — batched integer-native execution: the
     integer walk of :mod:`repro.hw.walk` over QUB bit-packed weight
-    storage (:class:`PackedWeightStore`), fused quantize→encode
-    activation kernels (:class:`FusedEncoder`), int64 GEMMs, and
-    vectorized integer SFUs.  The reference
+    storage (:class:`PackedWeightStore`), in-place activation encoders
+    (:class:`FusedEncoder`), int64 GEMMs, and the integer SFUs of
+    :mod:`repro.hw.int_sfu`.  The reference
     :class:`repro.hw.executor.ModelExecutor` runs the same walk on the
     behavioral QUA, so the two are bit-exact by construction;
     :func:`attest_int_backend` checks the datapaths against each other
@@ -28,7 +28,6 @@ from .float_backend import FloatFakeQuantBackend
 from .int_backend import IntNativeBackend
 from .kernels import FusedEncoder, decode_lut
 from .packed import PackedWeight, PackedWeightStore, iter_linear_weight_taps
-from .sfu import v_i_exp, v_i_gelu, v_i_layernorm, v_i_softmax, v_i_sqrt
 
 __all__ = [
     "BACKEND_NAMES",
@@ -42,11 +41,6 @@ __all__ = [
     "iter_linear_weight_taps",
     "attest_int_backend",
     "make_backend",
-    "v_i_exp",
-    "v_i_gelu",
-    "v_i_layernorm",
-    "v_i_softmax",
-    "v_i_sqrt",
 ]
 
 

@@ -17,8 +17,8 @@ they do.
   (:class:`~repro.backend.packed.PackedWeightStore`) instead of
   re-encoded from float on every call — the memory story;
 * activation taps reuse precomputed :class:`~repro.backend.kernels.FusedEncoder`
-  tables instead of re-deriving registers per tensor, and encode in one
-  in-place pass per tap (registry ops ``qub.shifted`` / ``qub.store_load``,
+  tables instead of running the QUB encode per tensor, and quantize in
+  one in-place pass per tap (registry ops ``qub.shifted`` / ``qub.store_load``,
   variant ``inplace``, :meth:`FusedEncoder.shifted_f64`): one float64
   codes buffer, one selector and a few boolean masks, and no int64 round
   trip on the store/load path — the latency story.  Most of the old
@@ -69,9 +69,9 @@ class PackedDatapath:
             self.recorder.record(tap, values)
         encoder = self.encoders.get(tap)
         if encoder is None:
-            # Shared process-wide memo (registry op ``qub.encode``'s fast
-            # variant): replicas serving the same calibration reuse one
-            # encoder's tables instead of rebuilding them per backend.
+            # Shared process-wide memo (counted as ``qub.encode:cache_*``):
+            # replicas serving the same calibration reuse one encoder's
+            # tables instead of rebuilding them per backend.
             encoder = fused_encoder(self.pipeline.quantizer_for(tap).params, self.bits)
             self.encoders[tap] = encoder
         return encoder

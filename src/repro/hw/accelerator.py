@@ -33,7 +33,7 @@ import numpy as np
 
 from ..kernels import get_kernel
 from ..quant.params import QUQParams
-from ..quant.qub import FCRegisters, decode, encode, legalize_for_hardware
+from ..quant.qub import FCRegisters, decode, encode, legalize_for_hardware, quantize_encode
 from ..quant.quq import QuantizedTensor, quantize_with_params
 from ..quant.relax import PRAConfig, progressive_relaxation
 from ..resilience.guards import NumericGuard, NumericGuardError
@@ -51,12 +51,11 @@ class EncodedTensor:
     registers: FCRegisters
     base_delta: float
     bits: int
-    # Memoized views: decoding is deterministic given (qubs, registers),
-    # and verification passes re-decode the same packed weights many
-    # times over.  Fault injection never reads these — the QUA fetch
-    # paths decode their own (possibly corrupted) copies of the bytes.
+    # Memoized decode: deterministic given (qubs, registers), and
+    # verification passes re-decode the same packed weights many times
+    # over.  Fault injection never reads it — the QUA fetch paths decode
+    # their own (possibly corrupted) copies of the bytes.
     _decoded: tuple | None = field(default=None, repr=False, compare=False)
-    _transposed: "EncodedTensor | None" = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,28 +66,6 @@ class EncodedTensor:
         if self._decoded is None:
             self._decoded = decode(self.qubs, self.registers, self.bits)
         return self._decoded
-
-    def transposed(self) -> "EncodedTensor":
-        """Swap the last two axes (a dataflow rearrangement, not arithmetic).
-
-        Cached, and the flipped view points back at this tensor, so
-        ``t.transposed().transposed() is t``; an already-computed decode
-        carries over as axis-swapped views rather than a second DU pass.
-        """
-        if self._transposed is None:
-            flipped = EncodedTensor(
-                np.swapaxes(self.qubs, -1, -2),
-                self.registers,
-                self.base_delta,
-                self.bits,
-            )
-            if self._decoded is not None:
-                flipped._decoded = tuple(
-                    np.swapaxes(part, -1, -2) for part in self._decoded
-                )
-            flipped._transposed = self
-            self._transposed = flipped
-        return self._transposed
 
     def to_float(self) -> np.ndarray:
         """SFU load path: d = D << n_sh, scaled by the base delta."""
@@ -104,14 +81,13 @@ def encode_tensor(
 ) -> EncodedTensor:
     """Quantize ``x`` with (hardware-legal) QUQ parameters and encode it.
 
-    Dispatches through the kernel registry (op ``qub.encode``): the
-    memoized :class:`~repro.backend.kernels.FusedEncoder` by default, the
-    quantize-then-encode reference under ``REPRO_KERNELS=reference``.
+    Runs the spec path, :func:`~repro.quant.qub.quantize_encode`
+    (Eq. 3, then the QUB words), under any ``REPRO_KERNELS`` setting.
+    ``params`` default to a progressive-relaxation fit of ``x``.
     """
     if params is None:
         params = progressive_relaxation(x, bits, config)
-    qubs, registers, base_delta = get_kernel("qub.encode")(x, params, bits)
-    return EncodedTensor(qubs, registers, base_delta, bits)
+    return EncodedTensor(*quantize_encode(x, params, bits), bits)
 
 
 class QUA:

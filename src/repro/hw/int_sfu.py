@@ -10,27 +10,36 @@ simulated without any floating-point arithmetic:
   with an integer reciprocal.
 * :func:`i_gelu` — I-BERT's integer GELU via a second-order polynomial
   approximation of ``erf``.
-* :func:`i_layernorm` — integer mean/variance with a Newton-style integer
-  square root.
-* :func:`i_sqrt` — integer Newton iteration used by i_layernorm.
+* :func:`i_layernorm` — integer mean/variance; the standard deviation is
+  the floor square root :func:`i_sqrt_f64`.
+* :func:`i_sqrt_f64` — floor square root from one float64 ``sqrt`` plus
+  two exact integer corrections.
+* :func:`i_sqrt` — the integer Newton iteration: :func:`i_sqrt_f64`'s
+  fallback at or above ``2**52`` and its test reference.
 
 All kernels take integer tensors ``q`` with a scale ``s`` (value =
-``q * s``) and return ``(q_out, s_out)``.  They are validated against the
-float reference in the test suite; the accuracy ablation bench measures
-their end-to-end cost on a quantized model.
+``q * s``) and return ``(q_out, s_out)``, each in whole-tensor passes.
+They are the one implementation both integer datapaths run (registry ops
+``sfu.softmax`` / ``sfu.gelu`` / ``sfu.layernorm``).  The test suite pins
+their codes with a golden fixture, checks them against a scalar
+evaluation and the float functions, and the accuracy ablation bench
+measures their end-to-end cost on a quantized model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["i_sqrt", "i_exp", "i_softmax", "i_gelu", "i_layernorm"]
+__all__ = ["i_sqrt", "i_sqrt_f64", "i_exp", "i_softmax", "i_gelu", "i_layernorm"]
 
 _LN2 = float(np.log(2.0))
 
 # I-BERT's second-order polynomial coefficients.
 _EXP_A, _EXP_B, _EXP_C = 0.3585, 1.353, 0.344
 _ERF_A, _ERF_B, _ERF_C = -0.2888, -1.769, 1.0
+
+#: At or above this, one float64 sqrt can be off by more than one step.
+_SQRT_EXACT_LIMIT = np.int64(1) << 52
 
 
 def i_sqrt(n: np.ndarray) -> np.ndarray:
@@ -53,12 +62,30 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
     return np.floor(np.log2(n)).astype(np.int64) + 1
 
 
+def i_sqrt_f64(n: np.ndarray) -> np.ndarray:
+    """Integer square root (floor of the true root) in one float64 pass.
+
+    ``float64`` carries 53 significand bits, so for ``n < 2**52`` the
+    rounded float sqrt is within one of the true floor and two exact
+    integer corrections pin it.  A tensor with any larger input goes
+    through :func:`i_sqrt` instead: Newton's early exit is data-dependent
+    and runs up to 20 whole-tensor passes, so it is only the fallback.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if (n < 0).any():
+        raise ValueError("i_sqrt_f64 requires non-negative inputs")
+    if (n >= _SQRT_EXACT_LIMIT).any():
+        return i_sqrt(n)
+    root = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    root = np.where((root + 1) * (root + 1) <= n, root + 1, root)
+    return np.where(root * root > n, root - 1, root)
+
+
 def _i_poly(q: np.ndarray, s: float, a: float, b: float, c: float) -> tuple[np.ndarray, float]:
     """Integer evaluation of ``a*(x + b)^2 + c`` at ``x = q*s``."""
     q_b = np.int64(np.floor(b / s))
     q_c = np.int64(np.floor(c / (a * s * s)))
-    q_out = (q + q_b) ** 2 + q_c
-    return q_out, a * s * s
+    return (q + q_b) ** 2 + q_c, a * s * s
 
 
 def i_exp(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
@@ -72,12 +99,10 @@ def i_exp(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
         raise ValueError("i_exp expects non-positive inputs (pre-shifted by max)")
     q_ln2 = np.int64(np.floor(_LN2 / s))
     z = np.floor_divide(-q, q_ln2)
-    q_p = q + z * q_ln2  # p/s, in (-ln2/s, 0]
-    q_l, s_l = _i_poly(q_p, s, _EXP_A, _EXP_B, _EXP_C)
-    # exp(x) ~ poly(p) >> z; keep precision by scaling into a fixed budget.
+    # p/s, in (-ln2/s, 0], is never named, so the polynomial frees it.
+    q_l, s_l = _i_poly(q + z * q_ln2, s, _EXP_A, _EXP_B, _EXP_C)
     z = np.minimum(z, 62)
-    q_out = np.floor_divide(q_l, np.int64(1) << z)
-    return q_out, s_l
+    return np.floor_divide(q_l, np.int64(1) << z), s_l
 
 
 def i_softmax(q: np.ndarray, s: float, axis: int = -1, out_bits: int = 16) -> tuple[np.ndarray, float]:
@@ -87,13 +112,10 @@ def i_softmax(q: np.ndarray, s: float, axis: int = -1, out_bits: int = 16) -> tu
     (probabilities).
     """
     q = np.asarray(q, dtype=np.int64)
-    shifted = q - q.max(axis=axis, keepdims=True)
-    q_exp, _ = i_exp(shifted, s)
+    q_exp, _ = i_exp(q - q.max(axis=axis, keepdims=True), s)
     total = q_exp.sum(axis=axis, keepdims=True)
-    scale_out = 2.0**-out_bits
     factor = np.int64(2**out_bits)
-    q_out = np.floor_divide(q_exp * factor, np.maximum(total, 1))
-    return q_out, scale_out
+    return np.floor_divide(q_exp * factor, np.maximum(total, 1)), 2.0**-out_bits
 
 
 def i_gelu(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
@@ -104,15 +126,11 @@ def i_gelu(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     # erf(|x|) ~ a*(|x| + b)^2 + c (I-BERT's fit; note a < 0 makes the
     # polynomial's output scale negative, which the integer pipeline
     # carries through consistently).
-    q_abs = np.abs(q)
-    q_clip = np.minimum(q_abs, np.int64(np.floor(-_ERF_B / s_erf_in)))
+    q_clip = np.minimum(np.abs(q), np.int64(np.floor(-_ERF_B / s_erf_in)))
     q_l, s_l = _i_poly(q_clip, s_erf_in, _ERF_A, _ERF_B, _ERF_C)
-    q_erf = np.sign(q) * q_l
-    # 1 + erf in the same scale:
-    q_one = np.int64(np.floor(1.0 / s_l))
-    q_sum = q_erf + q_one
-    q_out = q * q_sum
-    return q_out, s * s_l / 2.0
+    # 1 + erf in the same scale.
+    q_sum = np.sign(q) * q_l + np.int64(np.floor(1.0 / s_l))
+    return q * q_sum, s * s_l / 2.0
 
 
 def i_layernorm(
@@ -124,17 +142,17 @@ def i_layernorm(
 ) -> tuple[np.ndarray, float]:
     """Integer-only LayerNorm over the last axis.
 
-    Mean and variance are computed in integers; the inverse standard
-    deviation uses :func:`i_sqrt` on a fixed-point variance.  The affine
-    parameters (float) are folded in through a single requantization step,
-    as an accelerator would via its output scale.
+    Mean and variance are computed in integers; the standard deviation is
+    :func:`i_sqrt_f64` of the integer variance.  The affine parameters
+    (float) are folded in through a single requantization step, as an
+    accelerator would via its output scale.
     """
     q = np.asarray(q, dtype=np.int64)
     n = q.shape[-1]
     mean = np.floor_divide(q.sum(axis=-1, keepdims=True), n)
     centered = q - mean
     var = np.floor_divide((centered * centered).sum(axis=-1, keepdims=True), n)
-    std = np.maximum(i_sqrt(var), 1)
+    std = np.maximum(i_sqrt_f64(var), 1)
     # Normalized value in Q(out_bits) fixed point.
     factor = np.int64(1) << out_bits
     normalized = np.floor_divide(centered * factor, std)

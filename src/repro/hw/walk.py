@@ -66,9 +66,10 @@ def check_walkable(pipeline, model=None) -> None:
 
 
 # ----------------------------------------------------------------------
-# SFUs.  The integer variants dispatch through the kernel registry: the
-# vectorized kernels by default, the scalar references under
-# ``REPRO_KERNELS=reference`` (exact-integer-equal either way).
+# SFUs.  The integer variants are the one implementation each in
+# :mod:`repro.hw.int_sfu`, dispatched through the kernel registry (ops
+# ``sfu.layernorm`` / ``sfu.softmax`` / ``sfu.gelu``) so their calls are
+# counted and can be timed like every other kernel.
 def _integer_sfu(op: str, values: np.ndarray, scale: float, **kwargs) -> np.ndarray:
     """``q_out * s_out`` of ``op`` on ``rint(values / scale)`` codes.
 

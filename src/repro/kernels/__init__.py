@@ -106,7 +106,9 @@ def run_kernel_parity(*args, **kwargs) -> dict:
 
 def fused_encoder(params, bits: int):
     """The shared memoized :class:`~repro.backend.kernels.FusedEncoder`
-    for ``(params, bits)`` (see :func:`repro.kernels.ops.fused_encoder`)."""
+    for ``(params, bits)``, each lookup counted under
+    ``qub.encode:cache_hit`` / ``qub.encode:cache_miss`` (see
+    :func:`repro.kernels.ops.fused_encoder`)."""
     _ensure_builtin()
     from .ops import fused_encoder as _fused_encoder
 

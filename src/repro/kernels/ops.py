@@ -12,25 +12,26 @@ Registered ops (reference + fast variants):
 ===================  =====================  ==============================
 op                   reference              fast
 ===================  =====================  ==============================
-``quq.quantize``     masked four-pass       (none — codes path is the spec)
 ``quq.fake_quantize``quantize->dequantize   ``fused`` one in-place
                                             float64 pass on the shared
                                             four-slot route
-``qub.encode``       quantize + encode      ``fused`` :class:`FusedEncoder`
-``qub.shifted``      route + ``<< shift``   ``inplace`` one-pass
-                                            :meth:`FusedEncoder.shifted_f64`
-``qub.store_load``   route + int64 decode   ``inplace`` float64 throughout
-``qub.encode_batch`` per-tensor loop        ``fused`` one concatenated pass
+``qub.shifted``      encode, decode,        ``inplace`` one-pass
+                     ``D << n_sh``          :meth:`FusedEncoder.shifted_f64`
+``qub.store_load``   encode, decode,        ``inplace`` float64 throughout
+                     ``to_float`` formula
 ``qub.pack``         pure-Python bit loop   ``packbits`` vectorized
 ``qub.decode_lut``   fresh table per call   ``cached`` shared per
                                             ``(registers, bits)``
 ``gemm.int``         int64 matmul           ``blas_f64`` exact-window BLAS
-``sfu.sqrt``         Newton iteration       ``vector`` f64 root + fixups
-``sfu.exp``          scalar-reference poly  ``vector`` batched poly
-``sfu.softmax``      scalar-reference       ``vector`` batched
-``sfu.gelu``         scalar-reference       ``vector`` batched
-``sfu.layernorm``    scalar-reference       ``vector`` batched
+``sfu.softmax``      ``hw.int_sfu``         (none)
+``sfu.gelu``         ``hw.int_sfu``         (none)
+``sfu.layernorm``    ``hw.int_sfu``         (none)
 ===================  =====================  ==============================
+
+The encode is :func:`repro.quant.qub.quantize_encode`, the spec path
+(Eq. 3, then the QUB words).  The ``sfu.*`` ops have one implementation
+each; they are registered so the integer walk's SFU calls dispatch, and
+count, like every other kernel.
 
 Every fast variant declares a bit-exact :class:`ParitySpec`; the harness
 in :mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
@@ -45,16 +46,14 @@ import threading
 import numpy as np
 
 from ..backend.kernels import FusedEncoder, decode_lut
-from ..backend.sfu import v_i_exp, v_i_gelu, v_i_layernorm, v_i_softmax, v_i_sqrt
-from ..hw.int_sfu import i_exp, i_gelu, i_layernorm, i_softmax, i_sqrt
+from ..hw.int_sfu import i_gelu, i_layernorm, i_softmax
 from ..quant.params import QUQParams
 from ..quant.qub import (
     FCRegisters,
-    _encode_batch_fused,
-    _encode_batch_reference,
-    _encode_codes,
+    decode,
     legalize_for_hardware,
     pack_qub_words,
+    quantize_encode,
 )
 from ..quant.quq import fake_quantize_with_params, quantize_with_params
 from . import KERNELS
@@ -73,17 +72,6 @@ def _fake_quantize_reference(x: np.ndarray, params: QUQParams) -> np.ndarray:
     """The value a round trip through the code path produces."""
     return quantize_with_params(x, params).dequantize()
 
-
-KERNELS.register(
-    "quq.quantize",
-    "reference",
-    quantize_with_params,
-    contract={
-        "inputs": "(x: float array, params: QUQParams)",
-        "output": "QuantizedTensor (int64 codes + int8 subrange ids)",
-        "domain": "any float input; NaN parks at the unassigned-bucket code",
-    },
-)
 
 KERNELS.register(
     "quq.fake_quantize",
@@ -148,75 +136,37 @@ def _shared_encoder(params: QUQParams, bits: int) -> tuple[FusedEncoder, bool]:
 
 
 def fused_encoder(params: QUQParams, bits: int) -> FusedEncoder:
-    """The shared :class:`FusedEncoder` for ``(params, bits)`` (memoized)."""
+    """The shared :class:`FusedEncoder` for ``(params, bits)`` (memoized).
+
+    Each lookup counts under ``qub.encode:cache_hit`` or
+    ``qub.encode:cache_miss``, the keys the serving snapshot reports.
+    """
     encoder, hit = _shared_encoder(params, bits)
     KERNELS.count("qub.encode:cache_hit" if hit else "qub.encode:cache_miss")
     return encoder
 
 
-def _encode_reference(
+def _decoded_words(
     x: np.ndarray, params: QUQParams, bits: int
-) -> tuple[np.ndarray, FCRegisters, float]:
-    """Quantize ``x`` under hardware-legal params and QUB-encode at ``bits``.
-
-    Returns ``(qubs, registers, base_delta)`` — the wire-format triple the
-    accelerator's :class:`~repro.hw.accelerator.EncodedTensor` wraps.
-    """
-    params = legalize_for_hardware(params)
-    if params.bits > bits:
-        raise ValueError(
-            f"{params.bits}-bit parameters do not fit {bits}-bit QUBs"
-        )
-    qt = quantize_with_params(x, params)
-    registers = FCRegisters.from_params(params)
-    qubs = _encode_codes(qt.codes, qt.subranges, registers, bits)
-    return qubs, registers, params.base_delta
-
-
-def _encode_fused(
-    x: np.ndarray, params: QUQParams, bits: int
-) -> tuple[np.ndarray, FCRegisters, float]:
-    encoder = fused_encoder(params, bits)
-    return encoder.encode(x), encoder.registers, encoder.base_delta
-
-
-_ENCODE_CONTRACT = {
-    "inputs": "(x: float array, params: QUQParams, bits: int)",
-    "output": "(qubs: uint8|uint16 array, FCRegisters, base_delta: float)",
-    "domain": "any float input; raises ValueError when the legalized "
-    "params.bits exceed the QUB width",
-}
-
-KERNELS.register(
-    "qub.encode", "reference", _encode_reference, contract=_ENCODE_CONTRACT
-)
-KERNELS.register(
-    "qub.encode",
-    "fused",
-    _encode_fused,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="FusedEncoder.encode equals the quantize+encode round trip "
-        "word for word, including the NaN park and zero re-homing",
-    ),
-    contract=_ENCODE_CONTRACT,
-)
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(D, n_sh, base_delta)`` of the encode's QUB words for ``x``."""
+    qubs, registers, base_delta = quantize_encode(x, params, bits)
+    return *decode(qubs, registers, bits), base_delta
 
 
 def _shifted_reference(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
-    """``D << n_sh`` from the route formula, with freshly built tables."""
-    encoder = FusedEncoder(params, bits)
-    codes, selector = encoder.route(x)
-    return codes << encoder._shift[selector]
+    """``D << n_sh`` of the encode's words: the PE-array operand."""
+    d, n_sh, _ = _decoded_words(x, params, bits)
+    return d << n_sh
 
 
 def _shifted_inplace(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
     # The backend's own encoder for this tap; the lookup is not a
-    # ``qub.encode`` cache event, so it is not counted as one.
+    # ``qub.encode`` cache event (see fused_encoder), so it is not counted.
     encoder, _ = _shared_encoder(params, bits)
     out = np.empty(np.shape(x), dtype=np.int64)
     # The output's bytes double as the pass's scratch until the cast.
@@ -228,10 +178,9 @@ def _shifted_inplace(
 def _store_load_reference(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
-    """Decoded floats from the route formula, with freshly built tables."""
-    encoder = FusedEncoder(params, bits)
-    codes, selector = encoder.route(x)
-    return (codes.astype(np.float64) * encoder._pow2[selector]) * encoder.base_delta
+    """The encode's words reloaded: the ``EncodedTensor.to_float()`` formula."""
+    d, n_sh, base_delta = _decoded_words(x, params, bits)
+    return (d.astype(np.float64) * (1 << n_sh).astype(np.float64)) * base_delta
 
 
 def _store_load_inplace(
@@ -269,8 +218,8 @@ KERNELS.register(
         bit_exact=True,
         notes="FusedEncoder.shifted_f64: one in-place float64 pass over "
         "the four-slot route shared with the fused fake-quantize kernel; "
-        "D * 2**n_sh is an exact integer, so its int64 cast equals "
-        "codes << shift",
+        "D * 2**n_sh is an exact integer, so its int64 cast equals the "
+        "decoded words' D << n_sh",
     ),
     contract=_SHIFTED_CONTRACT,
 )
@@ -286,36 +235,11 @@ KERNELS.register(
     _store_load_inplace,
     parity=ParitySpec(
         bit_exact=True,
-        notes="same float operation order as the reference (codes * 2**n_sh, "
-        "then * base_delta) without the int64 round trip; -0.0 codes are "
+        notes="same float operation order as the reference (D * 2**n_sh, "
+        "then * base_delta) without the QUB words; -0.0 codes are "
         "normalised to +0.0 first",
     ),
     contract=_STORE_LOAD_CONTRACT,
-)
-
-_ENCODE_BATCH_CONTRACT = {
-    "inputs": "(tensors: list[QuantizedTensor] sharing one QUQParams)",
-    "output": "(list of QUB arrays in input order, shared FCRegisters)",
-    "domain": "zero-size members are legal; an empty list raises "
-    "EmptyBatchError, mixed params raise ValueError",
-}
-
-KERNELS.register(
-    "qub.encode_batch",
-    "reference",
-    _encode_batch_reference,
-    contract=_ENCODE_BATCH_CONTRACT,
-)
-KERNELS.register(
-    "qub.encode_batch",
-    "fused",
-    _encode_batch_fused,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="one pass over the concatenated codes; per-tensor slices "
-        "equal the reference loop's arrays exactly",
-    ),
-    contract=_ENCODE_BATCH_CONTRACT,
 )
 
 
@@ -359,9 +283,8 @@ KERNELS.register(
 
 
 #: Decode LUTs shared per (registers, bits) — FCRegisters is frozen, so
-#: every consumer of one tap's registers (the packed weight store used to
-#: rebuild per construction, FusedEncoder kept a private memo) now gathers
-#: from one write-protected table.
+#: every packed weight under one register pair gathers from one
+#: write-protected table instead of rebuilding it per construction.
 _LUT_CACHE: dict[tuple[FCRegisters, int], np.ndarray] = {}
 
 
@@ -469,69 +392,34 @@ KERNELS.register(
 
 
 # ---------------------------------------------------------------------------
-# sfu.* — integer special functions (scalar references vs vectorized)
+# sfu.* — integer special functions, one implementation each
 # ---------------------------------------------------------------------------
 
-def _register_sfu(name: str, reference, fast, contract: dict) -> None:
-    KERNELS.register(f"sfu.{name}", "reference", reference, contract=contract)
-    KERNELS.register(
-        f"sfu.{name}",
-        "vector",
-        fast,
-        parity=ParitySpec(
-            bit_exact=True,
-            notes="exact integer equality with the scalar reference at "
-            "every bit-width (same algorithm, batched)",
-        ),
-        contract=contract,
-    )
-
-
-_register_sfu(
-    "sqrt",
-    i_sqrt,
-    v_i_sqrt,
-    {
-        "inputs": "(n: non-negative int64 array)",
-        "output": "floor(sqrt(n)) as int64",
-        "domain": "n >= 0; negative inputs raise ValueError",
-    },
-)
-_register_sfu(
-    "exp",
-    i_exp,
-    v_i_exp,
-    {
-        "inputs": "(q: non-positive int64 array, s: float scale)",
-        "output": "(q_out, s_out) integer exp",
-        "domain": "q <= 0 (pre-shifted by max); positives raise ValueError",
-    },
-)
-_register_sfu(
-    "softmax",
+KERNELS.register(
+    "sfu.softmax",
+    "reference",
     i_softmax,
-    v_i_softmax,
-    {
+    contract={
         "inputs": "(q: int64 array, s: float, axis=-1, out_bits=16)",
         "output": "(codes in [0, 2**out_bits - 1], scale 2**-out_bits)",
         "domain": "any int64 logits",
     },
 )
-_register_sfu(
-    "gelu",
+KERNELS.register(
+    "sfu.gelu",
+    "reference",
     i_gelu,
-    v_i_gelu,
-    {
+    contract={
         "inputs": "(q: int64 array, s: float scale)",
         "output": "(q_out, s_out) integer GELU via polynomial erf",
         "domain": "any int64 codes",
     },
 )
-_register_sfu(
-    "layernorm",
+KERNELS.register(
+    "sfu.layernorm",
+    "reference",
     i_layernorm,
-    v_i_layernorm,
-    {
+    contract={
         "inputs": "(q: int64 array, s: float, weight=None, bias=None, "
         "out_bits=8)",
         "output": "(normalized codes, scale 2**-out_bits)",

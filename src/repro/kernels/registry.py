@@ -1,15 +1,15 @@
 """The kernel registry: one dispatch layer for reference vs. fast impls.
 
-Three generations of hand-wired fast paths accumulated in this codebase —
-the fused QUQ fake-quantize kernel and the weight cache (PR 5), the int
-backend's fused encoder, packed GEMMs, and vectorized SFU (PR 6) — each
-pinned to its reference twin by ad-hoc one-off attestations scattered
-across ``quant/``, ``hw/``, and ``backend/``.  This module replaces the
-wiring with an explicit registry: every op name (``quq.fake_quantize``,
-``qub.encode``, ``gemm.int``, ``sfu.softmax``, ...) maps to a **required
-reference implementation** and zero or more registered **fast variants**,
-each with a declared contract (dtypes, shapes, parameter domain) and a
-parity spec (bit-exact, or a tolerance).
+Fast kernels — the fused QUQ fake-quantize pass, the int backend's
+in-place activation encoders, packed weights and BLAS GEMM — each need
+an independent reference to be checked against.  This module makes the
+pairing explicit: every op name (``quq.fake_quantize``, ``qub.shifted``,
+``gemm.int``, ``sfu.softmax``, ...) maps to a **required reference
+implementation** and zero or more registered **fast variants**, each
+with a declared contract (dtypes, shapes, parameter domain) and a parity
+spec (bit-exact, or a tolerance).  An op with one implementation
+registers it as the reference alone, so its calls still dispatch and
+count through the registry.
 
 Dispatch
 --------

@@ -10,7 +10,6 @@ from .qub import (
     SpaceRegister,
     decode,
     encode,
-    encode_batch,
     legalize_for_hardware,
 )
 from .uniform import (
@@ -69,7 +68,6 @@ __all__ = [
     "FCRegisters",
     "SpaceRegister",
     "encode",
-    "encode_batch",
     "decode",
     "legalize_for_hardware",
     "MAX_SHIFT",

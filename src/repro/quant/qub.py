@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import QUQParams, Subrange, SubrangeSpec
-from .quq import SUBRANGE_IDS, QuantizedTensor
+from .quq import SUBRANGE_IDS, QuantizedTensor, quantize_with_params
 
 __all__ = [
     "SpaceRegister",
     "FCRegisters",
-    "EmptyBatchError",
     "encode",
-    "encode_batch",
+    "quantize_encode",
     "decode",
     "legalize_for_hardware",
     "pack_qub_words",
@@ -49,17 +48,6 @@ __all__ = [
 
 #: Shift fields are 3 bits wide.
 MAX_SHIFT = 7
-
-
-class EmptyBatchError(ValueError):
-    """``encode_batch`` was handed no tensors at all.
-
-    The shared FC registers derive from the batch's parameter set, so an
-    empty batch has no registers to return — a typed error lets callers
-    distinguish "nothing to encode" from a mixed-parameter batch (plain
-    ``ValueError``).  Zero-*size* member tensors are fine; only a
-    zero-*length* tensor list is rejected.
-    """
 
 
 @dataclass(frozen=True)
@@ -236,86 +224,24 @@ def encode(qt: QuantizedTensor) -> tuple[np.ndarray, FCRegisters]:
     return _encode_codes(qt.codes, qt.subranges, registers, qt.params.bits), registers
 
 
-def _batch_registers(
-    tensors: "list[QuantizedTensor]",
-) -> tuple[QUQParams, FCRegisters]:
-    """Shared ``encode_batch`` validation: one parameter set, nonempty list.
+def quantize_encode(
+    x: np.ndarray, params: QUQParams, bits: int
+) -> tuple[np.ndarray, FCRegisters, float]:
+    """Quantize ``x`` under hardware-legal params and QUB-encode at ``bits``.
 
-    Raises :class:`EmptyBatchError` for an empty tensor list and a plain
-    ``ValueError`` for mixed parameter sets — both batch-level contract
-    violations, checked identically by the reference and fused variants.
+    The one encode of a float tensor: :func:`legalize_for_hardware`, then
+    Eq. (3) (:func:`~repro.quant.quq.quantize_with_params`), then the QUB
+    words.  Returns ``(qubs, registers, base_delta)``, the wire-format
+    triple the accelerator's :class:`~repro.hw.accelerator.EncodedTensor`
+    wraps; decoding these words is the reference the int backend's
+    in-place encoders are checked against.
     """
-    if not tensors:
-        raise EmptyBatchError("encode_batch needs at least one tensor")
-    params = tensors[0].params
-    for qt in tensors[1:]:
-        if qt.params != params:
-            raise ValueError(
-                "encode_batch requires a shared parameter set; got "
-                f"{qt.params.describe()!r} vs {params.describe()!r}"
-            )
-    return params, FCRegisters.from_params(params)
-
-
-def _encode_batch_reference(
-    tensors: "list[QuantizedTensor] | tuple[QuantizedTensor, ...]",
-) -> tuple[list[np.ndarray], FCRegisters]:
-    """Reference ``qub.encode_batch``: encode each tensor independently."""
-    tensors = list(tensors)
-    _, registers = _batch_registers(tensors)
-    out = [
-        _encode_codes(qt.codes, qt.subranges, registers, qt.params.bits)
-        for qt in tensors
-    ]
-    return out, registers
-
-
-def _encode_batch_fused(
-    tensors: "list[QuantizedTensor] | tuple[QuantizedTensor, ...]",
-) -> tuple[list[np.ndarray], FCRegisters]:
-    """Fused ``qub.encode_batch``: one pass over the concatenated codes.
-
-    Zero-size member tensors concatenate to nothing and slice back out as
-    empty arrays of the right shape — they are legal batch members.
-    """
-    tensors = list(tensors)
-    params, registers = _batch_registers(tensors)
-    codes = np.concatenate([qt.codes.reshape(-1) for qt in tensors])
-    subranges = np.concatenate([qt.subranges.reshape(-1) for qt in tensors])
-    flat = _encode_codes(codes, subranges, registers, params.bits)
-    out: list[np.ndarray] = []
-    offset = 0
-    for qt in tensors:
-        size = qt.codes.size
-        out.append(flat[offset : offset + size].reshape(qt.codes.shape))
-        offset += size
-    return out, registers
-
-
-def encode_batch(
-    tensors: "list[QuantizedTensor] | tuple[QuantizedTensor, ...]",
-) -> tuple[list[np.ndarray], FCRegisters]:
-    """Encode several quantized tensors sharing one parameter set.
-
-    The streaming shape of the serving hot path: successive batches at the
-    same tap quantize under identical ``QUQParams``, so the FC registers
-    are derived once and every tensor's codes encode in a single fused
-    pass over their concatenation.  Returns the per-tensor QUB arrays (in
-    input order, each with its tensor's shape) plus the shared registers.
-
-    Zero-size member tensors are legal (their QUB arrays come back empty
-    with the member's shape).  An empty tensor *list* raises
-    :class:`EmptyBatchError`; mixed parameter sets raise a plain
-    ``ValueError`` — those inputs must go through :func:`encode`
-    individually.
-
-    Dispatches through the kernel registry (op ``qub.encode_batch``):
-    the fused single-pass variant by default, the per-tensor reference
-    loop under ``REPRO_KERNELS=reference``.
-    """
-    from ..kernels import get_kernel
-
-    return get_kernel("qub.encode_batch")(tensors)
+    params = legalize_for_hardware(params)
+    if params.bits > bits:
+        raise ValueError(f"{params.bits}-bit parameters do not fit {bits}-bit QUBs")
+    qt = quantize_with_params(x, params)
+    registers = FCRegisters.from_params(params)
+    return _encode_codes(qt.codes, qt.subranges, registers, bits), registers, params.base_delta
 
 
 def pack_qub_words(qubs: np.ndarray, bits: int) -> np.ndarray:

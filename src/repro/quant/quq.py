@@ -170,9 +170,9 @@ def nan_park_value(params: QUQParams) -> float:
     exists (value ``-delta`` of the fine-else-coarse negative subrange),
     else code ``0`` (value ``0.0``).  The fused fake-quantize kernel and
     the serving encoders reproduce this spot so every implementation
-    agrees on non-finite inputs; the serving engine's ``NumericGuard``
-    still rejects non-finite *batches* outright — parking only defines
-    the deterministic value below that guard.
+    agrees on non-finite inputs.  Parking hides the NaN from everything
+    downstream, so the serving engines reject a non-finite request image
+    at submit; their ``NumericGuard`` sees only the logits.
     """
     spec = params.f_neg if params.f_neg is not None else params.c_neg
     if spec is not None:
@@ -372,7 +372,7 @@ class QUQQuantizer(Quantizer):
 
     def quantize(self, x: np.ndarray) -> QuantizedTensor:
         self._require_fitted()
-        return get_kernel("quq.quantize")(x, self.params)
+        return quantize_with_params(x, self.params)
 
     def fake_quantize(self, x: np.ndarray) -> np.ndarray:
         # Dispatch through the kernel registry: fast (the fused four-slot

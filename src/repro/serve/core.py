@@ -342,8 +342,15 @@ class LaneCore:
         :class:`~repro.serve.scheduler.DeadlineExceededError` if it
         cannot be served in time — late results are never silently
         delivered.
+
+        An image with a NaN or infinite value raises ``ValueError`` before
+        any of that and is not counted: a quantized lane's first input tap
+        would park it at a finite code and answer with finite logits.
         """
         key = ModelKey.parse(spec)
+        image = np.asarray(image, dtype=np.float32)
+        if not np.isfinite(image).all():
+            raise ValueError(f"image for {key.spec} has non-finite values")
         lane = self._lane(key)
         if self.admission is not None:
             now = self.clock()
@@ -364,8 +371,7 @@ class LaneCore:
                 lane.degrade(now + self.admission.policy.degrade_hold_s)
         try:
             request = lane.scheduler.submit(
-                np.asarray(image, dtype=np.float32),
-                priority=priority, deadline_ms=deadline_ms,
+                image, priority=priority, deadline_ms=deadline_ms
             )
         except QueueFullError:
             self._reject(key.spec, "queue_full", priority)

@@ -274,3 +274,108 @@ class TestMakeBackend:
         model, pipeline, _ = quantized
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu", model, pipeline)
+
+
+class TestIndependentEncoder:
+    """The int datapath is checked against an encoder that does not share
+    its four-slot tables: with every table delta scaled by 1.25, both the
+    parity harness and the executor comparison must notice."""
+
+    @pytest.fixture()
+    def corrupted(self, quantized_at, monkeypatch):
+        """The tiny ViT at 4, 6 and 8 bits, calibrated first; then the
+        tables of ``quq`` and of ``FusedEncoder`` scaled."""
+        import repro.backend.kernels
+        import repro.quant.quq as quq
+        from repro.kernels import clear_kernel_caches
+
+        built = {bits: quantized_at(bits) for bits in (4, 6, 8)}
+        real = quq._fused_tables
+
+        def scaled(params):
+            tables = real(params)
+            return tables._replace(delta=tables.delta * 1.25)
+
+        def clear():
+            clear_kernel_caches()
+            quq._TABLES.clear()
+
+        clear()
+        monkeypatch.setattr(quq, "_fused_tables", scaled)
+        monkeypatch.setattr(repro.backend.kernels, "_fused_tables", scaled)
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)  # the inplace variants
+        yield built
+        monkeypatch.undo()
+        clear()
+
+    def test_corrupted_tables_are_caught(self, corrupted):
+        from repro.kernels import run_kernel_parity
+
+        report = run_kernel_parity(seed=0, cases=2)
+        for op in ("qub.shifted", "qub.store_load"):
+            (pair,) = report["ops"][op]["pairs"]
+            assert pair["fast_variant"] == "inplace"
+            assert pair["mismatches"], op
+        for bits, (model, pipeline, images) in corrupted.items():
+            for integer_sfu in (False, True):
+                backend = IntNativeBackend(model, pipeline, integer_sfu=integer_sfu)
+                executor = ModelExecutor(model, pipeline, bits=bits, integer_sfu=integer_sfu)
+                assert not np.array_equal(backend.predict(images), executor.run(images)), (
+                    bits, integer_sfu,
+                )
+
+
+class TestBenchmarkSeams:
+    """What ``benchmarks/e2e`` hooks: ``KERNELS.get`` dispatches of its
+    ``KERNEL_OPS``, the public encoder and packed-weight methods it wraps,
+    and the encoder and decode-LUT cache counters."""
+
+    @staticmethod
+    def _kernel_ops():
+        import runpy
+        from pathlib import Path
+
+        metrics = Path(__file__).parents[1] / "benchmarks" / "e2e" / "metrics.py"
+        return runpy.run_path(str(metrics))["KERNEL_OPS"]
+
+    def test_kernel_ops_are_registered(self):
+        from repro.kernels import KERNELS, active_kernels
+
+        active_kernels()  # loads the built-in registrations
+        assert set(self._kernel_ops()) <= set(KERNELS.ops())
+
+    def test_int_predict_reaches_every_seam(self, quantized, monkeypatch):
+        from repro.backend import FusedEncoder, PackedWeight
+        from repro.kernels import KERNELS, clear_kernel_caches
+
+        seen = set()
+        for owner, attr in ((FusedEncoder, "shifted"), (FusedEncoder, "store_load"),
+                            (PackedWeight, "shifted")):
+
+            def wrapped(self, *args, _method=getattr(owner, attr),
+                        _name=f"{owner.__name__}.{attr}"):
+                seen.add(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(owner, attr, wrapped)
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        model, pipeline, images = quantized
+        clear_kernel_caches()
+        KERNELS.reset_counters()
+        IntNativeBackend(model, pipeline, integer_sfu=True).predict(images)
+        counters = KERNELS.counters
+        for op in set(self._kernel_ops()) - {"quq.fake_quantize"}:
+            assert sum(n for key, n in counters.items() if key.split(":")[0] == op) >= 1, op
+        assert counters.get("qub.encode:cache_miss", 0) >= 1
+        assert counters.get("qub.decode_lut:cache_miss", 0) >= 1
+        assert seen == {"FusedEncoder.shifted", "FusedEncoder.store_load", "PackedWeight.shifted"}
+
+    def test_float_predict_dispatches_fake_quantize(self, quantized, monkeypatch):
+        from repro.kernels import KERNELS
+
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        model, pipeline, images = quantized
+        backend = FloatFakeQuantBackend(model, pipeline)
+        KERNELS.reset_counters()
+        backend.predict(images)
+        assert KERNELS.counters.get("quq.fake_quantize:fused", 0) >= 1

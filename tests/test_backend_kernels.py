@@ -1,9 +1,9 @@
-"""Parity tests: fused QUQ encode kernels vs the reference QUA path.
+"""Parity tests: the in-place encoders vs the reference QUA path.
 
-The contract is exact equality — the fused four-slot kernel is the same
-arithmetic as ``quantize_with_params`` + ``encode``, reorganized, so any
-finite input must produce identical QUB words, identical shifted PE
-operands, and bit-identical store/load floats.
+The contract is exact equality — the fused four-slot pass is the same
+arithmetic as ``quantize_with_params`` + ``encode``, reorganized, so for
+any finite input its shifted PE operands and store/load floats equal,
+bit for bit, what decoding the QUB words of ``encode_tensor`` gives.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.backend import FusedEncoder, decode_lut
 from repro.hw.accelerator import encode_tensor
-from repro.quant.qub import decode, legalize_for_hardware
+from repro.kernels import get_kernel
+from repro.quant.qub import FCRegisters, decode, legalize_for_hardware
 from repro.quant.quq import QUQQuantizer
 
 BITS = (4, 6, 8)
@@ -60,7 +61,9 @@ class TestFusedEncoderParity:
             np.array([np.finfo(np.float32).tiny, -np.finfo(np.float32).tiny]),
         ])
         reference = encode_tensor(x, bits, params=params)
-        np.testing.assert_array_equal(encoder.encode(x), reference.qubs)
+        d, n_sh = reference.decoded()
+        np.testing.assert_array_equal(encoder.shifted(x), d << n_sh)
+        np.testing.assert_array_equal(encoder.store_load(x), reference.to_float())
 
     @pytest.mark.parametrize("bits", BITS)
     def test_store_load_bit_identical(self, fits, bits):
@@ -97,14 +100,15 @@ class TestFusedEncoderParity:
         encoder = FusedEncoder(params, bits)
         x = np.asarray(values)
         reference = encode_tensor(x, bits, params=params)
-        np.testing.assert_array_equal(encoder.encode(x), reference.qubs)
+        d, n_sh = reference.decoded()
+        np.testing.assert_array_equal(encoder.shifted(x), d << n_sh)
         np.testing.assert_array_equal(encoder.store_load(x), reference.to_float())
 
     def test_preserves_shape(self, fits):
         params = fitted_params(fits["two_sided"], 6)
         encoder = FusedEncoder(params, 6)
         x = np.zeros((2, 3, 5))
-        assert encoder.encode(x).shape == (2, 3, 5)
+        assert encoder.store_load(x).shape == (2, 3, 5)
         assert encoder.shifted(x).shape == (2, 3, 5)
 
     def test_rejects_params_wider_than_qubs(self, fits):
@@ -118,34 +122,35 @@ class TestDecodeLut:
     @pytest.mark.parametrize("case", ["two_sided", "positive_softmax"])
     def test_lut_reproduces_decode_for_every_word(self, fits, case, bits):
         params = legalize_for_hardware(fitted_params(fits[case], bits))
-        encoder = FusedEncoder(params, bits)
+        registers = FCRegisters.from_params(params)
         words = np.arange(2**bits, dtype=np.uint32)
-        d, n_sh = decode(words, encoder.registers, bits)
-        np.testing.assert_array_equal(encoder.lut, d << n_sh)
-        np.testing.assert_array_equal(
-            decode_lut(encoder.registers, bits), d << n_sh
-        )
+        d, n_sh = decode(words, registers, bits)
+        np.testing.assert_array_equal(get_kernel("qub.decode_lut")(registers, bits), d << n_sh)
+        np.testing.assert_array_equal(decode_lut(registers, bits), d << n_sh)
 
     def test_lut_is_cached(self, fits):
-        encoder = FusedEncoder(fitted_params(fits["two_sided"], 6), 6)
-        assert encoder.lut is encoder.lut
+        registers = FCRegisters.from_params(fitted_params(fits["two_sided"], 6))
+        lut = get_kernel("qub.decode_lut", "cached")
+        assert lut(registers, 6) is lut(registers, 6)
 
     def test_lut_deduped_across_consumers(self, fits):
-        """FusedEncoder and PackedWeightStore share one table per
-        (registers, bits), built once and counted in kernel stats."""
+        """Packed weights under one register pair share one table, built
+        once and counted in kernel stats."""
         from repro.backend.packed import PackedWeightStore
         from repro.kernels import KERNELS, clear_kernel_caches
 
         params = legalize_for_hardware(fitted_params(fits["two_sided"], 6))
         clear_kernel_caches()
         KERNELS.reset_counters()
-        encoder = FusedEncoder(params, 6)
-        lut = encoder.lut
         rng = np.random.default_rng(11)
-        encoded = encode_tensor(rng.normal(size=(8, 8)), 6, params=params)
-        packed = PackedWeightStore._pack_encoded("w", encoded)
-        assert packed.lut is lut
-        assert not lut.flags.writeable
+        first, second = (
+            PackedWeightStore._pack_encoded(
+                tap, encode_tensor(rng.normal(size=(8, 8)), 6, params=params)
+            )
+            for tap in ("w1", "w2")
+        )
+        assert first.lut is second.lut
+        assert not first.lut.flags.writeable
         counters = KERNELS.counters
         assert counters["qub.decode_lut:cache_miss"] == 1
         assert counters["qub.decode_lut:cache_hit"] >= 1

@@ -151,9 +151,9 @@ class TestCycleModel:
 
 
 class TestEncodedTensorCaching:
-    """decoded()/transposed() are memoized: verification passes re-decode
-    the same packed weights many times, and the second pass must be a
-    cache hit rather than another full DU sweep."""
+    """decoded() is memoized: verification passes re-decode the same
+    packed weights many times, and the second pass must be a cache hit
+    rather than another full DU sweep."""
 
     def test_decoded_is_cached(self, rng):
         encoded = encode_tensor(rng.normal(size=(8, 8)), 8)
@@ -169,30 +169,10 @@ class TestEncodedTensorCaching:
         np.testing.assert_array_equal(d, d_ref)
         np.testing.assert_array_equal(n_sh, n_ref)
 
-    def test_transposed_is_cached_and_involutive(self, rng):
-        encoded = encode_tensor(rng.normal(size=(4, 6)), 8)
-        flipped = encoded.transposed()
-        assert encoded.transposed() is flipped
-        assert flipped.transposed() is encoded
-
-    def test_transposed_shares_decode_as_views(self, rng):
-        encoded = encode_tensor(rng.normal(size=(4, 6)), 8)
-        d, n_sh = encoded.decoded()
-        flipped_d, flipped_n = encoded.transposed().decoded()
-        np.testing.assert_array_equal(flipped_d, np.swapaxes(d, -1, -2))
-        np.testing.assert_array_equal(flipped_n, np.swapaxes(n_sh, -1, -2))
-
-    def test_transposed_to_float_matches_swapaxes(self, rng):
-        encoded = encode_tensor(rng.normal(size=(4, 6)), 8)
-        np.testing.assert_array_equal(
-            encoded.transposed().to_float(), np.swapaxes(encoded.to_float(), -1, -2)
-        )
-
     def test_caches_do_not_affect_equality_or_repr(self, rng):
         x = rng.normal(size=(3, 3))
         a = encode_tensor(x, 8)
         b = encode_tensor(x, 8)
         a.decoded()
-        a.transposed()
         assert "decoded" not in repr(a)
         np.testing.assert_array_equal(a.qubs, b.qubs)

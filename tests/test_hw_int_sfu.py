@@ -1,5 +1,8 @@
 """Tests for the integer-only special-function kernels (I-BERT/I-ViT style)."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from repro.hw import i_exp, i_gelu, i_layernorm, i_softmax, i_sqrt
+from repro.kernels import get_kernel
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestISqrt:
@@ -117,3 +123,25 @@ class TestILayerNorm:
         q_out, s_out = i_layernorm(q, scale, weight=weight, bias=bias, out_bits=12)
         ref = (x - x.mean(-1, keepdims=True)) / x.std(-1, keepdims=True) * weight + bias
         assert np.abs(q_out * s_out - ref).max() < 0.1
+
+
+class TestGoldenCodes:
+    """Replays tests/data/int_sfu_golden.npz through the registry: the int
+    backend and hw.executor share these kernels, so a changed output code
+    moves both alike and their bit-exactness cannot catch it.  The
+    fixture's cases and their edge inputs are listed in
+    tests/data/make_int_sfu_golden.py."""
+
+    def test_codes_and_scales_unchanged(self):
+        golden = np.load(DATA / "int_sfu_golden.npz")
+        cases = runpy.run_path(str(DATA / "make_int_sfu_golden.py"))["CASES"]
+        assert {key.split(":")[0] for key in golden.files} == set(cases)
+        for name, (op, scale, kwargs) in cases.items():
+            affine = {
+                key: golden[f"{name}:{key}"]
+                for key in ("weight", "bias")
+                if f"{name}:{key}" in golden.files
+            }
+            q_out, s_out = get_kernel(op)(golden[f"{name}:q"], scale, **kwargs, **affine)
+            np.testing.assert_array_equal(q_out, golden[f"{name}:q_out"], err_msg=name)
+            assert s_out == golden[f"{name}:s_out"], name

@@ -4,7 +4,9 @@ The deterministic harness (``repro.kernels.parity``) runs the same pairs
 in CI environments without hypothesis; this suite fuzzes deeper — float
 strategies with NaN/±inf/denormals enabled, random shapes including
 zero-size, all bit-widths — and pins that the deterministic harness
-itself passes and stays deterministic.
+itself passes and stays deterministic.  The ``sfu.*`` ops have one
+implementation each, so they are fuzzed against the scalar evaluation in
+``tests/test_backend_sfu.py``, and their float64 root against Newton's.
 """
 
 import numpy as np
@@ -12,9 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.int_sfu import i_exp, i_sqrt, i_sqrt_f64
 from repro.kernels import get_kernel, kernel_pairs, run_kernel_parity
 from repro.kernels.parity import fitted_params_pool, mode_params_pool
-from repro.quant.quq import QUQQuantizer, quantize_with_params
+from repro.quant.params import Subrange
+from repro.quant.qub import decode, quantize_encode
+from repro.quant.quq import SUBRANGE_IDS, QUQQuantizer, quantize_with_params
+from tests.test_backend_sfu import (
+    elementwise,
+    scalar_exp,
+    scalar_gelu,
+    scalar_layernorm,
+    scalar_softmax,
+)
 
 BITS = (4, 6, 8)
 ACTIVATION_OPS = ("qub.shifted", "qub.store_load")
@@ -61,12 +73,24 @@ class TestFloatOpPairs:
     @settings(max_examples=40, deadline=None)
     @given(x=FLOAT_ARRAYS, index=st.integers(0, 4))
     def test_encode(self, params_pool, bits, x, index):
+        """The one encode's words decode to the code path's codes, each at
+        its subrange's shift, NaN and inf included; a zero code in a
+        one-sided negative space is the documented -1."""
         params = _params_for(params_pool, bits)[index]
-        fast_q, fast_r, fast_d = get_kernel("qub.encode", "fused")(x, params, bits)
-        ref_q, ref_r, ref_d = get_kernel("qub.encode", "reference")(x, params, bits)
-        np.testing.assert_array_equal(fast_q, ref_q)
-        assert fast_r == ref_r
-        assert fast_d == ref_d
+        qubs, registers, base_delta = quantize_encode(x, params, bits)
+        d, n_sh = decode(qubs, registers, bits)
+        qt = quantize_with_params(x, params)
+        shifts = np.zeros(x.shape, dtype=np.int64)
+        for subrange, _ in params.active():
+            shifts[qt.subranges == SUBRANGE_IDS[subrange]] = params.shift(subrange)
+        fine = np.isin(qt.subranges, [SUBRANGE_IDS[Subrange.F_NEG], SUBRANGE_IDS[Subrange.F_POS]])
+        clamped = np.zeros(x.shape, dtype=bool)
+        for mask, register in ((fine, registers.fine), (~fine, registers.coarse)):
+            if register.negative_reserved:
+                clamped |= mask & (qt.codes == 0)
+        expected = np.where(clamped, -1, qt.codes) << shifts
+        np.testing.assert_array_equal(d << n_sh, expected)
+        assert base_delta == params.base_delta
 
     @pytest.mark.parametrize("op", ACTIVATION_OPS)
     @pytest.mark.parametrize("bits", BITS)
@@ -95,22 +119,6 @@ class TestFloatOpPairs:
         for variant in ("inplace", "reference"):
             with pytest.raises(ValueError, match="do not fit"):
                 get_kernel(op, variant)(np.zeros(3), wide, wide.bits - 1)
-
-    @pytest.mark.parametrize("bits", BITS)
-    @settings(max_examples=20, deadline=None)
-    @given(
-        chunks=st.lists(FLOAT_ARRAYS, min_size=1, max_size=5),
-        index=st.integers(0, 4),
-    )
-    def test_encode_batch(self, params_pool, bits, chunks, index):
-        params = _params_for(params_pool, bits)[index]
-        tensors = [quantize_with_params(chunk, params) for chunk in chunks]
-        fast_out, fast_r = get_kernel("qub.encode_batch", "fused")(tensors)
-        ref_out, ref_r = get_kernel("qub.encode_batch", "reference")(tensors)
-        assert fast_r == ref_r
-        assert len(fast_out) == len(ref_out)
-        for fast_arr, ref_arr in zip(fast_out, ref_out):
-            np.testing.assert_array_equal(fast_arr, ref_arr)
 
 
 class TestIntOpPairs:
@@ -159,10 +167,7 @@ class TestIntOpPairs:
     )
     def test_sqrt(self, values):
         q = np.array(values, dtype=np.int64)
-        np.testing.assert_array_equal(
-            get_kernel("sfu.sqrt", "vector")(q),
-            get_kernel("sfu.sqrt", "reference")(q),
-        )
+        np.testing.assert_array_equal(i_sqrt_f64(q), i_sqrt(q))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -171,8 +176,8 @@ class TestIntOpPairs:
     )
     def test_exp(self, values, scale):
         q = np.array(values, dtype=np.int64)
-        fast_q, fast_s = get_kernel("sfu.exp", "vector")(q, scale)
-        ref_q, ref_s = get_kernel("sfu.exp", "reference")(q, scale)
+        fast_q, fast_s = i_exp(q, scale)
+        ref_q, ref_s = elementwise(scalar_exp, q, scale)
         np.testing.assert_array_equal(fast_q, ref_q)
         assert fast_s == ref_s
 
@@ -185,22 +190,19 @@ class TestIntOpPairs:
     def test_softmax(self, out_bits, rows, cols, seed):
         rng = np.random.default_rng(seed)
         q = rng.integers(-(1 << 12), 1 << 12, size=(rows, cols))
-        fast_q, fast_s = get_kernel("sfu.softmax", "vector")(
-            q, 2.0**-10, out_bits=out_bits
+        fast_q, fast_s = get_kernel("sfu.softmax")(q, 2.0**-10, out_bits=out_bits)
+        np.testing.assert_array_equal(
+            fast_q, scalar_softmax(q, 2.0**-10, out_bits=out_bits)
         )
-        ref_q, ref_s = get_kernel("sfu.softmax", "reference")(
-            q, 2.0**-10, out_bits=out_bits
-        )
-        np.testing.assert_array_equal(fast_q, ref_q)
-        assert fast_s == ref_s
+        assert fast_s == 2.0**-out_bits
 
     @settings(max_examples=20, deadline=None)
     @given(size=st.integers(0, 48), seed=st.integers(0, 2**16))
     def test_gelu(self, size, seed):
         rng = np.random.default_rng(seed)
         q = rng.integers(-(1 << 12), 1 << 12, size=size)
-        fast_q, fast_s = get_kernel("sfu.gelu", "vector")(q, 2.0**-10)
-        ref_q, ref_s = get_kernel("sfu.gelu", "reference")(q, 2.0**-10)
+        fast_q, fast_s = get_kernel("sfu.gelu")(q, 2.0**-10)
+        ref_q, ref_s = elementwise(scalar_gelu, q, 2.0**-10)
         np.testing.assert_array_equal(fast_q, ref_q)
         assert fast_s == ref_s
 
@@ -217,14 +219,9 @@ class TestIntOpPairs:
         if affine:
             kwargs["weight"] = rng.normal(1.0, 0.1, size=cols)
             kwargs["bias"] = rng.normal(0.0, 0.1, size=cols)
-        fast_q, fast_s = get_kernel("sfu.layernorm", "vector")(
-            q, 2.0**-14, **kwargs
-        )
-        ref_q, ref_s = get_kernel("sfu.layernorm", "reference")(
-            q, 2.0**-14, **kwargs
-        )
-        np.testing.assert_array_equal(fast_q, ref_q)
-        assert fast_s == ref_s
+        fast_q, fast_s = get_kernel("sfu.layernorm")(q, 2.0**-14, **kwargs)
+        np.testing.assert_array_equal(fast_q, scalar_layernorm(q, **kwargs))
+        assert fast_s == 2.0**-12
 
 
 class TestActivationKernelsReadOnly:

@@ -157,23 +157,23 @@ class TestBuiltinRegistry:
     """The process-wide registry with the built-in ops loaded."""
 
     def test_all_ops_registered(self):
-        ops = {op for op, _, _ in kernel_pairs()}
-        assert ops == {
-            "quq.fake_quantize", "qub.encode", "qub.encode_batch",
-            "qub.shifted", "qub.store_load",
-            "qub.pack", "qub.decode_lut", "gemm.int",
-            "sfu.sqrt", "sfu.exp", "sfu.softmax", "sfu.gelu",
-            "sfu.layernorm",
+        pairs = {f"{op}:{fast.variant}" for op, _, fast in kernel_pairs()}
+        assert pairs == {
+            "quq.fake_quantize:fused", "qub.shifted:inplace",
+            "qub.store_load:inplace", "qub.pack:packbits",
+            "qub.decode_lut:cached", "gemm.int:blas_f64",
         }
-        # quantize is reference-only: present in the registry, no pair.
-        assert "quq.quantize" in KERNELS.ops()
+        # The SFUs have one implementation each: registered, no pair.
+        assert set(KERNELS.ops()) == {op.split(":")[0] for op in pairs} | {
+            "sfu.softmax", "sfu.gelu", "sfu.layernorm",
+        }
 
     def test_selected_fast_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         selected = active_kernels()
         assert selected["quq.fake_quantize"] == "fused"
         assert selected["gemm.int"] == "blas_f64"
-        assert selected["quq.quantize"] == "reference"
+        assert selected["sfu.softmax"] == "reference"
 
     def test_env_pin_typo_is_reported(self, monkeypatch):
         """A pin on a mistyped op fails loudly instead of leaving the
@@ -287,15 +287,15 @@ class TestBuiltinLoad:
             import repro.kernels as kernels
 
             assert not kernels._builtin_loaded
-            sfu = sys.modules["repro.backend.sfu"]
-            sys.modules["repro.backend.sfu"] = None  # the first load fails
+            sfu = sys.modules["repro.hw.int_sfu"]
+            sys.modules["repro.hw.int_sfu"] = None  # the first load fails
             try:
                 kernels.get_kernel("gemm.int")
             except ImportError:
                 pass
             else:
                 raise SystemExit("the first load did not fail")
-            sys.modules["repro.backend.sfu"] = sfu
+            sys.modules["repro.hw.int_sfu"] = sfu
             kernels.get_kernel("gemm.int")
             print(kernels.active_kernels()["quq.fake_quantize"])
         """)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
-from repro.hw import encode_tensor
 from repro.models.swin import WindowAttention, _shift_attention_mask
 from repro.nn import MultiHeadSelfAttention
 from repro.quant import QuantEnv, UniformQuantizer
@@ -83,15 +82,6 @@ class TestStraightThroughInPipeline:
         out = env.tap("a", x)
         out.backward(np.ones(5, dtype=np.float32))
         np.testing.assert_allclose(x.grad, np.ones(5))  # STE: identity grad
-
-
-class TestEncodedTensorTransposed:
-    def test_transpose_is_pure_relabeling(self, rng):
-        x = rng.normal(size=(3, 5))
-        encoded = encode_tensor(x, 6)
-        transposed = encoded.transposed()
-        np.testing.assert_allclose(transposed.to_float(), encoded.to_float().T)
-        assert transposed.base_delta == encoded.base_delta
 
 
 class TestDeiTLossPath:

@@ -203,92 +203,6 @@ class TestEncodeDecodeProperty:
         )  # d == -1 at the register's negative shift
 
 
-class TestEncodeBatch:
-    def test_matches_per_tensor_encode(self, rng):
-        from repro.quant.qub import encode_batch
-
-        q = QUQQuantizer(6).fit(rng.standard_t(df=3, size=4000))
-        q.params = legalize_for_hardware(q.params)
-        tensors = [
-            q.quantize(rng.standard_t(df=3, size=(4, 7, 9)))
-            for _ in range(5)
-        ]
-        batched, registers = encode_batch(tensors)
-        assert registers == FCRegisters.from_params(q.params)
-        for qt, qubs in zip(tensors, batched):
-            single, single_regs = encode(qt)
-            assert single_regs == registers
-            assert qubs.shape == qt.codes.shape
-            assert qubs.dtype == single.dtype
-            assert np.array_equal(qubs, single)
-
-    def test_one_sided_negative_clamp_matches(self, rng):
-        from repro.quant.qub import encode_batch
-
-        q = QUQQuantizer(6).fit(-np.abs(rng.standard_t(df=3, size=3000)))
-        q.params = legalize_for_hardware(q.params)
-        samples = [-np.abs(rng.standard_t(df=3, size=500)) for _ in range(3)]
-        samples[1][:20] = 0.0  # exercise the zero-to-(-1) clamp
-        tensors = [q.quantize(x) for x in samples]
-        batched, _ = encode_batch(tensors)
-        for qt, qubs in zip(tensors, batched):
-            assert np.array_equal(qubs, encode(qt)[0])
-
-    def test_mixed_params_rejected(self, rng):
-        from repro.quant.qub import encode_batch
-
-        x = rng.standard_t(df=3, size=1000)
-        qa = QUQQuantizer(6).fit(x)
-        qb = QUQQuantizer(6).fit(x * 3.7)
-        with pytest.raises(ValueError, match="shared parameter set"):
-            encode_batch([qa.quantize(x), qb.quantize(x)])
-
-    def test_empty_rejected_with_typed_error(self):
-        from repro.quant.qub import EmptyBatchError, encode_batch
-
-        with pytest.raises(EmptyBatchError, match="at least one"):
-            encode_batch([])
-        # Callers that only know ValueError still catch it.
-        assert issubclass(EmptyBatchError, ValueError)
-
-    def test_zero_size_members_accepted(self, rng):
-        """Regression: zero-size tensors in a batch must encode, not crash."""
-        from repro.quant.qub import encode_batch
-
-        q = QUQQuantizer(6).fit(rng.standard_t(df=3, size=2000))
-        q.params = legalize_for_hardware(q.params)
-        tensors = [
-            q.quantize(np.empty((0,))),
-            q.quantize(rng.standard_t(df=3, size=(3, 5))),
-            q.quantize(np.empty((2, 0, 4))),
-        ]
-        batched, registers = encode_batch(tensors)
-        assert registers == FCRegisters.from_params(q.params)
-        assert batched[0].shape == (0,)
-        assert batched[2].shape == (2, 0, 4)
-        assert np.array_equal(batched[1], encode(tensors[1])[0])
-
-    def test_all_zero_size_batch(self, rng):
-        from repro.quant.qub import encode_batch
-
-        q = QUQQuantizer(4).fit(rng.normal(size=1000))
-        q.params = legalize_for_hardware(q.params)
-        batched, _ = encode_batch([q.quantize(np.empty((0, 7)))])
-        assert batched[0].shape == (0, 7)
-
-    def test_reference_variant_same_errors(self, monkeypatch, rng):
-        """REPRO_KERNELS=reference preserves the typed error contract."""
-        from repro.quant.qub import EmptyBatchError, encode_batch
-
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        with pytest.raises(EmptyBatchError):
-            encode_batch([])
-        q = QUQQuantizer(6).fit(rng.normal(size=1000))
-        q.params = legalize_for_hardware(q.params)
-        batched, _ = encode_batch([q.quantize(np.empty((0,)))])
-        assert batched[0].shape == (0,)
-
-
 class TestDecodedOperandWidth:
     @pytest.mark.parametrize("bits", [4, 6, 8])
     def test_d_fits_signed_multiplier(self, rng, bits):

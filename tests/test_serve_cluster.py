@@ -125,6 +125,17 @@ class TestClusterLifecycle:
         assert len(lane["shards"]) == 2
         assert all(s["alive"] for s in lane["shards"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected_at_submit(self, bad):
+        image = IMAGE.copy()
+        image[2, 7, 0] = bad
+        with make_engine(shards=1) as engine:
+            for spec in ("vit_s/fp32/32", SPEC, f"{SPEC}/full/int"):
+                engine.warm(spec)
+                with pytest.raises(ValueError, match="non-finite"):
+                    engine.submit(spec, image)
+            assert engine.snapshot()["counters"].get("requests_total", 0) == 0
+
     def test_loader_failure_surfaces_at_warm(self):
         def broken_loader(spec):
             raise RuntimeError("artifact missing")

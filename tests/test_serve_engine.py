@@ -153,6 +153,26 @@ class TestServeEngine:
             engine.submit(SPEC, np.zeros((16, 16, 3), dtype=np.float32))
 
 
+class TestNonFiniteImages:
+    """A quantized lane's first input tap parks NaN at a finite code and
+    clips inf, so the logits guard never sees them: every lane refuses a
+    non-finite image at submit, before it is counted."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_lane_rejects_at_submit(self, registry, tiny_data, bad):
+        _, val_set = tiny_data
+        image = val_set.images[0].copy()
+        image[3, 5, 1] = bad
+        with ServeEngine(registry, BatchPolicy(max_batch_size=2, max_wait_ms=1.0)) as engine:
+            for spec in (FLOAT_SPEC, SPEC, f"{SPEC}/full/int"):
+                engine.warm(spec)
+                with pytest.raises(ValueError, match="non-finite"):
+                    engine.submit(spec, image)
+            assert engine.snapshot()["counters"].get("requests_total", 0) == 0
+            # The lanes still serve finite images.
+            assert engine.submit(SPEC, val_set.images[0]).result(timeout=30.0).quantized
+
+
 class TestShutdownUnderLoad:
     """stop() must join workers and fail pending requests — never hang."""
 
