@@ -18,10 +18,10 @@ they do.
   re-encoded from float on every call — the memory story;
 * activation taps reuse precomputed :class:`~repro.backend.kernels.FusedEncoder`
   tables instead of running the QUB encode per tensor, and quantize in
-  one in-place pass per tap (registry ops ``qub.shifted`` / ``qub.store_load``,
-  variant ``inplace``, :meth:`FusedEncoder.shifted_f64`): one float64
-  codes buffer, one selector and a few boolean masks, and no int64 round
-  trip on the store/load path — the latency story.  Most of the old
+  one in-place pass per tap (the fast implementation of registry ops
+  ``qub.shifted`` / ``qub.store_load``, :meth:`FusedEncoder.shifted_f64`):
+  one float64 codes buffer, one selector and a few boolean masks, and no
+  int64 round trip on the store/load path — the latency story.  Most of the old
   encoder time was allocation, not arithmetic: on a 1 MB tap tensor
   (8x66x256 float64, one Xeon vCPU, NumPy 2.4) ``np.rint(x / d)`` took
   0.7-1.0 ms into fresh arrays and 0.14 ms into ``out=`` buffers,

@@ -18,8 +18,9 @@ gives
   bit for bit, including the float operation order.
 
 Both dispatch through the kernel registry (ops ``qub.shifted`` /
-``qub.store_load``), whose references decode those words;
-:meth:`FusedEncoder.shifted_f64` is the in-place pass that serves them.
+``qub.store_load``): each op's reference implementation decodes those
+words, and its fast one is the in-place :meth:`FusedEncoder.shifted_f64`
+pass.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class FusedEncoder:
         """PE-array operand ``D << n_sh`` (int64), skipping the QUB trip.
 
         Dispatches through the kernel registry (op ``qub.shifted``): the
-        in-place :meth:`shifted_f64` pass by default, the decoded words
-        of the encode under ``REPRO_KERNELS=reference``.
+        in-place :meth:`shifted_f64` pass (the fast implementation) by
+        default, the decoded words of the encode under
+        ``REPRO_KERNELS=reference``.
         """
         return get_kernel("qub.shifted")(x, self.params, self.bits)
 

@@ -338,14 +338,13 @@ def cmd_kernel_parity(args) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for op, entry in sorted(report["ops"].items()):
-            for pair in entry["pairs"]:
-                verdict = "ok" if pair["passed"] else "FAIL"
-                print(f"{op}:{pair['fast_variant']:<10} {verdict:<5} "
-                      f"{pair['cases']:>4} cases  ({pair['parity']})")
-                for mismatch in pair["mismatches"]:
-                    print(f"    {mismatch['case']}: {mismatch['problem']}")
+            verdict = "ok" if entry["passed"] else "FAIL"
+            print(f"{op:<18} {verdict:<5} {entry['cases']:>4} cases")
+            for mismatch in entry["mismatches"]:
+                print(f"    {mismatch['case']}: {mismatch['problem']}")
         verdict = "PASS" if report["passed"] else "FAIL"
-        print(f"kernel parity: {report['pairs_checked']} pairs, "
+        cases = sum(entry["cases"] for entry in report["ops"].values())
+        print(f"kernel parity: {report['pairs_checked']} pairs, {cases} cases, "
               f"{report['failures']} failures -> {verdict}")
     if not report["passed"]:
         raise SystemExit(1)

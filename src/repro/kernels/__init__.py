@@ -3,14 +3,17 @@
 Public surface:
 
 * :data:`KERNELS` — the process-wide :class:`KernelRegistry` holding the
-  built-in registrations (:mod:`repro.kernels.ops`).
-* :func:`get_kernel` — resolve an op to its serving callable
-  (fast-by-default, ``REPRO_KERNELS`` / ``prefer=`` overrides).
+  built-in registrations (:mod:`repro.kernels.ops`), one
+  :class:`KernelPair` of a reference and at most one fast implementation
+  per op.
+* :func:`get_kernel` — resolve an op to its serving callable (the fast
+  implementation unless ``REPRO_KERNELS=reference`` or
+  ``prefer="reference"``).
 * :func:`kernel_pairs` / :func:`run_kernel_parity` — enumerate and drive
-  the pairwise reference-vs-fast parity suite.
-* :func:`kernels_snapshot` / :func:`active_kernels` — observability: the
-  selected variant per op (shown in the serve registry snapshot) and the
-  dispatch and cache counters.
+  the bit-exact reference-vs-fast parity suite.
+* :func:`kernels_snapshot` / :func:`active_kernels` — observability:
+  ``fast`` or ``reference`` per op (shown in the serve registry
+  snapshot) and the dispatch and cache counters.
 
 Built-in registrations load lazily on first dispatch so that low-level
 modules (``quant.quq``, ``hw.accelerator``) can import this package
@@ -22,21 +25,14 @@ from __future__ import annotations
 
 import threading
 
-from .registry import (
-    ENV_VAR,
-    KernelImpl,
-    KernelRegistry,
-    KernelRegistryError,
-    ParitySpec,
-)
+from .registry import ENV_VAR, KernelPair, KernelRegistry, KernelRegistryError
 
 __all__ = [
     "ENV_VAR",
     "KERNELS",
-    "KernelImpl",
+    "KernelPair",
     "KernelRegistry",
     "KernelRegistryError",
-    "ParitySpec",
     "get_kernel",
     "kernel_pairs",
     "kernels_snapshot",
@@ -78,8 +74,8 @@ def get_kernel(op: str, prefer: str | None = None):
     return KERNELS.get(op, prefer)
 
 
-def kernel_pairs():
-    """Every registered ``(op, reference, fast)`` pair."""
+def kernel_pairs() -> list[KernelPair]:
+    """Every registered op with a fast implementation, as its pair."""
     _ensure_builtin()
     return KERNELS.pairs()
 
@@ -91,7 +87,7 @@ def kernels_snapshot() -> dict:
 
 
 def active_kernels() -> dict:
-    """Which variant currently serves each op."""
+    """``fast`` or ``reference``: which implementation serves each op."""
     _ensure_builtin()
     return KERNELS.selected()
 

@@ -7,22 +7,20 @@ those modules are fully loaded.  It must **not** import
 ``hw.accelerator``, ``hw.executor`` or the serving backends: those are
 registry *callers*, and importing them here would close the loop.
 
-Registered ops (reference + fast variants):
+Registered ops, one ``KERNELS.register(op, reference, fast)`` line each:
 
 ===================  =====================  ==============================
 op                   reference              fast
 ===================  =====================  ==============================
-``quq.fake_quantize``quantize->dequantize   ``fused`` one in-place
-                                            float64 pass on the shared
-                                            four-slot route
-``qub.shifted``      encode, decode,        ``inplace`` one-pass
+``quq.fake_quantize``quantize->dequantize   one in-place float64 pass on
+                                            the shared four-slot route
+``qub.shifted``      encode, decode,        one-pass
                      ``D << n_sh``          :meth:`FusedEncoder.shifted_f64`
-``qub.store_load``   encode, decode,        ``inplace`` float64 throughout
+``qub.store_load``   encode, decode,        float64 throughout
                      ``to_float`` formula
-``qub.pack``         pure-Python bit loop   ``packbits`` vectorized
-``qub.decode_lut``   fresh table per call   ``cached`` shared per
-                                            ``(registers, bits)``
-``gemm.int``         int64 matmul           ``blas_f64`` exact-window BLAS
+``qub.pack``         pure-Python bit loop   vectorized ``np.packbits``
+``qub.decode_lut``   fresh table per call   shared per ``(registers, bits)``
+``gemm.int``         int64 matmul           exact-window BLAS float64
 ``sfu.softmax``      ``hw.int_sfu``         (none)
 ``sfu.gelu``         ``hw.int_sfu``         (none)
 ``sfu.layernorm``    ``hw.int_sfu``         (none)
@@ -31,12 +29,10 @@ op                   reference              fast
 The encode is :func:`repro.quant.qub.quantize_encode`, the spec path
 (Eq. 3, then the QUB words).  The ``sfu.*`` ops have one implementation
 each; they are registered so the integer walk's SFU calls dispatch, and
-count, like every other kernel.
-
-Every fast variant declares a bit-exact :class:`ParitySpec`; the harness
-in :mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
-drives each pair over fitted and hand-built parameters and adversarial
-inputs.
+count, like every other kernel.  The harness in
+:mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
+requires every fast implementation to equal its reference bit for bit
+over fitted and hand-built parameters and adversarial inputs.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from ..quant.qub import (
 )
 from ..quant.quq import fake_quantize_with_params, quantize_with_params
 from . import KERNELS
-from .registry import ParitySpec
 
 __all__ = ["fused_encoder", "cache_info", "clear_caches"]
 
@@ -69,38 +64,12 @@ _CACHE_LOCK = threading.Lock()
 # ---------------------------------------------------------------------------
 
 def _fake_quantize_reference(x: np.ndarray, params: QUQParams) -> np.ndarray:
-    """The value a round trip through the code path produces."""
+    """The value a round trip through the code path produces: float32, ``x``'s
+    shape, for any float input."""
     return quantize_with_params(x, params).dequantize()
 
 
-KERNELS.register(
-    "quq.fake_quantize",
-    "reference",
-    _fake_quantize_reference,
-    contract={
-        "inputs": "(x: float array, params: QUQParams)",
-        "output": "float32 array, x's shape",
-        "domain": "any float input",
-    },
-)
-
-KERNELS.register(
-    "quq.fake_quantize",
-    "fused",
-    fake_quantize_with_params,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="one in-place float64 pass over the four-slot route shared "
-        "with FusedEncoder.shifted_f64; codes times the kept deltas, +0.0, "
-        "then float32, so zeros match the reference by sign; NaN parks at "
-        "nan_park_value, +/-inf clips to the side's representable extreme",
-    ),
-    contract={
-        "inputs": "(x: float array, params: QUQParams)",
-        "output": "float32 array, x's shape",
-        "domain": "any float input",
-    },
-)
+KERNELS.register("quq.fake_quantize", _fake_quantize_reference, fake_quantize_with_params)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +118,11 @@ def fused_encoder(params: QUQParams, bits: int) -> FusedEncoder:
 def _decoded_words(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(D, n_sh, base_delta)`` of the encode's QUB words for ``x``."""
+    """``(D, n_sh, base_delta)`` of the encode's QUB words for ``x``.
+
+    Raises :class:`ValueError` when the legalized ``params.bits`` exceed
+    the QUB width ``bits``.
+    """
     qubs, registers, base_delta = quantize_encode(x, params, bits)
     return *decode(qubs, registers, bits), base_delta
 
@@ -157,7 +130,7 @@ def _decoded_words(
 def _shifted_reference(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
-    """``D << n_sh`` of the encode's words: the PE-array operand."""
+    """``D << n_sh`` of the encode's words: the PE-array operand, int64."""
     d, n_sh, _ = _decoded_words(x, params, bits)
     return d << n_sh
 
@@ -165,6 +138,8 @@ def _shifted_reference(
 def _shifted_inplace(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
+    """:meth:`FusedEncoder.shifted_f64` cast to int64: ``D * 2**n_sh`` is an
+    exact integer, so the cast equals the decoded words' ``D << n_sh``."""
     # The backend's own encoder for this tap; the lookup is not a
     # ``qub.encode`` cache event (see fused_encoder), so it is not counted.
     encoder, _ = _shared_encoder(params, bits)
@@ -178,7 +153,8 @@ def _shifted_inplace(
 def _store_load_reference(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
-    """The encode's words reloaded: the ``EncodedTensor.to_float()`` formula."""
+    """The encode's words reloaded, float64: the ``EncodedTensor.to_float()``
+    formula ``(D * 2**n_sh) * base_delta``."""
     d, n_sh, base_delta = _decoded_words(x, params, bits)
     return (d.astype(np.float64) * (1 << n_sh).astype(np.float64)) * base_delta
 
@@ -186,6 +162,8 @@ def _store_load_reference(
 def _store_load_inplace(
     x: np.ndarray, params: QUQParams, bits: int
 ) -> np.ndarray:
+    """The reference's float operation order (``D * 2**n_sh``, then
+    ``* base_delta``) without the QUB words."""
     encoder, _ = _shared_encoder(params, bits)
     values = encoder.shifted_f64(x)
     # +0.0 turns a -0.0 code into the +0.0 an int64 round trip gives.
@@ -194,53 +172,8 @@ def _store_load_inplace(
     return values
 
 
-_SHIFTED_CONTRACT = {
-    "inputs": "(x: float array, params: QUQParams, bits: int)",
-    "output": "int64 array, x's shape: the PE-array operand D << n_sh",
-    "domain": "any float input; raises ValueError when the legalized "
-    "params.bits exceed the QUB width",
-}
-_STORE_LOAD_CONTRACT = {
-    "inputs": "(x: float array, params: QUQParams, bits: int)",
-    "output": "float64 array, x's shape: (D * 2**n_sh) * base_delta",
-    "domain": "any float input; raises ValueError when the legalized "
-    "params.bits exceed the QUB width",
-}
-
-KERNELS.register(
-    "qub.shifted", "reference", _shifted_reference, contract=_SHIFTED_CONTRACT
-)
-KERNELS.register(
-    "qub.shifted",
-    "inplace",
-    _shifted_inplace,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="FusedEncoder.shifted_f64: one in-place float64 pass over "
-        "the four-slot route shared with the fused fake-quantize kernel; "
-        "D * 2**n_sh is an exact integer, so its int64 cast equals the "
-        "decoded words' D << n_sh",
-    ),
-    contract=_SHIFTED_CONTRACT,
-)
-KERNELS.register(
-    "qub.store_load",
-    "reference",
-    _store_load_reference,
-    contract=_STORE_LOAD_CONTRACT,
-)
-KERNELS.register(
-    "qub.store_load",
-    "inplace",
-    _store_load_inplace,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="same float operation order as the reference (D * 2**n_sh, "
-        "then * base_delta) without the QUB words; -0.0 codes are "
-        "normalised to +0.0 first",
-    ),
-    contract=_STORE_LOAD_CONTRACT,
-)
+KERNELS.register("qub.shifted", _shifted_reference, _shifted_inplace)
+KERNELS.register("qub.store_load", _store_load_reference, _store_load_inplace)
 
 
 def _pack_words_reference(qubs: np.ndarray, bits: int) -> np.ndarray:
@@ -260,26 +193,7 @@ def _pack_words_reference(qubs: np.ndarray, bits: int) -> np.ndarray:
     return np.frombuffer(bytes(out), dtype=np.uint8).copy()
 
 
-_PACK_CONTRACT = {
-    "inputs": "(qubs: unsigned int array, bits: 1..16)",
-    "output": "uint8 buffer of ceil(n*bits/8) bytes, MSB-first",
-    "domain": "words must fit `bits`; zero-size input packs to zero bytes",
-}
-
-KERNELS.register(
-    "qub.pack", "reference", _pack_words_reference, contract=_PACK_CONTRACT
-)
-KERNELS.register(
-    "qub.pack",
-    "packbits",
-    pack_qub_words,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="np.packbits over the exploded bitstream; identical bytes "
-        "including the zero-padded trailing partial byte",
-    ),
-    contract=_PACK_CONTRACT,
-)
+KERNELS.register("qub.pack", _pack_words_reference, pack_qub_words)
 
 
 #: Decode LUTs shared per (registers, bits) — FCRegisters is frozen, so
@@ -289,6 +203,8 @@ _LUT_CACHE: dict[tuple[FCRegisters, int], np.ndarray] = {}
 
 
 def _decode_lut_cached(registers: FCRegisters, bits: int) -> np.ndarray:
+    """:func:`decode_lut`, computed once per ``(registers, bits)`` and
+    shared read-only."""
     key = (registers, bits)
     with _CACHE_LOCK:
         lut = _LUT_CACHE.get(key)
@@ -303,26 +219,7 @@ def _decode_lut_cached(registers: FCRegisters, bits: int) -> np.ndarray:
     return lut
 
 
-_LUT_CONTRACT = {
-    "inputs": "(registers: FCRegisters, bits: int)",
-    "output": "int64 array of 2**bits shifted integers (D << n_sh)",
-    "domain": "any legal register pair; cached variant returns a shared "
-    "read-only table",
-}
-
-KERNELS.register(
-    "qub.decode_lut", "reference", decode_lut, contract=_LUT_CONTRACT
-)
-KERNELS.register(
-    "qub.decode_lut",
-    "cached",
-    _decode_lut_cached,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="same table, computed once per (registers, bits) and shared",
-    ),
-    contract=_LUT_CONTRACT,
-)
+KERNELS.register("qub.decode_lut", decode_lut, _decode_lut_cached)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +227,11 @@ KERNELS.register(
 # ---------------------------------------------------------------------------
 
 def _gemm_int_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """int64 matmul over shifted operands — the hardware accumulation."""
+    """int64 matmul over shifted operands — the hardware accumulation.
+
+    ``x`` is ``(..., M, K)`` and ``w`` ``(..., K, N)`` with matmul
+    broadcasting; the result holds the int64 accumulators.
+    """
     x = np.asarray(x, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
     return x @ w
@@ -364,68 +265,16 @@ def _gemm_int_blas_f64(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-KERNELS.register(
-    "gemm.int",
-    "reference",
-    _gemm_int_reference,
-    contract={
-        "inputs": "(x: int array (..., M, K), w: int array (..., K, N))",
-        "output": "int64 accumulators, matmul broadcasting",
-        "domain": "shifted QUB operands (|D| < 2**(bits-1), shifts <= 7)",
-    },
-)
-KERNELS.register(
-    "gemm.int",
-    "blas_f64",
-    _gemm_int_blas_f64,
-    parity=ParitySpec(
-        bit_exact=True,
-        notes="exact inside the 2**53 window (guard in Python ints), "
-        "falls back to the int64 matmul outside it",
-    ),
-    contract={
-        "inputs": "(x: int array (..., M, K), w: int array (..., K, N))",
-        "output": "int64 accumulators, matmul broadcasting",
-        "domain": "any int64 operands; exactness guard picks the path",
-    },
-)
+KERNELS.register("gemm.int", _gemm_int_reference, _gemm_int_blas_f64)
 
 
 # ---------------------------------------------------------------------------
 # sfu.* — integer special functions, one implementation each
 # ---------------------------------------------------------------------------
 
-KERNELS.register(
-    "sfu.softmax",
-    "reference",
-    i_softmax,
-    contract={
-        "inputs": "(q: int64 array, s: float, axis=-1, out_bits=16)",
-        "output": "(codes in [0, 2**out_bits - 1], scale 2**-out_bits)",
-        "domain": "any int64 logits",
-    },
-)
-KERNELS.register(
-    "sfu.gelu",
-    "reference",
-    i_gelu,
-    contract={
-        "inputs": "(q: int64 array, s: float scale)",
-        "output": "(q_out, s_out) integer GELU via polynomial erf",
-        "domain": "any int64 codes",
-    },
-)
-KERNELS.register(
-    "sfu.layernorm",
-    "reference",
-    i_layernorm,
-    contract={
-        "inputs": "(q: int64 array, s: float, weight=None, bias=None, "
-        "out_bits=8)",
-        "output": "(normalized codes, scale 2**-out_bits)",
-        "domain": "any int64 codes; reduces over the last axis",
-    },
-)
+KERNELS.register("sfu.softmax", i_softmax)
+KERNELS.register("sfu.gelu", i_gelu)
+KERNELS.register("sfu.layernorm", i_layernorm)
 
 
 # ---------------------------------------------------------------------------

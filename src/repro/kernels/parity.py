@@ -1,18 +1,19 @@
 """Pairwise reference-vs-fast parity harness over the kernel registry.
 
 Backs ``python -m repro kernel-parity`` and the CI ``kernel-parity`` job.
-Enumerates every registered ``(op, reference, fast)`` pair
-(:meth:`KernelRegistry.pairs`) and drives it over deterministic seeded
-cases: legalized QUQ parameter sets fitted at several bit-widths on
+Enumerates every registered op with a fast implementation
+(:meth:`KernelRegistry.pairs`, one :class:`KernelPair` per op) and drives
+its pair over deterministic seeded cases: legalized QUQ parameter sets
+fitted at several bit-widths on
 qualitatively different data (two-sided, positive-only softmax-like,
 one-sided negative, GELU-shaped, heavy-tailed, outlier channels) and, for
 the float fake-quantizer and the activation encoders, the raw fits and
 hand-built parameters in every mode, plus adversarial inputs — NaN,
 ``+/-inf``, denormals, exact zeros, all-negative tensors, zero-size
 arrays — and the strided, float32 and signed-zero operands the forward
-passes send.  A pair passes a case when both variants return equal results
-(``np.array_equal`` with NaNs compared positionally and zeros by sign,
-or ``np.allclose`` for tolerance specs) **or** both raise the same
+passes send.  A pair passes a case when both implementations return
+results of equal dtype and shape and equal values, bit for bit (NaNs
+compared by position, zeros by sign), **or** both raise the same
 exception type with no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
@@ -32,13 +33,13 @@ from ..quant.params import QUQParams, SubrangeSpec
 from ..quant.qub import FCRegisters, legalize_for_hardware
 from ..quant.relax import progressive_relaxation
 from . import kernel_pairs
-from .registry import KernelImpl
+from .registry import KernelPair
 
-__all__ = ["run_kernel_parity", "parity_cases", "fitted_params_pool",
+__all__ = ["run_kernel_parity", "check_pair", "parity_cases", "fitted_params_pool",
            "mode_params_pool"]
 
 #: Report schema version (bump on breaking shape changes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Bit-widths the parameter pool is fitted at.
 PARAM_BITS = (4, 6, 8)
@@ -256,27 +257,26 @@ def _outcome(fn: Callable, case: _Case):
         return None, error
 
 
-def _results_match(ref_result, fast_result, parity) -> bool:
+def _mismatch(ref_result, fast_result) -> str | None:
+    """``None`` when the results are equal bit for bit: same dtype and
+    shape, then equal values with NaNs compared by position and zeros by
+    sign; else what differs."""
     a, b = np.asarray(ref_result), np.asarray(fast_result)
+    if a.dtype != b.dtype:
+        return f"dtypes differ: reference {a.dtype}, fast {b.dtype}"
     if a.shape != b.shape:
-        return False
-    if parity is not None and not parity.bit_exact:
-        return bool(np.allclose(a, b, rtol=parity.rtol, atol=parity.atol,
-                                equal_nan=True))
+        return f"shapes differ: reference {a.shape}, fast {b.shape}"
     if not np.array_equal(a, b, equal_nan=True):
-        return False
-    # Bit-exact floats also agree on the sign of zero.
-    return a.dtype.kind != "f" or bool(np.array_equal(
-        np.signbit(a[a == 0]), np.signbit(b[b == 0])
-    ))
+        return "values differ"
+    if a.dtype.kind == "f" and not np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0])):
+        return "signs of zero differ"
+    return None
 
 
-def _check_case(
-    reference: KernelImpl, fast: KernelImpl, case: _Case
-) -> str | None:
+def _check_case(pair: KernelPair, case: _Case) -> str | None:
     """``None`` on agreement, else a human-readable mismatch description."""
-    ref_result, ref_error = _outcome(reference.fn, case)
-    fast_result, fast_error = _outcome(fast.fn, case)
+    ref_result, ref_error = _outcome(pair.reference, case)
+    fast_result, fast_error = _outcome(pair.fast, case)
     if ref_error is not None or fast_error is not None:
         if ref_error is None:
             return f"fast raised {type(fast_error).__name__}, reference returned"
@@ -288,41 +288,35 @@ def _check_case(
                 f"{type(ref_error).__name__}, fast {type(fast_error).__name__}"
             )
         return None
-    if not _results_match(ref_result, fast_result, fast.parity):
-        return f"results differ ({fast.parity.describe()} contract)"
-    return None
+    return _mismatch(ref_result, fast_result)
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
+def check_pair(pair: KernelPair, seed: int = 0, cases: int = 8) -> dict:
+    """Drive one pair over its op's case list; the report's per-op entry."""
+    mismatches = []
+    checked = 0
+    for case in parity_cases(pair.op, seed=seed, cases=cases):
+        checked += 1
+        problem = _check_case(pair, case)
+        if problem is not None:
+            mismatches.append({"case": case.label, "problem": problem})
+    return {"cases": checked, "mismatches": mismatches, "passed": not mismatches}
+
+
 def run_kernel_parity(seed: int = 0, cases: int = 8) -> dict:
     """Drive every registered pair over its case list; JSON-able report.
 
-    The report's ``passed`` is True iff every pair agreed on every case;
-    ``source`` marks it as coming from the registry harness.
+    ``ops`` holds one entry per pair (:func:`check_pair`).  The report's
+    ``passed`` is True iff every pair agreed on every case; ``source``
+    marks it as coming from the registry harness.
     """
     pairs = kernel_pairs()  # loads the built-in registrations
-    ops: dict[str, dict] = {}
-    failures = 0
-    for op, reference, fast in pairs:
-        checked = 0
-        mismatches = []
-        for case in parity_cases(op, seed=seed, cases=cases):
-            checked += 1
-            problem = _check_case(reference, fast, case)
-            if problem is not None:
-                mismatches.append({"case": case.label, "problem": problem})
-        failures += len(mismatches)
-        entry = ops.setdefault(op, {"pairs": []})
-        entry["pairs"].append({
-            "fast_variant": fast.variant,
-            "parity": fast.parity.describe(),
-            "cases": checked,
-            "mismatches": mismatches,
-            "passed": not mismatches,
-        })
+    ops = {pair.op: check_pair(pair, seed=seed, cases=cases) for pair in pairs}
+    failures = sum(len(entry["mismatches"]) for entry in ops.values())
     return {
         "schema_version": SCHEMA_VERSION,
         "source": "kernel-registry",

@@ -1,14 +1,18 @@
 """Export a QUQ-quantized model as a deployable artifact.
 
-Packs every weight tensor into its wire format — QUB bytes plus the two
-FC-register bytes and one base scale factor per tensor — and records the
-fitted activation parameters the accelerator's quantization units need.
-This is the storage story behind Figure 2: per tensor, QUQ's side
-information is constant (9 bytes), unlike row-wise or index-table schemes.
+Packs every weight tensor into its wire format — the dense QUB
+bitstream (``ceil(n * bits / 8)`` bytes through the ``qub.pack`` kernel,
+the at-rest format :class:`~repro.backend.packed.PackedWeightStore`
+holds too) plus the two FC-register bytes and one base scale factor per
+tensor — and records the fitted activation parameters the accelerator's
+quantization units need.  This is the storage story behind Figure 2: per
+tensor, QUQ's side information is constant (10 bytes), unlike row-wise
+or index-table schemes.
 
-The artifact is a single ``.npz``; :func:`load_quantized` restores the
-weight QUBs and parameter tables, and :func:`deployment_report` summarizes
-the achieved compression against FP32.
+The artifact is a single ``.npz``; :func:`load_quantized` unpacks the
+weight QUBs and restores the parameter tables, and
+:func:`deployment_report` summarizes the achieved compression against
+FP32.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..kernels import get_kernel
 from .observers import TapKind, classify_tap
 from .params import QUQParams, Subrange, SubrangeSpec
 from .qmodel import PTQPipeline
-from .qub import FCRegisters, encode, legalize_for_hardware
+from .qub import FCRegisters, encode, legalize_for_hardware, unpack_qub_words
 from .quq import QUQQuantizer, quantize_with_params
 
 __all__ = ["export_quantized", "load_quantized", "deployment_report", "QuantizedArtifact"]
@@ -56,7 +61,8 @@ class QuantizedArtifact:
     """In-memory form of an exported model."""
 
     bits: int
-    #: weight tap -> (qub bytes, fine register, coarse register, params)
+    #: weight tap -> (QUB words in the weight's shape, fine register,
+    #: coarse register, params); the file holds the words bit-packed
     weights: dict[str, tuple[np.ndarray, int, int, QUQParams]]
     #: activation tap -> params (for the accelerator's QUs)
     activations: dict[str, QUQParams]
@@ -73,10 +79,12 @@ class QuantizedArtifact:
         )
 
     def payload_bytes(self) -> int:
-        """Total artifact payload: QUBs plus per-tensor side information."""
+        """Total artifact payload: the QUB bitstreams plus per-tensor side
+        information."""
         total = 0
         for qubs, _, _, params in self.weights.values():
-            total += qubs.nbytes + 2 + 8  # FC registers + base delta
+            bitstream = (qubs.size * params.bits + 7) // 8
+            total += bitstream + 2 + 8  # FC registers + base delta
         total += len(self.activations) * (2 + 8)
         return total
 
@@ -102,7 +110,7 @@ def export_quantized(pipeline: PTQPipeline, path: str | Path) -> QuantizedArtifa
             data = parameters[param_name].data
             qubs, registers = encode(quantize_with_params(data, params))
             weights[name] = (qubs, registers.fine.pack(), registers.coarse.pack(), params)
-            payload[f"w:{name}"] = qubs
+            payload[f"w:{name}"] = get_kernel("qub.pack")(qubs, params.bits)
             payload[f"wr:{name}"] = np.array(
                 [registers.fine.pack(), registers.coarse.pack()], dtype=np.uint8
             )
@@ -128,8 +136,9 @@ def load_quantized(path: str | Path) -> QuantizedArtifact:
             registers = payload[f"wr:{name}"]
             params = _unpack_params(payload[f"wp:{name}"])
             shape = tuple(payload[f"ws:{name}"])
+            words = unpack_qub_words(payload[key], params.bits, int(np.prod(shape)))
             weights[name] = (
-                payload[key].reshape(shape),
+                words.reshape(shape),
                 int(registers[0]),
                 int(registers[1]),
                 params,

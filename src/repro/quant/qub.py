@@ -252,7 +252,9 @@ def pack_qub_words(qubs: np.ndarray, bits: int) -> np.ndarray:
     actual memory-footprint win of sub-byte quantization, as opposed to
     the one-word-per-``uint8``/``uint16`` layout the simulator uses for
     indexing convenience.  Round-trips exactly through
-    :func:`unpack_qub_words` for any ``1 <= bits <= 16``.
+    :func:`unpack_qub_words` for any ``1 <= bits <= 16``; raises
+    :class:`ValueError` for ``bits`` outside that range or a word wider
+    than ``bits``.
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")

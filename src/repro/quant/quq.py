@@ -338,7 +338,9 @@ def fake_quantize_with_params(x: np.ndarray, params: QUQParams) -> np.ndarray:
     ``-0.0`` value of a negative zero code into the ``+0.0`` an integer
     code gives.  Code selection runs in float64 to match the code path —
     a float32 ratio picks the adjacent code when an element sits a hair
-    from a rounding tie — and only the output is float32.
+    from a rounding tie — and only the output is float32.  As in the code
+    path, NaN parks at :func:`nan_park_value` and ``+/-inf`` clips to its
+    side's representable extreme.
     """
     tables = _TABLES.get(params)
     if tables is None:

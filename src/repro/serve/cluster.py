@@ -8,11 +8,14 @@ execution into *shard* processes — N replicas per ``ModelKey``, each a
 forked worker owning its own copy of the servable — and keeps the
 process-level concerns in the parent:
 
-* **zero-copy hand-off** — each shard owns a ring of fixed-size slots in
-  a :mod:`multiprocessing.shared_memory` segment; the parent writes the
+* **zero-copy hand-off** — each shard owns a one-slot ring in a
+  :mod:`multiprocessing.shared_memory` segment; the parent writes the
   coalesced batch straight into the slot's image region and flips a
   status word, the shard reads the same mapped pages (no pickling, no
-  pipe copy) and writes logits back into the slot's output region;
+  pipe copy) and writes logits back into the slot's output region.  One
+  slot is all a shard can use: its one dispatch thread holds the shard's
+  lock until the answer is back, so a second request never waits in the
+  ring;
 * **supervision** — shards heartbeat through a control word; a dispatch
   that sees the heartbeat go silent past ``watchdog_stall_s`` (or the
   process die) kills and respawns the shard and **re-routes the
@@ -85,8 +88,8 @@ EMPTY, REQ, RES, ERR = 0, 1, 2, 3
 MODE_QUANT, MODE_FLOAT = 0, 1
 # Header word indices; H_PATH holds the DATAPATHS index of the path
 # that answered.
-H_STATUS, H_LEN, H_CLASSES, H_MODE, H_STALL_NS, H_PATH, H_MSG_LEN, H_SEQ = range(8)
-HEADER_WORDS = 8
+H_STATUS, H_LEN, H_CLASSES, H_MODE, H_STALL_NS, H_PATH, H_MSG_LEN = range(7)
+HEADER_WORDS = 7
 # Control word indices (one control block per shard segment).
 C_HEARTBEAT, C_READY, C_STOP = 0, 1, 2
 CTRL_WORDS = 4
@@ -114,7 +117,6 @@ class ClusterPolicy:
     def __init__(
         self,
         shards: int = 2,
-        ring_slots: int = 2,
         image_hw: int = 16,
         channels: int = 3,
         max_classes: int = 64,
@@ -122,8 +124,8 @@ class ClusterPolicy:
         poll_s: float = 0.0005,
         max_redispatch: int = 3,
     ):
-        if shards < 1 or ring_slots < 1:
-            raise ValueError("shards and ring_slots must be >= 1")
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         if image_hw < 1 or channels < 1 or max_classes < 1:
             raise ValueError("image_hw, channels, max_classes must be >= 1")
         if ready_timeout_s <= 0 or poll_s <= 0 or max_redispatch < 0:
@@ -131,7 +133,6 @@ class ClusterPolicy:
                 "ready_timeout_s and poll_s must be > 0, max_redispatch >= 0"
             )
         self.shards = shards
-        self.ring_slots = ring_slots
         self.image_hw = image_hw
         self.channels = channels
         self.max_classes = max_classes
@@ -141,16 +142,16 @@ class ClusterPolicy:
 
 
 class _RingViews:
-    """NumPy views over one shard's shared-memory segment.
+    """NumPy views over one shard's shared-memory segment: the control
+    block and the ring's one slot.
 
     Built in the parent; the shard inherits the same object through fork,
     so both sides address identical mapped pages.  Holding ``shm`` here
     keeps the mapping alive on both sides of the fork.
     """
 
-    def __init__(self, shm, slots: int, max_batch: int, image_shape, max_classes: int):
+    def __init__(self, shm, max_batch: int, image_shape, max_classes: int):
         self.shm = shm
-        self.slots = slots
         self.max_batch = max_batch
         self.image_shape = tuple(image_shape)
         self.max_classes = max_classes
@@ -167,35 +168,34 @@ class _RingViews:
             return arr
 
         self.ctrl = carve(np.int64, (CTRL_WORDS,))
-        self.hdr = carve(np.int64, (slots, HEADER_WORDS))
-        self.msg = carve(np.uint8, (slots, MSG_BYTES))
-        self.images = carve(np.float32, (slots, max_batch) + self.image_shape)
-        self.logits = carve(np.float32, (slots, max_batch, max_classes))
+        self.hdr = carve(np.int64, (HEADER_WORDS,))
+        self.msg = carve(np.uint8, (MSG_BYTES,))
+        self.images = carve(np.float32, (max_batch,) + self.image_shape)
+        self.logits = carve(np.float32, (max_batch, max_classes))
         self.nbytes = offset
 
     @classmethod
-    def required_bytes(cls, slots, max_batch, image_shape, max_classes) -> int:
-        words = CTRL_WORDS + slots * HEADER_WORDS
-        per_slot = (
+    def required_bytes(cls, max_batch, image_shape, max_classes) -> int:
+        slot = (
             MSG_BYTES
             + 4 * max_batch * int(np.prod(image_shape))
             + 4 * max_batch * max_classes
         )
         # Alignment padding upper bound: 8 bytes per carved region.
-        return words * 8 + slots * per_slot + 8 * (4 + 2 * slots)
+        return (CTRL_WORDS + HEADER_WORDS) * 8 + slot + 8 * 5
 
-    def write_error(self, slot: int, message: str) -> None:
+    def write_error(self, message: str) -> None:
         data = message.encode("utf-8", errors="replace")[:MSG_BYTES]
-        self.msg[slot][: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        self.hdr[slot][H_MSG_LEN] = len(data)
+        self.msg[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        self.hdr[H_MSG_LEN] = len(data)
 
-    def read_error(self, slot: int) -> str:
-        length = int(self.hdr[slot][H_MSG_LEN])
-        return bytes(self.msg[slot][:length]).decode("utf-8", errors="replace")
+    def read_error(self) -> str:
+        length = int(self.hdr[H_MSG_LEN])
+        return bytes(self.msg[:length]).decode("utf-8", errors="replace")
 
 
 def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
-    """Shard process body: load one replica, then serve the slot ring.
+    """Shard process body: load one replica, then serve the ring's slot.
 
     Single-threaded by design — the heartbeat stops the moment the worker
     blocks (an injected ``stall_ns`` sleep, a wedged predict), which is
@@ -204,17 +204,15 @@ def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
     # The parent supervises shards; a Ctrl-C on the terminal must not
     # race it by killing workers directly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    ctrl, hdr = views.ctrl, views.hdr
+    ctrl, row = views.ctrl, views.hdr
     try:
         servable = loader(spec)
     except BaseException as error:  # report, then exit: the parent re-raises
-        views.write_error(0, f"{type(error).__name__}: {error}")
+        views.write_error(f"{type(error).__name__}: {error}")
         ctrl[C_READY] = READY_FAILED
         return
     ctrl[C_READY] = READY_OK
-    slot = 0
     while not ctrl[C_STOP]:
-        row = hdr[slot]
         if row[H_STATUS] != REQ:
             ctrl[C_HEARTBEAT] += 1
             time.sleep(poll_s)
@@ -229,7 +227,7 @@ def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
         mode = int(row[H_MODE])
         # Zero-copy input: predict consumes the shared mapping directly;
         # the parent does not reuse the slot until the status word flips.
-        images = views.images[slot][:n]
+        images = views.images[:n]
         try:
             if mode == MODE_FLOAT:
                 logits, path = servable.predict_float(images), FLOAT
@@ -239,15 +237,14 @@ def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
             if logits.ndim != 2 or logits.shape[0] != n:
                 raise ValueError(f"model returned logits of shape {logits.shape}")
             classes = min(logits.shape[1], views.max_classes)
-            views.logits[slot][:n, :classes] = logits[:, :classes]
+            views.logits[:n, :classes] = logits[:, :classes]
             row[H_CLASSES] = classes
             row[H_PATH] = DATAPATHS.index(path)
             row[H_STATUS] = RES
         except BaseException as error:
-            views.write_error(slot, f"{type(error).__name__}: {error}")
+            views.write_error(f"{type(error).__name__}: {error}")
             row[H_STATUS] = ERR
         ctrl[C_HEARTBEAT] += 1
-        slot = (slot + 1) % views.slots
 
 
 class _ShardExecutor(Executor):
@@ -273,15 +270,13 @@ class _ShardExecutor(Executor):
 
         engine, cluster = self.engine, self.engine.cluster
         shape = (cluster.image_hw, cluster.image_hw, cluster.channels)
-        layout = (cluster.ring_slots, engine.policy.max_batch_size, shape,
-                  cluster.max_classes)
+        layout = (engine.policy.max_batch_size, shape, cluster.max_classes)
         self.shm = shared_memory.SharedMemory(
             create=True, size=_RingViews.required_bytes(*layout)
         )
         self.views = _RingViews(self.shm, *layout)
         self.views.ctrl[:] = 0
         self.views.hdr[:] = 0
-        self.seq = 0  # batches dispatched; seq % slots is the next slot
         self.process = engine._ctx.Process(
             target=_shard_main,
             args=(self.lane.key.spec, engine.loader, self.views, cluster.poll_s),
@@ -295,7 +290,7 @@ class _ShardExecutor(Executor):
             if state == READY_OK:
                 return
             if state == READY_FAILED or not self.alive():
-                message = self.views.read_error(0) or "shard died during load"
+                message = self.views.read_error() or "shard died during load"
                 self.destroy()
                 raise RuntimeError(
                     f"shard {self.index} for {self.process.name} failed to "
@@ -403,7 +398,7 @@ class _ShardExecutor(Executor):
                 engine.metrics.count("reroutes_total", spec=lane.key.spec)
 
     def _dispatch(self, batch, quantized: bool, stall_ns: int):
-        """Write the batch into the shard's next slot and await the answer.
+        """Write the batch into the shard's slot and await the answer.
 
         Returns ``(logits, path)``, or why the shard was lost with the
         batch: ``"crash"`` (the process died) or ``"stall"`` (its heartbeat
@@ -411,18 +406,15 @@ class _ShardExecutor(Executor):
         raised as :class:`RuntimeError`.
         """
         engine, views = self.engine, self.views
-        slot = self.seq % views.slots
-        self.seq += 1
-        row = views.hdr[slot]
+        row = views.hdr
         if int(row[H_STATUS]) != EMPTY:
             # The previous incarnation died mid-protocol; reclaim the slot.
             row[H_STATUS] = EMPTY
         n = len(batch)
-        views.images[slot][:n] = batch.images
+        views.images[:n] = batch.images
         row[H_LEN] = n
         row[H_MODE] = MODE_QUANT if quantized else MODE_FLOAT
         row[H_STALL_NS] = stall_ns
-        row[H_SEQ] = self.seq
         row[H_STATUS] = REQ  # ownership hand-off: written last
         stall_after = engine.resilience.watchdog_stall_s
         last_beat = int(views.ctrl[C_HEARTBEAT])
@@ -430,12 +422,12 @@ class _ShardExecutor(Executor):
         while True:
             status = int(row[H_STATUS])
             if status == RES:
-                logits = np.array(views.logits[slot][:n, : int(row[H_CLASSES])])
+                logits = np.array(views.logits[:n, : int(row[H_CLASSES])])
                 path = DATAPATHS[int(row[H_PATH])]
                 row[H_STATUS] = EMPTY
                 return logits, path
             if status == ERR:
-                message = views.read_error(slot)
+                message = views.read_error()
                 row[H_STATUS] = EMPTY
                 raise RuntimeError(f"shard error: {message}")
             if not self.alive():

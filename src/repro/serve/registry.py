@@ -450,8 +450,9 @@ class ModelRegistry:
                     key.spec: servable.backend.describe()
                     for key, servable in self._entries.items()
                 },
-                # Process-wide kernel registry configuration: which
-                # variant serves each op and any REPRO_KERNELS override.
+                # Process-wide kernel registry configuration: whether the
+                # fast or the reference implementation serves each op, and
+                # any REPRO_KERNELS override.
                 # Deliberately no dispatch/cache counters here — they are
                 # cumulative process-global state, and registry snapshots
                 # must be deterministic for equal serving histories (the

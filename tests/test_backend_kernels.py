@@ -130,7 +130,7 @@ class TestDecodeLut:
 
     def test_lut_is_cached(self, fits):
         registers = FCRegisters.from_params(fitted_params(fits["two_sided"], 6))
-        lut = get_kernel("qub.decode_lut", "cached")
+        lut = get_kernel("qub.decode_lut", "fast")
         assert lut(registers, 6) is lut(registers, 6)
 
     def test_lut_deduped_across_consumers(self, fits):

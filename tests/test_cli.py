@@ -5,9 +5,13 @@ from the trained zoo and are exercised by the benchmark harness; here we
 cover the parser wiring and the purely analytical commands.
 """
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.cli import build_parser, cmd_memory, cmd_table4
+from repro.cli import build_parser, cmd_memory, cmd_table4, main
+from repro.kernels import KERNELS, kernel_pairs
 
 
 class TestParser:
@@ -143,3 +147,35 @@ class TestAnalyticalCommands:
         assert "Measured QUB-packed weight buffers at 6-bit" in out
         assert "analytic B" in out and "measured B" in out
         assert "flagged taps: none" in out
+
+
+class TestKernelParityCommand:
+    """``repro kernel-parity``: one line per pair, then the verdict."""
+
+    def test_passes_and_writes_report(self, capsys, tmp_path):
+        output = tmp_path / "parity.json"
+        main(["kernel-parity", "--cases", "1", "--output", str(output)])
+        lines = capsys.readouterr().out.splitlines()
+        ops = sorted(pair.op for pair in kernel_pairs())
+        assert lines[0] == f"wrote {output}"
+        assert [line.split()[:2] for line in lines[1:-1]] == [[op, "ok"] for op in ops]
+        assert lines[-1].startswith(f"kernel parity: {len(ops)} pairs, ")
+        assert lines[-1].endswith(" cases, 0 failures -> PASS")
+        report = json.loads(output.read_text())
+        assert report["passed"] and report["schema_version"] == 2
+        assert sorted(report["ops"]) == ops
+
+    def test_mismatch_exits_nonzero(self, capsys, tmp_path, monkeypatch):
+        gemm = KERNELS.pair("gemm.int")
+
+        def off_by_one(x, w):
+            return gemm.fast(x, w) + 1
+
+        monkeypatch.setitem(KERNELS._pairs, "gemm.int", dataclasses.replace(gemm, fast=off_by_one))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["kernel-parity", "--cases", "1", "--output", str(tmp_path / "parity.json")])
+        assert exit_info.value.code == 1
+        out = capsys.readouterr().out
+        assert "gemm.int           FAIL" in out
+        assert "    small_0: values differ" in out
+        assert out.splitlines()[-1].endswith("-> FAIL")

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.int_sfu import i_exp, i_sqrt, i_sqrt_f64
-from repro.kernels import get_kernel, kernel_pairs, run_kernel_parity
-from repro.kernels.parity import fitted_params_pool, mode_params_pool
+from repro.kernels import KernelPair, get_kernel, kernel_pairs, run_kernel_parity
+from repro.kernels.parity import check_pair, fitted_params_pool, mode_params_pool
 from repro.quant.params import Subrange
 from repro.quant.qub import decode, quantize_encode
 from repro.quant.quq import SUBRANGE_IDS, QUQQuantizer, quantize_with_params
@@ -63,7 +63,7 @@ class TestFloatOpPairs:
     @given(x=FLOAT_ARRAYS, index=st.integers(0, 4))
     def test_fake_quantize(self, params_pool, bits, x, index):
         params = _params_for(params_pool, bits)[index]
-        fast = get_kernel("quq.fake_quantize", "fused")(x, params)
+        fast = get_kernel("quq.fake_quantize", "fast")(x, params)
         ref = get_kernel("quq.fake_quantize", "reference")(x, params)
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         # Bit for bit, so signed zeros must agree too.
@@ -107,7 +107,7 @@ class TestFloatOpPairs:
             x = np.stack([x, -x, 2.0 * x], axis=-1)[..., ::2].T
         elif view == "float32":
             x = x.astype(np.float32)
-        fast = get_kernel(op, "inplace")(x, params, bits)
+        fast = get_kernel(op, "fast")(x, params, bits)
         ref = get_kernel(op, "reference")(x, params, bits)
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         # Bit for bit, so signed zeros must agree too.
@@ -116,9 +116,9 @@ class TestFloatOpPairs:
     @pytest.mark.parametrize("op", ACTIVATION_OPS)
     def test_activation_encode_bits_overflow(self, params_pool, op):
         _, _, wide = params_pool[-1]
-        for variant in ("inplace", "reference"):
+        for mode in ("fast", "reference"):
             with pytest.raises(ValueError, match="do not fit"):
-                get_kernel(op, variant)(np.zeros(3), wide, wide.bits - 1)
+                get_kernel(op, mode)(np.zeros(3), wide, wide.bits - 1)
 
 
 class TestIntOpPairs:
@@ -132,7 +132,7 @@ class TestIntOpPairs:
             st.integers(0, 2**bits - 1), min_size=0, max_size=80
         ))
         qubs = np.array(values, dtype=np.uint32)
-        fast = get_kernel("qub.pack", "packbits")(qubs, bits)
+        fast = get_kernel("qub.pack", "fast")(qubs, bits)
         ref = get_kernel("qub.pack", "reference")(qubs, bits)
         np.testing.assert_array_equal(fast, ref)
 
@@ -146,7 +146,7 @@ class TestIntOpPairs:
         rng = np.random.default_rng(seed)
         x = rng.integers(-scale, scale + 1, size=(m, k))
         w = rng.integers(-scale, scale + 1, size=(k, n))
-        fast = get_kernel("gemm.int", "blas_f64")(x, w)
+        fast = get_kernel("gemm.int", "fast")(x, w)
         ref = get_kernel("gemm.int", "reference")(x, w)
         np.testing.assert_array_equal(fast, ref)
         assert fast.dtype == ref.dtype == np.int64
@@ -157,7 +157,7 @@ class TestIntOpPairs:
         x = np.array([[np.iinfo(np.int64).min, 1]], dtype=np.int64)
         w = np.array([[2], [1]], dtype=np.int64)
         np.testing.assert_array_equal(
-            get_kernel("gemm.int", "blas_f64")(x, w),
+            get_kernel("gemm.int", "fast")(x, w),
             get_kernel("gemm.int", "reference")(x, w),
         )
 
@@ -248,9 +248,9 @@ class TestActivationKernelsReadOnly:
     @pytest.mark.parametrize("op", ACTIVATION_OPS + ("quq.fake_quantize",))
     def test_input_bytes_unchanged(self, params_pool, op):
         if op == "quq.fake_quantize":
-            kernel, bits = get_kernel(op, "fused"), ()
+            kernel, bits = get_kernel(op, "fast"), ()
         else:
-            kernel, bits = get_kernel(op, "inplace"), (6,)
+            kernel, bits = get_kernel(op, "fast"), (6,)
         for name, x in self._inputs().items():
             for p in _params_for(params_pool, 6) + _modes_for(6):
                 before = x.tobytes()
@@ -265,6 +265,21 @@ class TestHarness:
         assert report["source"] == "kernel-registry"
         assert report["pairs_checked"] == len(kernel_pairs())
         assert report["failures"] == 0
+
+    def test_wrong_dtype_is_flagged(self):
+        """A fast ``gemm.int`` returning float64 accumulators fails every
+        case, though each of its values equals the reference's."""
+        (gemm,) = [pair for pair in kernel_pairs() if pair.op == "gemm.int"]
+
+        def float64_gemm(x, w):
+            return gemm.reference(x, w).astype(np.float64)
+
+        entry = check_pair(KernelPair("gemm.int", gemm.reference, float64_gemm))
+        assert entry["cases"] > 0
+        assert len(entry["mismatches"]) == entry["cases"]
+        assert {m["problem"] for m in entry["mismatches"]} == {
+            "dtypes differ: reference int64, fast float64"
+        }
 
     def test_harness_deterministic(self):
         first = run_kernel_parity(seed=3, cases=2)
@@ -284,7 +299,7 @@ class TestHarness:
             -np.abs(rng.normal(size=512)) - 1e-3
         ).params
         x = np.array([np.nan, -1.0, np.nan, -0.5, np.inf, -np.inf])
-        fast = get_kernel("quq.fake_quantize", "fused")(x, params)
+        fast = get_kernel("quq.fake_quantize", "fast")(x, params)
         ref = get_kernel("quq.fake_quantize", "reference")(x, params)
         assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
         assert np.isfinite(ref).all()

@@ -1,5 +1,6 @@
-"""The kernel registry: registration rules, dispatch precedence, env
-override, counters, caches, snapshot shape, and the routed call sites."""
+"""The kernel registry: one (reference, fast) pair per op, dispatch
+precedence, env override, counters, caches, snapshot shape, and the
+routed call sites."""
 
 import os
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 import repro
 from repro.kernels import (
     KERNELS,
+    KernelPair,
     KernelRegistry,
     KernelRegistryError,
-    ParitySpec,
     active_kernels,
     clear_kernel_caches,
     fused_encoder,
@@ -42,112 +43,75 @@ def _other(*args, **kwargs):
 
 class TestRegistration:
     def test_reference_then_fast(self, registry):
-        registry.register("op.a", "reference", _noop)
-        registry.register("op.a", "fast1", _other, parity=ParitySpec())
-        assert registry.variants("op.a") == ["reference", "fast1"]
-
-    def test_fast_without_reference_rejected(self, registry):
-        with pytest.raises(KernelRegistryError, match="needs a reference"):
-            registry.register("op.a", "fast1", _noop, parity=ParitySpec())
-
-    def test_fast_without_parity_rejected(self, registry):
-        registry.register("op.a", "reference", _noop)
-        with pytest.raises(KernelRegistryError, match="parity spec"):
-            registry.register("op.a", "fast1", _other)
+        registry.register("op.a", _noop, _other)
+        assert registry.pair("op.a") == KernelPair("op.a", _noop, _other)
 
     def test_duplicate_rejected(self, registry):
-        registry.register("op.a", "reference", _noop)
+        """One pair per op: a second fast implementation has nowhere to go."""
+        registry.register("op.a", _noop)
         with pytest.raises(KernelRegistryError, match="already registered"):
-            registry.register("op.a", "reference", _other)
-
-    def test_decorator_form(self, registry):
-        @registry.register("op.a", "reference")
-        def ref():
-            return "ref"
-
-        assert registry.reference("op.a").fn is ref
-
-    def test_tolerance_spec_needs_tolerance(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            ParitySpec(bit_exact=False)
-        spec = ParitySpec(bit_exact=False, atol=1e-6)
-        assert "allclose" in spec.describe()
+            registry.register("op.a", _noop, _other)
 
     def test_unknown_op(self, registry):
         with pytest.raises(KernelRegistryError, match="unknown kernel op"):
-            registry.resolve("op.missing")
+            registry.get("op.missing")
 
 
 class TestDispatch:
     @pytest.fixture()
     def populated(self, registry):
-        registry.register("op.a", "reference", _noop)
-        registry.register("op.a", "v1", _other, parity=ParitySpec())
-        registry.register("op.b", "reference", _noop)
+        registry.register("op.a", _noop, _other)
+        registry.register("op.b", _noop)
         return registry
 
-    def test_fast_by_default(self, populated):
-        assert populated.resolve("op.a").variant == "v1"
-        assert populated.resolve("op.b").variant == "reference"
-
-    def test_newest_fast_wins(self, populated):
-        populated.register("op.a", "v2", _noop, parity=ParitySpec())
-        assert populated.resolve("op.a").variant == "v2"
+    def test_fast_by_default(self, populated, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        assert populated.mode("op.a") == "fast"
+        assert populated.get("op.a") is _other
+        assert populated.mode("op.b") == "reference"
 
     def test_explicit_prefer(self, populated):
-        assert populated.resolve("op.a", "reference").variant == "reference"
-        assert populated.resolve("op.a", "v1").variant == "v1"
-        assert populated.resolve("op.a", "fast").variant == "v1"
-        with pytest.raises(KernelRegistryError, match="no variant"):
-            populated.resolve("op.a", "v9")
+        assert populated.get("op.a", "reference") is _noop
+        assert populated.get("op.a", "fast") is _other
+        assert populated.get("op.b", "fast") is _noop  # no fast: the reference
+        with pytest.raises(ValueError, match="prefer"):
+            populated.get("op.a", "v9")
 
     def test_env_reference_global(self, populated, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "reference")
-        assert populated.resolve("op.a").variant == "reference"
-        monkeypatch.setenv("REPRO_KERNELS", "fast")
-        assert populated.resolve("op.a").variant == "v1"
-
-    def test_env_per_op_pins(self, populated, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "op.a=reference")
-        assert populated.resolve("op.a").variant == "reference"
-        assert populated.resolve("op.b").variant == "reference"  # no fast
-
-    def test_env_pin_on_unknown_op_raises(self, populated, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "op.z=reference")
-        with pytest.raises(KernelRegistryError, match=r"op\.z.*registered"):
-            populated.resolve("op.a")
-        # Not cached as valid: every dispatch under the bad value raises.
-        with pytest.raises(KernelRegistryError, match="op.z"):
-            populated.get("op.b")
+        assert populated.mode("op.a") == "reference"
+        for value in ("fast", "", " fast "):
+            monkeypatch.setenv("REPRO_KERNELS", value)
+            assert populated.mode("op.a") == "fast"
 
     def test_env_bad_entry(self, populated, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "garbage")
         with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            populated.resolve("op.a")
+            populated.get("op.a")
 
     def test_prefer_beats_env(self, populated, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "reference")
-        assert populated.resolve("op.a", "fast").variant == "v1"
+        assert populated.mode("op.a", "fast") == "fast"
 
     def test_get_counts_dispatch(self, populated):
         populated.get("op.a")
         populated.get("op.a", "reference")
-        assert populated.counters["op.a:v1"] == 1
-        assert populated.counters["op.a:reference"] == 1
+        populated.get("op.b")
+        assert populated.counters == {"op.a:fast": 1, "op.a:reference": 1, "op.b:reference": 1}
         populated.reset_counters()
         assert populated.counters == {}
 
     def test_pairs(self, populated):
-        pairs = populated.pairs()
-        assert [(op, fast.variant) for op, _, fast in pairs] == [("op.a", "v1")]
+        assert [pair.op for pair in populated.pairs()] == ["op.a"]
 
     def test_snapshot_shape(self, populated, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
         populated.get("op.a")
         populated.count("op.a:cache_hit", 3)
         snap = populated.snapshot()
         assert snap["override"] is None
-        assert snap["ops"]["op.a"]["selected"] == "v1"
-        assert snap["ops"]["op.a"]["calls"] == {"v1": 1}
+        assert snap["ops"]["op.a"] == {"selected": "fast", "calls": {"fast": 1}}
+        assert snap["ops"]["op.b"] == {"selected": "reference", "calls": {}}
         assert snap["cache"] == {"op.a:cache_hit": 3}
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         assert populated.snapshot()["override"] == "reference"
@@ -157,33 +121,28 @@ class TestBuiltinRegistry:
     """The process-wide registry with the built-in ops loaded."""
 
     def test_all_ops_registered(self):
-        pairs = {f"{op}:{fast.variant}" for op, _, fast in kernel_pairs()}
+        pairs = {pair.op for pair in kernel_pairs()}
         assert pairs == {
-            "quq.fake_quantize:fused", "qub.shifted:inplace",
-            "qub.store_load:inplace", "qub.pack:packbits",
-            "qub.decode_lut:cached", "gemm.int:blas_f64",
+            "quq.fake_quantize", "qub.shifted", "qub.store_load", "qub.pack",
+            "qub.decode_lut", "gemm.int",
         }
         # The SFUs have one implementation each: registered, no pair.
-        assert set(KERNELS.ops()) == {op.split(":")[0] for op in pairs} | {
-            "sfu.softmax", "sfu.gelu", "sfu.layernorm",
-        }
+        assert set(KERNELS.ops()) == pairs | {"sfu.softmax", "sfu.gelu", "sfu.layernorm"}
 
     def test_selected_fast_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         selected = active_kernels()
-        assert selected["quq.fake_quantize"] == "fused"
-        assert selected["gemm.int"] == "blas_f64"
+        assert selected["quq.fake_quantize"] == "fast"
+        assert selected["gemm.int"] == "fast"
         assert selected["sfu.softmax"] == "reference"
 
     def test_env_pin_typo_is_reported(self, monkeypatch):
-        """A pin on a mistyped op fails loudly instead of leaving the
-        real op on its fast variant."""
-        monkeypatch.setenv("REPRO_KERNELS", "gemm.in=reference")
-        with pytest.raises(KernelRegistryError, match="gemm.in") as error:
-            get_kernel("gemm.int")
-        assert "gemm.int" in str(error.value)  # lists the registered ops
-        monkeypatch.setenv("REPRO_KERNELS", "gemm.int=reference")
-        assert active_kernels()["gemm.int"] == "reference"
+        """A stale per-op pin fails loudly instead of leaving the op on its
+        fast implementation."""
+        for value in ("gemm.int=reference", "gemm.in=reference"):
+            monkeypatch.setenv("REPRO_KERNELS", value)
+            with pytest.raises(ValueError, match="REPRO_KERNELS"):
+                get_kernel("gemm.int")
 
     def test_env_forces_reference_everywhere(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "reference")
@@ -196,7 +155,7 @@ class TestBuiltinRegistry:
         KERNELS.reset_counters()
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         fast = quantizer.fake_quantize(x)
-        assert KERNELS.counters.get("quq.fake_quantize:fused") == 1
+        assert KERNELS.counters.get("quq.fake_quantize:fast") == 1
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         ref = quantizer.fake_quantize(x)
         assert KERNELS.counters.get("quq.fake_quantize:reference") == 1
@@ -299,7 +258,7 @@ class TestBuiltinLoad:
             kernels.get_kernel("gemm.int")
             print(kernels.active_kernels()["quq.fake_quantize"])
         """)
-        assert out == "fused"
+        assert out == "fast"
 
     def test_concurrent_first_dispatch_sees_the_registrations(self):
         out = _fresh_interpreter("""

@@ -58,6 +58,20 @@ class TestExport:
         )
         assert artifact.payload_bytes() < fp32
 
+    def test_payload_counts_the_bitstream(self, quq_pipeline, tmp_path):
+        """Each weight is stored as its dense 6-bit QUB bitstream, the
+        format PackedWeightStore holds, not one word per byte."""
+        artifact = export_quantized(quq_pipeline, tmp_path / "model.npz")
+        stored = np.load(tmp_path / "model.npz")
+        expected = 10 * len(artifact.activations)
+        for tap, (qubs, _, _, params) in artifact.weights.items():
+            assert params.bits == 6
+            bitstream = -(-qubs.size * 6 // 8)
+            assert stored[f"w:{tap}"].nbytes == bitstream
+            expected += bitstream + 10
+        assert artifact.payload_bytes() == expected
+        assert load_quantized(tmp_path / "model.npz").payload_bytes() == expected
+
     def test_requires_quq(self, tiny_trained, calib_images, tmp_path):
         pipeline = PTQPipeline(tiny_trained, method="baseq", bits=6).calibrate(calib_images)
         with pytest.raises(ValueError):
