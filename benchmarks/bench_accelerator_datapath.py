@@ -25,7 +25,7 @@ def test_integer_gemm_bit_exact_at_scale(benchmark, rng=np.random.default_rng(0)
     w = rng.normal(size=(384, 384)) * 0.03
     ex = encode_tensor(x, 8)
     ew = encode_tensor(w, 8)
-    qua = QUA(array=16)
+    qua = QUA()
 
     acc = benchmark(qua.integer_gemm, ex, ew)
     hw = acc.astype(np.float64) * ex.base_delta * ew.base_delta

@@ -22,6 +22,7 @@ from repro.hw import (
 )
 from repro.models.configs import PAPER_CONFIGS
 from repro.quant import progressive_relaxation
+from repro.quant.qub import quantize_encode
 
 
 def integer_gemm_demo():
@@ -32,7 +33,7 @@ def integer_gemm_demo():
 
     ex = encode_tensor(x, bits=6)
     ew = encode_tensor(w, bits=6)
-    qua = QUA(array=16)
+    qua = QUA()
 
     acc = qua.integer_gemm(ex, ew)  # pure int64 arithmetic
     result = acc * ex.base_delta * ew.base_delta
@@ -42,9 +43,10 @@ def integer_gemm_demo():
           f"{np.allclose(result, reference, rtol=1e-9, atol=1e-9)}")
     print(f"cycles on 16x16 array: {gemm_cycles(197, 384, 384, 16):,}")
 
+    # QU: requantize the output into its own QUQ parameters as QUB words.
     out_params = progressive_relaxation(result, 6)
-    encoded_out = qua.gemm_requantized(ex, ew, out_params)
-    print(f"requantized output: {encoded_out.shape} QUBs, "
+    out_qubs, _, _ = quantize_encode(result, out_params, 6)
+    print(f"requantized output: {out_qubs.shape} QUBs, "
           f"mode {out_params.mode.value}\n")
 
 

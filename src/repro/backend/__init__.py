@@ -13,16 +13,15 @@ Two implementations of one interface (:class:`ServingBackend`):
     (:class:`FusedEncoder`), int64 GEMMs, and the integer SFUs of
     :mod:`repro.hw.int_sfu`.  The reference
     :class:`repro.hw.executor.ModelExecutor` runs the same walk on the
-    behavioral QUA, so the two are bit-exact by construction;
-    :func:`attest_int_backend` checks the datapaths against each other
-    and the walk against the float model.
+    behavioral QUA, so the two are bit-exact by construction; the backend
+    test suite checks the datapaths against each other and the walk
+    against the float model.
 
 The serve registry picks a backend per model spec (``.../int`` suffix)
 and the engine dispatches through it uniformly; see DESIGN.md for the
 selection and parity story.
 """
 
-from .attest import attest_int_backend
 from .base import BACKEND_NAMES, ServingBackend
 from .float_backend import FloatFakeQuantBackend
 from .int_backend import IntNativeBackend
@@ -39,7 +38,6 @@ __all__ = [
     "PackedWeight",
     "PackedWeightStore",
     "iter_linear_weight_taps",
-    "attest_int_backend",
     "make_backend",
 ]
 

@@ -13,7 +13,8 @@ Two implementations exist:
 * :class:`~repro.backend.int_backend.IntNativeBackend` — the integer
   walk of :mod:`repro.hw.walk` over QUB-packed weights and batched
   integer GEMM / shift-requantize kernels; bit-exact with
-  :class:`repro.hw.executor.ModelExecutor`, which runs the same walk.
+  :class:`repro.hw.executor.ModelExecutor`, which runs the same walk on
+  the behavioral accelerator (:class:`repro.hw.accelerator.QUA`).
 
 Backends assume the caller serializes :meth:`predict` calls per instance
 (the :class:`~repro.serve.registry.ServableModel` lock does this); they

@@ -8,10 +8,10 @@ float glue are the integer walk of :mod:`repro.hw.walk`, the same walk
 :class:`repro.hw.executor.ModelExecutor` runs on the behavioral QUA, so
 ``predict`` is bit-exact with ``ModelExecutor.run`` by construction (same
 op order, same GEMM and SFU kernels) wherever the two datapaths encode
-alike; :mod:`repro.backend.attest` and the backend test suite check that
-they do.
+alike; the backend test suite checks that they do.
 
-:class:`PackedDatapath` differs from the QUA datapath only mechanically:
+:class:`PackedDatapath` differs from the QUA datapath
+(:class:`repro.hw.accelerator.QUA`) only mechanically:
 
 * weights are encoded and bit-packed **once** at build time
   (:class:`~repro.backend.packed.PackedWeightStore`) instead of

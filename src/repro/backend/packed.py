@@ -102,7 +102,7 @@ class PackedWeightStore:
         """Pack every linear weight under the pipeline's fitted QUQ params.
 
         Uses the exact reference encode path (``encode_tensor``), so the
-        packed words match what :class:`repro.hw.executor.QUADatapath`
+        packed words match what :class:`repro.hw.accelerator.QUA`
         re-encodes from float on every call: the one place the two
         datapaths of the integer walk could disagree on a weight.
         """

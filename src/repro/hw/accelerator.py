@@ -1,19 +1,22 @@
 """Behavioral model of the quadruplet uniform accelerator (QUA, Figure 6).
 
-Bit-exact simulation of the integer datapath:
+Bit-exact simulation of the integer datapath, and the datapath the
+integer forward walk of :mod:`repro.hw.walk` runs on:
 
+* **Quantization unit (QU)** — :meth:`QUA._encode`, run before every
+  store and GEMM: the numeric guard (:meth:`QUA.check_values`), then the
+  spec-path encode (:func:`encode_tensor`) under the tap's fitted QUQ
+  parameters.  The hardware selects the subrange with leading-zero/one
+  detection; the behavioral model applies the equivalent arithmetic rule
+  of Eq. (3).
 * **Decoding unit (DU)** — turns QUB bytes into ``(D, n_sh)`` per Eq. (6)-(7).
 * **PE array** — multiply-accumulate over decoded operands with the
   product shift of Eq. (5); integer-only, verified to match the float GEMM
   over dequantized values exactly.
-* **Quantization unit (QU)** — requantizes accumulator values into the
-  output tensor's QUQ parameters (the hardware performs the subrange
-  comparison with leading-zero/one detection; the behavioral model uses the
-  equivalent arithmetic comparison).
 * **Special function unit (SFU)** — decodes QUBs into plain integers
-  ``d = D << n_sh`` on its load path, then applies LayerNorm / Softmax /
-  GELU / addition at full precision (the paper streams these through the
-  same SFUs as a uniform-quantization accelerator).
+  ``d = D << n_sh`` on its load path (:meth:`QUA.sfu_load`); the walk
+  applies LayerNorm / Softmax / GELU to the loaded values, in float or
+  through the integer-only kernels of :mod:`repro.hw.int_sfu`.
 
 A simple weight-stationary cycle model rounds out the performance side.
 
@@ -27,14 +30,14 @@ bit-exact with the fault-free model — no extra work, no extra copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..kernels import get_kernel
 from ..quant.params import QUQParams
-from ..quant.qub import FCRegisters, decode, encode, legalize_for_hardware, quantize_encode
-from ..quant.quq import QuantizedTensor, quantize_with_params
+from ..quant.qmodel import PTQPipeline
+from ..quant.qub import FCRegisters, decode, quantize_encode
 from ..quant.relax import PRAConfig, progressive_relaxation
 from ..resilience.guards import NumericGuard, NumericGuardError
 from .faults import SITE_QUB, SITE_REGISTER, SITE_SFU, BitFaultInjector
@@ -51,21 +54,14 @@ class EncodedTensor:
     registers: FCRegisters
     base_delta: float
     bits: int
-    # Memoized decode: deterministic given (qubs, registers), and
-    # verification passes re-decode the same packed weights many times
-    # over.  Fault injection never reads it — the QUA fetch paths decode
-    # their own (possibly corrupted) copies of the bytes.
-    _decoded: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.qubs.shape
 
     def decoded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run the DU over every element: returns (D, n_sh), cached."""
-        if self._decoded is None:
-            self._decoded = decode(self.qubs, self.registers, self.bits)
-        return self._decoded
+        """Run the DU over every element: returns (D, n_sh)."""
+        return decode(self.qubs, self.registers, self.bits)
 
     def to_float(self) -> np.ndarray:
         """SFU load path: d = D << n_sh, scaled by the base delta."""
@@ -91,7 +87,15 @@ def encode_tensor(
 
 
 class QUA:
-    """Quadruplet uniform accelerator: integer GEMM plus requantization.
+    """Quadruplet uniform accelerator: QU, DU, PE array and SFU load path.
+
+    With a calibrated ``pipeline`` the QUA is the integer walk's datapath
+    (:meth:`store_load`, :meth:`linear`, :meth:`matmul`): every operand,
+    weights included, is re-encoded at ``bits`` under its tap's fitted
+    parameters on every call, so each tap is a fault site named by its
+    full tap (``"<model>.blocks.0.attn.scores"``).  Without one, only the
+    raw-operand calls work (:meth:`integer_gemm`, :meth:`sfu_load`,
+    :meth:`check_values`).
 
     ``faults`` (a :class:`BitFaultInjector`) arms soft-error injection at
     the QUB/register/accumulator/SFU sites; ``protection`` selects which
@@ -102,22 +106,21 @@ class QUA:
 
     def __init__(
         self,
-        array: int = 16,
+        pipeline: PTQPipeline | None = None,
+        bits: int = 8,
         faults: BitFaultInjector | None = None,
         protection: ProtectionConfig | None = None,
         stats: ProtectionStats | None = None,
-        guard_saturation: float = 1e6,
     ):
-        if array < 1:
-            raise ValueError("PE array size must be >= 1")
-        self.array = array
+        self.pipeline = pipeline
+        self.bits = bits
         self.faults = faults
         if protection is None:
             # All schemes armed by default when injecting; irrelevant otherwise.
             protection = ProtectionConfig()
         self.protection = protection
         self.stats = stats if stats is not None else ProtectionStats()
-        self.guard = NumericGuard(guard_saturation)
+        self.guard = NumericGuard()
 
     # ------------------------------------------------------------------
     # Fetch paths: where injection and protection meet the datapath.
@@ -218,51 +221,6 @@ class QUA:
         self.stats.acc_silent += faulted
         return faulty
 
-    def gemm(
-        self, x: EncodedTensor, w: EncodedTensor, site: str = "gemm"
-    ) -> np.ndarray:
-        """Integer GEMM scaled back to real values (float64)."""
-        acc = self.integer_gemm(x, w, site=site)
-        return acc.astype(np.float64) * (x.base_delta * w.base_delta)
-
-    # ------------------------------------------------------------------
-    def requantize(
-        self, acc: np.ndarray, scale: float, out_params: QUQParams
-    ) -> QuantizedTensor:
-        """QU: map int accumulators into the output tensor's QUQ codes.
-
-        ``scale`` is ``delta_x * delta_w``.  The hardware selects the
-        output subrange by comparing the (shifted) accumulator against
-        power-of-two boundaries via leading-zero/one counts; arithmetically
-        that is exactly the subrange-assignment rule of Eq. (3), which the
-        behavioral model applies directly.
-
-        Non-finite or saturated inputs (a poisoned upstream SFU, a silent
-        accumulator corruption blown up by the scale) are rejected through
-        the numeric guardrail with :class:`NumericGuardError` rather than
-        silently clipped into in-range codes.
-        """
-        out_params = legalize_for_hardware(out_params)
-        values = acc.astype(np.float64) * scale
-        verdict = self.guard.scan(values)
-        if not verdict.ok:
-            self.stats.guard_trips += 1
-            raise NumericGuardError(f"QU input rejected: {verdict.reason}")
-        return quantize_with_params(values, out_params)
-
-    def gemm_requantized(
-        self,
-        x: EncodedTensor,
-        w: EncodedTensor,
-        out_params: QUQParams,
-        site: str = "gemm",
-    ) -> EncodedTensor:
-        """Full PE-array -> QU pipeline: GEMM then re-encode as QUBs."""
-        acc = self.integer_gemm(x, w, site=site)
-        qt = self.requantize(acc, x.base_delta * w.base_delta, out_params)
-        qubs, registers = encode(qt)
-        return EncodedTensor(qubs, registers, qt.params.base_delta, qt.params.bits)
-
     # ------------------------------------------------------------------
     def sfu_load(self, t: EncodedTensor, site: str = "sfu") -> np.ndarray:
         """SFU load path with fault injection: fetch, decode, scale.
@@ -272,15 +230,14 @@ class QUA:
         if self.faults is None:
             return t.to_float()
         qubs, registers = self._fetch(t, site, site_class=SITE_SFU)
-        d, n_sh = decode(qubs, registers, t.bits)
-        return (d.astype(np.float64) * (1 << n_sh).astype(np.float64)) * t.base_delta
+        return EncodedTensor(qubs, registers, t.base_delta, t.bits).to_float()
 
     def check_values(self, values: np.ndarray, site: str = "") -> np.ndarray:
-        """Guardrail hook for executors: reject non-finite/saturated floats.
+        """The QU's guardrail: reject non-finite/saturated floats.
 
         A no-op passthrough when faults are off (keeps the fault-free
-        executor path free of extra scans); with faults armed, trips the
-        numeric guard on poisoned values instead of encoding garbage.
+        path free of extra scans); with faults armed, trips the numeric
+        guard on poisoned values instead of encoding garbage.
         """
         if self.faults is None:
             return values
@@ -290,33 +247,36 @@ class QUA:
             raise NumericGuardError(f"{site or 'values'} rejected: {verdict.reason}")
         return values
 
-    def sfu(self, x: EncodedTensor, function: str, site: str = "sfu", **kwargs) -> np.ndarray:
-        """SFU: decode on load, then apply the special function.
+    # ------------------------------------------------------------------
+    # The walk's datapath: each GEMM returns its int64 accumulator and
+    # the scale that turns it back into real values.
+    def _params(self, tap: str) -> QUQParams:
+        if self.pipeline is None:
+            raise RuntimeError("this QUA has no pipeline: only raw-operand calls work")
+        return self.pipeline.quantizer_for(tap).params
 
-        Supported functions: ``softmax`` (last axis), ``gelu``,
-        ``layernorm`` (last axis; pass ``weight``/``bias``), ``add``
-        (pass ``other`` as a second EncodedTensor).
-        """
-        values = self.sfu_load(x, site=f"{site}/{function}")
-        if function == "softmax":
-            shifted = values - values.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted)
-            return exp / exp.sum(axis=-1, keepdims=True)
-        if function == "gelu":
-            from scipy.special import erf
+    def _encode(self, values: np.ndarray, tap: str) -> EncodedTensor:
+        """QU: guard ``values``, then encode them under ``tap``'s parameters."""
+        # Poisoned floats (a corrupted SFU load upstream) must trip the
+        # guard here, not be laundered into in-range QUB codes.
+        values = self.check_values(values, site=tap)
+        return encode_tensor(values, self.bits, params=self._params(tap))
 
-            return values * 0.5 * (1.0 + erf(values / np.sqrt(2.0)))
-        if function == "layernorm":
-            weight = kwargs.get("weight", 1.0)
-            bias = kwargs.get("bias", 0.0)
-            eps = kwargs.get("eps", 1e-6)
-            mean = values.mean(axis=-1, keepdims=True)
-            var = values.var(axis=-1, keepdims=True)
-            return (values - mean) / np.sqrt(var + eps) * weight + bias
-        if function == "add":
-            other: EncodedTensor = kwargs["other"]
-            return values + self.sfu_load(other, site=f"{site}/{function}/other")
-        raise ValueError(f"unknown SFU function {function!r}")
+    def store_load(self, values: np.ndarray, tap: str) -> np.ndarray:
+        """Store ``values`` as QUBs under ``tap`` and reload them through the SFU."""
+        return self.sfu_load(self._encode(values, tap), site=tap)
+
+    def linear(self, values: np.ndarray, name: str, layer) -> tuple[np.ndarray, float]:
+        """``values @ layer.weight``, quantized at ``{name}.input`` / ``.weight``."""
+        ex = self._encode(values, f"{name}.input")
+        ew = encode_tensor(layer.weight.data, self.bits, params=self._params(f"{name}.weight"))
+        acc = self.integer_gemm(ex, ew, site=f"{name}.input")
+        return acc, ex.base_delta * ew.base_delta
+
+    def matmul(self, a, a_tap: str, b, b_tap: str, site: str) -> tuple[np.ndarray, float]:
+        """``a @ b``, each operand quantized at its own tap."""
+        ea, eb = self._encode(a, a_tap), self._encode(b, b_tap)
+        return self.integer_gemm(ea, eb, site=site), ea.base_delta * eb.base_delta
 
 
 def gemm_cycles(m: int, k: int, n: int, array: int) -> int:

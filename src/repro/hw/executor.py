@@ -9,8 +9,8 @@ integers (optionally via the fully integer-only kernels of
 :mod:`repro.hw.int_sfu`).
 
 The step order and the float glue are the integer walk of
-:mod:`repro.hw.walk`; :class:`QUADatapath` supplies its four datapath
-operations on the behavioral QUA, where every fetch and accumulator is a
+:mod:`repro.hw.walk`; one :class:`~repro.hw.accelerator.QUA` built over
+the pipeline is its datapath, where every fetch and accumulator is a
 fault site.  The output is validated against the fake-quantized model in
 the test suite — the demonstration that the QUB encoding and the Eq. (5)
 integer arithmetic implement the algorithm the accuracy tables measure.
@@ -22,50 +22,12 @@ import numpy as np
 
 from ..nn.attention import TransformerBlock
 from ..quant.qmodel import PTQPipeline
-from .accelerator import QUA, EncodedTensor, encode_tensor
+from .accelerator import QUA
 from .faults import BitFaultInjector
 from .protect import ProtectionConfig, ProtectionStats
 from .walk import check_walkable, run_block, run_model
 
-__all__ = ["QUADatapath", "BlockExecutor", "ModelExecutor"]
-
-
-class QUADatapath:
-    """The walk's datapath on one :class:`QUA`.
-
-    Every operand is re-encoded from float per call (weights included),
-    every GEMM runs through :meth:`QUA.integer_gemm` and every reload
-    through :meth:`QUA.sfu_load`, so each tap is a fault site named by
-    its full tap (``"<model>.blocks.0.attn.scores"``), and the QUA's
-    protection and ledger apply throughout.
-    """
-
-    def __init__(self, pipeline: PTQPipeline, bits: int, qua: QUA):
-        self.pipeline = pipeline
-        self.bits = bits
-        self.qua = qua
-
-    def _params(self, tap: str):
-        return self.pipeline.quantizer_for(tap).params
-
-    def _encode(self, values: np.ndarray, tap: str) -> EncodedTensor:
-        # Poisoned floats (a corrupted SFU load upstream) must trip the
-        # guard here, not be laundered into in-range QUB codes.
-        values = self.qua.check_values(values, site=tap)
-        return encode_tensor(values, self.bits, params=self._params(tap))
-
-    def store_load(self, values: np.ndarray, tap: str) -> np.ndarray:
-        return self.qua.sfu_load(self._encode(values, tap), site=tap)
-
-    def linear(self, values: np.ndarray, name: str, layer) -> tuple[np.ndarray, float]:
-        ex = self._encode(values, f"{name}.input")
-        ew = encode_tensor(layer.weight.data, self.bits, params=self._params(f"{name}.weight"))
-        acc = self.qua.integer_gemm(ex, ew, site=f"{name}.input")
-        return acc, ex.base_delta * ew.base_delta
-
-    def matmul(self, a, a_tap: str, b, b_tap: str, site: str) -> tuple[np.ndarray, float]:
-        ea, eb = self._encode(a, a_tap), self._encode(b, b_tap)
-        return self.qua.integer_gemm(ea, eb, site=site), ea.base_delta * eb.base_delta
+__all__ = ["BlockExecutor", "ModelExecutor"]
 
 
 class BlockExecutor:
@@ -106,19 +68,18 @@ class BlockExecutor:
         self.block = block
         self.prefix = prefix.rstrip(".")
         self.integer_sfu = integer_sfu
-        self.qua = QUA(faults=faults, protection=protection, stats=stats)
-        self.datapath = QUADatapath(pipeline, bits, self.qua)
+        self.qua = QUA(pipeline, bits, faults, protection, stats)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the block; input/output are float arrays of token features."""
-        return run_block(self.datapath, self.block, self.prefix, x, self.integer_sfu)
+        return run_block(self.qua, self.block, self.prefix, x, self.integer_sfu)
 
 
 class ModelExecutor:
     """Run an entire ViT/DeiT through the QUA pipeline.
 
-    The integer walk over one :class:`QUADatapath`: patch embedding,
-    every block and the classifier heads run as integer GEMMs; only the
+    The integer walk over one :class:`QUA`: patch embedding, every block
+    and the classifier heads run as integer GEMMs; only the
     token-bookkeeping glue (class-token concat, positional add, final
     LayerNorm) runs in the SFU domain.  This is the "full integer
     inference" demonstration: its Top-1 accuracy matches the
@@ -140,10 +101,9 @@ class ModelExecutor:
         self.model = model
         self.integer_sfu = integer_sfu
         self.faults = faults
-        self.qua = QUA(faults=faults, protection=protection, stats=stats)
+        self.qua = QUA(pipeline, bits, faults, protection, stats)
         self.stats = self.qua.stats
-        self.datapath = QUADatapath(pipeline, bits, self.qua)
 
     def run(self, images: np.ndarray) -> np.ndarray:
         """Classify ``images``; returns logits (class/dist heads averaged)."""
-        return run_model(self.datapath, self.model, images, self.integer_sfu)
+        return run_model(self.qua, self.model, images, self.integer_sfu)

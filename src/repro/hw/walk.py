@@ -19,8 +19,8 @@ for four things only:
 
 Each GEMM returns its int64 accumulator and the scale that turns it
 back into real values.  Two datapaths implement the interface:
-:class:`repro.hw.executor.QUADatapath` (the behavioral QUA: operands
-re-encoded per call, fault sites, protection) and
+:class:`repro.hw.accelerator.QUA` (the behavioral accelerator: operands
+re-encoded per call by its QU, fault sites, protection) and
 :class:`repro.backend.int_backend.PackedDatapath`, the serving datapath
 (shared encoders, packed weights).  Since both run this one walk, their
 logits agree bit for bit whenever their accumulators and reloaded

@@ -72,9 +72,17 @@ class PRAConfig:
 
 
 def _positive_magnitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a tensor into negative magnitudes and positive values."""
+    """Split a tensor into negative magnitudes and positive values.
+
+    NaN and Inf are dropped, the policy every calibration method shares
+    (:func:`repro.quant.calibration._finite_magnitudes`): the finite data
+    alone fit the parameters.
+    """
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
-    return -flat[flat < 0], flat[flat > 0]
+    # Masked, not filtered: a filtered float64 copy of each tap raised
+    # calibration's peak memory, which is near the process peak.
+    finite = np.isfinite(flat)
+    return -flat[(flat < 0) & finite], flat[(flat > 0) & finite]
 
 
 def _two_sided(

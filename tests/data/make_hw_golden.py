@@ -4,12 +4,12 @@ Run from the repo root with the *current* (trusted) implementation::
 
     PYTHONPATH=src python tests/data/make_hw_golden.py
 
-``tests/test_hw_faults.py::TestGoldenRegression`` replays the same inputs
-through the live code and asserts bit-exact agreement, so any refactor of
-the encode/decode/GEMM/requantize path that changes behaviour with fault
-injection *disabled* is caught.  The fixture stores only integer arrays
-and float64 values produced by exact arithmetic, so it is stable across
-platforms.
+``tests/test_hw_faults.py::TestGoldenRegression`` replays :func:`build`
+through the live code and requires every array byte for byte (dtype and
+shape included), so any refactor of the encode/decode/GEMM/requantize
+path that changes behaviour with fault injection *disabled* is caught.
+The fixture stores only integer arrays and float64 values produced by
+exact arithmetic, so it is stable across platforms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.hw import QUA, encode_tensor
+from repro.hw.walk import _softmax
 from repro.quant import progressive_relaxation
+from repro.quant.qub import legalize_for_hardware, quantize_encode
+from repro.quant.quq import quantize_with_params
 
 
 def build() -> dict[str, np.ndarray]:
@@ -31,11 +34,15 @@ def build() -> dict[str, np.ndarray]:
         ex = encode_tensor(x, bits)
         ew = encode_tensor(w, bits)
         qua = QUA()
+        # PE array, then the accumulators scaled back to real values.
         acc = qua.integer_gemm(ex, ew)
+        gemm = acc * (ex.base_delta * ew.base_delta)
         out_values = acc.astype(np.float64) * ex.base_delta * ew.base_delta
         out_params = progressive_relaxation(out_values, bits)
-        qt = qua.requantize(acc, ex.base_delta * ew.base_delta, out_params)
-        eo = qua.gemm_requantized(ex, ew, out_params)
+        # QU: Eq. (3) codes under the legalized output parameters, and
+        # the QUB words they encode to.
+        qt = quantize_with_params(gemm, legalize_for_hardware(out_params))
+        out_qubs, out_registers, out_base = quantize_encode(gemm, out_params, bits)
         tag = f"b{bits}"
         arrays.update(
             {
@@ -52,17 +59,18 @@ def build() -> dict[str, np.ndarray]:
                 ),
                 f"{tag}:w_base": np.float64(ew.base_delta),
                 f"{tag}:acc": acc,
-                f"{tag}:gemm": qua.gemm(ex, ew),
+                f"{tag}:gemm": gemm,
                 f"{tag}:x_float": ex.to_float(),
                 f"{tag}:rq_codes": qt.codes,
                 f"{tag}:rq_subranges": qt.subranges,
-                f"{tag}:out_qubs": eo.qubs,
+                f"{tag}:out_qubs": out_qubs,
                 f"{tag}:out_regs": np.array(
-                    [eo.registers.fine.pack(), eo.registers.coarse.pack()],
+                    [out_registers.fine.pack(), out_registers.coarse.pack()],
                     dtype=np.uint8,
                 ),
-                f"{tag}:out_base": np.float64(eo.base_delta),
-                f"{tag}:softmax": qua.sfu(ex, "softmax"),
+                f"{tag}:out_base": np.float64(out_base),
+                # SFU: the walk's float Softmax over the load path.
+                f"{tag}:softmax": _softmax(qua.sfu_load(ex), False),
             }
         )
     return arrays

@@ -1,14 +1,11 @@
-"""Tests for the integer-native serving backend and its attestation."""
+"""Tests for the integer-native serving backend: bit-exact with the QUA
+executor, and close to the fake-quantized float forward."""
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    FloatFakeQuantBackend,
-    IntNativeBackend,
-    attest_int_backend,
-    make_backend,
-)
+from repro.autograd import Tensor, no_grad
+from repro.backend import FloatFakeQuantBackend, IntNativeBackend, make_backend
 from repro.hw.executor import BlockExecutor, ModelExecutor
 from repro.quant.qmodel import PTQPipeline
 
@@ -105,22 +102,19 @@ class TestIntNativeBackend:
     ])
     def test_float_parity_within_tolerance(self, quantized_at, bits, integer_sfu, distilled):
         model, pipeline, images = quantized_at(bits, distilled)
-        report = attest_int_backend(model, pipeline, images, integer_sfu=integer_sfu)
-        assert report["bit_exact"]
+        backend = IntNativeBackend(model, pipeline, integer_sfu=integer_sfu)
+        executor = ModelExecutor(model, pipeline, bits=bits, integer_sfu=integer_sfu)
+        int_logits = backend.predict(images)
+        assert int_logits.tobytes() == executor.run(images).tobytes()
+        model.eval()
+        with no_grad():
+            float_logits = model(Tensor(images)).data
         # Fake-quant and integer stores round in different float orders,
         # so exact-zero divergence is not expected — but it must be tiny.
         # The integer SFUs approximate Softmax/GELU/LayerNorm on fixed-point
         # grids, so they drift further; top-1 must still agree.
-        assert report["float_max_abs_diff"] < (0.1 if integer_sfu else 1e-6)
-        assert report["float_top1_agreement"] == 1.0
-
-    def test_attest_reuses_provided_backend(self, quantized):
-        model, pipeline, images = quantized
-        backend = IntNativeBackend(model, pipeline)
-        before = backend.counters()["batches_total"]
-        report = attest_int_backend(model, pipeline, images, backend=backend)
-        assert report["bit_exact"]
-        assert backend.counters()["batches_total"] == before + 1
+        assert np.abs(int_logits - float_logits).max() < (0.1 if integer_sfu else 1e-6)
+        assert (int_logits.argmax(-1) == float_logits.argmax(-1)).all()
 
     def test_counters_track_kernel_calls(self, quantized):
         model, pipeline, images = quantized
@@ -203,10 +197,9 @@ class TestIntNativeBackend:
         backend = IntNativeBackend(model, pipeline)
         info = backend.memory_info()
         assert info["reduction"] >= 2.0
-        report = attest_int_backend(
-            model, pipeline, calib[:2].astype(np.float32), backend=backend
-        )
-        assert report["bit_exact"]
+        images = calib[:2]
+        expected = ModelExecutor(model, pipeline, bits=4).run(images)
+        assert backend.predict(images).tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")

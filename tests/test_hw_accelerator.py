@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import QUA, EncodedTensor, encode_tensor, gemm_cycles
+from repro.hw.walk import _gelu, _layernorm, _softmax
+from repro.nn import LayerNorm
 from repro.quant import progressive_relaxation
+from repro.quant.qub import legalize_for_hardware, quantize_encode
+
+
+def _gemm(qua, ex, ew):
+    """The PE-array accumulators scaled back to real values (float64)."""
+    return qua.integer_gemm(ex, ew) * (ex.base_delta * ew.base_delta)
 
 
 class TestEncodedTensor:
@@ -32,8 +40,7 @@ class TestIntegerGEMM:
         x = rng.standard_t(df=4, size=(16, 32)) * 0.3
         w = rng.normal(size=(32, 24)) * 0.05
         ex, ew = encode_tensor(x, bits), encode_tensor(w, bits)
-        qua = QUA()
-        hw = qua.gemm(ex, ew)
+        hw = _gemm(QUA(), ex, ew)
         ref = ex.to_float() @ ew.to_float()
         np.testing.assert_allclose(hw, ref, rtol=1e-12, atol=1e-12)
 
@@ -56,51 +63,57 @@ class TestIntegerGEMM:
         x = rng.standard_t(df=3, size=(6, 10)) * rng.uniform(0.01, 10)
         w = rng.normal(size=(10, 7)) * rng.uniform(0.001, 1)
         ex, ew = encode_tensor(x, bits), encode_tensor(w, bits)
-        hw = QUA().gemm(ex, ew)
+        hw = _gemm(QUA(), ex, ew)
         ref = ex.to_float() @ ew.to_float()
         np.testing.assert_allclose(hw, ref, rtol=1e-10, atol=1e-12)
 
     def test_gemm_approximates_float(self, rng):
         x = rng.normal(size=(32, 64)) * 0.5
         w = rng.normal(size=(64, 32)) * 0.05
-        hw = QUA().gemm(encode_tensor(x, 8), encode_tensor(w, 8))
+        hw = _gemm(QUA(), encode_tensor(x, 8), encode_tensor(w, 8))
         exact = x @ w
         correlation = np.corrcoef(hw.reshape(-1), exact.reshape(-1))[0, 1]
         assert correlation > 0.999
 
 
+class TestWalkDatapath:
+    def test_walk_calls_need_a_pipeline(self, rng):
+        # Without a pipeline there are no tap parameters to encode under.
+        with pytest.raises(RuntimeError, match="pipeline"):
+            QUA().store_load(rng.normal(size=(2, 4)), "tiny_vit.blocks.0.block_input")
+
+
 class TestQuantizationUnit:
+    """The QU is the one encode of a float tensor, ``quantize_encode``."""
+
     def test_requantize_matches_direct_quantization(self, rng):
         x = rng.normal(size=(8, 16)) * 0.3
         w = rng.normal(size=(16, 8)) * 0.05
         ex, ew = encode_tensor(x, 8), encode_tensor(w, 8)
-        qua = QUA()
-        acc = qua.integer_gemm(ex, ew)
-        out_values = acc.astype(np.float64) * ex.base_delta * ew.base_delta
+        out_values = _gemm(QUA(), ex, ew)
         out_params = progressive_relaxation(out_values, 8)
-        qt = qua.requantize(acc, ex.base_delta * ew.base_delta, out_params)
-        err = np.abs(qt.dequantize() - out_values)
-        coarsest = max(s.delta for _, s in qt.params.active())
+        out = EncodedTensor(*quantize_encode(out_values, out_params, 8), 8)
+        err = np.abs(out.to_float() - out_values)
+        coarsest = max(s.delta for _, s in legalize_for_hardware(out_params).active())
         assert err.max() <= coarsest / 2 + 1e-9
 
     def test_full_pipeline_produces_encoded_tensor(self, rng):
         x = rng.normal(size=(8, 16)) * 0.3
         w = rng.normal(size=(16, 8)) * 0.05
         ex, ew = encode_tensor(x, 6), encode_tensor(w, 6)
-        qua = QUA()
-        acc = qua.integer_gemm(ex, ew)
-        out_params = progressive_relaxation(
-            acc.astype(np.float64) * ex.base_delta * ew.base_delta, 6
-        )
-        out = qua.gemm_requantized(ex, ew, out_params)
-        assert isinstance(out, EncodedTensor)
+        out_values = _gemm(QUA(), ex, ew)
+        out_params = progressive_relaxation(out_values, 6)
+        out = EncodedTensor(*quantize_encode(out_values, out_params, 6), 6)
         assert out.shape == (8, 8)
+        assert out.qubs.max() < 2**6
 
 
 class TestSFU:
+    """The walk's float special functions over the QUA's SFU load path."""
+
     def test_softmax_rows_sum_to_one(self, rng):
         encoded = encode_tensor(rng.normal(size=(4, 8)), 8)
-        out = QUA().sfu(encoded, "softmax")
+        out = _softmax(QUA().sfu_load(encoded), False)
         np.testing.assert_allclose(out.sum(-1), np.ones(4), rtol=1e-9)
 
     def test_gelu_matches_reference(self, rng):
@@ -108,7 +121,7 @@ class TestSFU:
 
         x = rng.normal(size=(4, 8))
         encoded = encode_tensor(x, 8)
-        out = QUA().sfu(encoded, "gelu")
+        out = _gelu(QUA().sfu_load(encoded), False)
         decoded = encoded.to_float()
         np.testing.assert_allclose(
             out, decoded * 0.5 * (1 + erf(decoded / np.sqrt(2))), rtol=1e-9
@@ -116,19 +129,8 @@ class TestSFU:
 
     def test_layernorm_statistics(self, rng):
         encoded = encode_tensor(rng.normal(size=(4, 16)) * 3, 8)
-        out = QUA().sfu(encoded, "layernorm")
+        out = _layernorm(QUA().sfu_load(encoded), LayerNorm(16), False)
         np.testing.assert_allclose(out.mean(-1), np.zeros(4), atol=1e-6)
-
-    def test_add_combines_tensors(self, rng):
-        a = encode_tensor(rng.normal(size=(4,)), 8)
-        b = encode_tensor(rng.normal(size=(4,)), 8)
-        out = QUA().sfu(a, "add", other=b)
-        np.testing.assert_allclose(out, a.to_float() + b.to_float(), rtol=1e-12)
-
-    def test_unknown_function_rejected(self, rng):
-        encoded = encode_tensor(rng.normal(size=(4,)), 8)
-        with pytest.raises(ValueError):
-            QUA().sfu(encoded, "sigmoid")
 
 
 class TestCycleModel:
@@ -151,14 +153,9 @@ class TestCycleModel:
 
 
 class TestEncodedTensorCaching:
-    """decoded() is memoized: verification passes re-decode the same
-    packed weights many times, and the second pass must be a cache hit
-    rather than another full DU sweep."""
-
-    def test_decoded_is_cached(self, rng):
-        encoded = encode_tensor(rng.normal(size=(8, 8)), 8)
-        first = encoded.decoded()
-        assert encoded.decoded() is first
+    """EncodedTensor is a plain record: decoded() runs the DU on every
+    call, since every walk operand is re-encoded per call and a memo
+    would never hit."""
 
     def test_decoded_values_unchanged_by_caching(self, rng):
         from repro.quant.qub import decode
@@ -168,11 +165,3 @@ class TestEncodedTensorCaching:
         d_ref, n_ref = decode(encoded.qubs, encoded.registers, encoded.bits)
         np.testing.assert_array_equal(d, d_ref)
         np.testing.assert_array_equal(n_sh, n_ref)
-
-    def test_caches_do_not_affect_equality_or_repr(self, rng):
-        x = rng.normal(size=(3, 3))
-        a = encode_tensor(x, 8)
-        b = encode_tensor(x, 8)
-        a.decoded()
-        assert "decoded" not in repr(a)
-        np.testing.assert_array_equal(a.qubs, b.qubs)

@@ -88,7 +88,7 @@ class TestFakeQuantVsHardwarePath:
         w_params = progressive_relaxation(weights, 8)
         ex = encode_tensor(activations, 8, params=x_params)
         ew = encode_tensor(weights, 8, params=w_params)
-        hw_out = QUA().gemm(ex, ew)
+        hw_out = QUA().integer_gemm(ex, ew) * (ex.base_delta * ew.base_delta)
         ref_out = ex.to_float() @ ew.to_float()
         np.testing.assert_allclose(hw_out, ref_out, rtol=1e-10)
 

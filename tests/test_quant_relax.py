@@ -136,6 +136,21 @@ class TestModeSelection:
         assert sum(s.levels for _, s in params.active()) == 64
 
 
+class TestNonFiniteInputs:
+    """NaN and +-Inf are dropped before the fit, as every other
+    calibration method drops them: the finite data alone decide."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+    def test_one_bad_entry_fits_the_finite_data(self, rng, bad):
+        x = rng.normal(size=1000)
+        expected = progressive_relaxation(x, 6)
+        assert progressive_relaxation(np.append(x, bad), 6) == expected
+
+    def test_all_nonfinite_fits_like_empty(self):
+        bad = np.array([np.inf, -np.inf, np.nan, np.inf])
+        assert progressive_relaxation(bad, 6) == progressive_relaxation(np.array([]), 6)
+
+
 class TestQuantileRecursion:
     def test_quantile_relaxes_until_acceptable(self, rng):
         # A distribution whose 0.99 quantile is too close to the max (tiny

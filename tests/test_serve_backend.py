@@ -164,7 +164,7 @@ class TestDriftSwapRebuildsPackedWeights:
     def test_swap_rebuilds_backend_and_preserves_exactness(
         self, registry, tiny_data, calib_images
     ):
-        from repro.backend import attest_int_backend
+        from repro.hw.executor import ModelExecutor
 
         _, val_set = tiny_data
         key = ModelKey.parse(INT_SPEC)
@@ -192,10 +192,12 @@ class TestDriftSwapRebuildsPackedWeights:
         assert replacement.backend.weights is not original_backend.weights
         # And the swapped-in backend still matches the reference executor
         # bit for bit under its fresh parameters.
-        report = attest_int_backend(
+        backend = replacement.backend
+        executor = ModelExecutor(
             replacement.model,
             replacement.pipeline,
-            calib_images[:2],
-            backend=replacement.backend,
+            bits=backend.bits,
+            integer_sfu=backend.integer_sfu,
         )
-        assert report["bit_exact"]
+        images = calib_images[:2]
+        assert backend.predict(images).tobytes() == executor.run(images).tobytes()
