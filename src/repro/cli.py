@@ -23,6 +23,7 @@ command line.
 from __future__ import annotations
 
 import argparse
+import json
 
 import numpy as np
 
@@ -53,6 +54,18 @@ def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for calibration/val sampling (default: built-in)")
     parser.add_argument("--batch-size", type=int, default=32, dest="batch_size",
                         help="inference batch size for calibration/evaluation")
+
+
+def _emit(args, report: dict, text: str, passed: bool) -> None:
+    """A report command's tail: write ``--output``, print the report as JSON
+    (``--json``) or as ``text``, and exit 1 unless ``passed``."""
+    if args.output:
+        with open(args.output, "w") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+        print(f"wrote {args.output}")
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json else text)
+    if not passed:
+        raise SystemExit(1)
 
 
 def cmd_zoo(args) -> None:
@@ -170,8 +183,6 @@ def cmd_inspect(args) -> None:
 
 
 def cmd_chaos_soak(args) -> None:
-    import json
-
     from .resilience import ResiliencePolicy, RetryPolicy
     from .resilience.faults import FAULT_KINDS, FaultPlan
     from .resilience.soak import ChaosSoakConfig, format_soak_report, run_chaos_soak
@@ -214,21 +225,10 @@ def cmd_chaos_soak(args) -> None:
     )
     with ServeEngine(registry, policy, resilience=resilience, faults=plan) as engine:
         report = run_chaos_soak(engine, plan, config)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_soak_report(report))
-    if not report["passed"]:
-        raise SystemExit(1)
+    _emit(args, report, format_soak_report(report), report["passed"])
 
 
 def cmd_fault_sweep(args) -> None:
-    import json
-
     from . import quantize_model
     from .hw import FaultSweepConfig, format_fault_sweep, run_fault_sweep
     from .hw.faults import HW_FAULT_SITES
@@ -253,21 +253,10 @@ def cmd_fault_sweep(args) -> None:
     )
     pipeline.detach()
     report = run_fault_sweep(model, pipeline, val.images, config, labels=val.labels)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_fault_sweep(report))
-    if not report["passed"]:
-        raise SystemExit(1)
+    _emit(args, report, format_fault_sweep(report), report["passed"])
 
 
 def cmd_corruption_sweep(args) -> None:
-    import json
-
     from .analysis import (
         CorruptionSweepConfig,
         RecoveryCurveConfig,
@@ -311,48 +300,28 @@ def cmd_corruption_sweep(args) -> None:
             registry, val_set, calib, recovery_config
         )
         sections.append(format_recovery_report(report["recovery"]))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n\n".join(sections))
-    if "recovery" in report and not report["recovery"]["passed"]:
-        raise SystemExit(1)
+    passed = "recovery" not in report or report["recovery"]["passed"]
+    _emit(args, report, "\n\n".join(sections), passed)
 
 
 def cmd_kernel_parity(args) -> None:
-    import json
-
     from .kernels import run_kernel_parity
 
     seed = 0 if args.seed is None else args.seed
     report = run_kernel_parity(seed=seed, cases=args.cases)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for op, entry in sorted(report["ops"].items()):
-            verdict = "ok" if entry["passed"] else "FAIL"
-            print(f"{op:<18} {verdict:<5} {entry['cases']:>4} cases")
-            for mismatch in entry["mismatches"]:
-                print(f"    {mismatch['case']}: {mismatch['problem']}")
-        verdict = "PASS" if report["passed"] else "FAIL"
-        cases = sum(entry["cases"] for entry in report["ops"].values())
-        print(f"kernel parity: {report['pairs_checked']} pairs, {cases} cases, "
-              f"{report['failures']} failures -> {verdict}")
-    if not report["passed"]:
-        raise SystemExit(1)
+    lines = []
+    for op, entry in sorted(report["ops"].items()):
+        verdict = "ok" if entry["passed"] else "FAIL"
+        lines.append(f"{op:<18} {verdict:<5} {entry['cases']:>4} cases")
+        lines += [f"    {m['case']}: {m['problem']}" for m in entry["mismatches"]]
+    verdict = "PASS" if report["passed"] else "FAIL"
+    cases = sum(entry["cases"] for entry in report["ops"].values())
+    lines.append(f"kernel parity: {report['pairs_checked']} pairs, {cases} cases, "
+                 f"{report['failures']} failures -> {verdict}")
+    _emit(args, report, "\n".join(lines), report["passed"])
 
 
 def cmd_scale_bench(args) -> None:
-    import json
-
     from .analysis.scale import (
         ScaleBenchConfig,
         format_scale_report,
@@ -433,16 +402,7 @@ def cmd_scale_bench(args) -> None:
     )
     with engine:
         report = run_scale_benchmark(engine, config)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_scale_report(report))
-    if not report["passed"]:
-        raise SystemExit(1)
+    _emit(args, report, format_scale_report(report), report["passed"])
 
 
 def build_parser() -> argparse.ArgumentParser:

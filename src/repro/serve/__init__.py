@@ -24,7 +24,7 @@ Turns the offline reproduction into a request-serving system:
   token-bucket rate limits, queue/p99-derived load shedding, weighted
   fair queuing with starvation guards, and a degrade ladder.
 * :mod:`repro.serve.cluster` — the core with shard executors: replica
-  worker processes per model over shared-memory rings, supervised
+  worker processes per model, one pipe each, supervised
   (health checks, restarts, in-flight re-routing) by the parent; a
   quarantined lane swaps them for an in-parent float executor.
 * :mod:`repro.serve.traces` — seeded traffic traces (diurnal cycles,
@@ -33,7 +33,7 @@ Turns the offline reproduction into a request-serving system:
   open-loop replay in :mod:`repro.analysis.scale` every serving harness
   shares), plus JSONL record/replay.
 * :mod:`repro.serve.autoscaler` — elastic control plane: scales shard
-  replicas between ``min_shards``/``max_shards`` on ladder/queue/ring
+  replicas between ``min_shards``/``max_shards`` on ladder/queue/crash
   pressure with hysteresis + cooldown, quarantines crash-looping specs
   to float fallback with exponential respawn backoff, and lends idle
   shard capacity to saturated lanes under a bounded borrow budget.

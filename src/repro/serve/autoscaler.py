@@ -12,7 +12,7 @@ in-flight count, crash history) and decides:
   ``scale_up_sustain`` consecutive ticks, bounded by ``max_shards``;
 * **scale down** when a lane stays idle for ``scale_down_sustain``
   ticks, bounded by ``min_shards`` — the retire is a *drain* (the engine
-  fences the shard, finishes in-flight work, then releases rings) and an
+  fences the shard, finishes in-flight work, then stops its process) and an
   aborted drain is retried on a later tick, never forced;
 * **hysteresis + cooldown** — the sustain counters are the hysteresis
   (one noisy sample never scales), and ``cooldown_s`` separates

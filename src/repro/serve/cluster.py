@@ -1,4 +1,4 @@
-"""Sharded multi-process serving: replica worker pools over shared memory.
+"""Sharded multi-process serving: replica worker pools, one pipe each.
 
 The single-process :class:`~repro.serve.engine.ServeEngine` executes
 batches on threads inside the serving process, which caps it at one GIL
@@ -8,52 +8,42 @@ execution into *shard* processes — N replicas per ``ModelKey``, each a
 forked worker owning its own copy of the servable — and keeps the
 process-level concerns in the parent:
 
-* **zero-copy hand-off** — each shard owns a one-slot ring in a
-  :mod:`multiprocessing.shared_memory` segment; the parent writes the
-  coalesced batch straight into the slot's image region and flips a
-  status word, the shard reads the same mapped pages (no pickling, no
-  pipe copy) and writes logits back into the slot's output region.  One
-  slot is all a shard can use: its one dispatch thread holds the shard's
-  lock until the answer is back, so a second request never waits in the
-  ring;
-* **supervision** — shards heartbeat through a control word; a dispatch
-  that sees the heartbeat go silent past ``watchdog_stall_s`` (or the
-  process die) kills and respawns the shard and **re-routes the
-  in-flight batch** to the replacement, bounded by ``max_redispatch``;
-  :meth:`check_watchdog` additionally restarts shards that crash while
-  idle, reusing the watchdog/backoff idioms of :mod:`repro.resilience`;
+* **one pipe per shard** — the shard's dispatch thread sends the
+  coalesced batch down a duplex :func:`multiprocessing.Pipe` and waits
+  for the reply; the batch is pickled once each way.  The dispatch
+  thread holds the shard's lock until the answer is back, so a shard
+  never has more than one request outstanding;
+* **supervision** — a dispatch that gets no answer within
+  ``watchdog_stall_s`` of the send (or sees the process die) kills and
+  respawns the shard and **re-routes the in-flight batch** to the
+  replacement, bounded by ``max_redispatch``; :meth:`check_watchdog`
+  additionally restarts shards that crash while idle, reusing the
+  watchdog/backoff idioms of :mod:`repro.resilience`;
 * **the same lane core as the thread engine** (:mod:`repro.serve.core`)
   — admission, breaker, numeric guard, failover, deadline withholding
   and the metrics counter families are one implementation; each shard
   is one executor of the lane, so the chaos-soak harness audits a
-  process topology with unchanged code.  ``stall`` faults are delivered
-  *into* the shard through the slot header, so the worker genuinely
-  stops heartbeating.
+  process topology with unchanged code.  ``stall`` faults ride *into*
+  the shard with the batch, so the worker genuinely goes silent.
 
-Slot protocol (all header words are aligned int64; single-writer
-ownership alternates on the status word, which is written last on x86's
-total-store-order — the parent never touches a slot the shard owns and
-vice versa):
+Pipe messages, in order:
 
-====== =============================================================
-status owner / meaning
-====== =============================================================
-0      EMPTY — parent may fill
-1      REQ   — shard executes (``len``, ``mode``, ``stall_ns`` valid)
-2      RES   — parent collects logits (``classes``, ``path`` valid)
-3      ERR   — parent collects the UTF-8 error message (``msg_len``)
-====== =============================================================
+1. shard → parent, once: ``None`` when the replica has loaded, or the
+   load error as text (the shard then exits);
+2. parent → shard, per batch: ``(images, quantized, stall_s)``; ``None``
+   (or EOF) tells the shard to exit;
+3. shard → parent, per batch: ``(logits, path)``, where ``path`` names
+   the datapath that answered, or the error as text if the batch raised.
 
 The fork start method is required: shard workers inherit the loader
-callable and the shared-memory views by address-space copy, so any
-closure (e.g. one returning a pre-built in-memory servable) is a valid
-loader without being picklable.
+callable by address-space copy, so any closure (e.g. one returning a
+pre-built in-memory servable) is a valid loader without being picklable.
 
 The shard pool is **elastic**: :meth:`ClusterEngine.add_shard` spawns an
 extra replica at a fresh index, and :meth:`ClusterEngine.retire_shard`
 drains one away — the retiring shard is *fenced* (its dispatch thread
 stops pulling new batches), the in-flight batch runs to completion, and
-only then are the process and its rings released, so a scale-down can
+only then are the process and its pipe released, so a scale-down can
 never lose a request.  A crash-looping spec can be **quarantined**
 (:meth:`ClusterEngine.quarantine_lane`): the lane swaps its shard
 executors for an in-parent float executor, and dead shards stay down
@@ -69,33 +59,23 @@ import os
 import signal
 import threading
 import time
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from ..resilience import ResiliencePolicy
 from ..resilience.faults import STALL, FaultPlan
 from .admission import AdmissionController
-from .core import DATAPATHS, FLOAT, BatchLost, Executor, Lane, LaneCore, datapath
+from .core import FLOAT, BatchLost, Executor, Lane, LaneCore, datapath
 from .metrics import Metrics
 from .registry import ModelKey
 from .scheduler import DEFAULT_PRIORITY, BatchPolicy
 
 __all__ = ["ClusterPolicy", "ClusterEngine", "default_shard_loader"]
 
-# Slot status words (see the protocol table in the module docstring).
-EMPTY, REQ, RES, ERR = 0, 1, 2, 3
-# Execution modes the parent requests.
-MODE_QUANT, MODE_FLOAT = 0, 1
-# Header word indices; H_PATH holds the DATAPATHS index of the path
-# that answered.
-H_STATUS, H_LEN, H_CLASSES, H_MODE, H_STALL_NS, H_PATH, H_MSG_LEN = range(7)
-HEADER_WORDS = 7
-# Control word indices (one control block per shard segment).
-C_HEARTBEAT, C_READY, C_STOP = 0, 1, 2
-CTRL_WORDS = 4
-MSG_BYTES = 512  # UTF-8 error message region per slot
-
-READY_OK, READY_FAILED = 1, -1
+#: Longest a dispatch waits on its shard between checks that the engine
+#: is not stopping (the lane thread's own ``wait_for_batch`` slice).
+WAIT_SLICE_S = 0.1
 
 
 def default_shard_loader(spec: str):
@@ -118,139 +98,66 @@ class ClusterPolicy:
         self,
         shards: int = 2,
         image_hw: int = 16,
-        channels: int = 3,
-        max_classes: int = 64,
         ready_timeout_s: float = 120.0,
-        poll_s: float = 0.0005,
         max_redispatch: int = 3,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if image_hw < 1 or channels < 1 or max_classes < 1:
-            raise ValueError("image_hw, channels, max_classes must be >= 1")
-        if ready_timeout_s <= 0 or poll_s <= 0 or max_redispatch < 0:
-            raise ValueError(
-                "ready_timeout_s and poll_s must be > 0, max_redispatch >= 0"
-            )
+        if image_hw < 1:
+            raise ValueError("image_hw must be >= 1")
+        if ready_timeout_s <= 0 or max_redispatch < 0:
+            raise ValueError("ready_timeout_s must be > 0, max_redispatch >= 0")
         self.shards = shards
         self.image_hw = image_hw
-        self.channels = channels
-        self.max_classes = max_classes
         self.ready_timeout_s = ready_timeout_s
-        self.poll_s = poll_s
         self.max_redispatch = max_redispatch
 
 
-class _RingViews:
-    """NumPy views over one shard's shared-memory segment: the control
-    block and the ring's one slot.
+def _shard_main(spec: str, loader, conn) -> None:
+    """Shard process body: load one replica, then answer batches over the
+    pipe until told to stop (see the message list in the module docstring).
 
-    Built in the parent; the shard inherits the same object through fork,
-    so both sides address identical mapped pages.  Holding ``shm`` here
-    keeps the mapping alive on both sides of the fork.
-    """
-
-    def __init__(self, shm, max_batch: int, image_shape, max_classes: int):
-        self.shm = shm
-        self.max_batch = max_batch
-        self.image_shape = tuple(image_shape)
-        self.max_classes = max_classes
-        buf = shm.buf
-        offset = 0
-
-        def carve(dtype, shape):
-            nonlocal offset
-            arr = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
-            offset += arr.nbytes
-            # Keep every region 8-byte aligned so int64 header words stay
-            # on natural boundaries (atomic aligned stores on x86/arm64).
-            offset = (offset + 7) & ~7
-            return arr
-
-        self.ctrl = carve(np.int64, (CTRL_WORDS,))
-        self.hdr = carve(np.int64, (HEADER_WORDS,))
-        self.msg = carve(np.uint8, (MSG_BYTES,))
-        self.images = carve(np.float32, (max_batch,) + self.image_shape)
-        self.logits = carve(np.float32, (max_batch, max_classes))
-        self.nbytes = offset
-
-    @classmethod
-    def required_bytes(cls, max_batch, image_shape, max_classes) -> int:
-        slot = (
-            MSG_BYTES
-            + 4 * max_batch * int(np.prod(image_shape))
-            + 4 * max_batch * max_classes
-        )
-        # Alignment padding upper bound: 8 bytes per carved region.
-        return (CTRL_WORDS + HEADER_WORDS) * 8 + slot + 8 * 5
-
-    def write_error(self, message: str) -> None:
-        data = message.encode("utf-8", errors="replace")[:MSG_BYTES]
-        self.msg[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        self.hdr[H_MSG_LEN] = len(data)
-
-    def read_error(self) -> str:
-        length = int(self.hdr[H_MSG_LEN])
-        return bytes(self.msg[:length]).decode("utf-8", errors="replace")
-
-
-def _shard_main(spec: str, loader, views: _RingViews, poll_s: float) -> None:
-    """Shard process body: load one replica, then serve the ring's slot.
-
-    Single-threaded by design — the heartbeat stops the moment the worker
-    blocks (an injected ``stall_ns`` sleep, a wedged predict), which is
-    precisely the signal the parent's supervision keys on.
+    Single-threaded by design — an injected stall or a wedged predict
+    leaves the parent with no answer, which is precisely the signal its
+    supervision keys on.
     """
     # The parent supervises shards; a Ctrl-C on the terminal must not
     # race it by killing workers directly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    ctrl, row = views.ctrl, views.hdr
     try:
         servable = loader(spec)
-    except BaseException as error:  # report, then exit: the parent re-raises
-        views.write_error(f"{type(error).__name__}: {error}")
-        ctrl[C_READY] = READY_FAILED
+    except Exception as error:  # report, then exit: the parent re-raises
+        conn.send(f"{type(error).__name__}: {error}")
         return
-    ctrl[C_READY] = READY_OK
-    while not ctrl[C_STOP]:
-        if row[H_STATUS] != REQ:
-            ctrl[C_HEARTBEAT] += 1
-            time.sleep(poll_s)
-            continue
-        stall_ns = int(row[H_STALL_NS])
-        if stall_ns > 0:
-            # Injected stall: sleep without heartbeating so the parent's
-            # staleness detector sees a genuinely silent shard.
-            time.sleep(stall_ns / 1e9)
-        ctrl[C_HEARTBEAT] += 1
-        n = int(row[H_LEN])
-        mode = int(row[H_MODE])
-        # Zero-copy input: predict consumes the shared mapping directly;
-        # the parent does not reuse the slot until the status word flips.
-        images = views.images[:n]
+    conn.send(None)
+    while True:
         try:
-            if mode == MODE_FLOAT:
-                logits, path = servable.predict_float(images), FLOAT
-            else:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        images, quantized, stall_s = request
+        if stall_s > 0:
+            time.sleep(stall_s)  # injected stall: the parent hears nothing
+        try:
+            if quantized:
                 logits, path = servable.predict(images), datapath(servable)
+            else:
+                logits, path = servable.predict_float(images), FLOAT
             logits = np.asarray(logits, dtype=np.float32)
-            if logits.ndim != 2 or logits.shape[0] != n:
+            if logits.ndim != 2 or logits.shape[0] != len(images):
                 raise ValueError(f"model returned logits of shape {logits.shape}")
-            classes = min(logits.shape[1], views.max_classes)
-            views.logits[:n, :classes] = logits[:, :classes]
-            row[H_CLASSES] = classes
-            row[H_PATH] = DATAPATHS.index(path)
-            row[H_STATUS] = RES
-        except BaseException as error:
-            views.write_error(f"{type(error).__name__}: {error}")
-            row[H_STATUS] = ERR
-        ctrl[C_HEARTBEAT] += 1
+            reply = logits, path
+        except Exception as error:
+            reply = f"{type(error).__name__}: {error}"
+        conn.send(reply)
 
 
 class _ShardExecutor(Executor):
-    """One shard: a forked replica answering batches over its own ring.
+    """One shard: a forked replica answering batches over its own pipe.
 
-    A respawn replaces the process and ring behind the same index.
+    A respawn replaces the process and pipe behind the same index.
     ``lock`` is held by whoever operates the shard: its dispatch thread,
     the idle-crash sweep, or a rolling restart.
     """
@@ -261,74 +168,70 @@ class _ShardExecutor(Executor):
         self.index = index
         self.lock = threading.Lock()
         self.restarts = 0
-        self.stall_ns = 0  # injected stall, delivered with the next dispatch
+        self.stall_s = 0.0  # injected stall, delivered with the next dispatch
         self.lost = 0  # times the current batch was lost with its shard
 
     def spawn(self) -> None:
-        """Fork a replica over a fresh ring; block until it has loaded."""
-        from multiprocessing import shared_memory
-
+        """Fork a replica over a fresh pipe; block until it has loaded."""
         engine, cluster = self.engine, self.engine.cluster
-        shape = (cluster.image_hw, cluster.image_hw, cluster.channels)
-        layout = (engine.policy.max_batch_size, shape, cluster.max_classes)
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=_RingViews.required_bytes(*layout)
-        )
-        self.views = _RingViews(self.shm, *layout)
-        self.views.ctrl[:] = 0
-        self.views.hdr[:] = 0
-        self.process = engine._ctx.Process(
-            target=_shard_main,
-            args=(self.lane.key.spec, engine.loader, self.views, cluster.poll_s),
-            name=f"shard-{self.lane.key.slug}-{self.index}",
-            daemon=True,
-        )
-        self.process.start()
-        deadline = time.monotonic() + cluster.ready_timeout_s
-        while time.monotonic() < deadline:
-            state = int(self.views.ctrl[C_READY])
-            if state == READY_OK:
+        with engine._fork_lock:
+            # No other spawn may fork while the child's end is open here:
+            # a sibling holding it would keep this shard's pipe unbroken
+            # after the shard died, and a large send to it would block.
+            self.conn, child = engine._ctx.Pipe()
+            self.process = engine._ctx.Process(
+                target=_shard_main,
+                args=(self.lane.key.spec, engine.loader, child),
+                name=f"shard-{self.lane.key.slug}-{self.index}",
+                daemon=True,
+            )
+            self.process.start()
+            child.close()
+        ready = wait([self.conn, self.process.sentinel], cluster.ready_timeout_s)
+        if not ready:
+            self.destroy()
+            raise TimeoutError(
+                f"shard {self.index} not ready within {cluster.ready_timeout_s}s"
+            )
+        message = "shard died during load"
+        if self.conn in ready:
+            try:
+                message = self.conn.recv()
+            except EOFError:
+                pass
+            if message is None:
                 return
-            if state == READY_FAILED or not self.alive():
-                message = self.views.read_error() or "shard died during load"
-                self.destroy()
-                raise RuntimeError(
-                    f"shard {self.index} for {self.process.name} failed to "
-                    f"load: {message}"
-                )
-            time.sleep(cluster.poll_s)
         self.destroy()
-        raise TimeoutError(
-            f"shard {self.index} not ready within {cluster.ready_timeout_s}s"
+        raise RuntimeError(
+            f"shard {self.index} for {self.process.name} failed to load: {message}"
         )
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def destroy(self) -> None:
-        """Kill the process and release the ring (idempotent)."""
+        """Kill the process and close the pipe (idempotent)."""
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=1.0)
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(timeout=1.0)
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
+        self.conn.close()
 
     def close(self) -> None:
         if self.alive():
-            self.views.ctrl[C_STOP] = 1
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # the shard is gone already; destroy reaps it
             self.process.join(timeout=1.0)
         self.destroy()
 
     def respawn(self, reason: str) -> None:
         """Kill (if needed) and respawn the shard; counts the restart.
 
-        ``reason`` is ``"stall"`` (heartbeat went silent — the watchdog
+        ``reason`` is ``"stall"`` (no answer in time — the watchdog
         family, so chaos-soak recovery evidence holds across topologies)
         or ``"crash"`` (process died).
         """
@@ -358,7 +261,7 @@ class _ShardExecutor(Executor):
         # dispatch, so the worker process itself goes silent.
         faults, spec = self.engine.faults, self.lane.key.spec
         window = faults.fire(STALL, site=spec) if faults is not None else None
-        self.stall_ns = int(window.stall_s * 1e9) if window is not None else 0
+        self.stall_s = window.stall_s if window is not None else 0.0
         self.lost = 0
         return True
 
@@ -373,8 +276,8 @@ class _ShardExecutor(Executor):
                 # A shard found dead is respawned first; that is no loss.
                 dispatched, reason = self.alive(), "crash"
                 if dispatched:
-                    stall_ns, self.stall_ns = self.stall_ns, 0
-                    answer = self._dispatch(batch, quantized, stall_ns)
+                    stall_s, self.stall_s = self.stall_s, 0.0
+                    answer = self._dispatch(batch, quantized, stall_s)
                     if not isinstance(answer, str):
                         return answer
                     reason = answer
@@ -397,49 +300,40 @@ class _ShardExecutor(Executor):
                     lane.reroutes += 1
                 engine.metrics.count("reroutes_total", spec=lane.key.spec)
 
-    def _dispatch(self, batch, quantized: bool, stall_ns: int):
-        """Write the batch into the shard's slot and await the answer.
+    def _dispatch(self, batch, quantized: bool, stall_s: float):
+        """Send the batch to the shard and await the answer.
 
         Returns ``(logits, path)``, or why the shard was lost with the
-        batch: ``"crash"`` (the process died) or ``"stall"`` (its heartbeat
-        went silent past ``watchdog_stall_s``).  A shard-side exception is
-        raised as :class:`RuntimeError`.
+        batch: ``"crash"`` (the process died or its pipe broke) or
+        ``"stall"`` (no answer within ``watchdog_stall_s`` of the send).
+        A shard-side exception is raised as :class:`RuntimeError`.
         """
-        engine, views = self.engine, self.views
-        row = views.hdr
-        if int(row[H_STATUS]) != EMPTY:
-            # The previous incarnation died mid-protocol; reclaim the slot.
-            row[H_STATUS] = EMPTY
-        n = len(batch)
-        views.images[:n] = batch.images
-        row[H_LEN] = n
-        row[H_MODE] = MODE_QUANT if quantized else MODE_FLOAT
-        row[H_STALL_NS] = stall_ns
-        row[H_STATUS] = REQ  # ownership hand-off: written last
-        stall_after = engine.resilience.watchdog_stall_s
-        last_beat = int(views.ctrl[C_HEARTBEAT])
-        last_change = time.monotonic()
+        engine = self.engine
+        try:
+            self.conn.send((batch.images, quantized, stall_s))
+        except OSError:
+            return "crash"
+        deadline = time.monotonic() + engine.resilience.watchdog_stall_s
         while True:
-            status = int(row[H_STATUS])
-            if status == RES:
-                logits = np.array(views.logits[:n, : int(row[H_CLASSES])])
-                path = DATAPATHS[int(row[H_PATH])]
-                row[H_STATUS] = EMPTY
-                return logits, path
-            if status == ERR:
-                message = views.read_error()
-                row[H_STATUS] = EMPTY
-                raise RuntimeError(f"shard error: {message}")
+            left = deadline - time.monotonic()
+            ready = wait([self.conn, self.process.sentinel],
+                         min(WAIT_SLICE_S, max(left, 0.0)))
+            if self.conn in ready:
+                try:
+                    answer = self.conn.recv()
+                except (EOFError, OSError):
+                    return "crash"
+                if isinstance(answer, str):
+                    raise RuntimeError(f"shard error: {answer}")
+                return answer
+            # The sentinel, not EOF, proves a death: a process forked from
+            # this one may still hold the shard's end of the pipe.
             if not self.alive():
                 return "crash"
-            beat = int(views.ctrl[C_HEARTBEAT])
-            if beat != last_beat:
-                last_beat, last_change = beat, time.monotonic()
-            elif time.monotonic() - last_change >= stall_after:
+            if left <= 0:
                 return "stall"
             if engine._stopping:
                 raise BatchLost("cluster engine stopped mid-batch")
-            time.sleep(engine.cluster.poll_s)
 
 
 class _ParentExecutor(Executor):
@@ -512,6 +406,7 @@ class ClusterEngine(LaneCore):
         self.cluster = ClusterPolicy() if cluster is None else cluster
         self.registry = _RegistryView(self)
         self._ctx = multiprocessing.get_context("fork")
+        self._fork_lock = threading.Lock()  # one shard spawn forks at a time
 
     # ------------------------------------------------------------------
     # Lanes and shards
@@ -542,14 +437,14 @@ class ClusterEngine(LaneCore):
 
     def submit(self, spec, image, tenant="default", priority=DEFAULT_PRIORITY,
                deadline_ms=None):
-        """Enqueue one image (see :meth:`LaneCore.submit`); it must fit the
-        shared rings."""
+        """Enqueue one image (see :meth:`LaneCore.submit`); it must be
+        ``(image_hw, image_hw, 3)``, or the batch it joins could not stack."""
         image = np.asarray(image, dtype=np.float32)
-        expected = (self.cluster.image_hw, self.cluster.image_hw, self.cluster.channels)
+        expected = (self.cluster.image_hw, self.cluster.image_hw, 3)
         if image.shape != expected:
             raise ValueError(
-                f"image shape {image.shape} does not fit the cluster's shared "
-                f"rings (expected {expected}; set ClusterPolicy.image_hw)"
+                f"image shape {image.shape} is not the cluster's {expected} "
+                f"(set ClusterPolicy.image_hw)"
             )
         return super().submit(spec, image, tenant, priority, deadline_ms)
 
@@ -615,15 +510,15 @@ class ClusterEngine(LaneCore):
 
     def retire_shard(self, spec: str | ModelKey, index: int | None = None,
                      drain_timeout_s: float = 10.0) -> bool:
-        """Drain one replica away: fence, finish in-flight, release rings.
+        """Drain one replica away: fence, finish in-flight, release the shard.
 
         The fenced dispatch thread pulls no new batches and exits once
         its current batch (if any) completes; only then are the process
-        and its shared-memory segment destroyed, so a scale-down never
-        loses a request.  If the drain does not complete within
-        ``drain_timeout_s`` the fence is lifted and ``False`` returned —
-        the caller (autoscaler) simply retries on a later tick.  The last
-        unfenced shard of a lane is never retired.
+        and its pipe closed, so a scale-down never loses a request.  If
+        the drain does not complete within ``drain_timeout_s`` the fence
+        is lifted and ``False`` returned — the caller (autoscaler) simply
+        retries on a later tick.  The last unfenced shard of a lane is
+        never retired.
         """
         lane = self._find(spec)
         if lane is None:

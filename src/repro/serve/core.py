@@ -20,9 +20,9 @@ except where it runs:
 An :class:`Executor` runs one batch on one datapath and reports which
 datapath answered.  :class:`~repro.serve.engine.ServeEngine` runs batches
 on in-process worker threads; :class:`~repro.serve.cluster.ClusterEngine`
-runs each in a shard process over a shared-memory ring.  A quarantined
-lane swaps its executors for a stand-in (the cluster's in-parent float
-path) until the quarantine is cleared.
+sends each to a shard process over a pipe.  A quarantined lane swaps its
+executors for a stand-in (the cluster's in-parent float path) until the
+quarantine is cleared.
 """
 
 from __future__ import annotations

@@ -61,9 +61,9 @@ class DualDeadline:
         return max(0.0, min(clock_left, wall_left))
 
 
-def wait_until(predicate, clock, timeout: float, wall_cap: float | None = None,
-               poll_s: float = 0.002) -> bool:
-    """Poll ``predicate`` until it returns truthy or the deadline expires.
+def wait_until(predicate, clock, timeout: float, wall_cap: float | None = None) -> bool:
+    """Poll ``predicate`` every 2 ms until it returns truthy or the deadline
+    expires.
 
     The shared drain loop: returns ``True`` the moment ``predicate()``
     holds, ``False`` when the :class:`DualDeadline` built from
@@ -76,4 +76,4 @@ def wait_until(predicate, clock, timeout: float, wall_cap: float | None = None,
             return True
         if deadline.expired():
             return False
-        time.sleep(poll_s)
+        time.sleep(0.002)

@@ -5,6 +5,7 @@ inherit it (and the loader closure) by address-space copy — no pickling,
 no model build inside the child, instant spawn.
 """
 
+import multiprocessing
 import os
 import threading
 import time
@@ -71,6 +72,29 @@ class CrashingServable(StubServable):
         return StubServable.predict(self, images)
 
 
+class WideServable(StubServable):
+    """A 100-class stub whose top logit is the last column."""
+
+    classes = 100
+
+    def predict(self, images, recorder=None):
+        logits = np.zeros((len(images), self.classes), dtype=np.float32)
+        logits[:, -1] = 1.0
+        return logits
+
+
+class RaisingServable(StubServable):
+    """Both of its paths raise one long message."""
+
+    MESSAGE = "x" * 2000
+
+    def predict(self, images, recorder=None):
+        raise ValueError(self.MESSAGE)
+
+    def predict_float(self, images):
+        raise ValueError(self.MESSAGE)
+
+
 SLOW = 7.0  # images at least this bright take SLOW_S to predict
 
 
@@ -92,13 +116,27 @@ def stub_loader(spec):
 POLICY = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64, timeout_ms=5000.0)
 
 
+@pytest.fixture(autouse=True)
+def no_shard_outlives_its_test():
+    """Every engine here is stopped, and a stopped engine leaves no shard
+    process behind."""
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        shards = [p.name for p in multiprocessing.active_children()
+                  if p.name.startswith("shard-")]
+        if not shards:
+            return
+        assert time.monotonic() < deadline, f"shards outlived the test: {shards}"
+        time.sleep(0.05)
+
+
 def make_engine(shards=2, stall_s=0.3, loader=stub_loader, max_redispatch=3,
                 resilience=None, **kwargs):
     return ClusterEngine(
         loader=loader,
         policy=POLICY,
-        cluster=ClusterPolicy(shards=shards, image_hw=16, max_classes=16,
-                              max_redispatch=max_redispatch),
+        cluster=ClusterPolicy(shards=shards, image_hw=16, max_redispatch=max_redispatch),
         resilience=resilience or ResiliencePolicy(watchdog_stall_s=stall_s),
         **kwargs,
     )
@@ -190,11 +228,26 @@ class TestClusterLifecycle:
             counters["int_batches_total"]
         )
 
-    def test_rejects_images_that_do_not_fit_the_rings(self):
+    def test_rejects_images_not_of_the_policy_shape(self):
         with make_engine(shards=1) as engine:
             engine.warm(SPEC)
-            with pytest.raises(ValueError, match="shared"):
-                engine.submit(SPEC, np.zeros((32, 32, 3), dtype=np.float32))
+            for shape in ((32, 32, 3), (16, 16, 1)):
+                with pytest.raises(ValueError, match="image_hw"):
+                    engine.submit(SPEC, np.zeros(shape, dtype=np.float32))
+            assert engine.snapshot()["counters"].get("requests_total", 0) == 0
+
+    def test_replies_carry_every_logit(self):
+        with make_engine(shards=1, loader=lambda spec: WideServable()) as engine:
+            result = engine.submit(SPEC, IMAGE).result(timeout=30.0)
+        assert result.label == 99
+        assert result.logits.shape == (100,)
+
+    def test_shard_errors_arrive_whole(self):
+        with make_engine(shards=1, loader=lambda spec: RaisingServable()) as engine:
+            handle = engine.submit(SPEC, IMAGE)
+            with pytest.raises(RuntimeError) as info:
+                handle.result(timeout=30.0)
+        assert str(info.value) == f"shard error: ValueError: {RaisingServable.MESSAGE}"
 
     def test_stop_is_idempotent_and_reports_registry(self):
         engine = make_engine(shards=1)
@@ -651,7 +704,7 @@ class TestCrossTopology:
             "local": ServeEngine(_StubRegistry(ScriptServable()), POLICY, **defenses()),
             "cluster": ClusterEngine(
                 loader=lambda spec: ScriptServable(), policy=POLICY,
-                cluster=ClusterPolicy(shards=1, image_hw=16, max_classes=16),
+                cluster=ClusterPolicy(shards=1, image_hw=16),
                 **defenses(),
             ),
         }
