@@ -16,8 +16,9 @@ alike; the backend test suite checks that they do.
 * weights are encoded and bit-packed **once** at build time
   (:class:`~repro.backend.packed.PackedWeightStore`) instead of
   re-encoded from float on every call — the memory story;
-* activation taps reuse precomputed :class:`~repro.backend.kernels.FusedEncoder`
-  tables instead of running the QUB encode per tensor, and quantize in
+* each activation tap builds one
+  :class:`~repro.backend.kernels.FusedEncoder` on first use and reuses its
+  tables instead of running the QUB encode per tensor, and quantizes in
   one in-place pass per tap (the fast implementation of registry ops
   ``qub.shifted`` / ``qub.store_load``, :meth:`FusedEncoder.shifted_f64`):
   one float64 codes buffer, one selector and a few boolean masks, and no
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hw.walk import check_walkable, run_model
-from ..kernels import fused_encoder, get_kernel
+from ..kernels import get_kernel
 from ..quant.qmodel import PTQPipeline
 from .base import ServingBackend
 from .kernels import FusedEncoder
@@ -45,13 +46,14 @@ __all__ = ["IntNativeBackend", "PackedDatapath"]
 
 
 class PackedDatapath:
-    """The walk's serving datapath: shared encoders, packed weights, ``gemm.int``.
+    """The walk's serving datapath: per-tap encoders, packed weights, ``gemm.int``.
 
-    Activations quantize through their tap's memoized encoder
-    (:meth:`FusedEncoder.shifted`, :meth:`FusedEncoder.store_load`), weights
-    decode from the store (:meth:`PackedWeight.shifted`), and every GEMM is
-    one ``gemm.int`` dispatch.  A ``recorder`` set for a batch sees every
-    tap's pre-quantization values.
+    Activations quantize through their tap's encoder, built on the tap's
+    first use and owned here (:meth:`FusedEncoder.shifted`,
+    :meth:`FusedEncoder.store_load`), weights decode from the store
+    (:meth:`PackedWeight.shifted`), and every GEMM is one ``gemm.int``
+    dispatch.  A ``recorder`` set for a batch sees every tap's
+    pre-quantization values.
     """
 
     def __init__(self, pipeline: PTQPipeline, weights: PackedWeightStore, bits: int):
@@ -69,10 +71,7 @@ class PackedDatapath:
             self.recorder.record(tap, values)
         encoder = self.encoders.get(tap)
         if encoder is None:
-            # Shared process-wide memo (counted as ``qub.encode:cache_*``):
-            # replicas serving the same calibration reuse one encoder's
-            # tables instead of rebuilding them per backend.
-            encoder = fused_encoder(self.pipeline.quantizer_for(tap).params, self.bits)
+            encoder = FusedEncoder(self.pipeline.quantizer_for(tap).params, self.bits)
             self.encoders[tap] = encoder
         return encoder
 

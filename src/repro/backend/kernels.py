@@ -18,9 +18,12 @@ gives
   bit for bit, including the float operation order.
 
 Both dispatch through the kernel registry (ops ``qub.shifted`` /
-``qub.store_load``): each op's reference implementation decodes those
-words, and its fast one is the in-place :meth:`FusedEncoder.shifted_f64`
-pass.
+``qub.store_load``), handing the op the encoder itself: each op's
+reference implementation decodes those words, reading only the encoder's
+``params`` and ``bits``, and its fast one is the in-place
+:meth:`FusedEncoder.shifted_f64` pass on the tables the encoder built
+once.  The int backend builds one encoder per tap and keeps it for the
+backend's life; nothing else holds it.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class FusedEncoder:
         default, the decoded words of the encode under
         ``REPRO_KERNELS=reference``.
         """
-        return get_kernel("qub.shifted")(x, self.params, self.bits)
+        return get_kernel("qub.shifted")(x, self)
 
     def store_load(self, x: np.ndarray) -> np.ndarray:
         """Store-then-reload through the SFU path: quantize, decode, scale.
@@ -119,4 +122,4 @@ class FusedEncoder:
         Dispatches through the kernel registry (op ``qub.store_load``),
         like :meth:`shifted`.
         """
-        return get_kernel("qub.store_load")(x, self.params, self.bits)
+        return get_kernel("qub.store_load")(x, self)

@@ -9,11 +9,12 @@ paper's Section 2 argues for (8x smaller than float32 at 4 bits).
 
 A :class:`PackedWeightStore` is built once, at model load/calibration
 time, from the pipeline's fitted weight quantizers; per batch the int
-backend unpacks a buffer and decodes it through a per-tensor LUT (op
-``qub.decode_lut`` of the kernel registry, shared per register pair)
-into the shifted PE-array operands.  Packing is lossless, so the unpacked words are identical to
-what :func:`repro.hw.accelerator.encode_tensor` would produce from the
-float weights — the foundation of the backend's bit-exactness guarantee.
+backend unpacks a buffer and decodes it through the weight's own LUT
+(:func:`~repro.backend.kernels.decode_lut`, built once when the weight is
+packed) into the shifted PE-array operands.  Packing is lossless, so the
+unpacked words are identical to what
+:func:`repro.hw.accelerator.encode_tensor` would produce from the float
+weights — the foundation of the backend's bit-exactness guarantee.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from ..kernels import get_kernel
 from ..quant.qub import FCRegisters, unpack_qub_words
+from .kernels import decode_lut
 
 __all__ = ["PackedWeight", "PackedWeightStore", "iter_linear_weight_taps"]
 
@@ -133,10 +135,6 @@ class PackedWeightStore:
 
     @staticmethod
     def _pack_encoded(tap: str, encoded) -> PackedWeight:
-        # Both the bit-packer and the decode LUT dispatch through the
-        # kernel registry; the LUT comes from the process-wide shared
-        # cache, so tensors under one register pair (and the int
-        # backend's FusedEncoders) no longer rebuild it per construction.
         return PackedWeight(
             tap=tap,
             shape=tuple(encoded.qubs.shape),
@@ -144,7 +142,7 @@ class PackedWeightStore:
             buffer=get_kernel("qub.pack")(encoded.qubs, encoded.bits),
             registers=encoded.registers,
             base_delta=encoded.base_delta,
-            lut=get_kernel("qub.decode_lut")(encoded.registers, encoded.bits),
+            lut=decode_lut(encoded.registers, encoded.bits),
         )
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ back into real values.  Two datapaths implement the interface:
 :class:`repro.hw.accelerator.QUA` (the behavioral accelerator: operands
 re-encoded per call by its QU, fault sites, protection) and
 :class:`repro.backend.int_backend.PackedDatapath`, the serving datapath
-(shared encoders, packed weights).  Since both run this one walk, their
+(per-tap encoders, packed weights).  Since both run this one walk, their
 logits agree bit for bit whenever their accumulators and reloaded
 values do.
 """

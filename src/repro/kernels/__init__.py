@@ -13,7 +13,11 @@ Public surface:
   the bit-exact reference-vs-fast parity suite.
 * :func:`kernels_snapshot` / :func:`active_kernels` — observability:
   ``fast`` or ``reference`` per op (shown in the serve registry
-  snapshot) and the dispatch and cache counters.
+  snapshot) and the dispatch counters.
+
+The registry holds no tables of its own: each tap's
+:class:`~repro.backend.kernels.FusedEncoder` and each packed weight own
+theirs, and a kernel is handed the object it runs on.
 
 Built-in registrations load lazily on first dispatch so that low-level
 modules (``quant.quq``, ``hw.accelerator``) can import this package
@@ -38,9 +42,6 @@ __all__ = [
     "kernels_snapshot",
     "active_kernels",
     "run_kernel_parity",
-    "fused_encoder",
-    "kernel_cache_info",
-    "clear_kernel_caches",
 ]
 
 #: The process-wide registry every production call site dispatches through.
@@ -81,7 +82,7 @@ def kernel_pairs() -> list[KernelPair]:
 
 
 def kernels_snapshot() -> dict:
-    """JSON-serializable registry state: selection, call counts, caches."""
+    """JSON-serializable registry state: selection and call counts."""
     _ensure_builtin()
     return KERNELS.snapshot()
 
@@ -98,30 +99,3 @@ def run_kernel_parity(*args, **kwargs) -> dict:
     from .parity import run_kernel_parity as _run
 
     return _run(*args, **kwargs)
-
-
-def fused_encoder(params, bits: int):
-    """The shared memoized :class:`~repro.backend.kernels.FusedEncoder`
-    for ``(params, bits)``, each lookup counted under
-    ``qub.encode:cache_hit`` / ``qub.encode:cache_miss`` (see
-    :func:`repro.kernels.ops.fused_encoder`)."""
-    _ensure_builtin()
-    from .ops import fused_encoder as _fused_encoder
-
-    return _fused_encoder(params, bits)
-
-
-def kernel_cache_info() -> dict:
-    """Sizes of the shared encoder/LUT caches."""
-    _ensure_builtin()
-    from .ops import cache_info
-
-    return cache_info()
-
-
-def clear_kernel_caches() -> None:
-    """Drop the shared encoder/LUT caches (tests, long-lived servers)."""
-    _ensure_builtin()
-    from .ops import clear_caches
-
-    clear_caches()

@@ -4,17 +4,19 @@ Backs ``python -m repro kernel-parity`` and the CI ``kernel-parity`` job.
 Enumerates every registered op with a fast implementation
 (:meth:`KernelRegistry.pairs`, one :class:`KernelPair` per op) and drives
 its pair over deterministic seeded cases: legalized QUQ parameter sets
-fitted at several bit-widths on
-qualitatively different data (two-sided, positive-only softmax-like,
-one-sided negative, GELU-shaped, heavy-tailed, outlier channels) and, for
-the float fake-quantizer and the activation encoders, the raw fits and
-hand-built parameters in every mode, plus adversarial inputs — NaN,
-``+/-inf``, denormals, exact zeros, all-negative tensors, zero-size
-arrays — and the strided, float32 and signed-zero operands the forward
-passes send.  A pair passes a case when both implementations return
-results of equal dtype and shape and equal values, bit for bit (NaNs
-compared by position, zeros by sign), **or** both raise the same
-exception type with no output at all.
+fitted at several bit-widths on qualitatively different data (two-sided,
+positive-only softmax-like, one-sided negative, GELU-shaped,
+heavy-tailed, outlier channels), the raw fits for the float
+fake-quantizer, and, for it and the activation encoders, hand-built
+parameters in every mode, plus adversarial inputs — NaN, ``+/-inf``,
+denormals, exact zeros, all-negative tensors, zero-size arrays — and the
+strided, float32 and signed-zero operands the forward passes send.  The
+activation-encode ops take each params set as the
+:class:`~repro.backend.kernels.FusedEncoder` the int backend builds for a
+tap.  A pair passes a case when both implementations return results of
+equal dtype and shape and equal values, bit for bit (NaNs compared by
+position, zeros by sign), **or** both raise the same exception type with
+no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
 the CI ``kernel-parity`` job installs no hypothesis; the property-based
@@ -29,8 +31,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ..backend.kernels import FusedEncoder
 from ..quant.params import QUQParams, SubrangeSpec
-from ..quant.qub import FCRegisters, legalize_for_hardware
+from ..quant.qub import legalize_for_hardware
 from ..quant.relax import progressive_relaxation
 from . import kernel_pairs
 from .registry import KernelPair
@@ -199,10 +202,9 @@ def parity_cases(
     if op in ("qub.shifted", "qub.store_load"):
         floats += _operand_inputs(rng)  # the int backend's operand shapes
         for kind, bits, params in pool + mode_params_pool():
+            encoder = FusedEncoder(params, bits)  # as the int backend builds a tap's
             for name, x in floats:
-                yield _Case(f"{kind}/b{bits}/{name}", (x, params, bits), {})
-        _, _, wide = pool[-1]
-        yield _Case("bits_overflow", (floats[0][1], wide, wide.bits - 1), {})
+                yield _Case(f"{kind}/b{bits}/{name}", (x, encoder), {})
         return
 
     if op == "qub.pack":
@@ -215,12 +217,6 @@ def parity_cases(
                         (np.zeros(0, dtype=np.uint16), bits), {})
         yield _Case("bad_bits", (np.zeros(4, dtype=np.uint8), 17), {})
         yield _Case("overflow_word", (np.array([256], dtype=np.uint16), 8), {})
-        return
-
-    if op == "qub.decode_lut":
-        for kind, bits, params in pool:
-            registers = FCRegisters.from_params(params)
-            yield _Case(f"{kind}/b{bits}", (registers, bits), {})
         return
 
     if op == "gemm.int":

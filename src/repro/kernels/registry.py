@@ -1,15 +1,15 @@
 """The kernel registry: one (reference, fast) pair per op.
 
 Fast kernels — the in-place QUQ fake-quantize pass, the int backend's
-in-place activation encoders, the vectorized bit packer, the shared
-decode LUT and the BLAS integer GEMM — each need an independent
-reference to be checked against.  This module makes the pairing a
-structure: every op name (``quq.fake_quantize``, ``qub.shifted``,
-``gemm.int``, ``sfu.softmax``, ...) maps to one :class:`KernelPair` of a
-required **reference** implementation and at most one **fast** one.  An
-op with one implementation registers it as the reference alone, so its
-calls still dispatch and count through the registry; a second fast
-implementation of an op cannot be registered at all.
+in-place activation encoders, the vectorized bit packer and the BLAS
+integer GEMM — each need an independent reference to be checked
+against.  This module makes the pairing a structure: every op name
+(``quq.fake_quantize``, ``qub.shifted``, ``gemm.int``, ``sfu.softmax``,
+...) maps to one :class:`KernelPair` of a required **reference**
+implementation and at most one **fast** one.  An op with one
+implementation registers it as the reference alone, so its calls still
+dispatch and count through the registry; a second fast implementation
+of an op cannot be registered at all.
 
 Dispatch
 --------
@@ -64,13 +64,12 @@ class KernelPair:
 
 
 class KernelRegistry:
-    """Op name -> :class:`KernelPair`, plus dispatch and cache counters."""
+    """Op name -> :class:`KernelPair`, plus dispatch counters."""
 
     def __init__(self):
         self._pairs: dict[str, KernelPair] = {}
         self._lock = threading.Lock()
-        #: Dispatch counts per ``op:fast`` / ``op:reference``, plus the
-        #: shared caches' own keys (e.g. ``qub.decode_lut:cache_hit``).
+        #: Dispatch counts per ``op:fast`` / ``op:reference``.
         self.counters: dict[str, int] = {}
 
     def register(self, op: str, reference: Callable, fast: Callable | None = None) -> None:
@@ -110,13 +109,10 @@ class KernelRegistry:
     def get(self, op: str, prefer: str | None = None) -> Callable:
         """The serving callable of ``op``, counting the dispatch."""
         mode = self.mode(op, prefer)
-        self.count(f"{op}:{mode}")
-        return getattr(self._pairs[op], mode)  # the field named by the mode
-
-    def count(self, key: str, n: int = 1) -> None:
-        """Bump a counter (dispatches use ``op:fast``/``op:reference``)."""
+        key = f"{op}:{mode}"
         with self._lock:
-            self.counters[key] = self.counters.get(key, 0) + n
+            self.counters[key] = self.counters.get(key, 0) + 1
+        return getattr(self._pairs[op], mode)  # the field named by the mode
 
     def reset_counters(self) -> None:
         with self._lock:
@@ -127,8 +123,7 @@ class KernelRegistry:
         return {op: self.mode(op) for op in self.ops()}
 
     def snapshot(self) -> dict:
-        """JSON-serializable view: selection and call counts per op, and
-        the shared caches' hit/miss counters."""
+        """JSON-serializable view: selection and call counts per op."""
         with self._lock:
             counters = dict(self.counters)
         ops = {}
@@ -136,5 +131,4 @@ class KernelRegistry:
             calls = {m: counters[f"{op}:{m}"] for m in (FAST, REFERENCE)
                      if counters.get(f"{op}:{m}")}
             ops[op] = {"selected": mode, "calls": calls}
-        cache = {key: value for key, value in sorted(counters.items()) if ":cache_" in key}
-        return {"override": os.environ.get(ENV_VAR, "") or None, "ops": ops, "cache": cache}
+        return {"override": os.environ.get(ENV_VAR, "") or None, "ops": ops}

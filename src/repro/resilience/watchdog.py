@@ -40,10 +40,6 @@ class WorkerWatchdog:
     # beat, kept separate so call sites read as what they mean.
     reset = beat
 
-    def last_beat(self, name: str) -> float | None:
-        with self._lock:
-            return self._beats.get(name)
-
     def stalled(self, name: str, now: float | None = None) -> bool:
         """Has ``name`` gone ``stall_after_s`` without a beat?
 

@@ -30,10 +30,12 @@ Pipe messages, in order:
 
 1. shard → parent, once: ``None`` when the replica has loaded, or the
    load error as text (the shard then exits);
-2. parent → shard, per batch: ``(images, quantized, stall_s)``; ``None``
-   (or EOF) tells the shard to exit;
+2. parent → shard, per batch: ``(images, quantized, stall_s)``;
 3. shard → parent, per batch: ``(logits, path)``, where ``path`` names
    the datapath that answered, or the error as text if the batch raised.
+
+There is no goodbye: the parent releases a shard by killing it, since a
+replica holds nothing to flush, and a shard whose pipe reaches EOF exits.
 
 The fork start method is required: shard workers inherit the loader
 callable by address-space copy, so any closure (e.g. one returning a
@@ -115,7 +117,7 @@ class ClusterPolicy:
 
 def _shard_main(spec: str, loader, conn) -> None:
     """Shard process body: load one replica, then answer batches over the
-    pipe until told to stop (see the message list in the module docstring).
+    pipe until it reaches EOF (see the message list in the module docstring).
 
     Single-threaded by design — an injected stall or a wedged predict
     leaves the parent with no answer, which is precisely the signal its
@@ -132,12 +134,9 @@ def _shard_main(spec: str, loader, conn) -> None:
     conn.send(None)
     while True:
         try:
-            request = conn.recv()
+            images, quantized, stall_s = conn.recv()
         except EOFError:
             return
-        if request is None:
-            return
-        images, quantized, stall_s = request
         if stall_s > 0:
             time.sleep(stall_s)  # injected stall: the parent hears nothing
         try:
@@ -189,7 +188,7 @@ class _ShardExecutor(Executor):
             child.close()
         ready = wait([self.conn, self.process.sentinel], cluster.ready_timeout_s)
         if not ready:
-            self.destroy()
+            self.close()
             raise TimeoutError(
                 f"shard {self.index} not ready within {cluster.ready_timeout_s}s"
             )
@@ -201,7 +200,7 @@ class _ShardExecutor(Executor):
                 pass
             if message is None:
                 return
-        self.destroy()
+        self.close()
         raise RuntimeError(
             f"shard {self.index} for {self.process.name} failed to load: {message}"
         )
@@ -209,8 +208,12 @@ class _ShardExecutor(Executor):
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def destroy(self) -> None:
-        """Kill the process and close the pipe (idempotent)."""
+    def close(self) -> None:
+        """Kill the process and close the pipe (idempotent).
+
+        A replica holds nothing to flush, so there is no goodbye message:
+        a busy shard dies mid-batch instead of finishing one nobody awaits.
+        """
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=1.0)
@@ -218,15 +221,6 @@ class _ShardExecutor(Executor):
                 self.process.kill()
                 self.process.join(timeout=1.0)
         self.conn.close()
-
-    def close(self) -> None:
-        if self.alive():
-            try:
-                self.conn.send(None)
-            except OSError:
-                pass  # the shard is gone already; destroy reaps it
-            self.process.join(timeout=1.0)
-        self.destroy()
 
     def respawn(self, reason: str) -> None:
         """Kill (if needed) and respawn the shard; counts the restart.
@@ -236,7 +230,7 @@ class _ShardExecutor(Executor):
         or ``"crash"`` (process died).
         """
         engine, lane, spec = self.engine, self.lane, self.lane.key.spec
-        self.destroy()
+        self.close()
         if reason == "crash":
             # Recorded before the respawn so the autoscaler's crash-loop
             # window sees the death even if the respawn below fails too.

@@ -453,7 +453,7 @@ class ModelRegistry:
                 # Process-wide kernel registry configuration: whether the
                 # fast or the reference implementation serves each op, and
                 # any REPRO_KERNELS override.
-                # Deliberately no dispatch/cache counters here — they are
+                # Deliberately no dispatch counters here — they are
                 # cumulative process-global state, and registry snapshots
                 # must be deterministic for equal serving histories (the
                 # recovery-curve harness byte-compares them).  Read the

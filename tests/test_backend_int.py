@@ -280,7 +280,6 @@ class TestIndependentEncoder:
         tables of ``quq`` and of ``FusedEncoder`` scaled."""
         import repro.backend.kernels
         import repro.quant.quq as quq
-        from repro.kernels import clear_kernel_caches
 
         built = {bits: quantized_at(bits) for bits in (4, 6, 8)}
         real = quq._fused_tables
@@ -289,17 +288,13 @@ class TestIndependentEncoder:
             tables = real(params)
             return tables._replace(delta=tables.delta * 1.25)
 
-        def clear():
-            clear_kernel_caches()
-            quq._TABLES.clear()
-
-        clear()
+        quq._TABLES.clear()
         monkeypatch.setattr(quq, "_fused_tables", scaled)
         monkeypatch.setattr(repro.backend.kernels, "_fused_tables", scaled)
         monkeypatch.delenv("REPRO_KERNELS", raising=False)  # the fast implementations
         yield built
         monkeypatch.undo()
-        clear()
+        quq._TABLES.clear()
 
     def test_corrupted_tables_are_caught(self, corrupted):
         from repro.kernels import run_kernel_parity
@@ -316,10 +311,34 @@ class TestIndependentEncoder:
                 )
 
 
+class TestDroppedLane:
+    def test_dropped_int_lane_leaves_no_params_alive(self):
+        """A recalibrated lane's old parameters die with its backend: no
+        process-wide table keeps a fitted ``QUQParams`` alive."""
+        import gc
+        import weakref
+
+        from repro.models.configs import ModelConfig
+        from repro.models.vit import build_vit
+
+        model = build_vit(ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2), seed=0)
+        rng = np.random.default_rng(0)
+        pipeline = PTQPipeline(model, method="quq", bits=6)
+        pipeline.calibrate(rng.normal(size=(24, 16, 16, 3)).astype(np.float32))
+        backend = IntNativeBackend(model, pipeline, integer_sfu=True)
+        backend.predict(rng.normal(size=(2, 16, 16, 3)).astype(np.float32))
+        old = [weakref.ref(pipeline.quantizer_for(tap).params) for tap in pipeline.tap_names()]
+        del backend
+        pipeline.calibrate(rng.normal(size=(24, 16, 16, 3)).astype(np.float32))
+        gc.collect()
+        alive = sum(ref() is not None for ref in old)
+        assert old and alive == 0, f"{alive} of {len(old)} old params still alive"
+
+
 class TestBenchmarkSeams:
     """What ``benchmarks/e2e`` hooks: ``KERNELS.get`` dispatches of its
-    ``KERNEL_OPS``, the public encoder and packed-weight methods it wraps,
-    and the encoder and decode-LUT cache counters."""
+    ``KERNEL_OPS`` and the public encoder and packed-weight methods it
+    wraps."""
 
     @staticmethod
     def _kernel_ops():
@@ -337,7 +356,7 @@ class TestBenchmarkSeams:
 
     def test_int_predict_reaches_every_seam(self, quantized, monkeypatch):
         from repro.backend import FusedEncoder, PackedWeight
-        from repro.kernels import KERNELS, clear_kernel_caches
+        from repro.kernels import KERNELS
 
         seen = set()
         for owner, attr in ((FusedEncoder, "shifted"), (FusedEncoder, "store_load"),
@@ -351,14 +370,11 @@ class TestBenchmarkSeams:
             monkeypatch.setattr(owner, attr, wrapped)
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         model, pipeline, images = quantized
-        clear_kernel_caches()
         KERNELS.reset_counters()
         IntNativeBackend(model, pipeline, integer_sfu=True).predict(images)
         counters = KERNELS.counters
         for op in set(self._kernel_ops()) - {"quq.fake_quantize"}:
             assert sum(n for key, n in counters.items() if key.split(":")[0] == op) >= 1, op
-        assert counters.get("qub.encode:cache_miss", 0) >= 1
-        assert counters.get("qub.decode_lut:cache_miss", 0) >= 1
         assert seen == {"FusedEncoder.shifted", "FusedEncoder.store_load", "PackedWeight.shifted"}
 
     def test_positional_get_wrapper(self, quantized, monkeypatch):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.backend import FusedEncoder, decode_lut
 from repro.hw.accelerator import encode_tensor
-from repro.kernels import get_kernel
 from repro.quant.qub import FCRegisters, decode, legalize_for_hardware
 from repro.quant.quq import QUQQuantizer
 
@@ -125,32 +124,4 @@ class TestDecodeLut:
         registers = FCRegisters.from_params(params)
         words = np.arange(2**bits, dtype=np.uint32)
         d, n_sh = decode(words, registers, bits)
-        np.testing.assert_array_equal(get_kernel("qub.decode_lut")(registers, bits), d << n_sh)
         np.testing.assert_array_equal(decode_lut(registers, bits), d << n_sh)
-
-    def test_lut_is_cached(self, fits):
-        registers = FCRegisters.from_params(fitted_params(fits["two_sided"], 6))
-        lut = get_kernel("qub.decode_lut", "fast")
-        assert lut(registers, 6) is lut(registers, 6)
-
-    def test_lut_deduped_across_consumers(self, fits):
-        """Packed weights under one register pair share one table, built
-        once and counted in kernel stats."""
-        from repro.backend.packed import PackedWeightStore
-        from repro.kernels import KERNELS, clear_kernel_caches
-
-        params = legalize_for_hardware(fitted_params(fits["two_sided"], 6))
-        clear_kernel_caches()
-        KERNELS.reset_counters()
-        rng = np.random.default_rng(11)
-        first, second = (
-            PackedWeightStore._pack_encoded(
-                tap, encode_tensor(rng.normal(size=(8, 8)), 6, params=params)
-            )
-            for tap in ("w1", "w2")
-        )
-        assert first.lut is second.lut
-        assert not first.lut.flags.writeable
-        counters = KERNELS.counters
-        assert counters["qub.decode_lut:cache_miss"] == 1
-        assert counters["qub.decode_lut:cache_hit"] >= 1

@@ -9,11 +9,14 @@ implementation each, so they are fuzzed against the scalar evaluation in
 ``tests/test_backend_sfu.py``, and their float64 root against Newton's.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import FusedEncoder
 from repro.hw.int_sfu import i_exp, i_sqrt, i_sqrt_f64
 from repro.kernels import KernelPair, get_kernel, kernel_pairs, run_kernel_parity
 from repro.kernels.parity import check_pair, fitted_params_pool, mode_params_pool
@@ -99,26 +102,33 @@ class TestFloatOpPairs:
     def test_activation_encode(self, params_pool, op, bits, x, data):
         """Fitted params and every mode, over signed zeros, NaN, +/-inf,
         subnormals, zero-size and strided views."""
-        params = data.draw(st.sampled_from(
+        encoder = FusedEncoder(data.draw(st.sampled_from(
             _params_for(params_pool, bits) + _modes_for(bits)
-        ))
+        )), bits)
         view = data.draw(st.sampled_from(["flat", "strided", "float32"]))
         if view == "strided":
             x = np.stack([x, -x, 2.0 * x], axis=-1)[..., ::2].T
         elif view == "float32":
             x = x.astype(np.float32)
-        fast = get_kernel(op, "fast")(x, params, bits)
-        ref = get_kernel(op, "reference")(x, params, bits)
+        fast = get_kernel(op, "fast")(x, encoder)
+        ref = get_kernel(op, "reference")(x, encoder)
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         # Bit for bit, so signed zeros must agree too.
         assert fast.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("op", ACTIVATION_OPS)
     def test_activation_encode_bits_overflow(self, params_pool, op):
+        """Params wider than the QUB width: no encoder can be built for
+        them, and the reference, which reads only an encoder's ``params``
+        and ``bits``, refuses them in the spec-path encode."""
         _, _, wide = params_pool[-1]
-        for mode in ("fast", "reference"):
-            with pytest.raises(ValueError, match="do not fit"):
-                get_kernel(op, mode)(np.zeros(3), wide, wide.bits - 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            FusedEncoder(wide, wide.bits - 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            quantize_encode(np.zeros(3), wide, wide.bits - 1)
+        overflowing = SimpleNamespace(params=wide, bits=wide.bits - 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            get_kernel(op, "reference")(np.zeros(3), overflowing)
 
 
 class TestIntOpPairs:
@@ -247,14 +257,11 @@ class TestActivationKernelsReadOnly:
 
     @pytest.mark.parametrize("op", ACTIVATION_OPS + ("quq.fake_quantize",))
     def test_input_bytes_unchanged(self, params_pool, op):
-        if op == "quq.fake_quantize":
-            kernel, bits = get_kernel(op, "fast"), ()
-        else:
-            kernel, bits = get_kernel(op, "fast"), (6,)
+        kernel = get_kernel(op, "fast")
         for name, x in self._inputs().items():
             for p in _params_for(params_pool, 6) + _modes_for(6):
                 before = x.tobytes()
-                kernel(x, p, *bits)
+                kernel(x, p if op == "quq.fake_quantize" else FusedEncoder(p, 6))
                 assert x.tobytes() == before, (name, p.describe())
 
 

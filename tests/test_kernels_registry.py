@@ -1,6 +1,6 @@
 """The kernel registry: one (reference, fast) pair per op, dispatch
-precedence, env override, counters, caches, snapshot shape, and the
-routed call sites."""
+precedence, env override, counters, snapshot shape, and the routed call
+sites."""
 
 import os
 import subprocess
@@ -18,10 +18,7 @@ from repro.kernels import (
     KernelRegistry,
     KernelRegistryError,
     active_kernels,
-    clear_kernel_caches,
-    fused_encoder,
     get_kernel,
-    kernel_cache_info,
     kernel_pairs,
     kernels_snapshot,
 )
@@ -107,12 +104,11 @@ class TestDispatch:
     def test_snapshot_shape(self, populated, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         populated.get("op.a")
-        populated.count("op.a:cache_hit", 3)
         snap = populated.snapshot()
+        assert set(snap) == {"override", "ops"}
         assert snap["override"] is None
         assert snap["ops"]["op.a"] == {"selected": "fast", "calls": {"fast": 1}}
         assert snap["ops"]["op.b"] == {"selected": "reference", "calls": {}}
-        assert snap["cache"] == {"op.a:cache_hit": 3}
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         assert populated.snapshot()["override"] == "reference"
 
@@ -123,8 +119,7 @@ class TestBuiltinRegistry:
     def test_all_ops_registered(self):
         pairs = {pair.op for pair in kernel_pairs()}
         assert pairs == {
-            "quq.fake_quantize", "qub.shifted", "qub.store_load", "qub.pack",
-            "qub.decode_lut", "gemm.int",
+            "quq.fake_quantize", "qub.shifted", "qub.store_load", "qub.pack", "gemm.int",
         }
         # The SFUs have one implementation each: registered, no pair.
         assert set(KERNELS.ops()) == pairs | {"sfu.softmax", "sfu.gelu", "sfu.layernorm"}
@@ -160,61 +155,6 @@ class TestBuiltinRegistry:
         ref = quantizer.fake_quantize(x)
         assert KERNELS.counters.get("quq.fake_quantize:reference") == 1
         np.testing.assert_array_equal(fast, ref)
-
-    def test_fused_encoder_memo_shared(self):
-        rng = np.random.default_rng(5)
-        params = QUQQuantizer(6).fit(rng.normal(size=256)).params
-        clear_kernel_caches()
-        KERNELS.reset_counters()
-        first = fused_encoder(params, 6)
-        second = fused_encoder(params, 6)
-        assert first is second
-        assert KERNELS.counters["qub.encode:cache_miss"] == 1
-        assert KERNELS.counters["qub.encode:cache_hit"] == 1
-        assert kernel_cache_info()["fused_encoders"] >= 1
-
-    def test_activation_encode_reuses_the_tap_encoder_uncounted(self):
-        """Raw params and the encoder's legalized copy share one encoder,
-        and the qub.shifted / qub.store_load lookups are not counted as
-        qub.encode cache events."""
-        from repro.quant.params import QUQParams, SubrangeSpec
-        from repro.quant.qub import MAX_SHIFT
-
-        # A fine/coarse ratio past the 3-bit shift field: legalization
-        # changes these params.
-        wide = QUQParams(
-            6, f_neg=None, f_pos=SubrangeSpec(0.01, 32),
-            c_neg=None, c_pos=SubrangeSpec(0.01 * 2.0 ** (MAX_SHIFT + 2), 32),
-        )
-        x = np.linspace(-1.0, 40.0, 64)
-        clear_kernel_caches()
-        KERNELS.reset_counters()
-        encoder = fused_encoder(wide, 6)
-        assert encoder.params != wide
-        assert fused_encoder(encoder.params, 6) is encoder
-        KERNELS.reset_counters()
-        encoder.shifted(x)
-        encoder.store_load(x)
-        assert kernel_cache_info()["fused_encoders"] == 1
-        assert not any(key.startswith("qub.encode:") for key in KERNELS.counters)
-
-    def test_lut_cache_shared_and_counted(self):
-        from repro.quant.qub import FCRegisters
-
-        rng = np.random.default_rng(6)
-        params = QUQQuantizer(6).fit(rng.normal(size=256)).params
-        registers = FCRegisters.from_params(params)
-        clear_kernel_caches()
-        KERNELS.reset_counters()
-        cached = get_kernel("qub.decode_lut")
-        first = cached(registers, 6)
-        second = cached(registers, 6)
-        assert first is second
-        assert not first.flags.writeable
-        assert KERNELS.counters["qub.decode_lut:cache_miss"] == 1
-        assert KERNELS.counters["qub.decode_lut:cache_hit"] == 1
-        reference = get_kernel("qub.decode_lut", "reference")(registers, 6)
-        np.testing.assert_array_equal(np.asarray(first), reference)
 
     def test_snapshot_serializable(self):
         import json

@@ -109,6 +109,18 @@ class ScriptServable(StubServable):
         return StubServable.predict(self, images)
 
 
+class SleepyServable(StubServable):
+    """The stub, three seconds a batch; ``started`` is set on entry."""
+
+    def __init__(self, started):
+        self.started = started
+
+    def predict(self, images, recorder=None):
+        self.started.set()
+        time.sleep(3.0)
+        return StubServable.predict(self, images)
+
+
 def stub_loader(spec):
     return StubServable()
 
@@ -257,6 +269,20 @@ class TestClusterLifecycle:
         assert len(view["shards"][FULL_SPEC]) == 1
         engine.stop()
         engine.stop()
+
+    def test_stop_does_not_wait_for_a_busy_shard(self):
+        started = multiprocessing.get_context("fork").Event()
+        with make_engine(shards=1, stall_s=30.0,
+                         loader=lambda spec: SleepyServable(started)) as engine:
+            handle = engine.submit(SPEC, IMAGE)
+            assert started.wait(timeout=30.0), "the shard never began the batch"
+            begun = time.monotonic()
+            engine.stop()
+            elapsed = time.monotonic() - begun
+        assert elapsed < 0.5
+        assert handle.done()
+        with pytest.raises(RuntimeError, match="stopped"):
+            handle.result(timeout=0.0)
 
 
 class TestClusterSupervision:
