@@ -88,21 +88,37 @@ def _positive_magnitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _two_sided(
     neg: np.ndarray, pos: np.ndarray, bits: int, config: PRAConfig
 ) -> QUQParams:
-    """Algorithm 2's main body for data present on both sides of zero."""
+    """Algorithm 2's main body for data present on both sides of zero.
+
+    ``neg`` and ``pos`` may be the same array (a mirrored one-sided
+    tensor); its statistics are then read once.
+    """
     quarter = 2 ** (bits - 2)
     neg_steps = quarter  # codes -quarter .. -1
     pos_steps = quarter - 1  # codes 0 .. quarter-1
 
-    q = config.initial_quantile
-    while True:
-        # Raw (pre-relaxation) scale factors; the branch *boundary* tests
-        # below use these, because the relaxation rounds can inflate a
-        # scale factor by up to ~2.6x and spuriously trigger a merge on
-        # near-symmetric data.
-        raw_cn = max(neg.max(), _EPS) / neg_steps
-        raw_cp = max(pos.max(), _EPS) / pos_steps
-        raw_fn = max(np.quantile(neg, q), _EPS) / neg_steps
-        raw_fp = max(np.quantile(pos, q), _EPS) / pos_steps
+    # Every q the recursion can visit, by its own float arithmetic, read
+    # with one np.quantile call (one partial sort) per side: a call per
+    # pass would partition the side again.  The order statistics, and so
+    # the fit, are the same.
+    levels = [config.initial_quantile]
+    while levels[-1] > config.acceptable_quantile + 1e-9:
+        levels.append(levels[-1] - config.quantile_step)
+    neg_max, neg_q = neg.max(), np.quantile(neg, levels)
+    if pos is neg:
+        pos_max, pos_q = neg_max, neg_q
+    else:
+        pos_max, pos_q = pos.max(), np.quantile(pos, levels)
+    # Raw (pre-relaxation) coarse scale factors; the branch *boundary*
+    # tests below use the raw factors, because the relaxation rounds can
+    # inflate a scale factor by up to ~2.6x and spuriously trigger a merge
+    # on near-symmetric data.
+    raw_cn = max(neg_max, _EPS) / neg_steps
+    raw_cp = max(pos_max, _EPS) / pos_steps
+
+    for level, (neg_fine, pos_fine) in enumerate(zip(neg_q, pos_q)):
+        raw_fn = max(neg_fine, _EPS) / neg_steps
+        raw_fp = max(pos_fine, _EPS) / pos_steps
 
         # Relaxation round 1: coarse scale factors from the extreme values.
         d_cn, d_cp = relax_two_scale_factors(raw_cn, raw_cp)
@@ -119,12 +135,7 @@ def _two_sided(
         lam = config.acceptable_ratio
 
         # Branch 1: both partitions waste encoding space -> relax q.
-        if (
-            ratio_neg < lam
-            and ratio_pos < lam
-            and q > config.acceptable_quantile + 1e-9
-        ):
-            q = q - config.quantile_step
+        if ratio_neg < lam and ratio_pos < lam and level + 1 < len(levels):
             continue
 
         # Branch 2: negative partition unsuitable and its whole range small
@@ -159,8 +170,8 @@ def _two_sided(
         # d_C- == d_F+).
         if ratio_neg < lam or ratio_pos < lam:
             d_neg, d_pos = relax_two_scale_factors(
-                max(neg.max(), _EPS) / (2 * quarter),
-                max(pos.max(), _EPS) / (2 * quarter - 1),
+                max(neg_max, _EPS) / (2 * quarter),
+                max(pos_max, _EPS) / (2 * quarter - 1),
             )
             return QUQParams(
                 bits,
@@ -240,9 +251,9 @@ def progressive_relaxation(
         return _degenerate(bits, 1.0)
     if neg.size == 0:
         # Non-negative tensor: mirror, solve two-sided, drop the mirror.
-        params = _two_sided(pos.copy(), pos, bits, config)
+        params = _two_sided(pos, pos, bits, config)
         return _merge_mirror(params, keep_positive=True)
     if pos.size == 0:
-        params = _two_sided(neg, neg.copy(), bits, config)
+        params = _two_sided(neg, neg, bits, config)
         return _merge_mirror(params, keep_positive=False)
     return _two_sided(neg, pos, bits, config)

@@ -132,6 +132,7 @@ class Lane:
         self.stand_in: Executor | None = None
         self.crash_times: list[float] = []  # engine-clock executor crashes
         self.force_float_until = 0.0  # admission degrade: serve float until then
+        self.image_shape: tuple | None = None  # of the first image submitted
         self.lock = threading.Lock()
 
     def claim(self) -> int:
@@ -147,6 +148,22 @@ class Lane:
     def degrade(self, until: float) -> None:
         with self.lock:
             self.force_float_until = max(self.force_float_until, until)
+
+    def check_shape(self, shape: tuple) -> None:
+        """Hold the lane to the shape of its first image.
+
+        A batch stacks its requests' images, so an image of another shape
+        would break the batch it joined, inside the executor's thread.
+        """
+        with self.lock:
+            if self.image_shape is None:
+                self.image_shape = shape
+            expected = self.image_shape
+        if shape != expected:
+            raise ValueError(
+                f"image shape {shape} for {self.key.spec} is not {expected}, "
+                "the shape of the lane's first image"
+            )
 
     def record_crash(self, now: float) -> None:
         with self.lock:
@@ -345,13 +362,15 @@ class LaneCore:
 
         An image with a NaN or infinite value raises ``ValueError`` before
         any of that and is not counted: a quantized lane's first input tap
-        would park it at a finite code and answer with finite logits.
+        would park it at a finite code and answer with finite logits.  So
+        does an image whose shape differs from the lane's first image.
         """
         key = ModelKey.parse(spec)
         image = np.asarray(image, dtype=np.float32)
         if not np.isfinite(image).all():
             raise ValueError(f"image for {key.spec} has non-finite values")
         lane = self._lane(key)
+        lane.check_shape(image.shape)
         if self.admission is not None:
             now = self.clock()
             decision = self.admission.decide(

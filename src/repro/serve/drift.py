@@ -2,8 +2,9 @@
 
 Ties :mod:`repro.quant.drift` into the serving runtime.  Each quantized
 lane gets a :class:`~repro.quant.drift.DriftMonitor` seeded with the
-calibration fingerprints its :class:`~repro.serve.registry.ServableModel`
-was built with, plus a bounded buffer of recent input images.  Every
+calibration fingerprints of its :class:`~repro.serve.registry.ServableModel`
+(taken when this manager first reads them, on the lane's first monitored
+batch), plus a bounded buffer of recent input images.  Every
 batch feeds the monitor (the ``input`` pseudo-tap always; activation taps
 via a sampled :class:`~repro.quant.drift.TapStatsRecorder`), and when
 drift is *sustained* the :class:`RecalibrationManager` reacts:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quant import Mode, PRAConfig, progressive_relaxation, relax_two_scale_factors
+from repro.quant import relax
+from repro.quant.params import QUQParams, SubrangeSpec
 
 positive_floats = st.floats(
     min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -169,3 +171,135 @@ class TestQuantileRecursion:
             PRAConfig(initial_quantile=0.9, acceptable_quantile=0.95)
         with pytest.raises(ValueError):
             PRAConfig(quantile_step=0.0)
+
+
+def _reference_two_sided(neg, pos, bits, config):
+    """Algorithm 2's main body as first written: one ``np.quantile`` call
+    per side on every pass of the ``q`` recursion."""
+    _EPS = relax._EPS
+    quarter = 2 ** (bits - 2)
+    neg_steps = quarter  # codes -quarter .. -1
+    pos_steps = quarter - 1  # codes 0 .. quarter-1
+
+    q = config.initial_quantile
+    while True:
+        raw_cn = max(neg.max(), _EPS) / neg_steps
+        raw_cp = max(pos.max(), _EPS) / pos_steps
+        raw_fn = max(np.quantile(neg, q), _EPS) / neg_steps
+        raw_fp = max(np.quantile(pos, q), _EPS) / pos_steps
+
+        d_cn, d_cp = relax_two_scale_factors(raw_cn, raw_cp)
+        d_fn, d_fp = relax_two_scale_factors(raw_fn, raw_fp)
+        s_f, s_c = d_fn / d_fp, d_cn / d_cp
+        d_fp, d_cp = relax_two_scale_factors(d_fp, d_cp)
+        d_fn, d_cn = s_f * d_fp, s_c * d_cp  # Mode A candidate
+
+        ratio_neg, ratio_pos = d_cn / d_fn, d_cp / d_fp
+        lam = config.acceptable_ratio
+
+        if (
+            ratio_neg < lam
+            and ratio_pos < lam
+            and q > config.acceptable_quantile + 1e-9
+        ):
+            q = q - config.quantile_step
+            continue
+
+        if ratio_neg < lam and raw_cn <= raw_fp:
+            return QUQParams(
+                bits,
+                f_neg=SubrangeSpec(d_cn, quarter),
+                f_pos=SubrangeSpec(d_fp, quarter),
+                c_neg=None,
+                c_pos=SubrangeSpec(d_cp / 2.0, 2 * quarter),
+            )
+
+        if ratio_pos < lam and raw_cp <= raw_fn:
+            return QUQParams(
+                bits,
+                f_neg=SubrangeSpec(d_fn, quarter),
+                f_pos=SubrangeSpec(d_cp, quarter),
+                c_neg=SubrangeSpec(d_cn / 2.0, 2 * quarter),
+                c_pos=None,
+            )
+
+        if ratio_neg < lam or ratio_pos < lam:
+            d_neg, d_pos = relax_two_scale_factors(
+                max(neg.max(), _EPS) / (2 * quarter),
+                max(pos.max(), _EPS) / (2 * quarter - 1),
+            )
+            return QUQParams(
+                bits,
+                f_neg=None,
+                f_pos=SubrangeSpec(d_pos, 2 * quarter),
+                c_neg=SubrangeSpec(d_neg, 2 * quarter),
+                c_pos=None,
+            )
+
+        return QUQParams(
+            bits,
+            f_neg=SubrangeSpec(d_fn, quarter),
+            f_pos=SubrangeSpec(d_fp, quarter),
+            c_neg=SubrangeSpec(d_cn, quarter),
+            c_pos=SubrangeSpec(d_cp, quarter),
+        )
+
+
+def _reference_fit(x, bits, config):
+    """:func:`progressive_relaxation` over :func:`_reference_two_sided`,
+    with a one-sided tensor mirrored through a copy."""
+    neg, pos = relax._positive_magnitudes(x)
+    if neg.size == 0 and pos.size == 0:
+        return relax._degenerate(bits, 1.0)
+    if neg.size == 0:
+        params = _reference_two_sided(pos.copy(), pos, bits, config)
+        return relax._merge_mirror(params, keep_positive=True)
+    if pos.size == 0:
+        params = _reference_two_sided(neg, neg.copy(), bits, config)
+        return relax._merge_mirror(params, keep_positive=False)
+    return _reference_two_sided(neg, pos, bits, config)
+
+
+#: The paper's default, a one-level recursion, a tight start, and the
+#: ablation bench's acceptable-ratio and quantile sweeps.
+CONFIG_VARIANTS = (
+    [{}, {"initial_quantile": 0.97, "acceptable_quantile": 0.97},
+     {"initial_quantile": 0.999, "acceptable_quantile": 0.95}]
+    + [{"acceptable_ratio": lam} for lam in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    + [{"initial_quantile": q, "acceptable_quantile": min(0.95, q)}
+       for q in (0.95, 0.97, 0.99, 0.999)]
+)
+
+
+@st.composite
+def awkward_tensors(draw):
+    """One-sided tensors of either sign, NaN/+-Inf mixes, single elements."""
+    kind = draw(st.sampled_from(["onesided", "nonfinite", "single"]))
+    if kind == "single":
+        value = draw(st.floats(width=32))
+        return np.array([value], dtype=np.float32)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = draw(st.integers(2, 4000))
+    x = rng.standard_t(df=draw(st.sampled_from([2.0, 3.0, 30.0])), size=size)
+    if kind == "onesided":
+        x = draw(st.sampled_from([1.0, -1.0])) * np.abs(x)
+        x[rng.random(size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    else:
+        bad = rng.random(size) < draw(st.sampled_from([0.01, 0.5, 0.99]))
+        x[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+    return (x * draw(st.floats(min_value=1e-3, max_value=100.0))).astype(np.float32)
+
+
+class TestQuantileLevelsReadOnce:
+    """The recursion reads every level it can visit with one quantile
+    call per side; the fit must equal the call-per-pass loop's."""
+
+    @given(
+        st.one_of(calibration_tensors(), awkward_tensors()),
+        st.integers(3, 8),
+        st.sampled_from(CONFIG_VARIANTS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_quantile_call_per_pass(self, x, bits, variant):
+        config = PRAConfig(**variant)
+        assert progressive_relaxation(x, bits, config) == _reference_fit(x, bits, config)

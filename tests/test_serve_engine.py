@@ -173,6 +173,24 @@ class TestNonFiniteImages:
             assert engine.submit(SPEC, val_set.images[0]).result(timeout=30.0).quantized
 
 
+class TestMisShapedImages:
+    """A batch stacks its images, so a lane holds every image to the
+    shape of its first: another shape fails alone, at submit."""
+
+    def test_odd_shape_fails_alone_and_the_lane_serves_on(self):
+        gate = threading.Event()
+        gate.set()
+        good = np.zeros((16, 16, 3), dtype=np.float32)
+        with ServeEngine(blocking_registry(gate)) as engine:
+            first = engine.submit(FLOAT_SPEC, good)
+            with pytest.raises(ValueError, match=r"\(8, 8, 3\).*\(16, 16, 3\)"):
+                engine.submit(FLOAT_SPEC, np.zeros((8, 8, 3), dtype=np.float32))
+            last = engine.submit(FLOAT_SPEC, good)
+            assert first.result(timeout=10.0).logits.shape == (10,)
+            assert last.result(timeout=10.0).logits.shape == (10,)
+            assert engine.snapshot()["counters"]["requests_total"] == 2
+
+
 class TestShutdownUnderLoad:
     """stop() must join workers and fail pending requests — never hang."""
 
