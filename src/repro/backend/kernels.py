@@ -6,7 +6,9 @@ precomputes what depends only on them — the hardware-legalized params
 and a four-slot ``(delta, lo, hi)`` table indexed by the 2-bit
 ``side*2 + fine`` selector, shared with the fused fake-quantize kernel —
 and runs Eq. (3) as one in-place pass per tensor, never materializing
-QUB words.
+QUB words.  A one-delta tap (one delta for every active subrange, see
+:func:`repro.quant.quq._fused_tables`) runs that pass as one uniform
+quantizer, with no selector or gathers.
 
 Exactness contract (pinned by the parity suite): for any input, decoding
 the words of the one encode, :func:`repro.quant.qub.quantize_encode`,
@@ -84,7 +86,9 @@ class FusedEncoder:
         result buffer (the divide consumes them) and the clip bounds in
         ``scratch`` (float64, ``x``'s shape, allocated when not given),
         which then holds the gathered shifts.  It writes one fresh float64
-        result, one ``intp`` selector and two boolean masks.
+        result, one ``intp`` selector and two boolean masks.  A one-delta
+        tap takes the route's scalar branch: every shift is 0, so the pass
+        writes only the result and never touches ``scratch``.
 
         The encode re-homes negative zeros into the positive code space
         and clamps zero codes to ``-1`` in a one-sided negative space.  A
@@ -92,7 +96,7 @@ class FusedEncoder:
         negative-only layout changes a value here.
         """
         codes = np.empty(np.shape(x))
-        if scratch is None:
+        if scratch is None and not self._tables.one_delta:
             scratch = np.empty(codes.shape)
         selector = _fused_route(x, self._tables, codes, codes, scratch)
         if not self._tables.has_pos:

@@ -312,12 +312,19 @@ def cmd_kernel_parity(args) -> None:
     lines = []
     for op, entry in sorted(report["ops"].items()):
         verdict = "ok" if entry["passed"] else "FAIL"
-        lines.append(f"{op:<18} {verdict:<5} {entry['cases']:>4} cases")
+        line = f"{op:<18} {verdict:<5} {entry['cases']:>4} cases"
+        if entry["enumerated_points"]:
+            line += f", {entry['enumerated_points']} enumerated points"
+        if "sides" in entry:
+            line += (f", {entry['sides']['one_delta']} one-delta / "
+                     f"{entry['sides']['four_slot']} four-slot")
+        lines.append(line)
         lines += [f"    {m['case']}: {m['problem']}" for m in entry["mismatches"]]
     verdict = "PASS" if report["passed"] else "FAIL"
     cases = sum(entry["cases"] for entry in report["ops"].values())
-    lines.append(f"kernel parity: {report['pairs_checked']} pairs, {cases} cases, "
-                 f"{report['failures']} failures -> {verdict}")
+    points = sum(entry["enumerated_points"] for entry in report["ops"].values())
+    lines.append(f"kernel parity: {report['pairs_checked']} pairs, {points} enumerated "
+                 f"points in {cases} cases, {report['failures']} failures -> {verdict}")
     _emit(args, report, "\n".join(lines), report["passed"])
 
 

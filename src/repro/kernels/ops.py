@@ -13,9 +13,12 @@ Registered ops, one ``KERNELS.register(op, reference, fast)`` line each:
 op                   reference              fast
 ===================  =====================  ==============================
 ``quq.fake_quantize``quantize->dequantize   one in-place float64 pass on
-                                            the shared four-slot route
+                                            the shared four-slot route, or
+                                            its scalar branch on one-delta
+                                            params
 ``qub.shifted``      encode, decode,        one-pass
                      ``D << n_sh``          :meth:`FusedEncoder.shifted_f64`
+                                            (same route, same branch)
 ``qub.store_load``   encode, decode,        float64 throughout
                      ``to_float`` formula
 ``qub.pack``         pure-Python bit loop   vectorized ``np.packbits``
@@ -34,7 +37,11 @@ implementation each; they are registered so the integer walk's SFU calls
 dispatch, and count, like every other kernel.  The harness in
 :mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
 requires every fast implementation to equal its reference bit for bit
-over fitted and hand-built parameters and adversarial inputs.
+over fitted and hand-built parameters and adversarial inputs, and, for
+the three quantizer ops, over every step point of each parameter set.
+The one-delta branch is chosen inside the fast implementation, from the
+params' tables, so it adds no op; the references stay the general
+formula.
 """
 
 from __future__ import annotations

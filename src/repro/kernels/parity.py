@@ -13,10 +13,13 @@ denormals, exact zeros, all-negative tensors, zero-size arrays — and the
 strided, float32 and signed-zero operands the forward passes send.  The
 activation-encode ops take each params set as the
 :class:`~repro.backend.kernels.FusedEncoder` the int backend builds for a
-tap.  A pair passes a case when both implementations return results of
-equal dtype and shape and equal values, bit for bit (NaNs compared by
-position, zeros by sign), **or** both raise the same exception type with
-no output at all.
+tap.  For those three quantizer ops the harness also enumerates, per
+params set and in float32 and float64, every input where the output can
+step (:func:`step_points`), and requires cases on both sides of their
+one-delta choice.  A pair passes a case when both implementations
+return results of equal dtype and shape and equal values, bit for bit
+(NaNs compared by position, zeros by sign), **or** both raise the same
+exception type with no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
 the CI ``kernel-parity`` job installs no hypothesis; the property-based
@@ -34,18 +37,22 @@ import numpy as np
 from ..backend.kernels import FusedEncoder
 from ..quant.params import QUQParams, SubrangeSpec
 from ..quant.qub import legalize_for_hardware
+from ..quant.quq import _fused_tables
 from ..quant.relax import progressive_relaxation
 from . import kernel_pairs
 from .registry import KernelPair
 
 __all__ = ["run_kernel_parity", "check_pair", "parity_cases", "fitted_params_pool",
-           "mode_params_pool"]
+           "mode_params_pool", "step_points"]
 
 #: Report schema version (bump on breaking shape changes).
 SCHEMA_VERSION = 2
 
 #: Bit-widths the parameter pool is fitted at.
 PARAM_BITS = (4, 6, 8)
+
+#: ulps enumerated on either side of each step point.
+STEP_ULPS = 3
 
 #: Names of the calibration distributions in the parameter pool.
 DISTRIBUTIONS = ("two_sided", "positive_softmax", "negative_one_sided",
@@ -108,6 +115,12 @@ def mode_params_pool(
     with a distinct shift per subrange, which exercises every slot of the
     shift tables, and with all deltas equal (suffix ``=``), where every
     shift is zero.  The one-sided negative spaces exercise the zero clamp.
+
+    ``Cf+`` and ``Cf-`` keep the fine space on one side instead, so that
+    side's fine subrange owns twice its coarse partner's levels: a code
+    past the fine span clamps below it.  Their ``=`` forms are the
+    equal-delta layouts that must stay off the quantizer kernels'
+    one-delta branch (see :func:`repro.quant.quq._fused_tables`).
     """
     pool = []
     for bits in bits_options:
@@ -121,6 +134,8 @@ def mode_params_pool(
             "C-": ((1, quarter), (0, quarter), (2, half), None),
             "D+": (None, (0, half), (2, half), None),
             "D-": ((0, half), None, None, (1, half)),
+            "Cf+": (None, (0, half), (2, quarter), (1, quarter)),
+            "Cf-": ((0, half), None, (1, quarter), (2, quarter)),
         }
         for name, layout in layouts.items():
             for suffix, spread in (("", 1), ("=", 0)):
@@ -171,13 +186,63 @@ def _operand_inputs(rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def step_points(params: QUQParams, dtype: type) -> np.ndarray:
+    """Every input at which Eq. (3) under ``params`` can change its output,
+    each with :data:`STEP_ULPS` ulps of ``dtype`` either side, plus one
+    point inside each step: sorted and unique, in ``dtype``.
+
+    The step points are zero (the side bound) and, per active subrange,
+    its rounding midpoints ``(k + 1/2) * delta``, its clip edge and, for a
+    fine subrange, that edge times ``1 + 1e-6`` (its span is the routing
+    bound and the product its tolerance).  The point inside each step is
+    each code's own value ``k * delta``.  Values past the outer clip, NaN,
+    ``+/-inf`` and signed zeros are the sampled cases' job.
+    """
+    steps, inside = [np.zeros(1)], []
+    for subrange, spec in params.active():
+        sign = -1.0 if subrange.is_negative else 1.0
+        k = np.arange(spec.levels + 1, dtype=np.float64)
+        edge = sign * (spec.levels if subrange.is_negative else spec.levels - 1) * spec.delta
+        steps += [sign * (k + 0.5) * spec.delta, np.array([edge])]
+        if subrange.is_fine:
+            steps.append(np.array([edge * (1.0 + 1e-6)]))
+        inside.append(sign * k * spec.delta)
+    up = down = np.concatenate(steps).astype(dtype)
+    near = [up]
+    for _ in range(STEP_ULPS):
+        up, down = np.nextafter(up, dtype(np.inf)), np.nextafter(down, dtype(-np.inf))
+        near += [up, down]
+    return np.unique(np.concatenate(near + [np.concatenate(inside).astype(dtype)]))
+
+
 @dataclass
 class _Case:
-    """One parity case: a label plus the positional/keyword arguments."""
+    """One parity case: a label plus the positional/keyword arguments.
+
+    ``one_delta`` is the side of the quantizer kernels' one-delta choice
+    the case's params take (``None`` for the other ops); ``enumerated``
+    marks an input of :func:`step_points`.
+    """
 
     label: str
     args: tuple
     kwargs: dict
+    one_delta: bool | None = None
+    enumerated: bool = False
+
+
+def _quantizer_cases(
+    prefix: str, params: QUQParams, operand, floats: list[tuple[str, np.ndarray]]
+) -> Iterable[_Case]:
+    """``floats``, then the step points of ``params`` in float32 and
+    float64, each handed over with ``operand`` (``params`` itself, or the
+    encoder built on them)."""
+    one_delta = _fused_tables(params).one_delta
+    for name, x in floats:
+        yield _Case(f"{prefix}/{name}", (x, operand), {}, one_delta)
+    for dtype in (np.float32, np.float64):
+        x = step_points(params, dtype)
+        yield _Case(f"{prefix}/steps_{x.dtype}", (x, operand), {}, one_delta, enumerated=True)
 
 
 def parity_cases(
@@ -195,16 +260,14 @@ def parity_cases(
         floats += _operand_inputs(rng)
         raw = [(f"{kind}-raw", bits, p) for kind, bits, p in _raw_params_pool(seed)]
         for kind, bits, params in pool + raw + mode_params_pool():
-            for name, x in floats:
-                yield _Case(f"{kind}/b{bits}/{name}", (x, params), {})
+            yield from _quantizer_cases(f"{kind}/b{bits}", params, params, floats)
         return
 
     if op in ("qub.shifted", "qub.store_load"):
         floats += _operand_inputs(rng)  # the int backend's operand shapes
         for kind, bits, params in pool + mode_params_pool():
             encoder = FusedEncoder(params, bits)  # as the int backend builds a tap's
-            for name, x in floats:
-                yield _Case(f"{kind}/b{bits}/{name}", (x, encoder), {})
+            yield from _quantizer_cases(f"{kind}/b{bits}", encoder.params, encoder, floats)
         return
 
     if op == "qub.pack":
@@ -292,21 +355,41 @@ def _check_case(pair: KernelPair, case: _Case) -> str | None:
 # ---------------------------------------------------------------------------
 
 def check_pair(pair: KernelPair, seed: int = 0, cases: int = 8) -> dict:
-    """Drive one pair over its op's case list; the report's per-op entry."""
+    """Drive one pair over its op's case list; the report's per-op entry.
+
+    ``enumerated_points`` counts the elements of the :func:`step_points`
+    cases.  A quantizer op's entry also counts its cases on each side of
+    the one-delta choice (``sides``), and fails when a side has none.
+    """
     mismatches = []
-    checked = 0
+    checked = points = 0
+    sides = {"one_delta": 0, "four_slot": 0}
     for case in parity_cases(pair.op, seed=seed, cases=cases):
         checked += 1
+        if case.enumerated:
+            points += case.args[0].size
+        if case.one_delta is not None:
+            sides["one_delta" if case.one_delta else "four_slot"] += 1
         problem = _check_case(pair, case)
         if problem is not None:
-            mismatches.append({"case": case.label, "problem": problem})
-    return {"cases": checked, "mismatches": mismatches, "passed": not mismatches}
+            mismatches.append({"case": case.label, "problem": problem,
+                               "one_delta": case.one_delta})
+    entry = {"cases": checked, "enumerated_points": points}
+    if any(sides.values()):
+        entry["sides"] = sides
+        mismatches += [
+            {"case": side, "problem": "no case on this side of the one-delta choice",
+             "one_delta": side == "one_delta"}
+            for side, count in sides.items() if not count
+        ]
+    return {**entry, "mismatches": mismatches, "passed": not mismatches}
 
 
 def run_kernel_parity(seed: int = 0, cases: int = 8) -> dict:
     """Drive every registered pair over its case list; JSON-able report.
 
-    ``ops`` holds one entry per pair (:func:`check_pair`).  The report's
+    ``ops`` holds one entry per pair (:func:`check_pair`), with its case
+    count and enumerated step points.  The report's
     ``passed`` is True iff every pair agreed on every case; ``source``
     marks it as coming from the registry harness.
     """

@@ -192,6 +192,12 @@ class _FusedTables(NamedTuple):
     has_neg: bool
     nan_slot: int
     nan_code: float
+    one_delta: bool
+
+    @property
+    def scalar_delta(self) -> np.float64:
+        """The delta of a one-delta route: ``nan_slot`` is always active."""
+        return self.delta[self.nan_slot]
 
 
 def _fused_tables(params: QUQParams) -> _FusedTables:
@@ -209,6 +215,15 @@ def _fused_tables(params: QUQParams) -> _FusedTables:
     the active side) and holds inert values.  NaN parks at code
     ``nan_code`` in slot ``nan_slot``, where the reference code path puts
     it (see :func:`nan_park_value`).
+
+    ``one_delta`` marks params whose Eq. (3) is one uniform quantizer:
+    every active subrange has the same delta, and on a side with both
+    subranges the coarse one has at least the fine one's levels.  Fine
+    routing then never meets its own clamp (a fine-routed code is at most
+    the fine extreme), and a coarse-routed code clamps at the side's outer
+    extreme, so the per-slot clamps are one clamp to ``[lo.min(),
+    hi.max()]``.  With fewer coarse levels a code just past the fine span
+    clamps below it, and the route must stay per slot.
     """
 
     def side_tables(fine, coarse, negative):
@@ -239,16 +254,27 @@ def _fused_tables(params: QUQParams) -> _FusedTables:
     # NaN parks at code -1 in the negative space when one exists (its fine
     # slot if present), else at code 0 in the positive space.
     fine_park = (params.f_neg if has_neg else params.f_pos) is not None
+    one_delta = len({spec.delta for _, spec in params.active()}) == 1 and all(
+        coarse.levels >= fine.levels
+        for fine, coarse in ((params.f_pos, params.c_pos), (params.f_neg, params.c_neg))
+        if fine is not None and coarse is not None
+    )
     return _FusedTables(
         span_pos, span_neg, delta, lo, hi, has_pos, has_neg,
         nan_slot=2 * has_neg + fine_park, nan_code=-1.0 if has_neg else 0.0,
+        one_delta=one_delta,
     )
 
 
 def _fused_route(
-    x: np.ndarray, t: _FusedTables, codes: np.ndarray, deltas: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Eq. (3) from selector to NaN park, in place; returns the selector.
+    x: np.ndarray,
+    t: _FusedTables,
+    codes: np.ndarray,
+    deltas: np.ndarray | None,
+    scratch: np.ndarray | None,
+) -> np.ndarray | None:
+    """Eq. (3) from selector to NaN park, in place; returns the selector
+    (``None`` on one-delta tables).
 
     Writes the clamped code of each element of ``x`` into ``codes`` and
     its slot's delta into ``deltas``; ``scratch`` holds the gathered clip
@@ -260,7 +286,23 @@ def _fused_route(
     array; the pass also allocates two boolean masks.  No step is a
     masked ufunc (``where=``): in NumPy those run an order of magnitude
     slower than the bitwise blends here.
+
+    On ``t.one_delta`` tables the route is one uniform quantizer: divide
+    by :attr:`_FusedTables.scalar_delta`, ``rint``, one clip to the outer
+    bounds, NaN park.  It has no selector, mask or gather and writes only
+    ``codes`` (``deltas`` and ``scratch`` may be ``None``).  The divide
+    runs in float64 on ``x`` as given, with no float64 copy of a float32
+    ``x``; ``dtype=`` keeps NumPy from picking a float32 loop for one, and
+    a divide, not a multiply by ``1/delta``, keeps every rounding
+    midpoint where the four-slot route has it.
     """
+    if t.one_delta:
+        np.divide(x, t.scalar_delta, out=codes, dtype=np.float64)
+        np.rint(codes, out=codes)
+        np.clip(codes, t.lo.min(), t.hi.max(), out=codes)
+        if np.isnan(codes.sum()):
+            np.putmask(codes, np.isnan(codes), t.nan_code)
+        return None
     x = np.asarray(x, dtype=np.float64)
     selector = np.empty(x.shape, dtype=np.intp)
     fine = np.empty(x.shape, dtype=bool)
@@ -334,7 +376,9 @@ def fake_quantize_with_params(x: np.ndarray, params: QUQParams) -> np.ndarray:
     integer encoder's :meth:`~repro.backend.kernels.FusedEncoder.shifted_f64`
     runs too: every element gathers its delta and clip bound once from
     the four-slot tables, which are built once per params object, and
-    the clamped codes are scaled by the kept deltas.  ``+ 0.0`` turns the
+    the clamped codes are scaled by the kept deltas.  One-delta params
+    take the route's scalar branch instead, with no per-element tables,
+    and the codes are scaled by the one delta.  ``+ 0.0`` turns the
     ``-0.0`` value of a negative zero code into the ``+0.0`` an integer
     code gives.  Code selection runs in float64 to match the code path —
     a float32 ratio picks the adjacent code when an element sits a hair
@@ -346,8 +390,13 @@ def fake_quantize_with_params(x: np.ndarray, params: QUQParams) -> np.ndarray:
     if tables is None:
         tables = _TABLES.setdefault(params, _fused_tables(params))
     shape = np.shape(x)
-    codes, deltas, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-    _fused_route(x, tables, codes, deltas, scratch)
+    codes = np.empty(shape)
+    if tables.one_delta:
+        _fused_route(x, tables, codes, None, None)
+        deltas = tables.scalar_delta
+    else:
+        deltas = np.empty(shape)
+        _fused_route(x, tables, codes, deltas, np.empty(shape))
     out = np.empty(shape, dtype=np.float32)
     np.multiply(codes, deltas, out=out, casting="same_kind")
     out += 0.0

@@ -272,16 +272,24 @@ class TestMakeBackend:
 class TestIndependentEncoder:
     """The int datapath is checked against an encoder that does not share
     its four-slot tables: with every table delta scaled by 1.25, both the
-    parity harness and the executor comparison must notice."""
+    parity harness and the executor comparison must notice, on both sides
+    of the one-delta choice."""
 
     @pytest.fixture()
     def corrupted(self, quantized_at, monkeypatch):
-        """The tiny ViT at 4, 6 and 8 bits, calibrated first; then the
-        tables of ``quq`` and of ``FusedEncoder`` scaled."""
+        """The tiny ViT at 4, 6 and 8 bits, calibrated first, whose int
+        backends encode taps on both sides of the one-delta choice; then
+        the tables of ``quq`` and of ``FusedEncoder`` scaled."""
         import repro.backend.kernels
         import repro.quant.quq as quq
 
         built = {bits: quantized_at(bits) for bits in (4, 6, 8)}
+        sides = set()
+        for model, pipeline, images in built.values():
+            backend = IntNativeBackend(model, pipeline)
+            backend.predict(images)
+            sides |= {e._tables.one_delta for e in backend.datapath.encoders.values()}
+        assert sides == {True, False}
         real = quq._fused_tables
 
         def scaled(params):
@@ -300,8 +308,11 @@ class TestIndependentEncoder:
         from repro.kernels import run_kernel_parity
 
         report = run_kernel_parity(seed=0, cases=2)
-        for op in ("qub.shifted", "qub.store_load"):
-            assert report["ops"][op]["mismatches"], op
+        for op in ("quq.fake_quantize", "qub.shifted", "qub.store_load"):
+            # The scaled deltas reach the scalar branch as well as the
+            # four-slot route.
+            sides = {m["one_delta"] for m in report["ops"][op]["mismatches"]}
+            assert sides == {True, False}, op
         for bits, (model, pipeline, images) in corrupted.items():
             for integer_sfu in (False, True):
                 backend = IntNativeBackend(model, pipeline, integer_sfu=integer_sfu)

@@ -19,10 +19,15 @@ from hypothesis import strategies as st
 from repro.backend import FusedEncoder
 from repro.hw.int_sfu import i_exp, i_sqrt, i_sqrt_f64
 from repro.kernels import KernelPair, get_kernel, kernel_pairs, run_kernel_parity
-from repro.kernels.parity import check_pair, fitted_params_pool, mode_params_pool
+from repro.kernels.parity import (
+    check_pair,
+    fitted_params_pool,
+    mode_params_pool,
+    parity_cases,
+)
 from repro.quant.params import Subrange
 from repro.quant.qub import decode, quantize_encode
-from repro.quant.quq import SUBRANGE_IDS, QUQQuantizer, quantize_with_params
+from repro.quant.quq import SUBRANGE_IDS, QUQQuantizer, _fused_tables, quantize_with_params
 from tests.test_backend_sfu import (
     elementwise,
     scalar_exp,
@@ -265,6 +270,14 @@ class TestActivationKernelsReadOnly:
                 assert x.tobytes() == before, (name, p.describe())
 
 
+QUANTIZER_OPS = ("quq.fake_quantize",) + ACTIVATION_OPS
+
+
+def _quantizer_pair(op):
+    (pair,) = [pair for pair in kernel_pairs() if pair.op == op]
+    return pair
+
+
 class TestHarness:
     def test_deterministic_harness_passes(self):
         report = run_kernel_parity(seed=0, cases=2)
@@ -272,6 +285,74 @@ class TestHarness:
         assert report["source"] == "kernel-registry"
         assert report["pairs_checked"] == len(kernel_pairs())
         assert report["failures"] == 0
+        for op in QUANTIZER_OPS:
+            entry = report["ops"][op]
+            assert entry["enumerated_points"] > 10_000, op
+            assert min(entry["sides"].values()) > 0, op
+
+    @pytest.mark.parametrize("op", QUANTIZER_OPS)
+    def test_enumeration_catches_a_step_moved_by_an_ulp(self, op):
+        """A fast implementation whose every step sits one float64 ulp low
+        fails every float64 step-point case, one per params set."""
+        pair = _quantizer_pair(op)
+
+        def one_ulp_low(x, operand):
+            with np.errstate(over="ignore"):  # -inf moves to the largest finite
+                return pair.reference(np.nextafter(np.asarray(x, np.float64), np.inf), operand)
+
+        entry = check_pair(KernelPair(op, pair.reference, one_ulp_low), cases=0)
+        caught = {m["case"] for m in entry["mismatches"]}
+        float64 = {case.label for case in parity_cases(op, cases=0)
+                   if case.enumerated and case.label.endswith("float64")}
+        assert float64 and float64 <= caught
+
+    def test_fine_heavy_layouts_stay_on_the_four_slot_route(self):
+        layouts = {(name, bits): _fused_tables(p).one_delta for name, bits, p in mode_params_pool()}
+        for bits in BITS:
+            assert layouts["A=", bits] and layouts["C+=", bits]
+            assert not layouts["Cf+=", bits] and not layouts["Cf-=", bits]
+            assert not layouts["A", bits]
+
+    @pytest.mark.parametrize("op", QUANTIZER_OPS)
+    def test_enumeration_fails_a_one_delta_test_without_the_levels_rule(self, op, monkeypatch):
+        """A one-delta test that only compares deltas sends the ``Cf+=`` and
+        ``Cf-=`` layouts down the scalar branch, whose one clamp misplaces
+        their codes past the fine span: their step points catch it."""
+        import repro.backend.kernels
+        import repro.quant.quq as quq
+
+        real = quq._fused_tables
+
+        def deltas_only(params):
+            deltas = {spec.delta for _, spec in params.active()}
+            return real(params)._replace(one_delta=len(deltas) == 1)
+
+        quq._TABLES.clear()
+        monkeypatch.setattr(quq, "_fused_tables", deltas_only)
+        monkeypatch.setattr(repro.backend.kernels, "_fused_tables", deltas_only)
+        try:
+            entry = check_pair(_quantizer_pair(op), cases=0)
+        finally:
+            monkeypatch.undo()
+            quq._TABLES.clear()
+        caught = {m["case"] for m in entry["mismatches"]}
+        for layout in ("Cf+=", "Cf-="):
+            for bits in BITS:
+                for dtype in ("float32", "float64"):
+                    assert f"{layout}/b{bits}/steps_{dtype}" in caught
+        assert all(m["case"].startswith("Cf") for m in entry["mismatches"])
+
+    def test_an_op_without_one_delta_cases_fails(self, monkeypatch):
+        import repro.kernels.parity as parity
+
+        four_slot = [(n, b, p) for n, b, p in mode_params_pool() if not _fused_tables(p).one_delta]
+        monkeypatch.setattr(parity, "fitted_params_pool", lambda seed: [])
+        monkeypatch.setattr(parity, "_raw_params_pool", lambda seed: [])
+        monkeypatch.setattr(parity, "mode_params_pool", lambda: four_slot)
+        entry = check_pair(_quantizer_pair("quq.fake_quantize"), cases=0)
+        assert not entry["passed"]
+        assert entry["sides"]["one_delta"] == 0 and entry["sides"]["four_slot"] > 0
+        assert [m["case"] for m in entry["mismatches"]] == ["one_delta"]
 
     def test_wrong_dtype_is_flagged(self):
         """A fast ``gemm.int`` returning float64 accumulators fails every

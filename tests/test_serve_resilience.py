@@ -387,12 +387,14 @@ class TestChaosSoakMini:
 
     def test_breaker_opened_at_the_end_is_probed_closed(self, tmp_path, calib_images):
         # Traffic lasts 4 ms: the two injected failures trip the breaker
-        # as it ends, so only settle-phase probes can close it.
+        # as it ends, so only settle-phase probes can close it.  One image
+        # per batch makes the first two requests two failing batches; four
+        # requests in 4 ms could otherwise share one.
         plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=2)])
         registry = make_registry(tmp_path, calib_images, plan)
         engine = ServeEngine(
             registry,
-            BatchPolicy(max_batch_size=4, max_wait_ms=5.0, max_queue=64),
+            BatchPolicy(max_batch_size=1, max_wait_ms=5.0, max_queue=64),
             resilience=ResiliencePolicy(breaker_failures=2, breaker_cooldown_s=0.2),
             faults=plan,
         )
