@@ -9,7 +9,8 @@ Two implementations of one interface (:class:`ServingBackend`):
 ``int``
     :class:`IntNativeBackend` — batched integer-native execution: the
     integer walk of :mod:`repro.hw.walk` over QUB bit-packed weight
-    storage (:class:`PackedWeightStore`), in-place activation encoders
+    storage (:class:`PackedWeightStore`, also the exported artifact's
+    weight format), in-place activation encoders
     (:class:`FusedEncoder`), int64 GEMMs, and the integer SFUs of
     :mod:`repro.hw.int_sfu`.  The reference
     :class:`repro.hw.executor.ModelExecutor` runs the same walk on the
@@ -26,7 +27,7 @@ from .base import BACKEND_NAMES, ServingBackend
 from .float_backend import FloatFakeQuantBackend
 from .int_backend import IntNativeBackend
 from .kernels import FusedEncoder, decode_lut
-from .packed import PackedWeight, PackedWeightStore, iter_linear_weight_taps
+from .packed import PackedWeight, PackedWeightStore
 
 __all__ = [
     "BACKEND_NAMES",
@@ -37,7 +38,6 @@ __all__ = [
     "decode_lut",
     "PackedWeight",
     "PackedWeightStore",
-    "iter_linear_weight_taps",
     "make_backend",
 ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..nn import Linear
 from .base import ServingBackend
 
 __all__ = ["FloatFakeQuantBackend"]
@@ -40,14 +41,10 @@ class FloatFakeQuantBackend(ServingBackend):
                 self.pipeline.env.stats_recorder = None
 
     def memory_info(self) -> dict:
-        from .packed import iter_linear_weight_taps
-
-        try:
-            float_bytes = sum(
-                layer.weight.data.nbytes for _, layer in iter_linear_weight_taps(self.model)
-            )
-        except AttributeError:  # non-ViT topologies: no packed-format peer
-            float_bytes = 0
+        # Every GEMM weight: a Conv2d is a Linear over im2col patches.  A
+        # model without a module tree (a serving-test stub) counts none.
+        modules = getattr(self.model, "modules", list)
+        float_bytes = sum(m.weight.data.nbytes for m in modules() if isinstance(m, Linear))
         return {"packed_weight_bytes": 0, "float_weight_bytes": int(float_bytes)}
 
     def counters(self) -> dict:

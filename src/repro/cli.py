@@ -4,7 +4,8 @@ Commands
 --------
 ``zoo``            train/load the mini model zoo and print FP32 accuracy
 ``quantize``       quantize one model, print Top-1 (method/bits/coverage)
-``export``         quantize with QUQ and write a deployable .npz artifact
+``export``         quantize with QUQ and write the deployable artifact: the
+                   checksummed quantizer state plus the packed weights
 ``table4``         print the accelerator area/power table
 ``memory``         print the Figure-2 peak-memory table
 ``inspect``        fit QUQ on a model's calibration tensors, print modes
@@ -93,19 +94,19 @@ def cmd_quantize(args) -> None:
 
 def cmd_export(args) -> None:
     from . import quantize_model
-    from .quant import deployment_report, export_quantized
+    from .backend import PackedWeightStore
 
     model, _, calib, _ = _setup(args.model, 64, seed=args.seed)
     pipeline = quantize_model(model, calib, method="quq", bits=args.bits,
                               coverage="full", batch_size=args.batch_size)
-    artifact = export_quantized(pipeline, args.output)
-    report = deployment_report(pipeline)
+    store = PackedWeightStore.from_pipeline(model, pipeline, args.bits)
+    store.save(pipeline, args.output)
     pipeline.detach()
-    print(f"wrote {args.output}: {len(artifact.weights)} weight tensors, "
-          f"{len(artifact.activations)} activation parameter sets")
-    print(f"fp32 {report['fp32_megabytes']:.2f} MiB -> "
-          f"{report['quantized_megabytes']:.2f} MiB "
-          f"({report['compression']:.1f}x)")
+    summary = store.summary()
+    print(f"wrote {args.output}: {summary['tensors']} packed weight tensors, "
+          f"{len(pipeline.tap_names()) - len(store)} activation quantizers")
+    print(f"weights {summary['float_weight_bytes']} B fp32 -> "
+          f"{summary['packed_weight_bytes']} B packed ({summary['reduction']}x)")
 
 
 def cmd_table4(args) -> None:
@@ -140,10 +141,17 @@ def cmd_memory(args) -> None:
         from .backend import PackedWeightStore
         from .hw.memory import measured_weight_summary
         from .models import build_model
+        from .quant import PTQPipeline
 
         # Packed bytes depend only on the weight shapes and the bit width,
-        # not on trained values, so a random-init zoo geometry suffices.
-        store = PackedWeightStore.from_model(build_model("vit_mini_s"), args.bits)
+        # not on trained values, so a random-init zoo geometry suffices; the
+        # noise images feed only the activation fits, which packing ignores.
+        model = build_model("vit_mini_s")
+        config = model.config
+        shape = (2, config.image_size, config.image_size, config.in_channels)
+        images = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        pipeline = PTQPipeline(model, bits=args.bits).calibrate(images)
+        store = PackedWeightStore.from_pipeline(model, pipeline, args.bits)
         summary = measured_weight_summary(store)
         detail = [
             [row["tap"], row["elements"], round(row["analytic_bytes"]),

@@ -203,8 +203,10 @@ def memory_table(
 
 # ---------------------------------------------------------------------------
 # Measured weight memory: the analytic tables above assume b bits/element
-# flat; the integer-native backend actually materializes QUB-packed weight
-# buffers (repro.backend.packed), so the two can be cross-checked.
+# flat; a PackedWeightStore (repro.backend.packed, the one QUB weight
+# format, in the int backend and in the exported artifact) materializes
+# the real buffers, so the two can be cross-checked against its
+# packed_bytes.
 
 
 def packed_weight_rows(store, tolerance: float = 0.02) -> list[dict]:

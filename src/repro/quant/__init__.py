@@ -1,4 +1,9 @@
-"""Quantization: QUQ (the paper's contribution), baselines, and the PTQ pipeline."""
+"""Quantization: QUQ (the paper's contribution), baselines, and the PTQ pipeline.
+
+A calibrated pipeline persists as one checksummed quantizer-state archive
+(:mod:`.serialize`); the deployable QUQ artifact is that archive with the
+weights' QUB bitstreams added (:class:`repro.backend.PackedWeightStore`).
+"""
 
 from .base import Quantizer
 from .params import Mode, QUQParams, Subrange, SubrangeSpec
@@ -24,7 +29,6 @@ from .observers import QuantEnv, TapKind, classify_tap, taps_for_coverage
 from .qmodel import METHODS, PTQPipeline, make_quantizer
 from .hessian import DEFAULT_GRID, hessian_refine
 from .metrics import cosine_similarity, mse, sqnr_db
-from .export import QuantizedArtifact, deployment_report, export_quantized, load_quantized
 from .serialize import (
     ChecksumError,
     load_quantizer_states,
@@ -91,10 +95,6 @@ __all__ = [
     "mse",
     "sqnr_db",
     "cosine_similarity",
-    "QuantizedArtifact",
-    "export_quantized",
-    "load_quantized",
-    "deployment_report",
     "quantizer_state",
     "quantizer_from_state",
     "save_quantizer_states",

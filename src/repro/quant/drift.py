@@ -19,9 +19,6 @@ that bet observable:
 * :class:`TapStatsRecorder` — the lightweight hook the serving engine
   attaches to a :class:`~repro.quant.observers.QuantEnv` so live
   activation statistics are sampled during normal quantized forwards.
-
-Everything is JSON-serializable (``to_dict``/``from_dict``) so
-fingerprints can ship alongside the serialized quantizer state.
 """
 
 from __future__ import annotations
@@ -170,33 +167,6 @@ class TapFingerprint:
         return DriftScores(
             tap="", count=int(flat.size), psi=psi, clip_rate=clipped,
             overflow_ratio=overflow, nonfinite_rate=nonfinite_rate,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "absmax": self.absmax,
-            "mean": self.mean,
-            "std": self.std,
-            "percentiles": dict(self.percentiles),
-            "clip_bound": self.clip_bound,
-            "baseline_clip_rate": self.baseline_clip_rate,
-            "edges": [float(e) for e in self.edges],
-            "probs": [float(p) for p in self.probs],
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "TapFingerprint":
-        return cls(
-            absmax=float(record["absmax"]),
-            mean=float(record["mean"]),
-            std=float(record["std"]),
-            percentiles={k: float(v) for k, v in record["percentiles"].items()},
-            clip_bound=float(record["clip_bound"]),
-            baseline_clip_rate=float(record["baseline_clip_rate"]),
-            edges=np.asarray(record["edges"], dtype=np.float64),
-            probs=np.asarray(record["probs"], dtype=np.float64),
-            count=int(record["count"]),
         )
 
 

@@ -219,19 +219,24 @@ class PTQPipeline:
         self.env.phase = "quantize"
 
     # ------------------------------------------------------------------
-    def save_quantizers(self, path: str | Path) -> Path:
+    def save_quantizers(
+        self, path: str | Path, arrays: dict[str, np.ndarray] | None = None
+    ) -> Path:
         """Persist the fitted quantizer state (``.npz`` + JSON metadata).
 
         The archive records the pipeline's method/bits/coverage alongside
         every tap's quantizer parameters; :meth:`load_quantizers` restores
-        it bit-exactly without re-running calibration.
+        it bit-exactly without re-running calibration.  ``arrays`` ride
+        along under the same checksum (see ``save_quantizer_states``).
         """
         from .serialize import save_quantizer_states
 
         if not self.calibrated:
             raise RuntimeError("calibrate() must run before save_quantizers()")
         header = {"method": self.method, "bits": self.bits, "coverage": self.coverage}
-        return save_quantizer_states(self.env.quantizers, path, header=header)
+        return save_quantizer_states(
+            self.env.quantizers, path, header=header, arrays=arrays
+        )
 
     def load_quantizers(
         self, path: str | Path, *, require_checksum: bool = False
@@ -246,7 +251,7 @@ class PTQPipeline:
         """
         from .serialize import load_quantizer_states
 
-        header, quantizers = load_quantizer_states(
+        header, quantizers, _ = load_quantizer_states(
             path, require_checksum=require_checksum
         )
         for field in ("method", "bits", "coverage"):

@@ -9,10 +9,13 @@ warm starts (:mod:`repro.serve.registry`).
 
 Format: one ``.npz`` holding a JSON metadata record (method/bits/coverage
 plus each tap's quantizer class and scalar parameters) and one array entry
-per array-valued parameter (e.g. row-wise deltas).  Scalars ride in the
-JSON — Python's float repr round-trips bit-exactly — so a reloaded
-quantizer's ``quantize()``/``fake_quantize()`` outputs match the original
-to the last bit (tested).
+per array-valued parameter (e.g. row-wise deltas, a QUQ tap's
+:func:`_pack_params` record).  Scalars ride in the JSON — Python's float
+repr round-trips bit-exactly — so a reloaded quantizer's
+``quantize()``/``fake_quantize()`` outputs match the original to the last
+bit (tested).  A caller may add its own arrays under the same checksum;
+:meth:`repro.backend.packed.PackedWeightStore.save` adds each weight's QUB
+bitstream, which makes the archive the deployable QUQ artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .base import Quantizer
 from .baselines.biscaled import BiScaledQuantizer
 from .baselines.fqvit import Log2Quantizer
 from .baselines.ptq4vit import TwinUniformQuantizer
-from .export import _pack_params, _unpack_params
+from .params import QUQParams, Subrange, SubrangeSpec
 from .quq import QUQQuantizer
 from .uniform import AsymmetricUniformQuantizer, RowwiseUniformQuantizer, UniformQuantizer
 
@@ -43,8 +46,33 @@ __all__ = [
 STATE_VERSION = 1
 
 
+_SUBRANGE_ORDER = (Subrange.F_NEG, Subrange.F_POS, Subrange.C_NEG, Subrange.C_POS)
+
+
 class ChecksumError(ValueError):
     """Archive contents do not match the checksum recorded at save time."""
+
+
+def _pack_params(params: QUQParams) -> np.ndarray:
+    """Serialize QUQParams into a flat float64 record.
+
+    Layout: ``[bits, delta_F-, levels_F-, ..., delta_C+, levels_C+]`` with
+    merged subranges stored as ``(0, 0)``.
+    """
+    record = [float(params.bits)]
+    for subrange in _SUBRANGE_ORDER:
+        spec = params.spec(subrange)
+        record += [spec.delta, float(spec.levels)] if spec else [0.0, 0.0]
+    return np.asarray(record, dtype=np.float64)
+
+
+def _unpack_params(record: np.ndarray) -> QUQParams:
+    bits = int(record[0])
+    specs = []
+    for index in range(4):
+        delta, levels = record[1 + 2 * index], record[2 + 2 * index]
+        specs.append(SubrangeSpec(float(delta), int(levels)) if levels else None)
+    return QUQParams(bits, *specs)
 
 
 def _payload_checksum(arrays: dict[str, np.ndarray], record: dict) -> str:
@@ -131,20 +159,26 @@ def save_quantizer_states(
     quantizers: dict[str, Quantizer],
     path: str | Path,
     header: dict | None = None,
+    arrays: dict[str, np.ndarray] | None = None,
 ) -> Path:
     """Write fitted quantizers (tap -> quantizer) to an ``.npz`` at ``path``.
 
     ``header`` carries caller context (method/bits/coverage for the PTQ
     pipeline) and is returned verbatim by :func:`load_quantizer_states`.
+    ``arrays`` (name -> array) are stored alongside, under the same
+    checksum, and come back as the third item of
+    :func:`load_quantizer_states`.
     """
     path = Path(path)
     taps: dict[str, dict] = {}
     payload: dict[str, np.ndarray] = {}
     for name, quantizer in quantizers.items():
-        meta, arrays = quantizer_state(quantizer)
+        meta, state = quantizer_state(quantizer)
         taps[name] = meta
-        for field, array in arrays.items():
+        for field, array in state.items():
             payload[f"a:{name}:{field}"] = array
+    for name, array in (arrays or {}).items():
+        payload[f"x:{name}"] = np.asarray(array)
     record = {"version": STATE_VERSION, "header": header or {}, "taps": taps}
     record["checksum"] = _payload_checksum(payload, record)
     payload["__meta__"] = np.array(json.dumps(record))
@@ -155,18 +189,21 @@ def save_quantizer_states(
 
 def load_quantizer_states(
     path: str | Path, *, require_checksum: bool = False
-) -> tuple[dict, dict[str, Quantizer]]:
-    """Load ``(header, tap -> quantizer)`` written by :func:`save_quantizer_states`.
+) -> tuple[dict, dict[str, Quantizer], dict[str, np.ndarray]]:
+    """Load ``(header, tap -> quantizer, arrays)`` written by
+    :func:`save_quantizer_states`; ``arrays`` are the caller's, in save
+    order, verified with everything else.
 
     Archives predating checksums load unverified by default;
     ``require_checksum=True`` rejects them too (a corrupted legacy archive
     is undetectable, so a caller that must never serve silent garbage —
     the serving registry — treats "unverifiable" the same as "corrupt").
     """
-    payload = np.load(Path(path))
-    if "__meta__" not in payload.files:
+    with np.load(Path(path)) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    if "__meta__" not in payload:
         raise ValueError(f"{path} is not a quantizer-state archive (no __meta__)")
-    record = json.loads(str(payload["__meta__"][()]))
+    record = json.loads(str(payload.pop("__meta__")[()]))
     if record.get("version") != STATE_VERSION:
         raise ValueError(
             f"unsupported quantizer-state version {record.get('version')!r} "
@@ -181,8 +218,7 @@ def load_quantizer_states(
                 f"undetectable; recalibrate to upgrade the artifact"
             )
     else:
-        arrays = {name: payload[name] for name in payload.files if name != "__meta__"}
-        actual = _payload_checksum(arrays, record)
+        actual = _payload_checksum(payload, record)
         if actual != recorded:
             raise ChecksumError(
                 f"{path}: quantizer-state checksum mismatch "
@@ -192,10 +228,11 @@ def load_quantizer_states(
     quantizers: dict[str, Quantizer] = {}
     for name, meta in record["taps"].items():
         prefix = f"a:{name}:"
-        arrays = {
-            key[len(prefix):]: payload[key]
-            for key in payload.files
+        state = {
+            key[len(prefix):]: array
+            for key, array in payload.items()
             if key.startswith(prefix)
         }
-        quantizers[name] = quantizer_from_state(meta, arrays)
-    return record.get("header", {}), quantizers
+        quantizers[name] = quantizer_from_state(meta, state)
+    arrays = {key[2:]: array for key, array in payload.items() if key.startswith("x:")}
+    return record.get("header", {}), quantizers, arrays

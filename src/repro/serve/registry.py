@@ -227,7 +227,6 @@ class ModelRegistry:
         artifact_dir: str | Path | None = None,
         loader=None,
         calib_provider=None,
-        hessian: bool = False,
         retry=None,
         faults=None,
     ):
@@ -237,7 +236,6 @@ class ModelRegistry:
         self.artifact_dir = Path(artifact_dir) if artifact_dir else cache_dir() / "serve"
         self._loader = loader or (lambda name: get_trained_model(name, verbose=True))
         self._calib_provider = calib_provider
-        self._hessian = hessian
         self._retry = retry  # resilience.RetryPolicy for transient loads
         self._faults = faults  # resilience.FaultPlan (chaos testing only)
         self._calib: np.ndarray | None = None
@@ -335,10 +333,6 @@ class ModelRegistry:
                 except Exception:
                     state.unlink(missing_ok=True)  # stale/corrupt: recalibrate
             pipeline.calibrate(self._calibration_images())
-            if self._hessian:
-                from ..quant.hessian import hessian_refine
-
-                hessian_refine(pipeline, self._calibration_images())
             self.stats["calibrations"] += 1
             pipeline.save_quantizers(state)
             return ServableModel(
@@ -403,10 +397,6 @@ class ModelRegistry:
             model, method=key.method, bits=key.bits, coverage=key.coverage
         )
         pipeline.calibrate(calib)
-        if self._hessian:
-            from ..quant.hessian import hessian_refine
-
-            hessian_refine(pipeline, calib)
         self.stats["calibrations"] += 1
         # A fresh backend per shadow build: for the int backend this is
         # what re-packs the QUB weight buffers under the new calibration.
@@ -415,12 +405,12 @@ class ModelRegistry:
             backend=self._make_backend(key, model, pipeline),
         )
 
-    def swap(self, key: ModelKey, servable: ServableModel, persist: bool = True) -> None:
+    def swap(self, key: ModelKey, servable: ServableModel) -> None:
         """Atomically install ``servable`` as the cache entry for ``key``.
 
         Lanes resolve through ``get`` every batch, so the very next batch
-        serves the replacement; ``persist`` re-serializes its quantizer
-        state so a restart warm-starts from the swapped-in calibration.
+        serves the replacement; its quantizer state is re-serialized so a
+        restart warm-starts from the swapped-in calibration.
         """
         if servable.key != key:
             raise ValueError(f"servable is for {servable.key.spec}, not {key.spec}")
@@ -431,7 +421,7 @@ class ModelRegistry:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats["evictions"] += 1
-        if persist and servable.pipeline is not None:
+        if servable.pipeline is not None:
             try:
                 servable.pipeline.save_quantizers(self.state_path(key))
             except Exception:

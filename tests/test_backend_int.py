@@ -256,6 +256,22 @@ class TestFloatFakeQuantBackend:
         assert described["float_weight_bytes"] > 0
         assert described["batches_total"] == 0
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("swin_mini_s", 2_077_440), ("cnn_mini", 96_448),
+         ("vit_mini_s", 801_280), ("deit_mini_s", 803_840)],
+    )
+    def test_float_weight_bytes_count_every_family(self, name, expected):
+        """Every Linear weight counts, a Conv2d's im2col projection too."""
+        from repro.models import build_model
+
+        backend = FloatFakeQuantBackend(build_model(name), None)
+        assert backend.memory_info()["float_weight_bytes"] == expected
+
+    def test_float_weight_bytes_of_a_model_without_modules(self):
+        info = FloatFakeQuantBackend(object(), None).memory_info()
+        assert info == {"packed_weight_bytes": 0, "float_weight_bytes": 0}
+
 
 class TestMakeBackend:
     def test_builds_by_name(self, quantized):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import PackedWeightStore, iter_linear_weight_taps
+from repro.backend import IntNativeBackend, PackedWeightStore
 from repro.hw.accelerator import encode_tensor
+from repro.models.configs import ModelConfig
 from repro.quant.qub import pack_qub_words, unpack_qub_words
 
 
@@ -57,42 +58,66 @@ class TestPackUnpackWords:
         assert unpack_qub_words(packed, 8, 3).dtype == np.uint8
 
 
+TINY_VIT = ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2)
+
+
+def _calibrated(config, bits):
+    from repro.models.vit import build_vit
+    from repro.quant import PTQPipeline
+
+    model = build_vit(config, seed=0)
+    images = np.random.default_rng(0).standard_normal((4, 16, 16, 3))
+    return model, PTQPipeline(model, bits=bits).calibrate(images.astype(np.float32))
+
+
 class TestPackedWeightStore:
     @pytest.fixture(scope="class")
     def store(self):
-        from repro.models.configs import ModelConfig
-        from repro.models.vit import build_vit
+        model, pipeline = _calibrated(TINY_VIT, 4)
+        return model, pipeline, PackedWeightStore.from_pipeline(model, pipeline, 4)
 
-        model = build_vit(ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2), seed=0)
-        return model, PackedWeightStore.from_model(model, 4)
+    @staticmethod
+    def _references(model, pipeline, packed):
+        parameters = dict(model.named_parameters())
+        for tap in packed.weights:
+            params = pipeline.quantizer_for(tap).params
+            weight = parameters[tap.split(".", 1)[1]].data
+            yield tap, encode_tensor(weight, 4, params=params)
 
     def test_covers_every_gemm_weight(self, store):
-        model, packed = store
-        taps = [tap for tap, _ in iter_linear_weight_taps(model)]
-        assert sorted(packed.weights) == sorted(taps)
-        assert len(packed) == len(taps)
+        """Exactly the weights the integer walk multiplies, in its order."""
+        model, pipeline, packed = store
+        backend = IntNativeBackend(model, pipeline, bits=4)
+        used = []
+
+        class Spy:
+            def __getitem__(self, tap):
+                used.append(tap)
+                return packed[tap]
+
+        backend.datapath.weights = Spy()
+        backend.predict(np.zeros((1, 16, 16, 3), dtype=np.float32))
+        assert used == list(packed.weights)
+        assert len(packed) == 2 + 4 * TINY_VIT.depth
 
     def test_words_match_reference_encode(self, store):
-        model, packed = store
-        for tap, layer in iter_linear_weight_taps(model):
-            reference = encode_tensor(layer.weight.data, 4)
+        model, pipeline, packed = store
+        for tap, reference in self._references(model, pipeline, packed):
             np.testing.assert_array_equal(packed[tap].words(), reference.qubs)
 
     def test_shifted_matches_reference_decode(self, store):
-        model, packed = store
-        for tap, layer in iter_linear_weight_taps(model):
-            reference = encode_tensor(layer.weight.data, 4)
+        model, pipeline, packed = store
+        for tap, reference in self._references(model, pipeline, packed):
             d, n_sh = reference.decoded()
             np.testing.assert_array_equal(packed[tap].shifted(), d << n_sh)
 
     def test_to_float_matches_reference_load(self, store):
-        model, packed = store
-        for tap, layer in iter_linear_weight_taps(model):
-            reference = encode_tensor(layer.weight.data, 4)
+        model, pipeline, packed = store
+        for tap, reference in self._references(model, pipeline, packed):
             np.testing.assert_array_equal(packed[tap].to_float(), reference.to_float())
 
     def test_four_bit_storage_beats_float32_by_2x(self, store):
-        _, packed = store
+        _, _, packed = store
         assert packed.reduction >= 2.0
         # Dense 4-bit packing should in fact approach 8x.
         assert packed.reduction > 6.0
@@ -100,19 +125,16 @@ class TestPackedWeightStore:
     def test_summary_is_json_ready(self, store):
         import json
 
-        _, packed = store
+        _, _, packed = store
         summary = packed.summary()
         assert summary["bits"] == 4
         assert summary["packed_weight_bytes"] < summary["float_weight_bytes"]
         json.dumps(summary)
 
     def test_deit_includes_distillation_head(self):
-        from repro.models.configs import ModelConfig
-        from repro.models.vit import build_vit
-
-        deit = build_vit(
-            ModelConfig("tiny_deit", "deit", 16, 4, 3, 10, 32, 2, 2, distilled=True),
-            seed=0,
-        )
-        taps = [tap for tap, _ in iter_linear_weight_taps(deit)]
-        assert "tiny_deit.head_dist.weight" in taps
+        deit = ModelConfig("tiny_deit", "deit", 16, 4, 3, 10, 32, 2, 2, distilled=True)
+        model, pipeline = _calibrated(deit, 4)
+        packed = PackedWeightStore.from_pipeline(model, pipeline, 4)
+        assert list(packed.weights)[-2:] == [
+            "tiny_deit.head.weight", "tiny_deit.head_dist.weight"
+        ]

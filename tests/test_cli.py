@@ -2,16 +2,27 @@
 
 The model-dependent commands (``quantize``/``export``/``inspect``) pull
 from the trained zoo and are exercised by the benchmark harness; here we
-cover the parser wiring and the purely analytical commands.
+cover the parser wiring, the purely analytical commands, and ``export``
+on a random-init tiny ViT.
 """
 
 import dataclasses
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from repro.autograd import Tensor, no_grad
+from repro.backend import PackedWeightStore
 from repro.cli import build_parser, cmd_memory, cmd_table4, main
 from repro.kernels import KERNELS, kernel_pairs
+from repro.models.configs import ModelConfig
+from repro.models.vit import build_vit
+from repro.quant import ChecksumError
+from repro.serve import ModelKey, ModelRegistry
+
+TINY_VIT = ModelConfig("tiny_vit", "vit", 16, 4, 3, 10, 32, 2, 2)
 
 
 class TestParser:
@@ -147,6 +158,77 @@ class TestAnalyticalCommands:
         assert "Measured QUB-packed weight buffers at 6-bit" in out
         assert "analytic B" in out and "measured B" in out
         assert "flagged taps: none" in out
+
+
+class TestExportCommand:
+    """``repro export`` on a random-init tiny ViT in place of a zoo model."""
+
+    @pytest.fixture
+    def exported(self, monkeypatch, tmp_path, capsys):
+        """``(path, exporting pipeline, calibration images, stdout)``."""
+        import repro
+        from repro import cli
+
+        calib = np.random.default_rng(0).standard_normal((8, 16, 16, 3))
+        calib = calib.astype(np.float32)
+        monkeypatch.setattr(
+            cli, "_setup",
+            lambda name, count, seed=None: (build_vit(TINY_VIT, seed=0), 0.0, calib, None),
+        )
+        pipelines = []
+        real_quantize_model = repro.quantize_model
+
+        def quantize_model(*args, **kwargs):
+            pipelines.append(real_quantize_model(*args, **kwargs))
+            return pipelines[-1]
+
+        monkeypatch.setattr(repro, "quantize_model", quantize_model)
+        path = tmp_path / "tiny.npz"
+        main(["export", "vit_mini_s", str(path), "--bits", "6"])
+        return path, pipelines[0], calib, capsys.readouterr().out
+
+    def test_artifact_loads_and_prints_its_summary(self, exported):
+        path, pipeline, _, out = exported
+        header, quantizers, store = PackedWeightStore.load(path)
+        assert header["bits"] == 6 and set(quantizers) == set(pipeline.tap_names())
+        summary = store.summary()
+        assert summary == PackedWeightStore.from_pipeline(
+            pipeline.model, pipeline, 6
+        ).summary()
+        assert f"{summary['tensors']} packed weight tensors" in out
+        assert (
+            f"weights {summary['float_weight_bytes']} B fp32 -> "
+            f"{summary['packed_weight_bytes']} B packed ({summary['reduction']}x)"
+        ) in out
+
+    def test_flipped_params_byte_is_rejected(self, exported):
+        path = exported[0]
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        key = next(name for name in payload if name.endswith(":params"))
+        payload[key].view(np.uint8)[9] ^= 0x01
+        np.savez(path, **payload)
+        with pytest.raises(ChecksumError):
+            PackedWeightStore.load(path)
+
+    def test_artifact_warm_starts_a_registry_entry(self, exported, tmp_path):
+        path, pipeline, calib, _ = exported
+        registry = ModelRegistry(
+            artifact_dir=tmp_path / "serve",
+            loader=lambda name: (build_vit(TINY_VIT, seed=0), 0.0),
+            calib_provider=lambda: calib,
+        )
+        key = ModelKey.parse("vit_s/quq/6")
+        registry.state_path(key).parent.mkdir(parents=True)
+        shutil.copy(path, registry.state_path(key))
+        served = registry.get(key).predict(calib[:4])
+        assert registry.stats["warm_loads"] == 1
+        assert registry.stats["calibrations"] == 0
+        pipeline.attach()
+        pipeline.model.eval()
+        with no_grad():
+            expected = pipeline.model(Tensor(calib[:4])).data
+        assert served.tobytes() == expected.tobytes()
 
 
 class TestKernelParityCommand:

@@ -72,15 +72,6 @@ class TestTapFingerprint:
         assert scores.clip_rate >= 0.1
         assert any("nonfinite" in r for r in scores.reasons(DriftThresholds()))
 
-    def test_dict_round_trip(self, fingerprint, reference):
-        clone = TapFingerprint.from_dict(fingerprint.to_dict())
-        live = np.random.default_rng(2).normal(0.5, 1.2, size=2048)
-        original = fingerprint.compare(live)
-        restored = clone.compare(live)
-        assert restored.psi == pytest.approx(original.psi)
-        assert restored.clip_rate == pytest.approx(original.clip_rate)
-        assert restored.overflow_ratio == pytest.approx(original.overflow_ratio)
-
     def test_thresholds_validate(self):
         with pytest.raises(ValueError):
             DriftThresholds(psi=0.0)

@@ -1,15 +1,15 @@
-"""Tests for quantized-model export and mixed-precision allocation."""
+"""Tests for the exported QUQ artifact and mixed-precision allocation."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import kind_sensitivity, tap_sensitivity
+from repro.backend import PackedWeightStore
 from repro.quant import (
+    ChecksumError,
     PTQPipeline,
     allocate_mixed_precision,
-    deployment_report,
-    export_quantized,
-    load_quantized,
+    legalize_for_hardware,
 )
 from repro.training import evaluate_top1
 
@@ -22,67 +22,97 @@ def quq_pipeline(tiny_trained, calib_images):
     pipeline.detach()
 
 
+@pytest.fixture
+def exported(quq_pipeline, tiny_trained, tmp_path):
+    store = PackedWeightStore.from_pipeline(tiny_trained, quq_pipeline, 6)
+    return store, store.save(quq_pipeline, tmp_path / "model.npz")
+
+
 class TestExport:
-    def test_roundtrip_weights(self, quq_pipeline, tmp_path):
-        artifact = export_quantized(quq_pipeline, tmp_path / "model.npz")
-        loaded = load_quantized(tmp_path / "model.npz")
-        assert set(loaded.weights) == set(artifact.weights)
-        assert set(loaded.activations) == set(artifact.activations)
-        for tap in artifact.weights:
-            np.testing.assert_allclose(
-                loaded.weight_values(tap), artifact.weight_values(tap)
-            )
+    def test_roundtrip_weights(self, exported, quq_pipeline):
+        store, path = exported
+        header, quantizers, loaded = PackedWeightStore.load(path)
+        assert header == {"method": "quq", "bits": 6, "coverage": "full"}
+        assert set(quantizers) == set(quq_pipeline.tap_names())
+        assert list(loaded.weights) == list(store.weights)
+        for weight in store:
+            restored = loaded[weight.tap]
+            np.testing.assert_array_equal(restored.buffer, weight.buffer)
+            np.testing.assert_array_equal(restored.lut, weight.lut)
+            assert restored.registers == weight.registers
+            assert restored.base_delta == weight.base_delta
 
-    def test_decoded_weights_close_to_float(self, quq_pipeline, tiny_trained, tmp_path):
-        artifact = export_quantized(quq_pipeline, tmp_path / "model.npz")
+    def test_decoded_weights_close_to_float(self, exported, tiny_trained):
+        _, path = exported
+        _, quantizers, loaded = PackedWeightStore.load(path)
         parameters = dict(tiny_trained.named_parameters())
-        tap = next(iter(artifact.weights))
-        param_name = tap.split(".", 1)[1]
-        original = parameters[param_name].data
-        decoded = artifact.weight_values(tap).reshape(original.shape)
+        weight = next(iter(loaded))
+        original = parameters[weight.tap.split(".", 1)[1]].data
         # Error bounded by the coarsest quantization step of that tensor.
-        coarsest = max(s.delta for _, s in artifact.weights[tap][3].active())
-        assert np.abs(decoded - original).max() <= coarsest / 2 + 1e-6
+        params = legalize_for_hardware(quantizers[weight.tap].params)
+        coarsest = max(s.delta for _, s in params.active())
+        assert np.abs(weight.to_float() - original).max() <= coarsest / 2 + 1e-6
 
-    def test_shapes_preserved(self, quq_pipeline, tiny_trained, tmp_path):
-        export_quantized(quq_pipeline, tmp_path / "model.npz")
-        loaded = load_quantized(tmp_path / "model.npz")
+    def test_shapes_preserved(self, exported, tiny_trained):
+        _, path = exported
+        _, _, loaded = PackedWeightStore.load(path)
         parameters = dict(tiny_trained.named_parameters())
-        for tap, (qubs, _, _, _) in loaded.weights.items():
-            assert qubs.shape == parameters[tap.split(".", 1)[1]].data.shape
+        for weight in loaded:
+            assert weight.shape == parameters[weight.tap.split(".", 1)[1]].data.shape
 
-    def test_payload_smaller_than_fp32(self, quq_pipeline, tiny_trained, tmp_path):
-        artifact = export_quantized(quq_pipeline, tmp_path / "model.npz")
+    def test_payload_smaller_than_fp32(self, exported, tiny_trained):
+        _, path = exported
         fp32 = sum(
             p.data.nbytes for p in dict(tiny_trained.named_parameters()).values()
         )
-        assert artifact.payload_bytes() < fp32
+        assert PackedWeightStore.load(path)[2].packed_bytes < fp32
 
-    def test_payload_counts_the_bitstream(self, quq_pipeline, tmp_path):
-        """Each weight is stored as its dense 6-bit QUB bitstream, the
-        format PackedWeightStore holds, not one word per byte."""
-        artifact = export_quantized(quq_pipeline, tmp_path / "model.npz")
-        stored = np.load(tmp_path / "model.npz")
-        expected = 10 * len(artifact.activations)
-        for tap, (qubs, _, _, params) in artifact.weights.items():
-            assert params.bits == 6
-            bitstream = -(-qubs.size * 6 // 8)
-            assert stored[f"w:{tap}"].nbytes == bitstream
-            expected += bitstream + 10
-        assert artifact.payload_bytes() == expected
-        assert load_quantized(tmp_path / "model.npz").payload_bytes() == expected
+    def test_payload_counts_the_bitstream(self, exported):
+        """Each weight is its dense 6-bit QUB bitstream plus the FC register
+        pair, not one word per byte."""
+        store, path = exported
+        expected = 0
+        for weight in PackedWeightStore.load(path)[2]:
+            bitstream = -(-weight.elements * 6 // 8)
+            assert weight.buffer.nbytes == bitstream
+            assert weight.packed_bytes == bitstream + 2
+            expected += bitstream + 2
+        assert store.packed_bytes == expected
 
-    def test_requires_quq(self, tiny_trained, calib_images, tmp_path):
+    def test_requires_quq(self, tiny_trained, calib_images):
         pipeline = PTQPipeline(tiny_trained, method="baseq", bits=6).calibrate(calib_images)
         with pytest.raises(ValueError):
-            export_quantized(pipeline, tmp_path / "model.npz")
+            PackedWeightStore.from_pipeline(tiny_trained, pipeline, 6)
         pipeline.detach()
 
-    def test_deployment_report(self, quq_pipeline):
-        report = deployment_report(quq_pipeline)
+    def test_summary_reports_compression(self, exported):
+        summary = exported[0].summary()
         # 6-bit weights + constant side info: > 4.5x smaller than fp32.
-        assert report["compression"] > 4.5
-        assert report["quantized_megabytes"] < report["fp32_megabytes"]
+        assert summary["reduction"] > 4.5
+        assert summary["packed_weight_bytes"] < summary["float_weight_bytes"]
+
+    def test_flipped_bitstream_bit_is_rejected(self, exported):
+        store, path = exported
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        payload[f"x:qub:{next(iter(store)).tap}"][0] ^= 1
+        np.savez(path, **payload)
+        with pytest.raises(ChecksumError):
+            PackedWeightStore.load(path)
+
+    @pytest.mark.parametrize("family", ["swin", "cnn"])
+    def test_packs_every_linear_of_other_families(self, family, tiny_swin):
+        from repro.models.cnn import build_cnn
+        from repro.nn import Linear
+
+        model = tiny_swin if family == "swin" else build_cnn(seed=0)
+        size = 16 if family == "swin" else model.config.image_size
+        images = np.random.default_rng(0).standard_normal((2, size, size, 3))
+        pipeline = PTQPipeline(model, bits=6).calibrate(images.astype(np.float32))
+        store = PackedWeightStore.from_pipeline(model, pipeline, 6)
+        linears = [m for m in model.modules() if isinstance(m, Linear)]
+        assert [w.shape for w in store] == [m.weight.data.shape for m in linears]
+        pipeline.detach()
 
 
 class TestSensitivity:

@@ -85,7 +85,7 @@ class TestStateArchive:
         path = save_quantizer_states(
             quantizers, tmp_path / "state.npz", header={"method": "mixed"}
         )
-        header, restored = load_quantizer_states(path)
+        header, restored, _ = load_quantizer_states(path)
         assert header == {"method": "mixed"}
         assert set(restored) == set(quantizers)
         x = rng.normal(size=300)
@@ -111,7 +111,7 @@ class TestChecksum:
 
     def test_clean_archive_verifies(self, rng, tmp_path):
         path = self._save(rng, tmp_path / "state.npz")
-        header, restored = load_quantizer_states(path)  # no ChecksumError
+        header, restored, _ = load_quantizer_states(path)  # no ChecksumError
         assert set(restored) == {"blk.weight", "blk.input"}
 
     def test_tampered_array_payload_is_rejected(self, rng, tmp_path):
@@ -136,7 +136,7 @@ class TestChecksum:
     def test_legacy_archive_without_checksum_still_loads(self, rng, tmp_path):
         path = self._save(rng, tmp_path / "state.npz")
         self._strip_checksum(path)
-        header, restored = load_quantizer_states(path)  # unverified but loadable
+        header, restored, _ = load_quantizer_states(path)  # unverified but loadable
         assert set(restored) == {"blk.weight", "blk.input"}
 
     def test_require_checksum_rejects_legacy_archives(self, rng, tmp_path):
