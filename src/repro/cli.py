@@ -324,8 +324,8 @@ def cmd_kernel_parity(args) -> None:
         if entry["enumerated_points"]:
             line += f", {entry['enumerated_points']} enumerated points"
         if "sides" in entry:
-            line += (f", {entry['sides']['one_delta']} one-delta / "
-                     f"{entry['sides']['four_slot']} four-slot")
+            line += ", " + " / ".join(f"{count} {side.replace('_', '-')}"
+                                      for side, count in entry["sides"].items())
         lines.append(line)
         lines += [f"    {m['case']}: {m['problem']}" for m in entry["mismatches"]]
     verdict = "PASS" if report["passed"] else "FAIL"

@@ -19,18 +19,30 @@ simulated without any floating-point arithmetic:
 
 All kernels take integer tensors ``q`` with a scale ``s`` (value =
 ``q * s``) and return ``(q_out, s_out)``, each in whole-tensor passes.
-They are the one implementation both integer datapaths run (registry ops
-``sfu.softmax`` / ``sfu.gelu`` / ``sfu.layernorm``).  The test suite pins
-their codes with a golden fixture, checks them against a scalar
-evaluation and the float functions, and the accuracy ablation bench
-measures their end-to-end cost on a quantized model.
+They are the formula, the reference implementation of the registry ops
+``sfu.softmax`` / ``sfu.gelu`` / ``sfu.layernorm``; the fast
+implementations in :mod:`repro.kernels.ops` must return the same codes.
+
+As a hardware SFU keeps exp and GELU in a ROM indexed by the input code,
+this module also builds, at import, the two tables the fast kernels
+gather from at :data:`TABLE_SCALE`, the one scale the integer walk hands
+softmax and GELU: :data:`EXP_TABLE` (``i_exp`` up to the first input
+past which it is certainly 0) and :data:`GELU_TABLE` (GELU's factor over
+its clip range, past which it is constant).  Both
+come from the formula itself, so a gather returns the formula's codes.
+They are constants, read-only, about 166 KB together.
+
+The test suite pins the codes with a golden fixture, checks them against
+a scalar evaluation and the float functions, and the accuracy ablation
+bench measures their end-to-end cost on a quantized model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["i_sqrt", "i_sqrt_f64", "i_exp", "i_softmax", "i_gelu", "i_layernorm"]
+__all__ = ["i_sqrt", "i_sqrt_f64", "i_exp", "i_softmax", "i_gelu", "i_layernorm",
+           "exp_table", "gelu_table", "TABLE_SCALE", "EXP_TABLE", "GELU_TABLE", "GELU_SCALE"]
 
 _LN2 = float(np.log(2.0))
 
@@ -108,8 +120,10 @@ def i_exp(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
 def i_softmax(q: np.ndarray, s: float, axis: int = -1, out_bits: int = 16) -> tuple[np.ndarray, float]:
     """Integer-only softmax over ``axis``.
 
-    Returns codes in ``[0, 2^out_bits - 1]`` with scale ``2^-out_bits``
-    (probabilities).
+    Returns codes in ``[0, 2^out_bits]`` with scale ``2^-out_bits``
+    (probabilities).  The top code ``2^out_bits`` is probability 1.0: a
+    row whose other entries all underflow to 0, a one-element row among
+    them, returns it, so the codes need ``out_bits + 1`` bits.
     """
     q = np.asarray(q, dtype=np.int64)
     q_exp, _ = i_exp(q - q.max(axis=axis, keepdims=True), s)
@@ -118,19 +132,30 @@ def i_softmax(q: np.ndarray, s: float, axis: int = -1, out_bits: int = 16) -> tu
     return np.floor_divide(q_exp * factor, np.maximum(total, 1)), 2.0**-out_bits
 
 
-def i_gelu(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
-    """Integer-only GELU: ``x * (1 + erf(x/sqrt2)) / 2`` with polynomial erf."""
-    q = np.asarray(q, dtype=np.int64)
+def _gelu_clip(s: float) -> np.int64:
+    """The code past which GELU's erf polynomial is flat: ``-b`` at ``s / sqrt2``."""
+    return np.int64(np.floor(-_ERF_B / (s / np.sqrt(2.0))))
+
+
+def _gelu_factor(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
+    """``g(q) = 1 + erf(x/sqrt2)`` in integers at ``x = q*s``, and the scale
+    of ``q * g(q)``, GELU's output."""
     s_erf_in = s / np.sqrt(2.0)
     # erf is odd: evaluate the polynomial on |x| clipped to [0, -b], where
     # erf(|x|) ~ a*(|x| + b)^2 + c (I-BERT's fit; note a < 0 makes the
     # polynomial's output scale negative, which the integer pipeline
     # carries through consistently).
-    q_clip = np.minimum(np.abs(q), np.int64(np.floor(-_ERF_B / s_erf_in)))
+    q_clip = np.minimum(np.abs(q), _gelu_clip(s))
     q_l, s_l = _i_poly(q_clip, s_erf_in, _ERF_A, _ERF_B, _ERF_C)
     # 1 + erf in the same scale.
-    q_sum = np.sign(q) * q_l + np.int64(np.floor(1.0 / s_l))
-    return q * q_sum, s * s_l / 2.0
+    return np.sign(q) * q_l + np.int64(np.floor(1.0 / s_l)), s * s_l / 2.0
+
+
+def i_gelu(q: np.ndarray, s: float) -> tuple[np.ndarray, float]:
+    """Integer-only GELU: ``x * (1 + erf(x/sqrt2)) / 2`` with polynomial erf."""
+    q = np.asarray(q, dtype=np.int64)
+    q_sum, s_out = _gelu_factor(q, s)
+    return q * q_sum, s_out
 
 
 def i_layernorm(
@@ -165,3 +190,42 @@ def i_layernorm(
             np.asarray(bias, dtype=np.float64) / s_out
         ).astype(np.int64)
     return normalized, s_out
+
+
+# ---------------------------------------------------------------------------
+# Tables: the formula's codes at the walk's scale, built once at import
+# ---------------------------------------------------------------------------
+
+def exp_table(s: float) -> np.ndarray:
+    """``i_exp(-d, s)`` for ``d`` in ``[0, z0 * q_ln2]``; the last entry is 0.
+
+    ``z0`` is the bit length of the polynomial's largest value (its value
+    at ``z = 0``) and ``q_ln2 = floor(ln2 / s)``.  From ``d = z0 * q_ln2``
+    on, ``i_exp`` shifts that polynomial right by at least ``z0`` bits, so
+    it is 0 for every larger ``d``: ``table[min(d, last)]`` is
+    ``i_exp(-d, s)`` for every ``d >= 0``.  15,599 entries at ``2**-10``.
+    """
+    q_ln2 = int(np.floor(_LN2 / s))
+    z0 = int(i_exp(-np.arange(q_ln2), s)[0].max()).bit_length()
+    return i_exp(-np.arange(z0 * q_ln2 + 1), s)[0]
+
+
+def gelu_table(s: float) -> tuple[np.ndarray, float]:
+    """GELU's factor ``g`` on ``[-clip, clip]`` and the output scale.
+
+    :func:`i_gelu` is ``q * g(q)``, and ``g`` is constant beyond
+    ``+/-clip`` (:func:`_gelu_clip`), so ``table[clip(q, -clip, clip) +
+    clip]`` is ``g(q)`` for every int64 ``q`` but ``INT64_MIN``, which has
+    no ``|q|``.  5,123 entries at ``2**-10``.
+    """
+    clip = int(_gelu_clip(s))
+    return _gelu_factor(np.arange(-clip, clip + 1, dtype=np.int64), s)
+
+
+#: The one scale the integer walk hands ``sfu.softmax`` and ``sfu.gelu``.
+TABLE_SCALE = 2.0**-10
+
+EXP_TABLE = exp_table(TABLE_SCALE)
+GELU_TABLE, GELU_SCALE = gelu_table(TABLE_SCALE)
+EXP_TABLE.setflags(write=False)
+GELU_TABLE.setflags(write=False)

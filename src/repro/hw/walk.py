@@ -66,10 +66,11 @@ def check_walkable(pipeline, model=None) -> None:
 
 
 # ----------------------------------------------------------------------
-# SFUs.  The integer variants are the one implementation each in
-# :mod:`repro.hw.int_sfu`, dispatched through the kernel registry (ops
-# ``sfu.layernorm`` / ``sfu.softmax`` / ``sfu.gelu``) so their calls are
-# counted and can be timed like every other kernel.
+# SFUs.  The integer variants dispatch through the kernel registry (ops
+# ``sfu.layernorm`` / ``sfu.softmax`` / ``sfu.gelu``), so their calls are
+# counted and can be timed like every other kernel.  The formula of
+# :mod:`repro.hw.int_sfu` is each op's reference; the fast softmax and
+# GELU gather from tables built for the 2**-10 scale used below.
 def _integer_sfu(op: str, values: np.ndarray, scale: float, **kwargs) -> np.ndarray:
     """``q_out * s_out`` of ``op`` on ``rint(values / scale)`` codes.
 

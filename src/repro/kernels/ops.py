@@ -23,25 +23,33 @@ op                   reference              fast
                      ``to_float`` formula
 ``qub.pack``         pure-Python bit loop   vectorized ``np.packbits``
 ``gemm.int``         int64 matmul           exact-window BLAS float64
-``sfu.softmax``      ``hw.int_sfu``         (none)
-``sfu.gelu``         ``hw.int_sfu``         (none)
-``sfu.layernorm``    ``hw.int_sfu``         (none)
+``sfu.softmax``      ``hw.int_sfu`` formula ``i_exp`` gathered from
+                                            ``EXP_TABLE`` at the walk's
+                                            scale, else the formula
+``sfu.gelu``         ``hw.int_sfu`` formula GELU's factor gathered from
+                                            ``GELU_TABLE`` at the walk's
+                                            scale, else the formula
+``sfu.layernorm``    ``hw.int_sfu`` formula the per-row divide in float64
+                                            inside its exact window, else
+                                            the formula
 ===================  =====================  ==============================
 
 The ``qub.*`` activation ops take ``(x, encoder)``, the tap's
 :class:`FusedEncoder`: the fast pass runs on the tables the encoder built
 once, and the reference reads only ``encoder.params`` and
 ``encoder.bits``.  The encode is :func:`repro.quant.qub.quantize_encode`,
-the spec path (Eq. 3, then the QUB words).  The ``sfu.*`` ops have one
-implementation each; they are registered so the integer walk's SFU calls
-dispatch, and count, like every other kernel.  The harness in
-:mod:`repro.kernels.parity` (and the hypothesis suite in ``tests/``)
-requires every fast implementation to equal its reference bit for bit
-over fitted and hand-built parameters and adversarial inputs, and, for
-the three quantizer ops, over every step point of each parameter set.
-The one-delta branch is chosen inside the fast implementation, from the
-params' tables, so it adds no op; the references stay the general
-formula.
+the spec path (Eq. 3, then the QUB words).  The ``sfu.*`` references
+are the I-BERT formula of :mod:`repro.hw.int_sfu`; their fast
+implementations gather from the tables that module builds from the
+formula, or divide in float64 where that is exact, and run the formula
+everywhere else.  The harness in :mod:`repro.kernels.parity` (and the
+hypothesis suite in ``tests/``) requires every fast implementation to
+equal its reference bit for bit over fitted and hand-built parameters
+and adversarial inputs, over every step point of each parameter set for
+the three quantizer ops, and over every table index for the SFUs.  Each
+fast implementation makes its choice (one-delta or four-slot, table or
+formula, float64 or int64 divide) inside itself, so it adds no op; the
+references stay the general formula.
 """
 
 from __future__ import annotations
@@ -49,7 +57,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.kernels import FusedEncoder
-from ..hw.int_sfu import i_gelu, i_layernorm, i_softmax
+from ..hw.int_sfu import (
+    EXP_TABLE, GELU_SCALE, GELU_TABLE, TABLE_SCALE, i_gelu, i_layernorm, i_softmax, i_sqrt_f64,
+)
 from ..quant.params import QUQParams
 from ..quant.qub import decode, pack_qub_words, quantize_encode
 from ..quant.quq import fake_quantize_with_params, quantize_with_params
@@ -186,9 +196,88 @@ KERNELS.register("gemm.int", _gemm_int_reference, _gemm_int_blas_f64)
 
 
 # ---------------------------------------------------------------------------
-# sfu.* — integer special functions, one implementation each
+# sfu.* — integer special functions: exact tables and an exact divide
 # ---------------------------------------------------------------------------
 
-KERNELS.register("sfu.softmax", i_softmax)
-KERNELS.register("sfu.gelu", i_gelu)
-KERNELS.register("sfu.layernorm", i_layernorm)
+_INT64 = np.iinfo(np.int64)
+_GELU_CLIP = GELU_TABLE.size // 2
+
+
+def _softmax_table(q, s: float, axis: int = -1, out_bits: int = 16):
+    """:func:`i_softmax` with ``i_exp(q - max)`` gathered from ``EXP_TABLE``.
+
+    The table holds ``i_exp(-d)`` up to its last, zero entry, past which
+    ``i_exp`` stays 0, so ``EXP_TABLE[min(d, last)]`` is every exp.  Any
+    other scale runs the formula, and so does a row whose ``max - q``
+    wraps: there the formula's ``q - max`` is positive (``i_exp`` raises)
+    or ``INT64_MIN``.
+    """
+    if s != TABLE_SCALE:
+        return i_softmax(q, s, axis, out_bits)
+    q = np.asarray(q, dtype=np.int64)
+    d = np.subtract(q.max(axis=axis, keepdims=True), q, out=np.empty(q.shape, np.int64))
+    if d.size and d.min() < 0:
+        return i_softmax(q, s, axis, out_bits)
+    # Each exp lands on its own index: the gather may overwrite ``d``.
+    q_exp = EXP_TABLE.take(d, mode="clip", out=d)
+    total = q_exp.sum(axis=axis, keepdims=True)
+    np.multiply(q_exp, np.int64(2**out_bits), out=q_exp)
+    return np.floor_divide(q_exp, np.maximum(total, 1), out=q_exp), 2.0**-out_bits
+
+
+def _gelu_table(q, s: float):
+    """:func:`i_gelu` as ``q * GELU_TABLE[clip(q, -clip, clip) + clip]``.
+
+    Any other scale runs the formula, and so do the int64 extremes: an
+    ``INT64_MIN`` code (the one a NaN casts to) has no ``|q|``, and past
+    ``INT64_MAX - clip`` the index would wrap.
+    """
+    if s != TABLE_SCALE:
+        return i_gelu(q, s)
+    q = np.asarray(q, dtype=np.int64)
+    if q.size and (q.min() == _INT64.min or q.max() > _INT64.max - _GELU_CLIP):
+        return i_gelu(q, s)
+    index = np.add(q, _GELU_CLIP, out=np.empty(q.shape, np.int64))
+    g = GELU_TABLE.take(index, mode="clip", out=index)
+    return np.multiply(q, g, out=g), GELU_SCALE
+
+
+def _layernorm_f64(q, s: float, weight=None, bias=None, out_bits: int = 8):
+    """:func:`i_layernorm` with its per-row divide in float64.
+
+    For integers ``|a| < 2**53`` and ``b >= 1``, ``floor(a / b)`` in
+    float64 is exact: the quotient's rounding error, at most
+    ``|a/b| * 2**-53``, is smaller than the ``1/b`` gap from ``a/b`` to the
+    next integer.  So when ``max|centered| << out_bits < 2**53`` the
+    divide ``floor_divide(centered << out_bits, std)`` runs in float64, as
+    ``centered / (std / 2**out_bits)`` (an exact divisor, so the same
+    rounded quotient); otherwise the formula runs.  The affine fold's
+    ``floor_divide`` by ``2**out_bits`` is a right shift, identical on
+    int64.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    n = q.shape[-1]
+    mean = np.floor_divide(q.sum(axis=-1, keepdims=True), n)
+    centered = q - mean
+    # int64 sums wrap alike in any order: einsum's equals the formula's.
+    var = np.floor_divide(np.einsum("...i,...i->...", centered, centered)[..., None], n)
+    std = np.maximum(i_sqrt_f64(var), 1)
+    factor = np.int64(1) << out_bits
+    if factor <= 0 or (centered.size and _max_magnitude(centered) * int(factor) >= 1 << 53):
+        return i_layernorm(q, s, weight, bias, out_bits)
+    quotient = np.divide(centered, std / float(factor))
+    normalized = np.floor(quotient, out=quotient).astype(np.int64)
+    s_out = 2.0**-out_bits
+    if weight is not None:
+        q_w = np.rint(np.asarray(weight, dtype=np.float64) / s_out).astype(np.int64)
+        normalized = np.right_shift(normalized * q_w, out_bits)
+    if bias is not None:
+        normalized = normalized + np.rint(
+            np.asarray(bias, dtype=np.float64) / s_out
+        ).astype(np.int64)
+    return normalized, s_out
+
+
+KERNELS.register("sfu.softmax", i_softmax, _softmax_table)
+KERNELS.register("sfu.gelu", i_gelu, _gelu_table)
+KERNELS.register("sfu.layernorm", i_layernorm, _layernorm_f64)

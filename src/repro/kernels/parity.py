@@ -15,11 +15,17 @@ activation-encode ops take each params set as the
 :class:`~repro.backend.kernels.FusedEncoder` the int backend builds for a
 tap.  For those three quantizer ops the harness also enumerates, per
 params set and in float32 and float64, every input where the output can
-step (:func:`step_points`), and requires cases on both sides of their
-one-delta choice.  A pair passes a case when both implementations
-return results of equal dtype and shape and equal values, bit for bit
-(NaNs compared by position, zeros by sign), **or** both raise the same
-exception type with no output at all.
+step (:func:`step_points`).  For the integer SFUs it enumerates every
+index of the softmax and GELU tables plus :data:`TABLE_MARGIN` codes past
+each end, at the walk's scale and another, and every LayerNorm row of
+three small codes; their sampled cases add the walk's shapes, one-hot
+rows, int64 extremes (``INT64_MIN`` is the code a NaN casts to) and rows
+whose ``q - max`` wraps.  Every op with a choice inside its fast
+implementation (:data:`SIDES`) must have cases on both sides of it.  A
+pair passes a case when both implementations return results of equal
+dtype and shape and equal values, bit for bit (NaNs compared by
+position, zeros by sign; an SFU's codes and scale each), **or** both
+raise the same exception type with no output at all.
 
 Everything here is numpy-only and fully deterministic given ``seed`` —
 the CI ``kernel-parity`` job installs no hypothesis; the property-based
@@ -35,6 +41,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..backend.kernels import FusedEncoder
+from ..hw.int_sfu import TABLE_SCALE, exp_table, gelu_table
 from ..quant.params import QUQParams, SubrangeSpec
 from ..quant.qub import legalize_for_hardware
 from ..quant.quq import _fused_tables
@@ -46,7 +53,7 @@ __all__ = ["run_kernel_parity", "check_pair", "parity_cases", "fitted_params_poo
            "mode_params_pool", "step_points"]
 
 #: Report schema version (bump on breaking shape changes).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Bit-widths the parameter pool is fitted at.
 PARAM_BITS = (4, 6, 8)
@@ -57,6 +64,34 @@ STEP_ULPS = 3
 #: Names of the calibration distributions in the parameter pool.
 DISTRIBUTIONS = ("two_sided", "positive_softmax", "negative_one_sided",
                  "gelu_like", "heavy_tail", "outliers")
+
+#: The two sides of the choice each fast implementation makes inside
+#: itself: one-delta params or the four-slot route; a softmax/GELU scale
+#: with a table or without; a LayerNorm divide inside float64's exact
+#: window or not.  An op fails when its cases miss a side.
+SIDES = {
+    "quq.fake_quantize": ("one_delta", "four_slot"),
+    "qub.shifted": ("one_delta", "four_slot"),
+    "qub.store_load": ("one_delta", "four_slot"),
+    "sfu.softmax": ("table", "formula"),
+    "sfu.gelu": ("table", "formula"),
+    "sfu.layernorm": ("float64", "int64"),
+}
+
+#: SFU scales: the walk's softmax/GELU scale, which has tables, and one
+#: that has none.
+SFU_SCALES = (TABLE_SCALE, 2.0**-8)
+
+#: Codes enumerated past each end of an SFU table's domain.
+TABLE_MARGIN = 64
+
+#: SFU output widths: the walk's 16 (softmax) and 12 (LayerNorm), and 8.
+SFU_OUT_BITS = (8, 12, 16)
+
+#: Enumerated LayerNorm rows hold three codes in ``[-K, K]``.
+LAYERNORM_GRID = 16
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _calibration_tensor(rng: np.random.Generator, kind: str) -> np.ndarray:
@@ -219,15 +254,15 @@ def step_points(params: QUQParams, dtype: type) -> np.ndarray:
 class _Case:
     """One parity case: a label plus the positional/keyword arguments.
 
-    ``one_delta`` is the side of the quantizer kernels' one-delta choice
-    the case's params take (``None`` for the other ops); ``enumerated``
-    marks an input of :func:`step_points`.
+    ``side`` is the side of the op's :data:`SIDES` choice the case takes
+    (``None`` for an op without one); ``enumerated`` marks an input that
+    enumerates a domain: :func:`step_points`, or an SFU table's indices.
     """
 
     label: str
     args: tuple
     kwargs: dict
-    one_delta: bool | None = None
+    side: str | None = None
     enumerated: bool = False
 
 
@@ -237,12 +272,164 @@ def _quantizer_cases(
     """``floats``, then the step points of ``params`` in float32 and
     float64, each handed over with ``operand`` (``params`` itself, or the
     encoder built on them)."""
-    one_delta = _fused_tables(params).one_delta
+    side = "one_delta" if _fused_tables(params).one_delta else "four_slot"
     for name, x in floats:
-        yield _Case(f"{prefix}/{name}", (x, operand), {}, one_delta)
+        yield _Case(f"{prefix}/{name}", (x, operand), {}, side)
     for dtype in (np.float32, np.float64):
         x = step_points(params, dtype)
-        yield _Case(f"{prefix}/steps_{x.dtype}", (x, operand), {}, one_delta, enumerated=True)
+        yield _Case(f"{prefix}/steps_{x.dtype}", (x, operand), {}, side, enumerated=True)
+
+
+# ---------------------------------------------------------------------------
+# sfu.* cases
+# ---------------------------------------------------------------------------
+
+def _layernorm_side(q: np.ndarray, out_bits: int) -> str | None:
+    """``float64`` when ``max|centered| << out_bits < 2**53`` (the divide is
+    exact in float64), else ``int64``; ``None`` for a 0-d ``q``, which
+    has no rows."""
+    if q.ndim == 0:
+        return None
+    with np.errstate(divide="ignore"):  # a zero-width row divides by 0
+        centered = q - np.floor_divide(q.sum(axis=-1, keepdims=True), q.shape[-1])
+    if not 0 <= out_bits < 63:
+        return "int64"
+    inside = centered.size == 0 or (
+        max(-int(centered.min()), int(centered.max())) << out_bits) < 1 << 53
+    return "float64" if inside else "int64"
+
+
+def _sfu_case(op: str, label: str, q, s: float, enumerated: bool = False, **kwargs) -> _Case:
+    """A case calling ``op`` on int64 codes ``q`` at scale ``s``, with the
+    side of its fast implementation's choice it takes."""
+    q = np.asarray(q, dtype=np.int64)
+    if op == "sfu.layernorm":
+        side = _layernorm_side(q, kwargs.get("out_bits", 8))
+    else:
+        side = "table" if s == TABLE_SCALE else "formula"
+    return _Case(label, (q, s), kwargs, side, enumerated)
+
+
+def _scale_tag(s: float) -> str:
+    return f"s2^{int(np.log2(s))}"
+
+
+def _softmax_cases(rng: np.random.Generator, cases: int) -> Iterable[_Case]:
+    """Per scale: rows ``[0, -d]`` for every exp-table index ``d`` and
+    :data:`TABLE_MARGIN` past its end, along either axis (at 30 output
+    bits each exp moves the codes), then sampled and edge rows."""
+    op = "sfu.softmax"
+    lo, hi = _INT64.min, _INT64.max
+    for s in SFU_SCALES:
+        tag = _scale_tag(s)
+        d = np.arange(exp_table(s).size + TABLE_MARGIN)
+        rows = np.stack([np.zeros_like(d), -d], axis=-1)
+        for out_bits in SFU_OUT_BITS + (30,):
+            yield _sfu_case(op, f"{tag}/table_rows_{out_bits}", rows, s, enumerated=True,
+                            out_bits=out_bits)
+            yield _sfu_case(op, f"{tag}/table_cols_{out_bits}", rows.T, s, enumerated=True,
+                            axis=0, out_bits=out_bits)
+        yield _sfu_case(op, f"{tag}/table_rows_offset", rows + (1 << 40), s, enumerated=True)
+        for index in range(cases):
+            # The walk's attention shape; a trained model's rows span
+            # tens of thousands of codes, so some spreads are wide.
+            spread = 2.0 * 6.0 ** (index % 3)
+            q = np.rint(rng.normal(0.0, spread, size=(2, 2, 17, 17)) / s)
+            yield _sfu_case(op, f"{tag}/scores_{index}", q, s,
+                            axis=-1 if index % 2 == 0 else 1,
+                            out_bits=SFU_OUT_BITS[index % len(SFU_OUT_BITS)])
+        edges = {
+            # Every other entry underflows: probability 1.0, code 2**out_bits.
+            "one_hot": ([[0, -20000, -30000]], {}),
+            "one_element_8": ([[5], [-7]], {"out_bits": 8}),
+            "zero_size_rows": (np.zeros((3, 0)), {}),
+            "no_rows": (np.zeros((0, 4)), {}),
+            "zero_dim": (np.array(3), {}),
+            "whole_tensor": (rng.integers(-4000, 4000, size=(3, 5)), {"axis": None}),
+            # q - max is INT64_MIN: the formula reads a wrapped code.
+            "nan_code_row": ([[lo, 0, 0], [0, 1, 2]], {}),
+            # q - max wraps positive: the formula raises.
+            "wrapped_row": ([[lo, 5]], {}),
+            "int64_span": ([[hi, lo]], {}),
+            "int64_max_row": ([[hi, hi - 1, hi - 40000]], {}),
+            "int64_min_row": ([[lo, lo + 1, lo + 700]], {}),
+        }
+        for name, (q, kwargs) in edges.items():
+            yield _sfu_case(op, f"{tag}/{name}", q, s, **kwargs)
+
+
+def _gelu_cases(rng: np.random.Generator, cases: int) -> Iterable[_Case]:
+    """Per scale: every code of the factor table's ``[-clip, clip]`` and
+    :data:`TABLE_MARGIN` past each end, then sampled and edge codes."""
+    op = "sfu.gelu"
+    lo, hi = _INT64.min, _INT64.max
+    for s in SFU_SCALES:
+        tag = _scale_tag(s)
+        clip = gelu_table(s)[0].size // 2
+        q = np.arange(-clip - TABLE_MARGIN, clip + TABLE_MARGIN + 1)
+        yield _sfu_case(op, f"{tag}/table", q, s, enumerated=True)
+        for index in range(cases):
+            hidden = rng.normal(0.0, 1.5 * 2.0 ** (index % 3), size=(2, 17, 128))
+            yield _sfu_case(op, f"{tag}/hidden_{index}", np.rint(hidden / s), s)
+        edges = {
+            "wide": rng.integers(-(1 << 40), 1 << 40, size=64),
+            "zero_size": np.zeros((3, 0)),
+            "zero_dim": np.array(-7),
+            # INT64_MIN has no |q|; past INT64_MAX - clip the index wraps.
+            "int64_extremes": [lo, lo + 1, -1, 0, 1, hi - clip, hi],
+            "nan_code": [lo],
+            "int64_max": [lo + 1, hi - clip, hi - clip + 1],
+            "table_edges": [lo + 1, -clip - 1, clip + 1, hi - clip],
+        }
+        for name, q in edges.items():
+            yield _sfu_case(op, f"{tag}/{name}", q, s)
+
+
+def _layernorm_cases(rng: np.random.Generator, cases: int) -> Iterable[_Case]:
+    """Every row of three codes in ``[-K, K]`` per output width, the walk's
+    token shapes with and without the affine fold, rows on both sides of
+    float64's exact window, and int64 extremes."""
+    op = "sfu.layernorm"
+    s = 2.0**-14  # the walk's LayerNorm scale; the op has no table
+    lo, hi = _INT64.min, _INT64.max
+    axis = np.arange(-LAYERNORM_GRID, LAYERNORM_GRID + 1)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    for out_bits in SFU_OUT_BITS:
+        yield _sfu_case(op, f"grid_{out_bits}", grid, s, enumerated=True, out_bits=out_bits)
+        for index in range(cases):
+            tokens = rng.normal(0.5, 1.0 * 4.0 ** (index % 3), size=(2, 17, 32))
+            affine = {} if index % 2 else {
+                "weight": rng.normal(1.0, 0.1, size=32), "bias": rng.normal(0.0, 0.1, size=32)}
+            yield _sfu_case(op, f"tokens_{out_bits}_{index}", np.rint(tokens / s), s,
+                            out_bits=out_bits, **affine)
+    # Past the window without a wrapped variance: |centered| near 2**29
+    # at 24 output bits, its edge at exactly 2**53, and wide rows.
+    edge = 1 << 29
+    windows = {
+        "inside_edge_24": ([[edge - 1, -(edge - 1)]], 24),
+        "outside_edge_24": ([[edge, -edge]], 24),
+        "wide_24": (rng.integers(-(1 << 30), 1 << 30, size=(6, 16)), 24),
+        "wide_30": (rng.integers(-(1 << 28), 1 << 28, size=(6, 16)), 30),
+        "inside_24": (rng.integers(-(1 << 27), 1 << 27, size=(6, 16)), 24),
+        # No factor: 2**63 wraps to INT64_MIN, and a shift past 63 is 0.
+        "out_bits_63": ([[1, 2, 3, 4]], 63),
+        "out_bits_64": ([[1, 2, 3, 4]], 64),
+        # Wrapped variances: the formula's square root raises on a
+        # negative one and reads a wrapped code otherwise.
+        "nan_code_rows": ([[lo, 0, 0, 0], [0, 1, 2, 3]], 12),
+        "int64_extremes": ([[hi, lo, 0, 1]], 12),
+        "wrapped_variance": ([[1 << 33, -(1 << 33), 0, 0]], 12),
+        "negative_variance": ([[(1 << 31) + 1, -(1 << 31) - 1, 0, 0]], 12),
+        "int64_max_row": ([[hi, hi, hi, hi - 1]], 12),
+    }
+    for name, (q, out_bits) in windows.items():
+        yield _sfu_case(op, name, q, s, out_bits=out_bits)
+    for name, q in {"one_column": np.arange(5)[:, None], "constant_rows": np.full((3, 4), 9),
+                    "zero_size": np.zeros((3, 0)), "zero_dim": np.array(4)}.items():
+        yield _sfu_case(op, name, q, s, out_bits=12)
+    yield _sfu_case(op, "affine_wide_24", rng.integers(-(1 << 30), 1 << 30, size=(3, 4)), s,
+                    weight=rng.normal(1.0, 0.1, size=4), bias=rng.normal(0.0, 0.1, size=4),
+                    out_bits=24)
 
 
 def parity_cases(
@@ -302,6 +489,12 @@ def parity_cases(
             yield _Case(f"random_{index}", (x, w), {})
         return
 
+    sfu = {"sfu.softmax": _softmax_cases, "sfu.gelu": _gelu_cases,
+           "sfu.layernorm": _layernorm_cases}.get(op)
+    if sfu is not None:
+        yield from sfu(rng, cases)
+        return
+
     raise ValueError(f"no parity case generator for op {op!r}")
 
 
@@ -311,7 +504,10 @@ def parity_cases(
 
 def _outcome(fn: Callable, case: _Case):
     try:
-        return fn(*case.args, **case.kwargs), None
+        # Degenerate SFU cases (zero-width rows, wrapped codes) divide by
+        # zero alike on both sides; only results and exception types count.
+        with np.errstate(all="ignore"):
+            return fn(*case.args, **case.kwargs), None
     except Exception as error:  # noqa: BLE001 — compared by type below
         return None, error
 
@@ -347,6 +543,14 @@ def _check_case(pair: KernelPair, case: _Case) -> str | None:
                 f"{type(ref_error).__name__}, fast {type(fast_error).__name__}"
             )
         return None
+    if isinstance(ref_result, tuple):  # an SFU's (codes, scale)
+        if not isinstance(fast_result, tuple) or len(fast_result) != len(ref_result):
+            return "result structures differ"
+        for name, a, b in zip(("codes", "scale"), ref_result, fast_result):
+            problem = _mismatch(a, b)
+            if problem is not None:
+                return f"{name}: {problem}"
+        return None
     return _mismatch(ref_result, fast_result)
 
 
@@ -357,29 +561,29 @@ def _check_case(pair: KernelPair, case: _Case) -> str | None:
 def check_pair(pair: KernelPair, seed: int = 0, cases: int = 8) -> dict:
     """Drive one pair over its op's case list; the report's per-op entry.
 
-    ``enumerated_points`` counts the elements of the :func:`step_points`
-    cases.  A quantizer op's entry also counts its cases on each side of
-    the one-delta choice (``sides``), and fails when a side has none.
+    ``enumerated_points`` counts the elements of the enumerating cases
+    (:func:`step_points`, the SFU tables' indices, the LayerNorm grid).
+    The entry of an op in :data:`SIDES` also counts its cases on each side
+    of its choice (``sides``), and fails when a side has none.
     """
     mismatches = []
     checked = points = 0
-    sides = {"one_delta": 0, "four_slot": 0}
+    sides = dict.fromkeys(SIDES.get(pair.op, ()), 0)
     for case in parity_cases(pair.op, seed=seed, cases=cases):
         checked += 1
         if case.enumerated:
             points += case.args[0].size
-        if case.one_delta is not None:
-            sides["one_delta" if case.one_delta else "four_slot"] += 1
+        if case.side is not None:
+            sides[case.side] += 1
         problem = _check_case(pair, case)
         if problem is not None:
-            mismatches.append({"case": case.label, "problem": problem,
-                               "one_delta": case.one_delta})
+            mismatches.append({"case": case.label, "problem": problem, "side": case.side})
     entry = {"cases": checked, "enumerated_points": points}
-    if any(sides.values()):
+    if sides:
         entry["sides"] = sides
         mismatches += [
-            {"case": side, "problem": "no case on this side of the one-delta choice",
-             "one_delta": side == "one_delta"}
+            {"case": side, "problem": f"no case on this side of the {' / '.join(sides)} choice",
+             "side": side}
             for side, count in sides.items() if not count
         ]
     return {**entry, "mismatches": mismatches, "passed": not mismatches}
@@ -389,7 +593,7 @@ def run_kernel_parity(seed: int = 0, cases: int = 8) -> dict:
     """Drive every registered pair over its case list; JSON-able report.
 
     ``ops`` holds one entry per pair (:func:`check_pair`), with its case
-    count and enumerated step points.  The report's
+    count, enumerated points and side counts.  The report's
     ``passed`` is True iff every pair agreed on every case; ``source``
     marks it as coming from the registry harness.
     """

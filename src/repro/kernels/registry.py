@@ -1,14 +1,15 @@
 """The kernel registry: one (reference, fast) pair per op.
 
 Fast kernels — the in-place QUQ fake-quantize pass, the int backend's
-in-place activation encoders, the vectorized bit packer and the BLAS
-integer GEMM — each need an independent reference to be checked
-against.  This module makes the pairing a structure: every op name
-(``quq.fake_quantize``, ``qub.shifted``, ``gemm.int``, ``sfu.softmax``,
-...) maps to one :class:`KernelPair` of a required **reference**
-implementation and at most one **fast** one.  An op with one
-implementation registers it as the reference alone, so its calls still
-dispatch and count through the registry; a second fast implementation
+in-place activation encoders, the vectorized bit packer, the BLAS
+integer GEMM and the integer SFUs' table gathers and exact divide — each
+need an independent reference to be checked against.  This module makes
+the pairing a structure: every op name (``quq.fake_quantize``,
+``qub.shifted``, ``gemm.int``, ``sfu.softmax``, ...) maps to one
+:class:`KernelPair` of a required **reference** implementation and at
+most one **fast** one.  An op with one implementation would register it
+as the reference alone, so its calls still dispatch and count through
+the registry; every built-in op has both.  A second fast implementation
 of an op cannot be registered at all.
 
 Dispatch

@@ -161,7 +161,8 @@ def save_quantizer_states(
     header: dict | None = None,
     arrays: dict[str, np.ndarray] | None = None,
 ) -> Path:
-    """Write fitted quantizers (tap -> quantizer) to an ``.npz`` at ``path``.
+    """Write fitted quantizers (tap -> quantizer) as an ``.npz`` archive to
+    ``path`` itself, whatever its suffix.
 
     ``header`` carries caller context (method/bits/coverage for the PTQ
     pipeline) and is returned verbatim by :func:`load_quantizer_states`.
@@ -183,7 +184,9 @@ def save_quantizer_states(
     record["checksum"] = _payload_checksum(payload, record)
     payload["__meta__"] = np.array(json.dumps(record))
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **payload)
+    # Through an open file: given a bare path, np.savez appends ".npz".
+    with open(path, "wb") as handle:
+        np.savez(handle, **payload)
     return path
 
 

@@ -1,13 +1,16 @@
 """Regenerate ``int_sfu_golden.npz``, the integer-SFU golden-output fixture.
 
-Run from the repo root with the *current* (trusted) implementation::
+Run from the repo root with the *current* (trusted) formula::
 
     PYTHONPATH=src python tests/data/make_int_sfu_golden.py
 
 Each case stores the int64 input codes the walk would hand an SFU, the
-keyword arguments, and the ``(codes, scale)`` the kernel returned.
+keyword arguments, and the ``(codes, scale)`` the op's reference
+implementation returned: the I-BERT formula of ``repro.hw.int_sfu``,
+through ``get_kernel(op, prefer="reference")``.
 ``tests/test_hw_int_sfu.py::TestGoldenCodes`` replays every case through
-``get_kernel`` and requires identical codes and scales.  The inputs are
+both implementations, reference and fast, and requires identical codes
+and scales.  The inputs are
 seeded tensors of the tiny ViT's shapes (2 images, 17 tokens, width 32,
 2 heads, MLP width 128) at the walk's SFU scales, plus the edge cases the
 serving shapes rarely reach: GELU's +/-12.0 saturation inputs, and a
@@ -73,7 +76,7 @@ def build() -> dict[str, np.ndarray]:
     for name, case in inputs().items():
         op, scale, kwargs = CASES[name]
         affine = {key: value for key, value in case.items() if key != "q"}
-        q_out, s_out = get_kernel(op)(case["q"], scale, **kwargs, **affine)
+        q_out, s_out = get_kernel(op, prefer="reference")(case["q"], scale, **kwargs, **affine)
         arrays.update({f"{name}:{key}": value for key, value in case.items()})
         arrays[f"{name}:q_out"] = np.asarray(q_out, dtype=np.int64)
         arrays[f"{name}:s_out"] = np.float64(s_out)

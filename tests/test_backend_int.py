@@ -76,9 +76,11 @@ class TestIntNativeBackend:
 
     def test_reference_kernels_bit_identical(self, quantized, monkeypatch):
         """Default (fast) kernels, REPRO_KERNELS=reference and the executor
-        give the same logits to the last bit."""
+        give the same logits to the last bit; the counters show that each
+        run took its own SFU implementations."""
         from repro.kernels import KERNELS
 
+        sfus = ("sfu.softmax", "sfu.gelu", "sfu.layernorm")
         model, pipeline, images = quantized
         executor = ModelExecutor(model, pipeline, bits=8, integer_sfu=True)
         expected = executor.run(images)
@@ -86,9 +88,16 @@ class TestIntNativeBackend:
         KERNELS.reset_counters()
         fast = IntNativeBackend(model, pipeline, integer_sfu=True).predict(images)
         assert KERNELS.counters.get("qub.store_load:fast", 0) > 0
+        for op in sfus:
+            assert KERNELS.counters.get(f"{op}:fast", 0) > 0, op
+            assert KERNELS.counters.get(f"{op}:reference", 0) == 0, op
+        KERNELS.reset_counters()
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         reference = IntNativeBackend(model, pipeline, integer_sfu=True).predict(images)
         assert KERNELS.counters.get("qub.shifted:reference", 0) > 0
+        for op in sfus:
+            assert KERNELS.counters.get(f"{op}:reference", 0) > 0, op
+            assert KERNELS.counters.get(f"{op}:fast", 0) == 0, op
         assert fast.tobytes() == reference.tobytes() == expected.tobytes()
 
     # The float fake-quant forward is the walk's independent oracle: the
@@ -327,8 +336,8 @@ class TestIndependentEncoder:
         for op in ("quq.fake_quantize", "qub.shifted", "qub.store_load"):
             # The scaled deltas reach the scalar branch as well as the
             # four-slot route.
-            sides = {m["one_delta"] for m in report["ops"][op]["mismatches"]}
-            assert sides == {True, False}, op
+            sides = {m["side"] for m in report["ops"][op]["mismatches"]}
+            assert sides == {"one_delta", "four_slot"}, op
         for bits, (model, pipeline, images) in corrupted.items():
             for integer_sfu in (False, True):
                 backend = IntNativeBackend(model, pipeline, integer_sfu=integer_sfu)

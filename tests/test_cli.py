@@ -244,7 +244,7 @@ class TestKernelParityCommand:
         assert lines[-1].startswith(f"kernel parity: {len(ops)} pairs, ")
         assert lines[-1].endswith(" cases, 0 failures -> PASS")
         report = json.loads(output.read_text())
-        assert report["passed"] and report["schema_version"] == 2
+        assert report["passed"] and report["schema_version"] == 3
         assert sorted(report["ops"]) == ops
 
     def test_mismatch_exits_nonzero(self, capsys, tmp_path, monkeypatch):

@@ -128,8 +128,9 @@ class TestILayerNorm:
 class TestGoldenCodes:
     """Replays tests/data/int_sfu_golden.npz through the registry: the int
     backend and hw.executor share these kernels, so a changed output code
-    moves both alike and their bit-exactness cannot catch it.  The
-    fixture's cases and their edge inputs are listed in
+    moves both alike and their bit-exactness cannot catch it.  The formula
+    (each op's reference) minted the fixture, and both implementations
+    replay it.  The fixture's cases and their edge inputs are listed in
     tests/data/make_int_sfu_golden.py."""
 
     def test_codes_and_scales_unchanged(self):
@@ -142,6 +143,66 @@ class TestGoldenCodes:
                 for key in ("weight", "bias")
                 if f"{name}:{key}" in golden.files
             }
-            q_out, s_out = get_kernel(op)(golden[f"{name}:q"], scale, **kwargs, **affine)
-            np.testing.assert_array_equal(q_out, golden[f"{name}:q_out"], err_msg=name)
-            assert s_out == golden[f"{name}:s_out"], name
+            for prefer in ("reference", "fast"):
+                kernel = get_kernel(op, prefer=prefer)
+                q_out, s_out = kernel(golden[f"{name}:q"], scale, **kwargs, **affine)
+                label = f"{name} ({prefer})"
+                np.testing.assert_array_equal(q_out, golden[f"{name}:q_out"], err_msg=label)
+                assert s_out == golden[f"{name}:s_out"], label
+
+    def test_fixture_is_the_formula(self):
+        """Regenerating the fixture reproduces it: the build goes through
+        the reference implementation."""
+        golden = np.load(DATA / "int_sfu_golden.npz")
+        built = runpy.run_path(str(DATA / "make_int_sfu_golden.py"))["build"]()
+        assert set(built) == set(golden.files)
+        for key, value in built.items():
+            np.testing.assert_array_equal(value, golden[key], err_msg=key)
+
+
+class TestTables:
+    """The constants the fast softmax and GELU gather from."""
+
+    def test_exp_table_ends_at_its_first_certain_zero(self):
+        from repro.hw.int_sfu import EXP_TABLE, TABLE_SCALE, exp_table
+
+        # 22-bit polynomial, q_ln2 = 709 at 2**-10: 22 * 709 + 1 entries.
+        assert EXP_TABLE.size == 22 * 709 + 1 and EXP_TABLE[-1] == 0
+        np.testing.assert_array_equal(EXP_TABLE, exp_table(TABLE_SCALE))
+        beyond = -np.array([EXP_TABLE.size, 10**6, 2**40, 2**62])
+        assert not i_exp(beyond, TABLE_SCALE)[0].any()
+
+    @pytest.mark.parametrize("scale", [2.0**-8, 2.0**-10, 2.0**-12, 0.003])
+    def test_tables_equal_the_formula_past_their_ends(self, scale):
+        from repro.hw.int_sfu import exp_table, gelu_table
+
+        table = exp_table(scale)
+        d = np.arange(table.size + 64)
+        np.testing.assert_array_equal(
+            table[np.minimum(d, table.size - 1)], i_exp(-d, scale)[0])
+        factors, s_out = gelu_table(scale)
+        clip = factors.size // 2
+        q = np.arange(-clip - 64, clip + 65)
+        q_out, s_ref = i_gelu(q, scale)
+        np.testing.assert_array_equal(q * factors[np.clip(q, -clip, clip) + clip], q_out)
+        assert s_out == s_ref
+
+    def test_tables_are_read_only(self):
+        from repro.hw.int_sfu import EXP_TABLE, GELU_TABLE
+
+        for table in (EXP_TABLE, GELU_TABLE):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+class TestProbabilityOne:
+    """A row whose other entries all underflow returns 2**out_bits, one
+    more than out_bits can hold: the code of probability 1.0."""
+
+    @pytest.mark.parametrize("prefer", ["reference", "fast"])
+    def test_one_hot_row_reaches_two_to_the_out_bits(self, prefer):
+        softmax = get_kernel("sfu.softmax", prefer=prefer)
+        q_out, s_out = softmax(np.array([[0, -20000, -30000]]), 2.0**-10)
+        assert q_out.tolist() == [[65536, 0, 0]] and s_out == 2.0**-16
+        q_out, _ = softmax(np.array([[5], [-7]]), 2.0**-10, out_bits=8)
+        assert q_out.tolist() == [[256], [256]]

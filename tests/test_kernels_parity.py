@@ -4,9 +4,9 @@ The deterministic harness (``repro.kernels.parity``) runs the same pairs
 in CI environments without hypothesis; this suite fuzzes deeper — float
 strategies with NaN/±inf/denormals enabled, random shapes including
 zero-size, all bit-widths — and pins that the deterministic harness
-itself passes and stays deterministic.  The ``sfu.*`` ops have one
-implementation each, so they are fuzzed against the scalar evaluation in
-``tests/test_backend_sfu.py``, and their float64 root against Newton's.
+itself passes and stays deterministic.  Both implementations of each
+``sfu.*`` op are also fuzzed against the scalar evaluation in
+``tests/test_backend_sfu.py``, and the float64 root against Newton's.
 """
 
 from types import SimpleNamespace
@@ -200,26 +200,28 @@ class TestIntOpPairs:
     @settings(max_examples=20, deadline=None)
     @given(
         rows=st.integers(1, 4), cols=st.integers(1, 16),
-        seed=st.integers(0, 2**16),
+        spread=st.sampled_from([1 << 12, 1 << 15]), seed=st.integers(0, 2**16),
     )
-    def test_softmax(self, out_bits, rows, cols, seed):
+    def test_softmax(self, out_bits, rows, cols, spread, seed):
+        # 1 << 15 spreads rows past the exp table's last, zero entry.
         rng = np.random.default_rng(seed)
-        q = rng.integers(-(1 << 12), 1 << 12, size=(rows, cols))
-        fast_q, fast_s = get_kernel("sfu.softmax")(q, 2.0**-10, out_bits=out_bits)
-        np.testing.assert_array_equal(
-            fast_q, scalar_softmax(q, 2.0**-10, out_bits=out_bits)
-        )
-        assert fast_s == 2.0**-out_bits
+        q = rng.integers(-spread, spread, size=(rows, cols))
+        expected = scalar_softmax(q, 2.0**-10, out_bits=out_bits)
+        for prefer in ("reference", "fast"):
+            q_out, s_out = get_kernel("sfu.softmax", prefer)(q, 2.0**-10, out_bits=out_bits)
+            np.testing.assert_array_equal(q_out, expected, err_msg=prefer)
+            assert s_out == 2.0**-out_bits
 
     @settings(max_examples=20, deadline=None)
     @given(size=st.integers(0, 48), seed=st.integers(0, 2**16))
     def test_gelu(self, size, seed):
         rng = np.random.default_rng(seed)
         q = rng.integers(-(1 << 12), 1 << 12, size=size)
-        fast_q, fast_s = get_kernel("sfu.gelu")(q, 2.0**-10)
         ref_q, ref_s = elementwise(scalar_gelu, q, 2.0**-10)
-        np.testing.assert_array_equal(fast_q, ref_q)
-        assert fast_s == ref_s
+        for prefer in ("reference", "fast"):
+            q_out, s_out = get_kernel("sfu.gelu", prefer)(q, 2.0**-10)
+            np.testing.assert_array_equal(q_out, ref_q, err_msg=prefer)
+            assert s_out == ref_s
 
     @pytest.mark.parametrize("affine", [False, True])
     @settings(max_examples=20, deadline=None)
@@ -234,9 +236,11 @@ class TestIntOpPairs:
         if affine:
             kwargs["weight"] = rng.normal(1.0, 0.1, size=cols)
             kwargs["bias"] = rng.normal(0.0, 0.1, size=cols)
-        fast_q, fast_s = get_kernel("sfu.layernorm")(q, 2.0**-14, **kwargs)
-        np.testing.assert_array_equal(fast_q, scalar_layernorm(q, **kwargs))
-        assert fast_s == 2.0**-12
+        expected = scalar_layernorm(q, **kwargs)
+        for prefer in ("reference", "fast"):
+            q_out, s_out = get_kernel("sfu.layernorm", prefer)(q, 2.0**-14, **kwargs)
+            np.testing.assert_array_equal(q_out, expected, err_msg=prefer)
+            assert s_out == 2.0**-12
 
 
 class TestActivationKernelsReadOnly:
@@ -271,9 +275,10 @@ class TestActivationKernelsReadOnly:
 
 
 QUANTIZER_OPS = ("quq.fake_quantize",) + ACTIVATION_OPS
+SFU_OPS = ("sfu.softmax", "sfu.gelu", "sfu.layernorm")
 
 
-def _quantizer_pair(op):
+def _pair(op):
     (pair,) = [pair for pair in kernel_pairs() if pair.op == op]
     return pair
 
@@ -289,12 +294,59 @@ class TestHarness:
             entry = report["ops"][op]
             assert entry["enumerated_points"] > 10_000, op
             assert min(entry["sides"].values()) > 0, op
+        # Every table index and 64 codes past each end, at least once.
+        from repro.hw.int_sfu import EXP_TABLE, GELU_TABLE
+
+        domains = {"sfu.softmax": EXP_TABLE.size + 64, "sfu.gelu": GELU_TABLE.size + 128,
+                   "sfu.layernorm": 3 * 33**3}
+        for op, domain in domains.items():
+            entry = report["ops"][op]
+            assert entry["enumerated_points"] >= domain, op
+            assert min(entry["sides"].values()) > 0, op
+
+    @pytest.mark.parametrize("op,table", [("sfu.softmax", "EXP_TABLE"),
+                                          ("sfu.gelu", "GELU_TABLE")])
+    def test_enumeration_catches_one_table_entry_off_by_one(self, op, table, monkeypatch):
+        """Each table index reaches an enumerated case's codes: one entry
+        moved by one fails them, and no case at another scale."""
+        import repro.kernels.ops as ops
+
+        for index in (0, 1000, getattr(ops, table).size - 1):
+            bad = getattr(ops, table).copy()
+            bad[index] += 1
+            monkeypatch.setattr(ops, table, bad)
+            entry = check_pair(_pair(op), cases=0)
+            caught = {m["case"] for m in entry["mismatches"]}
+            assert any(label.startswith("s2^-10/table") for label in caught), index
+            assert not any(label.startswith("s2^-8/") for label in caught), index
+
+    def test_enumeration_catches_a_layernorm_divide_without_its_window(self, monkeypatch):
+        """A float64 divide taken past 2**53 rounds some quotients to the
+        wrong integer: the cases outside the window catch it."""
+        import repro.kernels.ops as ops
+
+        monkeypatch.setattr(ops, "_max_magnitude", lambda a: 0)
+        entry = check_pair(_pair("sfu.layernorm"), cases=0)
+        assert entry["mismatches"]
+        assert {m["side"] for m in entry["mismatches"]} == {"int64"}
+
+    @pytest.mark.parametrize("op,missing", [
+        ("sfu.softmax", "formula"), ("sfu.gelu", "formula"), ("sfu.layernorm", "int64"),
+    ])
+    def test_an_sfu_without_cases_on_a_side_fails(self, op, missing, monkeypatch):
+        import repro.kernels.parity as parity
+
+        monkeypatch.setattr(parity, "SFU_SCALES", (parity.TABLE_SCALE,))
+        monkeypatch.setattr(parity, "_layernorm_side", lambda q, out_bits: "float64")
+        entry = check_pair(_pair(op), cases=0)
+        assert not entry["passed"] and entry["sides"][missing] == 0
+        assert [m["case"] for m in entry["mismatches"]] == [missing]
 
     @pytest.mark.parametrize("op", QUANTIZER_OPS)
     def test_enumeration_catches_a_step_moved_by_an_ulp(self, op):
         """A fast implementation whose every step sits one float64 ulp low
         fails every float64 step-point case, one per params set."""
-        pair = _quantizer_pair(op)
+        pair = _pair(op)
 
         def one_ulp_low(x, operand):
             with np.errstate(over="ignore"):  # -inf moves to the largest finite
@@ -331,7 +383,7 @@ class TestHarness:
         monkeypatch.setattr(quq, "_fused_tables", deltas_only)
         monkeypatch.setattr(repro.backend.kernels, "_fused_tables", deltas_only)
         try:
-            entry = check_pair(_quantizer_pair(op), cases=0)
+            entry = check_pair(_pair(op), cases=0)
         finally:
             monkeypatch.undo()
             quq._TABLES.clear()
@@ -349,7 +401,7 @@ class TestHarness:
         monkeypatch.setattr(parity, "fitted_params_pool", lambda seed: [])
         monkeypatch.setattr(parity, "_raw_params_pool", lambda seed: [])
         monkeypatch.setattr(parity, "mode_params_pool", lambda: four_slot)
-        entry = check_pair(_quantizer_pair("quq.fake_quantize"), cases=0)
+        entry = check_pair(_pair("quq.fake_quantize"), cases=0)
         assert not entry["passed"]
         assert entry["sides"]["one_delta"] == 0 and entry["sides"]["four_slot"] > 0
         assert [m["case"] for m in entry["mismatches"]] == ["one_delta"]

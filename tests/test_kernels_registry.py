@@ -120,16 +120,17 @@ class TestBuiltinRegistry:
         pairs = {pair.op for pair in kernel_pairs()}
         assert pairs == {
             "quq.fake_quantize", "qub.shifted", "qub.store_load", "qub.pack", "gemm.int",
+            "sfu.softmax", "sfu.gelu", "sfu.layernorm",
         }
-        # The SFUs have one implementation each: registered, no pair.
-        assert set(KERNELS.ops()) == pairs | {"sfu.softmax", "sfu.gelu", "sfu.layernorm"}
+        # Every registered op has a pair: none runs one implementation only.
+        assert set(KERNELS.ops()) == pairs
 
     def test_selected_fast_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         selected = active_kernels()
-        assert selected["quq.fake_quantize"] == "fast"
-        assert selected["gemm.int"] == "fast"
-        assert selected["sfu.softmax"] == "reference"
+        assert set(selected.values()) == {"fast"}
+        assert selected["quq.fake_quantize"] == selected["gemm.int"] == "fast"
+        assert selected["sfu.softmax"] == selected["sfu.layernorm"] == "fast"
 
     def test_env_pin_typo_is_reported(self, monkeypatch):
         """A stale per-op pin fails loudly instead of leaving the op on its

@@ -91,6 +91,16 @@ class TestExport:
         assert summary["reduction"] > 4.5
         assert summary["packed_weight_bytes"] < summary["float_weight_bytes"]
 
+    def test_saves_to_the_path_given(self, quq_pipeline, tiny_trained, tmp_path):
+        """A path without the ``.npz`` suffix is written as given, not with
+        the suffix appended."""
+        store = PackedWeightStore.from_pipeline(tiny_trained, quq_pipeline, 6)
+        path = store.save(quq_pipeline, tmp_path / "model.bin")
+        assert path == tmp_path / "model.bin" and path.exists()
+        assert not (tmp_path / "model.bin.npz").exists()
+        loaded = PackedWeightStore.load(path)[2]
+        assert [w.buffer.tobytes() for w in loaded] == [w.buffer.tobytes() for w in store]
+
     def test_flipped_bitstream_bit_is_rejected(self, exported):
         store, path = exported
         with np.load(path) as archive:
