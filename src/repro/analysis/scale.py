@@ -70,6 +70,15 @@ __all__ = [
 #: recovery fields, and recorded-trace replay.
 SCHEMA_VERSION = 2
 
+#: The p99.9 client latency bound, in multiples of the lane timeout.
+P999_BOUND_TIMEOUTS = 2.0
+#: Each tenant's admitted share must stay within this factor of its weight.
+FAIRNESS_RATIO = 2.0
+#: Seconds between the kills of a crash burst.
+CRASH_BURST_GAP_S = 0.2
+#: Ceiling on the interactive band's deadline-miss rate.
+DEADLINE_MISS_BOUND = 0.01
+
 
 @dataclass
 class ScaleBenchConfig:
@@ -82,41 +91,31 @@ class ScaleBenchConfig:
     # flash-window metadata when set, but arrivals come from here.
     trace_events: list[TraceEvent] | None = None
     availability_floor: float = 0.99  # of admitted requests
-    p999_bound_ms: float | None = None  # None: 2x the lane timeout
-    fairness_ratio: float = 2.0  # admitted share within this factor of weight
     kill_shard_at: float | None = 0.5  # trace fraction; None disables the kill
     # Crash burst: repeated SIGKILLs of the same spec starting at this
     # trace fraction, to drive the autoscaler's crash-loop quarantine.
     crash_burst_at: float | None = None
     crash_burst_kills: int = 3
-    crash_burst_gap_s: float = 0.2
     watchdog_every: int = 25  # sweep idle-crashed shards every N arrivals
     settle_s: float = 10.0  # drain budget after the last arrival
     # Elastic control plane (None = static shard pool, the v1 behavior).
     autoscale: AutoscalePolicy | None = None
     tick_every: int = 8  # autoscaler tick cadence, in arrivals
     secondary_spec: str | None = None  # idle lane that can lend capacity
-    deadline_miss_bound: float = 0.01  # interactive-band miss-rate ceiling
 
     def __post_init__(self):
         if not 0.0 <= self.availability_floor <= 1.0:
             raise ValueError("availability_floor must be within [0, 1]")
-        if self.p999_bound_ms is not None and self.p999_bound_ms <= 0:
-            raise ValueError("p999_bound_ms must be > 0")
-        if self.fairness_ratio < 1.0:
-            raise ValueError("fairness_ratio must be >= 1")
         if self.kill_shard_at is not None and not 0.0 <= self.kill_shard_at <= 1.0:
             raise ValueError("kill_shard_at is a fraction of the trace duration")
         if self.crash_burst_at is not None and not 0.0 <= self.crash_burst_at <= 1.0:
             raise ValueError("crash_burst_at is a fraction of the trace duration")
-        if self.crash_burst_kills < 1 or self.crash_burst_gap_s <= 0:
-            raise ValueError("crash_burst_kills must be >= 1 and gap > 0")
+        if self.crash_burst_kills < 1:
+            raise ValueError("crash_burst_kills must be >= 1")
         if self.watchdog_every < 1 or self.settle_s <= 0:
             raise ValueError("watchdog_every must be >= 1 and settle_s > 0")
         if self.tick_every < 1:
             raise ValueError("tick_every must be >= 1")
-        if not 0.0 <= self.deadline_miss_bound <= 1.0:
-            raise ValueError("deadline_miss_bound must be within [0, 1]")
 
 
 def tiny_scale_servable(seed: int = 0, bits: int = 6):
@@ -330,7 +329,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
     if burst_requested:
         base = config.crash_burst_at * duration_s
         kill_times.extend(
-            base + i * config.crash_burst_gap_s
+            base + i * CRASH_BURST_GAP_S
             for i in range(config.crash_burst_kills)
         )
     kill_times.sort()
@@ -429,10 +428,10 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
         starved = row["admitted"] == 0
         # Over-service is bounded for everyone; under-service is only a
         # violation for tenants that actually demanded their entitlement.
-        over = ratio > config.fairness_ratio + 1e-9
+        over = ratio > FAIRNESS_RATIO + 1e-9
         under = (
             offered_share >= weight
-            and ratio < 1.0 / config.fairness_ratio - 1e-9
+            and ratio < 1.0 / FAIRNESS_RATIO - 1e-9
         )
         ok = not (starved or over or under)
         fairness_ok = fairness_ok and ok
@@ -463,7 +462,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
             "refusal_rate": round(shed_share, 4),
         }
         if band_name == "interactive" and row["admitted"]:
-            deadline_ok = miss_rate <= config.deadline_miss_bound + 1e-12
+            deadline_ok = miss_rate <= DEADLINE_MISS_BOUND + 1e-12
 
     rejected = sum(rejections.values())
     ledger_ok = (offered == admitted + rejected) and (
@@ -474,11 +473,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
 
     lat = np.asarray(latencies_ms) if latencies_ms else np.zeros(1)
     p50, p99, p999 = (float(np.percentile(lat, q)) for q in (50, 99, 99.9))
-    p999_bound = (
-        config.p999_bound_ms
-        if config.p999_bound_ms is not None
-        else 2.0 * engine.policy.timeout_ms
-    )
+    p999_bound = P999_BOUND_TIMEOUTS * engine.policy.timeout_ms
 
     snapshot = engine.snapshot()
     counters = snapshot["counters"]
@@ -571,10 +566,10 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
             "samples": len(latencies_ms),
         },
         "tenants": fairness,
-        "fairness_ratio_bound": config.fairness_ratio,
+        "fairness_ratio_bound": FAIRNESS_RATIO,
         "fairness_ok": fairness_ok,
         "priorities": priorities,
-        "deadline_miss_bound": config.deadline_miss_bound,
+        "deadline_miss_bound": DEADLINE_MISS_BOUND,
         "deadline_ok": deadline_ok,
         "no_silent_drop": ledger_ok,
         "nonfinite_served": nonfinite_served,

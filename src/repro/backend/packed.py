@@ -172,7 +172,7 @@ class PackedWeightStore:
         The checksum covers the bitstreams too, so a flipped bit anywhere
         raises :class:`~repro.quant.serialize.ChecksumError`.
         """
-        header, quantizers, arrays = load_quantizer_states(path, require_checksum=True)
+        header, quantizers, arrays = load_quantizer_states(path)
         bits = int(header["bits"])
         weights: dict[str, PackedWeight] = {}
         for key, buffer in arrays.items():

@@ -90,6 +90,10 @@ def get_trained_model(
     if verbose:
         print(f"[zoo] training {name} ({recipe.epochs} epochs)...")
     train_classifier(model, train_set, recipe)
+    # Training can leave float64 weights (the schedule's learning rate is
+    # a NumPy float64); cast them as every later load will, so this call
+    # returns the same float32 model as they do.
+    model.load_state_dict(model.state_dict())
     top1 = evaluate_top1(model, val_set)
     if verbose:
         print(f"[zoo] {name}: fp32 top-1 {top1:.2f}%")

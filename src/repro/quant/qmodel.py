@@ -238,22 +238,18 @@ class PTQPipeline:
             self.env.quantizers, path, header=header, arrays=arrays
         )
 
-    def load_quantizers(
-        self, path: str | Path, *, require_checksum: bool = False
-    ) -> "PTQPipeline":
+    def load_quantizers(self, path: str | Path) -> "PTQPipeline":
         """Warm-start from :meth:`save_quantizers` output (skips calibration).
 
         Validates that the archive was produced by a pipeline with the
         same method/bits/coverage, installs the quantizers, and leaves the
         model running with fake quantization attached — the same end state
-        as :meth:`calibrate`.  ``require_checksum=True`` additionally
-        rejects pre-checksum archives (see ``load_quantizer_states``).
+        as :meth:`calibrate`.  An archive that is corrupt or carries no
+        checksum raises ``ChecksumError`` (see ``load_quantizer_states``).
         """
         from .serialize import load_quantizer_states
 
-        header, quantizers, _ = load_quantizer_states(
-            path, require_checksum=require_checksum
-        )
+        header, quantizers, _ = load_quantizer_states(path)
         for field in ("method", "bits", "coverage"):
             expected, found = getattr(self, field), header.get(field)
             if found != expected:

@@ -191,16 +191,15 @@ def save_quantizer_states(
 
 
 def load_quantizer_states(
-    path: str | Path, *, require_checksum: bool = False
+    path: str | Path,
 ) -> tuple[dict, dict[str, Quantizer], dict[str, np.ndarray]]:
     """Load ``(header, tap -> quantizer, arrays)`` written by
     :func:`save_quantizer_states`; ``arrays`` are the caller's, in save
     order, verified with everything else.
 
-    Archives predating checksums load unverified by default;
-    ``require_checksum=True`` rejects them too (a corrupted legacy archive
-    is undetectable, so a caller that must never serve silent garbage —
-    the serving registry — treats "unverifiable" the same as "corrupt").
+    An archive without a checksum (written before checksums existed)
+    raises :class:`ChecksumError` like a corrupt one: its corruption would
+    be undetectable, so "unverifiable" counts as "corrupt".
     """
     with np.load(Path(path)) as archive:
         payload = {name: archive[name] for name in archive.files}
@@ -214,20 +213,18 @@ def load_quantizer_states(
         )
     recorded = record.get("checksum")
     if recorded is None:
-        if require_checksum:
-            raise ChecksumError(
-                f"{path}: quantizer-state archive has no checksum (written "
-                f"before checksums existed) — corruption would be "
-                f"undetectable; recalibrate to upgrade the artifact"
-            )
-    else:
-        actual = _payload_checksum(payload, record)
-        if actual != recorded:
-            raise ChecksumError(
-                f"{path}: quantizer-state checksum mismatch "
-                f"(recorded {recorded[:12]}…, recomputed {actual[:12]}…); "
-                f"the artifact is corrupt — recalibrate"
-            )
+        raise ChecksumError(
+            f"{path}: quantizer-state archive has no checksum (written "
+            f"before checksums existed) — corruption would be "
+            f"undetectable; recalibrate to upgrade the artifact"
+        )
+    actual = _payload_checksum(payload, record)
+    if actual != recorded:
+        raise ChecksumError(
+            f"{path}: quantizer-state checksum mismatch "
+            f"(recorded {recorded[:12]}…, recomputed {actual[:12]}…); "
+            f"the artifact is corrupt — recalibrate"
+        )
     quantizers: dict[str, Quantizer] = {}
     for name, meta in record["taps"].items():
         prefix = f"a:{name}:"

@@ -37,8 +37,6 @@ Turns the offline reproduction into a request-serving system:
   pressure with hysteresis + cooldown, quarantines crash-looping specs
   to float fallback with exponential respawn backoff, and lends idle
   shard capacity to saturated lanes under a bounded borrow budget.
-* :mod:`repro.serve.timing` — the shared dual-clock deadline helper
-  (injected-clock timeout + wall-clock cap) behind every drain loop.
 """
 
 from .metrics import Counter, Distribution, Gauge, Histogram, Metrics
@@ -55,7 +53,6 @@ from .scheduler import (
     RequestTimeoutError,
     ServeRequest,
 )
-from .timing import DualDeadline, wait_until
 from .registry import ModelKey, ModelRegistry, ServableModel
 from .admission import (
     REJECT_REASONS,
@@ -91,8 +88,6 @@ __all__ = [
     "PRIORITIES",
     "PRIORITY_BANDS",
     "DeadlineExceededError",
-    "DualDeadline",
-    "wait_until",
     "MicroBatchScheduler",
     "QueueFullError",
     "RequestTimeoutError",

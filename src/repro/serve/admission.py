@@ -97,6 +97,18 @@ class BreakerOpenError(AdmissionError):
     reason = "breaker_open"
 
 
+#: Queue depth, as a fraction of capacity, where the ladder reaches level
+#: 3 and only starvation-guarded admits survive.
+REJECT_QUEUE_FRACTION = 0.95
+#: p99 over ``p99_target_ms`` times these reaches ladder levels 2 and 3.
+P99_DEGRADE_FACTOR = 1.5
+P99_REJECT_FACTOR = 2.5
+#: Fair-queue weight of a tenant missing from ``tenant_weights``.
+DEFAULT_WEIGHT = 1.0
+#: Admissions in the sliding window that fair shares are measured over.
+FAIR_WINDOW = 512
+
+
 @dataclass
 class AdmissionPolicy:
     """Tunables for one :class:`AdmissionController`."""
@@ -105,14 +117,9 @@ class AdmissionPolicy:
     burst_s: float = 2.0  # bucket capacity in seconds of admitted rate
     shed_queue_fraction: float = 0.6  # depth/capacity where shedding starts
     degrade_queue_fraction: float = 0.8  # where force-float kicks in
-    reject_queue_fraction: float = 0.95  # where only guarded admits survive
     p99_target_ms: float | None = None  # latency-derived shedding (None = off)
-    p99_degrade_factor: float = 1.5  # p99 over target*this -> level 2
-    p99_reject_factor: float = 2.5  # p99 over target*this -> level 3
     latency_refresh_s: float = 0.25  # p99 probe cache window
     tenant_weights: dict[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0  # weight for tenants not in the table
-    fair_window: int = 512  # sliding window of admissions for shares
     fairness_slack: float = 1.5  # admitted share may exceed fair share by this
     starvation_guard: int = 1  # min admits per window no shed may take away
     degrade_hold_s: float = 0.5  # how long a force-float verdict sticks
@@ -122,22 +129,22 @@ class AdmissionPolicy:
             raise ValueError(f"rate_limit_rps must be > 0, got {self.rate_limit_rps}")
         if self.burst_s <= 0:
             raise ValueError(f"burst_s must be > 0, got {self.burst_s}")
-        fractions = (self.shed_queue_fraction, self.degrade_queue_fraction,
-                     self.reject_queue_fraction)
+        fractions = (self.shed_queue_fraction, self.degrade_queue_fraction)
         if not all(0.0 < f <= 1.0 for f in fractions):
             raise ValueError(f"queue fractions must be in (0, 1], got {fractions}")
         if not (self.shed_queue_fraction <= self.degrade_queue_fraction
-                <= self.reject_queue_fraction):
-            raise ValueError("queue fractions must be ordered shed <= degrade <= reject")
+                <= REJECT_QUEUE_FRACTION):
+            raise ValueError(
+                f"queue fractions must be ordered shed <= degrade <= "
+                f"{REJECT_QUEUE_FRACTION} (reject)"
+            )
         if self.p99_target_ms is not None and self.p99_target_ms <= 0:
             raise ValueError(f"p99_target_ms must be > 0, got {self.p99_target_ms}")
-        if not 1.0 <= self.p99_degrade_factor <= self.p99_reject_factor:
-            raise ValueError("p99 factors must satisfy 1 <= degrade <= reject")
-        if self.fair_window < 1 or self.starvation_guard < 0:
-            raise ValueError("fair_window must be >= 1 and starvation_guard >= 0")
+        if self.starvation_guard < 0:
+            raise ValueError("starvation_guard must be >= 0")
         if self.fairness_slack < 1.0:
             raise ValueError(f"fairness_slack must be >= 1, got {self.fairness_slack}")
-        if any(w <= 0 for w in self.tenant_weights.values()) or self.default_weight <= 0:
+        if any(w <= 0 for w in self.tenant_weights.values()):
             raise ValueError("tenant weights must be > 0")
         if self.latency_refresh_s < 0 or self.degrade_hold_s < 0:
             raise ValueError("latency_refresh_s and degrade_hold_s must be >= 0")
@@ -254,7 +261,7 @@ class AdmissionController:
                 capacity=self.policy.rate_limit_rps * self.policy.burst_s,
                 clock=clock,
             )
-        self.fair = FairShareTracker(self.policy.fair_window)
+        self.fair = FairShareTracker(FAIR_WINDOW)
         self._lock = threading.Lock()
         # One deterministic drop accumulator per priority band, so the
         # same band-wise request sequence always sheds the same requests
@@ -293,14 +300,14 @@ class AdmissionController:
     def weight_share(self, tenant: str) -> float:
         """Fair-queue share of ``tenant``: weight over total known weight.
 
-        Tenants absent from the weight table count at ``default_weight``;
+        Tenants absent from the weight table count at :data:`DEFAULT_WEIGHT`;
         the denominator covers the configured table plus every tenant the
         fair tracker has seen, so shares stay meaningful as tenants appear.
         """
         weights = dict(self.policy.tenant_weights)
         for seen in self.fair.snapshot():
-            weights.setdefault(seen, self.policy.default_weight)
-        weights.setdefault(tenant, self.policy.default_weight)
+            weights.setdefault(seen, DEFAULT_WEIGHT)
+        weights.setdefault(tenant, DEFAULT_WEIGHT)
         total = sum(weights.values())
         return weights[tenant] / total if total else 1.0
 
@@ -313,12 +320,12 @@ class AdmissionController:
             level = 1
         if depth_frac >= p.degrade_queue_fraction:
             level = 2
-        if depth_frac >= p.reject_queue_fraction:
+        if depth_frac >= REJECT_QUEUE_FRACTION:
             level = 3
         if p.p99_target_ms is not None and p99_ms > 0:
-            if p99_ms >= p.p99_target_ms * p.p99_reject_factor:
+            if p99_ms >= p.p99_target_ms * P99_REJECT_FACTOR:
                 level = max(level, 3)
-            elif p99_ms >= p.p99_target_ms * p.p99_degrade_factor:
+            elif p99_ms >= p.p99_target_ms * P99_DEGRADE_FACTOR:
                 level = max(level, 2)
             elif p99_ms >= p.p99_target_ms:
                 level = max(level, 1)
@@ -332,7 +339,7 @@ class AdmissionController:
         """
         p = self.policy
         depth_frac = lane.queue_depth / max(1, lane.queue_capacity)
-        span = max(1e-9, p.reject_queue_fraction - p.shed_queue_fraction)
+        span = max(1e-9, REJECT_QUEUE_FRACTION - p.shed_queue_fraction)
         ramp = min(1.0, max(0.0, (depth_frac - p.shed_queue_fraction) / span))
         base = {1: 0.25, 2: 0.5, 3: 1.0}[level]
         return min(1.0, base + (1.0 - base) * ramp)

@@ -8,7 +8,7 @@ pressure sample per lane (queue depth fraction, admission ladder level,
 in-flight count, crash history) and decides:
 
 * **scale up** when pressure stays above ``scale_up_pressure`` (or the
-  admission ladder sits at/above ``scale_up_level``) for
+  admission ladder sits at/above :data:`SCALE_UP_LEVEL`) for
   ``scale_up_sustain`` consecutive ticks, bounded by ``max_shards``;
 * **scale down** when a lane stays idle for ``scale_down_sustain``
   ticks, bounded by ``min_shards`` — the retire is a *drain* (the engine
@@ -45,6 +45,10 @@ from dataclasses import dataclass
 
 __all__ = ["AutoscalePolicy", "Autoscaler"]
 
+#: Admission ladder level from which a lane whose queue backs it up
+#: counts as pressured.
+SCALE_UP_LEVEL = 1
+
 
 @dataclass
 class AutoscalePolicy:
@@ -53,7 +57,6 @@ class AutoscalePolicy:
     min_shards: int = 1
     max_shards: int = 4
     scale_up_pressure: float = 0.5  # queue fraction that counts as pressured
-    scale_up_level: int = 1  # admission ladder level that counts as pressured
     scale_up_sustain: int = 2  # consecutive pressured ticks before scaling
     scale_down_idle: float = 0.05  # queue fraction that counts as idle
     scale_down_sustain: int = 4  # consecutive idle ticks before retiring
@@ -209,7 +212,7 @@ class Autoscaler:
             # goes stale the moment arrivals stop; it therefore counts as
             # pressure only while this lane's own queue backs it up.
             pressured = pressure >= p.scale_up_pressure or (
-                level >= p.scale_up_level and pressure > p.scale_down_idle
+                level >= SCALE_UP_LEVEL and pressure > p.scale_down_idle
             )
             lane_idle = pressure <= p.scale_down_idle and stats["in_flight"] == 0
             if pressured:

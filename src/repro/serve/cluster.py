@@ -78,6 +78,8 @@ __all__ = ["ClusterPolicy", "ClusterEngine", "default_shard_loader"]
 #: Longest a dispatch waits on its shard between checks that the engine
 #: is not stopping (the lane thread's own ``wait_for_batch`` slice).
 WAIT_SLICE_S = 0.1
+#: How long a spawn waits for its replica to load.
+READY_TIMEOUT_S = 120.0
 
 
 def default_shard_loader(spec: str):
@@ -100,18 +102,16 @@ class ClusterPolicy:
         self,
         shards: int = 2,
         image_hw: int = 16,
-        ready_timeout_s: float = 120.0,
         max_redispatch: int = 3,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if image_hw < 1:
             raise ValueError("image_hw must be >= 1")
-        if ready_timeout_s <= 0 or max_redispatch < 0:
-            raise ValueError("ready_timeout_s must be > 0, max_redispatch >= 0")
+        if max_redispatch < 0:
+            raise ValueError("max_redispatch must be >= 0")
         self.shards = shards
         self.image_hw = image_hw
-        self.ready_timeout_s = ready_timeout_s
         self.max_redispatch = max_redispatch
 
 
@@ -172,7 +172,7 @@ class _ShardExecutor(Executor):
 
     def spawn(self) -> None:
         """Fork a replica over a fresh pipe; block until it has loaded."""
-        engine, cluster = self.engine, self.engine.cluster
+        engine = self.engine
         with engine._fork_lock:
             # No other spawn may fork while the child's end is open here:
             # a sibling holding it would keep this shard's pipe unbroken
@@ -186,12 +186,10 @@ class _ShardExecutor(Executor):
             )
             self.process.start()
             child.close()
-        ready = wait([self.conn, self.process.sentinel], cluster.ready_timeout_s)
+        ready = wait([self.conn, self.process.sentinel], READY_TIMEOUT_S)
         if not ready:
             self.close()
-            raise TimeoutError(
-                f"shard {self.index} not ready within {cluster.ready_timeout_s}s"
-            )
+            raise TimeoutError(f"shard {self.index} not ready within {READY_TIMEOUT_S}s")
         message = "shard died during load"
         if self.conn in ready:
             try:

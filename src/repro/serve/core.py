@@ -2,8 +2,8 @@
 
 A *lane* serves one model spec: a bounded micro-batching queue, a
 circuit breaker over its quantized path, and one or more *executors*,
-each driven by its own thread.  The core owns everything about a batch
-except where it runs:
+each driven by its own thread through :meth:`LaneCore.step`.  The core
+owns everything about a batch except where it runs:
 
 * **admission** — the degrade ladder and the bounded queue in front of
   :meth:`LaneCore.submit`, with typed, reason-labelled rejections;
@@ -16,6 +16,8 @@ except where it runs:
 * **completion** — a result that lands past its request's deadline is
   withheld with :class:`~repro.serve.scheduler.DeadlineExceededError`;
 * **lifecycle** — drain, stop and the metrics snapshot.
+
+Every wait in the core runs on the injected clock.
 
 An :class:`Executor` runs one batch on one datapath and reports which
 datapath answered.  :class:`~repro.serve.engine.ServeEngine` runs batches
@@ -49,7 +51,6 @@ from .scheduler import (
     QueueFullError,
     ServeRequest,
 )
-from .timing import wait_until
 
 __all__ = ["FLOAT", "QUANT", "INT", "DATAPATHS", "BatchLost", "Executor", "Lane",
            "LaneCore", "ServeResult", "datapath"]
@@ -176,7 +177,10 @@ class LaneCore:
 
     Subclasses open a lane's executors in :meth:`_open`; the lane is
     published only once that returns, so a lane that failed to open holds
-    no requests.
+    no requests.  :meth:`_start` registers an executor and starts the
+    thread that loops on :meth:`step`, one pass of the executor's loop; a
+    subclass whose ``_start`` only registers the executor can drive every
+    lane, the clock and :meth:`check_watchdog` from one thread.
     """
 
     #: How long :meth:`stop` waits for each executor thread to finish.
@@ -272,29 +276,44 @@ class LaneCore:
         thread.start()
 
     def _serve(self, lane: Lane, index: int) -> None:
-        """Executor thread: run the lane's batches until stopped or retired."""
-        while not self._stopping:
+        """Executor thread: step the executor until it stops or is retired."""
+        while self.step(lane, index, timeout=0.1):
+            pass
+
+    def step(self, lane: Lane, index: int, timeout: float = 0.0) -> bool:
+        """One pass of executor ``index``'s loop: beat, wait up to
+        ``timeout`` seconds of the injected clock for a batch, run it.
+
+        Returns False, doing nothing, once the engine is stopping or the
+        executor has been retired or fenced; True otherwise, whether or not
+        a batch was due.  The executor's thread loops on this; a test that
+        registers executors without threads calls it directly, so one
+        thread drives the lanes, the clock and the supervision.
+        """
+        if self._stopping:
+            return False
+        with lane.lock:
+            executor = lane.executors.get(index)
+            if executor is None or index in lane.fenced:
+                return False  # retired or draining: stop pulling work
+            idle = not lane.active
+        executor.beat()
+        batch = lane.scheduler.wait_for_batch(timeout=timeout, idle=idle)
+        if batch is None:
+            return True
+        # A fence raised during wait_for_batch does not strand this
+        # batch: it runs to completion, and a retire joins this thread
+        # before releasing the executor.
+        with lane.lock:
+            lane.active[index] = batch
+            if lane.quarantined:
+                executor = lane.stand_in
+        try:
+            self._execute(lane, executor, batch)
+        finally:
             with lane.lock:
-                executor = lane.executors.get(index)
-                if executor is None or index in lane.fenced:
-                    return  # retired or draining: stop pulling work
-                idle = not lane.active
-            executor.beat()
-            batch = lane.scheduler.wait_for_batch(timeout=0.1, idle=idle)
-            if batch is None:
-                continue
-            # A fence raised during wait_for_batch does not strand this
-            # batch: it runs to completion, and a retire joins this thread
-            # before releasing the executor.
-            with lane.lock:
-                lane.active[index] = batch
-                if lane.quarantined:
-                    executor = lane.stand_in
-            try:
-                self._execute(lane, executor, batch)
-            finally:
-                with lane.lock:
-                    del lane.active[index]
+                del lane.active[index]
+        return True
 
     # ------------------------------------------------------------------
     # Supervision
@@ -536,20 +555,21 @@ class LaneCore:
             extra["admission"] = self.admission.snapshot()
         return self.metrics.snapshot(extra=extra)
 
-    def drain(self, timeout: float = 30.0, wall_cap: float | None = None) -> bool:
+    def drain(self, timeout: float = 30.0) -> bool:
         """Wait until every queue is empty and nothing is in flight.
 
-        ``timeout`` is measured on the injected engine clock, so
-        fake-clock tests can exercise the deadline; ``wall_cap`` (default:
-        ``timeout``) is a real-time safety bound so a clock that never
-        advances cannot spin forever (:func:`~repro.serve.timing.wait_until`).
+        Polls every 2 ms until ``timeout`` seconds of the injected engine
+        clock have passed; returns whether the engine settled in time.
         """
-        def settled() -> bool:
+        deadline = self.clock() + timeout
+        while True:
             with self._lock:
                 lanes = list(self._lanes.values())
-            return not any(lane.scheduler.qsize() > 0 or lane.active for lane in lanes)
-
-        return wait_until(settled, self.clock, timeout, wall_cap)
+            if not any(lane.scheduler.qsize() > 0 or lane.active for lane in lanes):
+                return True
+            if self.clock() >= deadline:
+                return False
+            time.sleep(0.002)
 
     def _shutdown(self, lanes: list[Lane]) -> None:
         """Fail queued work, stop and release executors, fail wedged batches."""

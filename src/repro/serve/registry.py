@@ -313,11 +313,10 @@ class ModelRegistry:
                 ):
                     tamper_quantizer_state(state, seed=key.bits)
                 try:
-                    # require_checksum: a legacy archive with no checksum
-                    # cannot prove it is uncorrupted, so the serving path
-                    # recalibrates (which re-saves it checksummed) instead
-                    # of trusting it.
-                    pipeline.load_quantizers(state, require_checksum=True)
+                    # A legacy archive with no checksum cannot prove it is
+                    # uncorrupted either: it raises ChecksumError, and the
+                    # recalibration below re-saves it checksummed.
+                    pipeline.load_quantizers(state)
                     self.stats["warm_loads"] += 1
                     return ServableModel(
                         key, model, fp32, pipeline,

@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timing import DualDeadline
-
 __all__ = [
     "PRIORITIES",
     "PRIORITY_BANDS",
@@ -197,8 +195,8 @@ class MicroBatchScheduler:
     slice and the head of the queue is always the most urgent request.
     The decision logic (:meth:`poll`, :meth:`expire_timeouts`,
     :meth:`next_event`) takes an explicit ``now`` so tests drive it with a
-    fake clock; :meth:`wait_for_batch` is the blocking wrapper the engine's
-    worker thread uses, built on the same primitives.
+    fake clock; :meth:`wait_for_batch` is the wrapper an executor's step
+    waits in, built on the same primitives.
     """
 
     def __init__(self, policy: BatchPolicy | None = None, clock=time.monotonic,
@@ -359,20 +357,21 @@ class MicroBatchScheduler:
     def wait_for_batch(self, timeout: float, idle: bool = True) -> Batch | None:
         """Block up to ``timeout`` seconds for a dispatchable batch.
 
-        The timeout runs on the injected clock with an equal wall-clock
-        cap (:class:`~repro.serve.timing.DualDeadline`), so a frozen fake
-        clock cannot pin the calling worker thread forever.
+        The deadline is ``clock() + timeout`` on the injected clock, and
+        each condition wait is sized by it (or by the batching timer, if
+        sooner), so ``timeout=0`` polls once without blocking.  On a clock
+        that does not advance, only a batch or :meth:`close` ends the wait.
         """
-        deadline = DualDeadline(self.clock, timeout)
+        deadline = self.clock() + timeout
         with self._wakeup:
             while True:
                 now = self.clock()
                 batch = self._poll_locked(now, idle)
                 if batch is not None:
                     return batch
-                if self._closed or deadline.expired(now):
+                if self._closed or now >= deadline:
                     return None
-                wait = deadline.remaining(now)
+                wait = deadline - now
                 if self._queue:
                     oldest = min(r.enqueued_at for r in self._queue)
                     next_due = oldest + self.policy.max_wait_ms / 1000.0 - now

@@ -11,8 +11,8 @@ offered load well past capacity.
 Everything is derived from one seed through ``numpy``'s Generator, so a
 trace is a pure function of its :class:`TraceConfig`: the same config
 replays the same arrivals, tenants, and flash crowd on every run.
-Arrivals are an inhomogeneous Poisson process, sampled per ``bin_s`` bin
-with the instantaneous rate
+Arrivals are an inhomogeneous Poisson process, sampled per
+:data:`BIN_S` bin with the instantaneous rate
 
 ``rate(t) = base_rate x (1 + A sin(2 pi t / period)) x flash(t)``
 
@@ -72,7 +72,6 @@ class TraceConfig:
     duration_s: float = 8.0
     base_rate: float = 120.0  # steady-state offered load
     seed: int = 0
-    bin_s: float = 0.05  # Poisson sampling resolution
     diurnal_amplitude: float = 0.35  # sinusoid swing as a fraction of base
     diurnal_period_s: float = 8.0
     flash_at: float = 0.45  # crowd start, as a fraction of the duration
@@ -93,8 +92,8 @@ class TraceConfig:
     )
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.base_rate <= 0 or self.bin_s <= 0:
-            raise ValueError("duration_s, base_rate and bin_s must be > 0")
+        if self.duration_s <= 0 or self.base_rate <= 0:
+            raise ValueError("duration_s and base_rate must be > 0")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1)")
         if self.diurnal_period_s <= 0:
@@ -145,6 +144,10 @@ def offered_rate(config: TraceConfig, t: float) -> float:
     return float(config.base_rate * diurnal * flash)
 
 
+#: Poisson sampling resolution of :func:`generate_trace`, in seconds.
+BIN_S = 0.05
+
+
 def generate_trace(config: TraceConfig) -> list[TraceEvent]:
     """Sample the full arrival sequence for ``config`` (sorted by time)."""
     rng = np.random.default_rng(config.seed)
@@ -154,16 +157,16 @@ def generate_trace(config: TraceConfig) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     t = 0.0
     while t < config.duration_s:
-        lam = offered_rate(config, t + config.bin_s / 2.0) * config.bin_s
+        lam = offered_rate(config, t + BIN_S / 2.0) * BIN_S
         count = int(rng.poisson(lam))
         if count:
-            offsets = rng.uniform(0.0, config.bin_s, size=count)
+            offsets = rng.uniform(0.0, BIN_S, size=count)
             tenants = rng.choice(len(names), size=count, p=probs)
             events.extend(
                 TraceEvent(at_s=min(t + off, config.duration_s), tenant=names[k])
                 for off, k in zip(offsets, tenants)
             )
-        t += config.bin_s
+        t += BIN_S
     events.sort(key=lambda e: e.at_s)
     # Priority bands come from their own generator (seeded off the same
     # config seed but a distinct stream), so the arrival process above is

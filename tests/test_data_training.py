@@ -12,6 +12,7 @@ from repro.data import (
     make_splits,
     normalize,
 )
+from repro.models import zoo
 from repro.models.vit import build_vit
 from repro.nn import Linear
 from repro.nn.module import Parameter
@@ -177,3 +178,28 @@ class TestTrainer:
 
     def test_model_left_in_eval_mode(self, tiny_trained):
         assert not tiny_trained.training
+
+
+class TestZooCheckpoint:
+    def test_training_call_returns_the_weights_later_calls_load(
+        self, tmp_path, monkeypatch
+    ):
+        # Training left float64 weights behind (the schedule's learning
+        # rate is a NumPy float64); a stand-in does the same, fast.
+        def train_to_float64(model, train_set, config):
+            for param in model.parameters():
+                param.data = param.data.astype(np.float64)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            zoo, "DATASET_SPEC", {"train_count": 8, "val_count": 16, "size": 32, "seed": 0}
+        )
+        monkeypatch.setattr(zoo, "train_classifier", train_to_float64)
+        trained, trained_top1 = zoo.get_trained_model("vit_mini_s")
+        loaded, loaded_top1 = zoo.get_trained_model("vit_mini_s", train_if_missing=False)
+        assert trained_top1 == loaded_top1
+        trained_state, loaded_state = trained.state_dict(), loaded.state_dict()
+        assert trained_state.keys() == loaded_state.keys()
+        for name, weights in trained_state.items():
+            assert weights.dtype == loaded_state[name].dtype == np.float32, name
+            assert weights.tobytes() == loaded_state[name].tobytes(), name

@@ -133,20 +133,14 @@ class TestChecksum:
         payload["__meta__"] = np.array(json.dumps(record))
         np.savez(path, **payload)
 
-    def test_legacy_archive_without_checksum_still_loads(self, rng, tmp_path):
-        path = self._save(rng, tmp_path / "state.npz")
-        self._strip_checksum(path)
-        header, restored, _ = load_quantizer_states(path)  # unverified but loadable
-        assert set(restored) == {"blk.weight", "blk.input"}
-
     def test_require_checksum_rejects_legacy_archives(self, rng, tmp_path):
         from repro.quant import ChecksumError
 
         path = self._save(rng, tmp_path / "state.npz")
-        load_quantizer_states(path, require_checksum=True)  # checksummed: fine
+        load_quantizer_states(path)  # checksummed: fine
         self._strip_checksum(path)
         with pytest.raises(ChecksumError, match="no checksum"):
-            load_quantizer_states(path, require_checksum=True)
+            load_quantizer_states(path)
 
 
 class TestPipelineWarmStart:
