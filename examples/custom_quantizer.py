@@ -4,8 +4,9 @@ The PTQ pipeline works with any object implementing the
 ``repro.quant.Quantizer`` protocol (``fit`` + ``fake_quantize``; add
 ``scaled`` to opt into the Hessian-weighted grid search).  This example
 plugs a simple percentile-clipped uniform quantizer into a full-coverage
-pipeline by writing the pipeline's quantizer table directly, and compares
-it against BaseQ and QUQ on a trained model.
+pipeline (``observe`` the calibration set, fit the custom quantizers,
+``install`` them), and compares it against BaseQ and QUQ on a trained
+model.
 
     python examples/custom_quantizer.py
 """
@@ -47,26 +48,17 @@ class PercentileClippedUniform(Quantizer):
 
 
 def evaluate_with(model, calib, val, bits, build):
-    """Calibrate a full-coverage pipeline, overriding every activation
-    quantizer with ``build(bits).fit(observations)``."""
+    """Calibrate a full-coverage pipeline, then replace every fitted
+    quantizer (weights included) with ``build(bits).fit(observations)``."""
     pipeline = PTQPipeline(model, method="baseq", bits=bits, coverage="full")
-    # Observe first (the baseq calibration also records nothing we cannot
-    # redo), then refit each activation tap with the custom scheme.
     pipeline.calibrate(calib)
-    env = pipeline.env
-    env.phase = "observe"
-    env.watched = set(pipeline.tap_names())
-    env.clear_observations()
-    from repro.autograd import Tensor, no_grad
-
-    with no_grad():
-        model(Tensor(calib))
-    for name in list(env.quantizers):
-        if name in env.records:
-            env.quantizers[name] = build(bits).fit(env.observed(name))
-    env.phase = "quantize"
-    env.watched = None
-    env.clear_observations()
+    # One float pass records every covered tap; a weight tap records the
+    # parameter tensor it passes.
+    recorder = pipeline.observe(calib, pipeline.tap_names(), batch_size=len(calib))
+    pipeline.install({
+        name: build(bits).fit(recorder.observed(name)) if name in recorder.values else quantizer
+        for name, quantizer in pipeline.env.quantizers.items()
+    })
     accuracy = evaluate_top1(model, val)
     pipeline.detach()
     return accuracy

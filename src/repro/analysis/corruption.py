@@ -181,6 +181,12 @@ def format_corruption_sweep(report: dict) -> str:
 
 # ----------------------------------------------------------------------
 
+#: Top-1 points the recalibrated model may trail the freshly-calibrated
+#: baseline by and still count as recovered.
+RECOVERY_TOLERANCE = 2.0
+#: Top-1 points the stale quantizer must lose for the shift to count.
+MIN_STALE_DROP = 2.0
+
 
 @dataclass
 class RecoveryCurveConfig:
@@ -193,8 +199,6 @@ class RecoveryCurveConfig:
     stream_batches: int = 12  # corrupted batches streamed at the monitor
     batch_size: int = 16
     seed: int = 0
-    recovery_tolerance: float = 2.0  # points vs the freshly-calibrated baseline
-    min_stale_drop: float = 2.0  # points the stale quantizer must lose
     # consecutive=4 x batch_size=16 means the 64-image buffer has fully
     # turned over to drifted inputs by the time recalibration triggers, so
     # the shadow build calibrates on purely post-shift data.
@@ -368,10 +372,10 @@ def run_recovery_curve(
         "monitor_fired_and_swapped": swap_batch is not None and swaps >= 1,
         "stale_drops_measurably": (
             stale_eval_top1 is not None
-            and clean_top1 - stale_eval_top1 >= config.min_stale_drop
+            and clean_top1 - stale_eval_top1 >= MIN_STALE_DROP
         ),
         "recovers_to_baseline": (
-            recovered_top1 >= baseline_top1 - config.recovery_tolerance
+            recovered_top1 >= baseline_top1 - RECOVERY_TOLERANCE
         ),
         "zero_nonfinite_served": nonfinite_served == 0,
         "swap_counted_in_snapshot": swaps >= 1
@@ -386,8 +390,8 @@ def run_recovery_curve(
             "stream_batches": config.stream_batches,
             "batch_size": config.batch_size,
             "seed": config.seed,
-            "recovery_tolerance": config.recovery_tolerance,
-            "min_stale_drop": config.min_stale_drop,
+            "recovery_tolerance": RECOVERY_TOLERANCE,
+            "min_stale_drop": MIN_STALE_DROP,
             "thresholds": config.thresholds.to_dict(),
         },
         "phases": {

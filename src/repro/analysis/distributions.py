@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
 from ..nn import Module
-from ..quant.observers import QuantEnv
 from ..quant.params import QUQParams
+from ..quant.qmodel import PTQPipeline
 
 __all__ = ["capture_figure3_tensors", "histogram", "ascii_histogram", "FIGURE3_TENSORS"]
 
@@ -31,23 +30,17 @@ def capture_figure3_tensors(
     ``block`` selects which transformer block to read activations from.
     The query weight is the first third of that block's fused qkv weight.
     """
-    env = QuantEnv()
-    env.phase = "observe"
-    model.set_tap_dispatcher(env)
-    model.eval()
-    with no_grad():
-        model(Tensor(images))
-    model.set_tap_dispatcher(None)
+    recorder = PTQPipeline(model).observe(images, batch_size=len(images))
 
     def tap_ending(suffix: str) -> str:
-        matches = sorted(n for n in env.records if n.endswith(suffix))
+        matches = sorted(n for n in recorder.values if n.endswith(suffix))
         if not matches:
-            raise KeyError(f"no tap ending in {suffix!r}; saw {sorted(env.records)[:5]}...")
+            raise KeyError(f"no tap ending in {suffix!r}; saw {sorted(recorder.values)[:5]}...")
         return matches[min(block, len(matches) - 1)]
 
-    probs = env.observed(tap_ending(".attn.probs"))
-    pre_add = env.observed(tap_ending(".attn_residual"))
-    post_gelu = env.observed(tap_ending(".fc2.input"))
+    probs = recorder.observed(tap_ending(".attn.probs"))
+    pre_add = recorder.observed(tap_ending(".attn_residual"))
+    post_gelu = recorder.observed(tap_ending(".fc2.input"))
 
     weights = dict(model.named_parameters())
     qkv_names = sorted(n for n in weights if n.endswith("attn.qkv.weight"))

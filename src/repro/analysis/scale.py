@@ -78,6 +78,8 @@ FAIRNESS_RATIO = 2.0
 CRASH_BURST_GAP_S = 0.2
 #: Ceiling on the interactive band's deadline-miss rate.
 DEADLINE_MISS_BOUND = 0.01
+#: Autoscaler tick cadence, in arrivals.
+TICK_EVERY = 8
 
 
 @dataclass
@@ -100,7 +102,6 @@ class ScaleBenchConfig:
     settle_s: float = 10.0  # drain budget after the last arrival
     # Elastic control plane (None = static shard pool, the v1 behavior).
     autoscale: AutoscalePolicy | None = None
-    tick_every: int = 8  # autoscaler tick cadence, in arrivals
     secondary_spec: str | None = None  # idle lane that can lend capacity
 
     def __post_init__(self):
@@ -114,8 +115,6 @@ class ScaleBenchConfig:
             raise ValueError("crash_burst_kills must be >= 1")
         if self.watchdog_every < 1 or self.settle_s <= 0:
             raise ValueError("watchdog_every must be >= 1 and settle_s > 0")
-        if self.tick_every < 1:
-            raise ValueError("tick_every must be >= 1")
 
 
 def tiny_scale_servable(seed: int = 0, bits: int = 6):
@@ -366,7 +365,7 @@ def run_scale_benchmark(engine, config: ScaleBenchConfig | None = None) -> dict:
     replay = Replay(
         engine, key, image_pool(128, size or key.image_size, config.trace.seed),
         autoscaler=autoscaler, watchdog_every=config.watchdog_every,
-        tick_every=config.tick_every,
+        tick_every=TICK_EVERY,
     )
     outcomes = replay.run(trace, config.settle_s, on_arrival=deliver_kills,
                           keep_settling=elastic_pending)

@@ -29,29 +29,29 @@ def kind_sensitivity(
     """Mean-squared logit distortion when quantizing one tap *kind* at a time.
 
     The pipeline must be calibrated; its quantizer set is temporarily
-    restricted per kind and restored afterwards.
+    restricted per kind and restored afterwards, also when a pass raises.
     """
     if not pipeline.calibrated:
         raise RuntimeError("calibrate the pipeline first")
     model = pipeline.model
     all_quantizers = dict(pipeline.env.quantizers)
 
-    pipeline.env.quantizers = {}
-    reference = predict_logits(model, images)
-
     results: dict[str, float] = {}
-    for kind in TapKind:
-        selected = {
-            name: quantizer
-            for name, quantizer in all_quantizers.items()
-            if classify_tap(name) is kind
-        }
-        if not selected:
-            continue
-        pipeline.env.quantizers = selected
-        results[kind.value] = _logit_distortion(model, images, reference)
-
-    pipeline.env.quantizers = all_quantizers
+    try:
+        pipeline.env.quantizers = {}
+        reference = predict_logits(model, images)
+        for kind in TapKind:
+            selected = {
+                name: quantizer
+                for name, quantizer in all_quantizers.items()
+                if classify_tap(name) is kind
+            }
+            if not selected:
+                continue
+            pipeline.env.quantizers = selected
+            results[kind.value] = _logit_distortion(model, images, reference)
+    finally:
+        pipeline.env.quantizers = all_quantizers
     return results
 
 
@@ -69,13 +69,13 @@ def tap_sensitivity(
     all_quantizers = dict(pipeline.env.quantizers)
     taps = taps if taps is not None else sorted(all_quantizers)
 
-    pipeline.env.quantizers = {}
-    reference = predict_logits(model, images)
-
     results: dict[str, float] = {}
-    for name in taps:
-        pipeline.env.quantizers = {name: all_quantizers[name]}
-        results[name] = _logit_distortion(model, images, reference)
-
-    pipeline.env.quantizers = all_quantizers
+    try:
+        pipeline.env.quantizers = {}
+        reference = predict_logits(model, images)
+        for name in taps:
+            pipeline.env.quantizers = {name: all_quantizers[name]}
+            results[name] = _logit_distortion(model, images, reference)
+    finally:
+        pipeline.env.quantizers = all_quantizers
     return results

@@ -9,6 +9,8 @@ and engine treat it and the integer-native backend uniformly.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from ..autograd import Tensor, no_grad
@@ -30,15 +32,13 @@ class FloatFakeQuantBackend(ServingBackend):
 
     def predict(self, images: np.ndarray, recorder=None) -> np.ndarray:
         self._batches += 1
-        if recorder is not None and self.pipeline is not None:
-            self.pipeline.env.stats_recorder = recorder
-        try:
-            self.model.eval()
-            with no_grad():
-                return self.model(Tensor(images)).data
-        finally:
-            if recorder is not None and self.pipeline is not None:
-                self.pipeline.env.stats_recorder = None
+        if recorder is None or self.pipeline is None:
+            recording = nullcontext()
+        else:
+            recording = self.pipeline.env.recording(recorder)
+        self.model.eval()
+        with recording, no_grad():
+            return self.model(Tensor(images)).data
 
     def memory_info(self) -> dict:
         # Every GEMM weight: a Conv2d is a Linear over im2col patches.  A

@@ -105,6 +105,11 @@ class Module:
     # ------------------------------------------------------------------
     # Taps
     # ------------------------------------------------------------------
+    @property
+    def tap_dispatcher(self) -> TapDispatcher:
+        """The dispatcher this module's taps route through."""
+        return self._dispatcher
+
     def set_tap_dispatcher(self, dispatcher: TapDispatcher | None) -> None:
         """Attach (or detach, with ``None``) a tap dispatcher to the tree."""
         dispatcher = dispatcher or _IDENTITY_DISPATCHER

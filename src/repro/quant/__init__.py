@@ -25,7 +25,7 @@ from .uniform import (
     symmetric_uniform_quantize,
 )
 from .baselines import BiScaledQuantizer, Log2Quantizer, TwinUniformQuantizer
-from .observers import QuantEnv, TapKind, classify_tap, taps_for_coverage
+from .observers import QuantEnv, TapKind, TapRecorder, classify_tap, taps_for_coverage
 from .qmodel import METHODS, PTQPipeline, make_quantizer
 from .hessian import DEFAULT_GRID, hessian_refine
 from .metrics import cosine_similarity, mse, sqnr_db
@@ -84,6 +84,7 @@ __all__ = [
     "Log2Quantizer",
     "TwinUniformQuantizer",
     "QuantEnv",
+    "TapRecorder",
     "TapKind",
     "classify_tap",
     "taps_for_coverage",

@@ -17,8 +17,9 @@ that bet observable:
   index) and turns per-batch scores into thresholded, *sustained*
   verdicts that the serving layer can act on.
 * :class:`TapStatsRecorder` — the lightweight hook the serving engine
-  attaches to a :class:`~repro.quant.observers.QuantEnv` so live
-  activation statistics are sampled during normal quantized forwards.
+  hands to :meth:`QuantEnv.recording <repro.quant.observers.QuantEnv.recording>`
+  (or the int backend's datapath) so live activation statistics are
+  sampled during normal quantized forwards.
 """
 
 from __future__ import annotations
@@ -302,10 +303,11 @@ class DriftMonitor:
 
 
 class TapStatsRecorder:
-    """QuantEnv hook: route live tap tensors into a monitor's batch window.
+    """Recorder hook: route live tap tensors into a monitor's batch window.
 
-    Attached (under the servable's lock) for the duration of one forward
-    pass; it only computes scalar statistics, never copies activations.
+    Set (under the servable's lock) for the duration of one forward pass,
+    through ``QuantEnv.recording`` or ``PackedDatapath.recorder``; it only
+    computes scalar statistics, never copies activations.
     """
 
     def __init__(self, monitor: DriftMonitor):
@@ -343,12 +345,13 @@ def fingerprint_pipeline(
 ) -> dict[str, TapFingerprint]:
     """Fingerprint every fitted activation tap of a calibrated pipeline.
 
-    Runs the calibration set through the *quantized* model with a
-    collecting stats hook, so fingerprints describe exactly the
-    distributions a live :class:`TapStatsRecorder` sees during serving:
-    quantize-phase tap inputs, downstream of quantized predecessors.
-    (Observe-phase re-runs would fingerprint the float activations and
-    then flag quantization error itself as drift on clean traffic.)
+    Attaches the pipeline and runs the calibration set through the
+    *quantized* model with a collecting stats hook, so fingerprints
+    describe exactly the distributions a live :class:`TapStatsRecorder`
+    sees during serving: the pre-quantization tap inputs, downstream of
+    quantized predecessors.  (Float re-runs would fingerprint the float
+    activations and then flag quantization error itself as drift on
+    clean traffic.)
     Weights are static and skipped.  Adds the ``input`` pseudo-tap so
     drift can be detected even on batches where no activation tap is
     sampled.
@@ -363,19 +366,12 @@ def fingerprint_pipeline(
         for name in pipeline.tap_names()
         if classify_tap(name) is not TapKind.WEIGHT
     }
-    env = pipeline.env
-    env.phase = "quantize"
-    pipeline.model.set_tap_dispatcher(env)
+    pipeline.attach()
     pipeline.model.eval()
     collector = _CollectingRecorder(activation_taps)
-    previous = env.stats_recorder
-    env.stats_recorder = collector
-    try:
-        with no_grad():
-            for start in range(0, len(calib_images), batch_size):
-                pipeline.model(Tensor(calib_images[start : start + batch_size]))
-    finally:
-        env.stats_recorder = previous
+    with pipeline.env.recording(collector), no_grad():
+        for start in range(0, len(calib_images), batch_size):
+            pipeline.model(Tensor(calib_images[start : start + batch_size]))
     fingerprints = {
         name: TapFingerprint.from_data(np.concatenate(chunks))
         for name, chunks in collector.collected.items()

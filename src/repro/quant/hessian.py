@@ -22,7 +22,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..nn import cross_entropy
-from .observers import TapKind, classify_tap
+from .observers import TapKind, TapRecorder, classify_tap
 from .qmodel import PTQPipeline
 
 __all__ = ["DEFAULT_GRID", "hessian_refine"]
@@ -60,33 +60,30 @@ def hessian_refine(
     every parameter, like the patch-embedding input) fall back to plain
     MSE (h = 1).  ``weighted=False`` disables the Hessian weighting
     entirely (plain-MSE grid search, the PTQ4ViT-without-Hessian ablation).
+    The refined quantizers are installed only once the search completes,
+    so a call that raises leaves the pipeline serving what it served.
     """
     if not pipeline.calibrated:
         raise RuntimeError("pipeline must be calibrated before hessian_refine")
 
-    env = pipeline.env
+    quantizers = dict(pipeline.env.quantizers)
     model = pipeline.model
-    activation_taps = [
-        n for n in env.quantizers if classify_tap(n) is not TapKind.WEIGHT
-    ]
-    weight_taps = [n for n in env.quantizers if classify_tap(n) is TapKind.WEIGHT]
+    activation_taps = [n for n in quantizers if classify_tap(n) is not TapKind.WEIGHT]
+    weight_taps = [n for n in quantizers if classify_tap(n) is TapKind.WEIGHT]
 
     # ------------------------------------------------------------------
     # Pass 1: record activations and their gradients on the float model.
     # ------------------------------------------------------------------
-    env.phase = "observe"
-    env.watched = set(activation_taps)
-    env.capture_grads = True
-    env.clear_observations()
+    recorder = TapRecorder(activation_taps, grads=True)
     model.eval()
     model.zero_grad()
-    for start in range(0, len(calib_images), batch_size):
-        chunk = Tensor(calib_images[start : start + batch_size])
-        logits = model(chunk)
-        targets = logits.data.argmax(axis=-1)
-        loss = cross_entropy(logits, targets)
-        loss.backward()
-    env.capture_grads = False
+    with pipeline.observing(recorder):
+        for start in range(0, len(calib_images), batch_size):
+            chunk = Tensor(calib_images[start : start + batch_size])
+            logits = model(chunk)
+            targets = logits.data.argmax(axis=-1)
+            loss = cross_entropy(logits, targets)
+            loss.backward()
 
     # ------------------------------------------------------------------
     # Pass 2: per-tap grid search.
@@ -94,7 +91,7 @@ def hessian_refine(
     chosen: dict[str, float] = {}
     parameters = dict(model.named_parameters())
     for name in activation_taps + weight_taps:
-        quantizer = env.quantizers[name]
+        quantizer = quantizers[name]
         if not hasattr(quantizer, "scaled"):
             chosen[name] = 1.0
             continue
@@ -102,8 +99,7 @@ def hessian_refine(
         if classify_tap(name) is TapKind.WEIGHT:
             # Weights keep their shape (row-wise quantizers need it) and
             # are small enough to skip subsampling.
-            param_name = name.split(".", 1)[1] if "." in name else name
-            param = parameters[param_name]
+            param = parameters[name.split(".", 1)[-1]]
             x = param.data.astype(np.float64)
             h = (
                 (param.grad.astype(np.float64) ** 2)
@@ -111,9 +107,9 @@ def hessian_refine(
                 else np.ones_like(x)
             )
         else:
-            x = env.observed(name).astype(np.float64)
-            if weighted and env.grad_records.get(name):
-                h = env.observed_gradients(name).astype(np.float64) ** 2
+            x = recorder.observed(name).astype(np.float64)
+            if weighted and recorder.gradients.get(name):
+                h = recorder.observed_gradients(name).astype(np.float64) ** 2
             else:
                 h = np.ones_like(x)
             if h.size != x.size:
@@ -128,16 +124,9 @@ def hessian_refine(
             err = _weighted_error(x, h, candidate.fake_quantize(x).astype(np.float64))
             if best_err is None or err < best_err:
                 best_alpha, best_err = float(alpha), err
-        env.quantizers[name] = quantizer.scaled(best_alpha)
+        quantizers[name] = quantizer.scaled(best_alpha)
         chosen[name] = best_alpha
 
-    # Restore the quantizing dispatcher state.  The grid search replaced
-    # quantizer objects wholesale, so the weight cache re-warms against the
-    # refined scales before inference resumes.
-    env.phase = "quantize"
-    env.watched = None
-    env.clear_observations()
-    env.invalidate_weight_cache()
     model.zero_grad()
-    pipeline.warm_weight_cache()
+    pipeline.install(quantizers)
     return chosen

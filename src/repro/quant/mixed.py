@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qmodel import PTQPipeline, make_quantizer
-from .observers import classify_tap
+from .observers import TapKind, classify_tap
+from .qmodel import PTQPipeline
 
 __all__ = ["allocate_mixed_precision"]
 
@@ -30,7 +30,7 @@ def allocate_mixed_precision(
     Greedy promotion: all taps start at ``min(bit_choices)``; while the
     average assigned width stays below ``budget_bits``, the tap with the
     highest remaining sensitivity is promoted one step.  Returns the
-    allocation and refits the pipeline's quantizers in place.
+    allocation and installs quantizers refitted at those widths.
     """
     if not pipeline.calibrated:
         raise RuntimeError("calibrate the pipeline first")
@@ -65,40 +65,9 @@ def allocate_mixed_precision(
             break
         level += 1
 
-    # Refit every quantizer at its assigned width.
-    _refit(pipeline, allocation, calib_images)
+    # Refit every quantizer at its assigned width, from one float forward
+    # over all the calibration images.
+    activation_taps = [n for n in allocation if classify_tap(n) is not TapKind.WEIGHT]
+    recorder = pipeline.observe(calib_images, activation_taps, batch_size=len(calib_images))
+    pipeline.install(pipeline.fit(allocation, recorder, bits=allocation))
     return allocation
-
-
-def _refit(
-    pipeline: PTQPipeline, allocation: dict[str, int], calib_images: np.ndarray
-) -> None:
-    """Refit the pipeline's quantizers at per-tap bit-widths."""
-    from ..autograd import Tensor, no_grad
-
-    env = pipeline.env
-    activation_taps = [
-        n for n in allocation if not n.endswith(".weight")
-    ]
-    env.phase = "observe"
-    env.watched = set(activation_taps)
-    env.clear_observations()
-    with no_grad():
-        pipeline.model(Tensor(calib_images))
-
-    parameters = dict(pipeline.model.named_parameters())
-    new_quantizers = {}
-    for name, bits in allocation.items():
-        quantizer = make_quantizer(
-            pipeline.method, classify_tap(name), name, bits, pipeline.pra_config
-        )
-        if name.endswith(".weight"):
-            param_name = name.split(".", 1)[1] if "." in name else name
-            data = parameters[param_name].data
-        else:
-            data = env.observed(name)
-        new_quantizers[name] = quantizer.fit(data)
-    env.quantizers = new_quantizers
-    env.phase = "quantize"
-    env.watched = None
-    env.clear_observations()

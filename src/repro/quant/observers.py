@@ -3,13 +3,16 @@
 The models route every activation through named taps (see
 :mod:`repro.nn.module`).  This module classifies each tap into the
 dataflow categories of Figure 1 — which determines whether *partial*
-quantization covers it — and provides the :class:`QuantEnv` dispatcher
-that first records calibration tensors at each tap and later rewrites
-activations through fitted quantizers.
+quantization covers it — and provides the two dispatchers the PTQ
+pipeline attaches: :class:`TapRecorder`, which keeps copies of the
+calibration tensors (and optionally their gradients) during float
+passes, and :class:`QuantEnv`, which rewrites activations through the
+fitted quantizers.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
@@ -18,7 +21,7 @@ from ..autograd import Tensor, is_grad_enabled, straight_through
 from ..nn.module import TapDispatcher
 from .base import Quantizer
 
-__all__ = ["TapKind", "classify_tap", "taps_for_coverage", "QuantEnv"]
+__all__ = ["TapKind", "classify_tap", "taps_for_coverage", "TapRecorder", "QuantEnv"]
 
 
 class TapKind(Enum):
@@ -80,30 +83,64 @@ def taps_for_coverage(kind: TapKind, coverage: str) -> bool:
     raise ValueError(f"coverage must be 'partial' or 'full', got {coverage!r}")
 
 
-class QuantEnv(TapDispatcher):
-    """Tap dispatcher with three phases: off, observe, quantize.
+class TapRecorder(TapDispatcher):
+    """Float-pass dispatcher that keeps a copy of every tensor at its taps.
 
-    * ``observe``: record a copy of every tensor passing a registered tap
-      (concatenated over calibration batches) and, optionally, the gradient
-      flowing back through it (for the Hessian-weighted search).
-    * ``quantize``: pass tensors through their tap's fitted quantizer using
-      a straight-through node, so fake quantization is active in forward
-      while gradients (when enabled) flow unchanged.
+    ``taps=None`` watches every tap.  With ``grads``, each watched tap also
+    keeps the gradient flowing back through it when gradients are enabled
+    (for the Hessian-weighted search).  Tensors pass through unchanged, so
+    a forward under a recorder is the float forward; the observations live
+    here and are dropped with the recorder.
+    """
+
+    def __init__(self, taps=None, grads: bool = False):
+        self.taps = None if taps is None else set(taps)
+        self.grads = grads
+        self.values: dict[str, list[np.ndarray]] = {}
+        self.gradients: dict[str, list[np.ndarray]] = {}
+
+    def observed(self, name: str) -> np.ndarray:
+        """Every recorded tensor at ``name``, flattened and concatenated."""
+        if name not in self.values:
+            raise KeyError(f"no observations recorded for tap {name!r}")
+        return np.concatenate([r.reshape(-1) for r in self.values[name]])
+
+    def observed_gradients(self, name: str) -> np.ndarray:
+        if name not in self.gradients:
+            raise KeyError(f"no gradients recorded for tap {name!r}")
+        return np.concatenate([g.reshape(-1) for g in self.gradients[name]])
+
+    def tap(self, name: str, value: Tensor) -> Tensor:
+        if self.taps is not None and name not in self.taps:
+            return value
+        self.values.setdefault(name, []).append(value.data.copy())
+        if not (self.grads and is_grad_enabled()):
+            return value
+        store = self.gradients.setdefault(name, [])
+
+        def capture(g):
+            store.append(np.asarray(g, dtype=np.float32).copy())
+            return (g,)
+
+        return Tensor._make(value.data, (value,), capture)
+
+
+class QuantEnv(TapDispatcher):
+    """Tap dispatcher that fake-quantizes each tap through its fitted quantizer.
+
+    Tensors pass through a straight-through node, so fake quantization is
+    active in forward while gradients (when enabled) flow unchanged.  A
+    tap without a quantizer is the identity.  The env quantizes whenever
+    it is the model's dispatcher (:meth:`PTQPipeline.attach`); detaching
+    it is what turns quantization off.  A ``recorder`` set through
+    :meth:`recording` sees every tap's pre-quantization tensor.
     """
 
     def __init__(self):
-        self.phase = "off"
-        self.watched: set[str] | None = None  # None = watch everything
-        self.records: dict[str, list[np.ndarray]] = {}
-        self.grad_records: dict[str, list[np.ndarray]] = {}
         self.quantizers: dict[str, Quantizer] = {}
-        self.capture_grads = False
-        self.seen_taps: set[str] = set()
-        # Optional drift hook (repro.quant.drift.TapStatsRecorder): when
-        # set, quantize-phase taps also report the *pre-quantization*
-        # tensor so live statistics can be compared against the
-        # calibration fingerprint without storing activations.
-        self.stats_recorder = None
+        # Live-statistics hook (``record(name, data)``, e.g. the drift
+        # monitor's TapStatsRecorder); set only through ``recording``.
+        self.recorder = None
         # Weight cache: weight taps always see the same parameter tensor
         # between calibrations, so their fake-quantized arrays are computed
         # once and replayed per batch.  Entries are invalidated by the
@@ -118,21 +155,15 @@ class QuantEnv(TapDispatcher):
         self.weight_cache_misses = 0
         self._weight_cache: dict[str, tuple] = {}
 
-    # ------------------------------------------------------------------
-    def observed(self, name: str) -> np.ndarray:
-        """Concatenated calibration data recorded at ``name``."""
-        if name not in self.records:
-            raise KeyError(f"no observations recorded for tap {name!r}")
-        return np.concatenate([r.reshape(-1) for r in self.records[name]])
-
-    def observed_gradients(self, name: str) -> np.ndarray:
-        if name not in self.grad_records:
-            raise KeyError(f"no gradients recorded for tap {name!r}")
-        return np.concatenate([g.reshape(-1) for g in self.grad_records[name]])
-
-    def clear_observations(self) -> None:
-        self.records.clear()
-        self.grad_records.clear()
+    @contextmanager
+    def recording(self, recorder):
+        """Route every tap's pre-quantization tensor to ``recorder.record``
+        for the duration of the block (``None`` records nothing)."""
+        previous, self.recorder = self.recorder, recorder
+        try:
+            yield recorder
+        finally:
+            self.recorder = previous
 
     # ------------------------------------------------------------------
     def invalidate_weight_cache(self) -> None:
@@ -191,41 +222,16 @@ class QuantEnv(TapDispatcher):
 
     # ------------------------------------------------------------------
     def tap(self, name: str, value: Tensor) -> Tensor:
-        self.seen_taps.add(name)
-        if self.phase == "off":
+        if self.recorder is not None:
+            self.recorder.record(name, value.data)
+        quantizer = self.quantizers.get(name)
+        if quantizer is None:
             return value
-        if self.watched is not None and name not in self.watched:
-            return value
-
-        if self.phase == "observe":
-            self.records.setdefault(name, []).append(value.data.copy())
-            if self.capture_grads and is_grad_enabled():
-                store = self.grad_records.setdefault(name, [])
-
-                def capture(g):
-                    store.append(np.asarray(g, dtype=np.float32).copy())
-                    return (g,)
-
-                return Tensor._make(value.data, (value,), capture)
-            return value
-
-        if self.phase == "quantize":
-            if self.stats_recorder is not None:
-                self.stats_recorder.record(name, value.data)
-            quantizer = self.quantizers.get(name)
-            if quantizer is None:
-                return value
-            if (
-                self.weight_cache_enabled
-                and name.endswith(".weight")
-                and not is_grad_enabled()
-            ):
-                # Static weight tap on the inference path: replay the
-                # cached quantized array instead of re-fake-quantizing.
-                # QAT (gradients enabled) bypasses the cache because the
-                # weights change every optimizer step.
-                quantized = self.cached_fake_weight(name, quantizer, value.data)
-                return straight_through(value, lambda _data: quantized)
-            return straight_through(value, quantizer.fake_quantize)
-
-        raise RuntimeError(f"unknown QuantEnv phase {self.phase!r}")
+        if self.weight_cache_enabled and name.endswith(".weight") and not is_grad_enabled():
+            # Static weight tap on the inference path: replay the cached
+            # quantized array instead of re-fake-quantizing.  QAT
+            # (gradients enabled) bypasses the cache because the weights
+            # change every optimizer step.
+            quantized = self.cached_fake_weight(name, quantizer, value.data)
+            return straight_through(value, lambda _data: quantized)
+        return straight_through(value, quantizer.fake_quantize)

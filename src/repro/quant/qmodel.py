@@ -5,6 +5,15 @@ calibration images from the training set, per-tensor quantizer fitting at
 every covered tap, then an optional Hessian-weighted grid search over the
 scale factors (the "grid search similar to [PTQ4ViT]").
 
+:class:`PTQPipeline` runs the protocol as three steps: :meth:`~PTQPipeline.observe`
+(float passes under a :class:`~repro.quant.observers.TapRecorder`),
+:meth:`~PTQPipeline.fit` (one quantizer per tap) and
+:meth:`~PTQPipeline.install` (attach the :class:`~repro.quant.observers.QuantEnv`
+and re-warm its weight cache).  ``calibrate``, ``load_quantizers``,
+``hessian_refine`` and the mixed-precision refit compose them; nothing
+changes until ``install``, so a pass that raises leaves the model serving
+what it served before.
+
 The ``method`` string selects the quantizer family per tap:
 
 ========  ==================================================================
@@ -22,6 +31,7 @@ Figure 1), ``full`` quantizes every dataflow tap (Table 3's setting).
 from __future__ import annotations
 
 import difflib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +42,7 @@ from .base import Quantizer
 from .baselines.biscaled import BiScaledQuantizer
 from .baselines.fqvit import Log2Quantizer
 from .baselines.ptq4vit import TwinUniformQuantizer
-from .observers import QuantEnv, TapKind, classify_tap, taps_for_coverage
+from .observers import QuantEnv, TapKind, TapRecorder, classify_tap, taps_for_coverage
 from .quq import QUQQuantizer
 from .relax import PRAConfig
 from .uniform import AsymmetricUniformQuantizer, RowwiseUniformQuantizer, UniformQuantizer
@@ -92,70 +102,80 @@ class PTQPipeline:
         self.calibrated = False
 
     # ------------------------------------------------------------------
-    def _discover_taps(self, sample: np.ndarray) -> list[str]:
-        """Run one forward pass to enumerate tap names, then filter."""
-        self.env.phase = "off"
-        self.env.seen_taps.clear()
-        self.model.set_tap_dispatcher(self.env)
+    @contextmanager
+    def observing(self, recorder: TapRecorder):
+        """Run the block's forward passes in float under ``recorder``.
+
+        The model's previous dispatcher (the env, when quantizing) is put
+        back on the way out, whether the block finishes or raises.
+        """
+        previous = self.model.tap_dispatcher
+        self.model.set_tap_dispatcher(recorder)
+        try:
+            yield recorder
+        finally:
+            self.model.set_tap_dispatcher(previous)
+
+    def observe(
+        self, images: np.ndarray, taps=None, batch_size: int = 32
+    ) -> TapRecorder:
+        """Record ``taps`` (``None``: every tap) over float, no-grad
+        forward passes of ``images``, ``batch_size`` at a time."""
+        recorder = TapRecorder(taps)
         self.model.eval()
-        with no_grad():
-            self.model(Tensor(sample[:1]))
-        covered = [
-            name
-            for name in sorted(self.env.seen_taps)
-            if taps_for_coverage(classify_tap(name), self.coverage)
-        ]
-        return covered
+        with self.observing(recorder), no_grad():
+            for start in range(0, len(images), batch_size):
+                self.model(Tensor(images[start : start + batch_size]))
+        return recorder
+
+    def fit(
+        self, names, recorder: TapRecorder, bits: dict[str, int] | None = None
+    ) -> dict[str, Quantizer]:
+        """One fitted quantizer per tap in ``names``, in that order.
+
+        Activations are fitted on the recorder's observations; weights on
+        the parameter tensor itself (the tap passes it unchanged).
+        ``bits`` gives a per-tap width (default: the pipeline's).
+        """
+        parameters = dict(self.model.named_parameters())
+        quantizers: dict[str, Quantizer] = {}
+        for name in names:
+            kind = classify_tap(name)
+            if kind is TapKind.WEIGHT:
+                data = parameters[name.split(".", 1)[-1]].data
+            else:
+                data = recorder.observed(name)
+            width = self.bits if bits is None else bits[name]
+            quantizer = make_quantizer(self.method, kind, name, width, self.pra_config)
+            quantizers[name] = quantizer.fit(data)
+        return quantizers
+
+    def install(self, quantizers: dict[str, Quantizer]) -> "PTQPipeline":
+        """Serve ``quantizers``: attach the env and re-warm the weight cache."""
+        self.env.quantizers = quantizers
+        self.env.invalidate_weight_cache()
+        self.model.set_tap_dispatcher(self.env)
+        self.calibrated = True
+        self.warm_weight_cache()
+        return self
 
     def calibrate(self, calib_images: np.ndarray, batch_size: int = 32) -> "PTQPipeline":
         """Fit one quantizer per covered tap from calibration activations.
 
         Idempotent: recalibrating replaces every previously fitted
-        quantizer and drops all stale observations, so the pipeline ends
-        up exactly as if this were the first call.
+        quantizer, so the pipeline ends up exactly as if this were the
+        first call.  Nothing changes until the fits are installed, so a
+        calibration that raises leaves the pipeline as it was.
         """
-        self.calibrated = False
-        self.env.quantizers = {}
-        self.env.clear_observations()
-        covered = self._discover_taps(calib_images)
+        covered = [
+            name
+            for name in sorted(self.observe(calib_images[:1]).values)
+            if taps_for_coverage(classify_tap(name), self.coverage)
+        ]
         weight_taps = [n for n in covered if classify_tap(n) is TapKind.WEIGHT]
         activation_taps = [n for n in covered if classify_tap(n) is not TapKind.WEIGHT]
-
-        # Observe activations over the calibration set.
-        self.env.phase = "observe"
-        self.env.watched = set(activation_taps)
-        self.env.clear_observations()
-        with no_grad():
-            for start in range(0, len(calib_images), batch_size):
-                self.model(Tensor(calib_images[start : start + batch_size]))
-
-        quantizers: dict[str, Quantizer] = {}
-        for name in activation_taps:
-            data = self.env.observed(name)
-            quantizer = make_quantizer(
-                self.method, classify_tap(name), name, self.bits, self.pra_config
-            )
-            quantizers[name] = quantizer.fit(data)
-
-        # Weights are quantized directly (no observation needed) — the tap
-        # passes the parameter tensor itself.
-        parameters = dict(self.model.named_parameters())
-        for name in weight_taps:
-            param_name = name.split(".", 1)[1] if "." in name else name
-            data = parameters[param_name].data
-            quantizer = make_quantizer(
-                self.method, TapKind.WEIGHT, name, self.bits, self.pra_config
-            )
-            quantizers[name] = quantizer.fit(data)
-
-        self.env.quantizers = quantizers
-        self.env.phase = "quantize"
-        self.env.watched = None
-        self.env.clear_observations()
-        self.env.invalidate_weight_cache()
-        self.calibrated = True
-        self.warm_weight_cache()
-        return self
+        recorder = self.observe(calib_images, activation_taps, batch_size)
+        return self.install(self.fit(activation_taps + weight_taps, recorder))
 
     # ------------------------------------------------------------------
     def quantizer_for(self, name: str) -> Quantizer:
@@ -194,8 +214,7 @@ class PTQPipeline:
         for name, quantizer in self.env.quantizers.items():
             if classify_tap(name) is not TapKind.WEIGHT:
                 continue
-            param_name = name.split(".", 1)[1] if "." in name else name
-            param = parameters.get(param_name)
+            param = parameters.get(name.split(".", 1)[-1])
             if param is None:
                 continue  # tap without a live parameter (defensive)
             self.env.cached_fake_weight(name, quantizer, param.data)
@@ -208,7 +227,6 @@ class PTQPipeline:
 
     def detach(self) -> None:
         """Restore the model to its float behaviour."""
-        self.env.phase = "off"
         self.model.set_tap_dispatcher(None)
 
     def attach(self) -> None:
@@ -216,7 +234,6 @@ class PTQPipeline:
         if not self.calibrated:
             raise RuntimeError("calibrate() must run before attach()")
         self.model.set_tap_dispatcher(self.env)
-        self.env.phase = "quantize"
 
     # ------------------------------------------------------------------
     def save_quantizers(
@@ -257,15 +274,7 @@ class PTQPipeline:
                     f"quantizer state at {path} was fitted with "
                     f"{field}={found!r}, but this pipeline uses {expected!r}"
                 )
-        self.env.quantizers = quantizers
-        self.env.clear_observations()
-        self.env.watched = None
-        self.env.phase = "quantize"
-        self.env.invalidate_weight_cache()
-        self.model.set_tap_dispatcher(self.env)
-        self.calibrated = True
-        self.warm_weight_cache()
-        return self
+        return self.install(quantizers)
 
     # ------------------------------------------------------------------
     def average_bits_per_element(self) -> float:

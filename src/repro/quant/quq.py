@@ -429,7 +429,7 @@ class QUQQuantizer(Quantizer):
         # Dispatch through the kernel registry: fast (the fused four-slot
         # kernel) by default, the quantize->dequantize reference under
         # ``REPRO_KERNELS=reference``.  Every caller — ``QuantEnv``'s
-        # quantize phase, the weight cache, the float serving backend —
+        # activation taps, the weight cache, the float serving backend —
         # inherits the switch through this one seam.
         self._require_fitted()
         return get_kernel("quq.fake_quantize")(x, self.params)

@@ -237,7 +237,6 @@ class _ShardExecutor(Executor):
         self.restarts += 1
         with lane.lock:
             lane.restarts += 1
-        engine._update_live_gauge(lane)
         engine.metrics.count("shard_restarts_total", spec=spec)
         engine.metrics.count(
             "watchdog_restarts_total" if reason == "stall" else "shard_crashes_total",
@@ -406,7 +405,6 @@ class ClusterEngine(LaneCore):
         lane.stand_in = _ParentExecutor(self, lane.key)
         for _ in range(self.cluster.shards):
             self._add(lane)
-        self._update_live_gauge(lane)
 
     def _add(self, lane: Lane) -> None:
         """Spawn one shard at a fresh index and start its dispatch thread."""
@@ -414,14 +412,6 @@ class ClusterEngine(LaneCore):
         executor = _ShardExecutor(self, lane, index)
         executor.spawn()
         self._start(lane, index, executor, name="dispatch")
-
-    def _update_live_gauge(self, lane: Lane) -> None:
-        with lane.lock:
-            live = sum(
-                1 for index, executor in lane.executors.items()
-                if index not in lane.fenced and executor.alive()
-            )
-        self.metrics.gauge("shards_live", labels={"spec": lane.key.spec}).set(live)
 
     def warm(self, spec: str | ModelKey) -> None:
         """Spawn (and block until ready) the spec's shard pool."""
@@ -496,7 +486,6 @@ class ClusterEngine(LaneCore):
             self.metrics.count("shard_spawn_failures_total", spec=lane.key.spec)
             lane.record_crash(self.clock())
             return False
-        self._update_live_gauge(lane)
         self.metrics.count("scale_ups_total", spec=lane.key.spec)
         return True
 
@@ -525,7 +514,6 @@ class ClusterEngine(LaneCore):
                 return False
             lane.fenced.add(index)
             thread = lane.threads.get(index)
-        self._update_live_gauge(lane)
         if thread is not None:
             thread.join(timeout=drain_timeout_s)
             if thread.is_alive():
@@ -534,7 +522,6 @@ class ClusterEngine(LaneCore):
                 # on a later autoscaler tick.
                 with lane.lock:
                     lane.fenced.discard(index)
-                self._update_live_gauge(lane)
                 return False
         with lane.lock:
             executor = lane.executors.pop(index, None)
@@ -542,7 +529,6 @@ class ClusterEngine(LaneCore):
             lane.fenced.discard(index)
         if executor is not None:
             executor.close()
-        self._update_live_gauge(lane)
         self.metrics.count("scale_downs_total", spec=lane.key.spec)
         return True
 
@@ -631,8 +617,13 @@ class ClusterEngine(LaneCore):
                 for index, executor in sorted(lane.executors.items())]
 
     def _lane_view(self, lane: Lane) -> dict:
+        # ``shards_live`` is read here, at snapshot time, from the same
+        # views, so it holds while supervision skips a quarantined lane.
+        shards = self._shard_views(lane)
+        live = sum(1 for view in shards if view["alive"] and not view["fenced"])
+        self.metrics.gauge("shards_live", labels={"spec": lane.key.spec}).set(live)
         return {**super()._lane_view(lane), "reroutes": lane.reroutes,
-                "quarantined": lane.quarantined, "shards": self._shard_views(lane)}
+                "quarantined": lane.quarantined, "shards": shards}
 
     def registry_snapshot(self) -> dict:
         with self._lock:

@@ -78,13 +78,13 @@ class TestMiniConvNet:
 
     def test_taps_classifiable(self, rng):
         model = build_cnn()
-        from repro.quant import QuantEnv
+        from repro.quant import TapRecorder
 
-        env = QuantEnv()
-        model.set_tap_dispatcher(env)
+        recorder = TapRecorder()
+        model.set_tap_dispatcher(recorder)
         model(Tensor(rng.normal(size=(1, 32, 32, 3)).astype(np.float32)))
         model.set_tap_dispatcher(None)
-        kinds = {classify_tap(name) for name in env.seen_taps}
+        kinds = {classify_tap(name) for name in recorder.values}
         assert TapKind.WEIGHT in kinds
         assert TapKind.GEMM_INPUT in kinds
         assert TapKind.GELU_INPUT in kinds

@@ -76,7 +76,6 @@ class TestAttentionBruteForce:
 class TestStraightThroughInPipeline:
     def test_gradients_flow_through_quantize_phase(self, rng):
         env = QuantEnv()
-        env.phase = "quantize"
         env.quantizers["a"] = UniformQuantizer(4).fit(rng.normal(size=100))
         x = Tensor(rng.normal(size=(5,)).astype(np.float32), requires_grad=True)
         out = env.tap("a", x)

@@ -175,29 +175,24 @@ class TestFingerprintPipeline:
 
     def test_restores_quantize_phase_and_recorder(self, pipeline, calib_images):
         sentinel = object()
-        pipeline.env.stats_recorder = sentinel
-        try:
+        pipeline.detach()
+        with pipeline.env.recording(sentinel):
             fingerprint_pipeline(pipeline, calib_images)
-            assert pipeline.env.phase == "quantize"
-            assert pipeline.env.stats_recorder is sentinel
-        finally:
-            pipeline.env.stats_recorder = None
+            assert pipeline.model.tap_dispatcher is pipeline.env
+            assert pipeline.env.recorder is sentinel
+        assert pipeline.env.recorder is None
 
     def test_fingerprints_match_live_recorder_stats(self, pipeline, calib_images):
         """Clean traffic through the live recorder must look un-drifted —
-        fingerprints and recorder observe the same (quantize-phase) values."""
+        fingerprints and recorder observe the same (pre-quantization) values."""
         from repro.autograd import Tensor, no_grad
 
         fingerprints = fingerprint_pipeline(pipeline, calib_images)
         monitor = DriftMonitor(
             fingerprints, DriftThresholds(consecutive=1, min_samples=1)
         )
-        pipeline.env.stats_recorder = TapStatsRecorder(monitor)
-        try:
-            with no_grad():
-                pipeline.model(Tensor(calib_images[:16]))
-        finally:
-            pipeline.env.stats_recorder = None
+        with pipeline.env.recording(TapStatsRecorder(monitor)), no_grad():
+            pipeline.model(Tensor(calib_images[:16]))
         monitor.observe(INPUT_TAP, calib_images[:16])
         verdict = monitor.complete_batch()
         assert not verdict.drifted, verdict.reasons

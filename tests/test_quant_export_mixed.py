@@ -136,6 +136,28 @@ class TestSensitivity:
         kind_sensitivity(quq_pipeline, calib_images[:8])
         assert set(quq_pipeline.env.quantizers) == before
 
+    @pytest.mark.parametrize("sweep", [kind_sensitivity, tap_sensitivity])
+    def test_quantizers_restored_when_a_pass_raises(
+        self, sweep, quq_pipeline, calib_images, monkeypatch
+    ):
+        from repro.analysis import sensitivity
+
+        original = dict(quq_pipeline.env.quantizers)
+        predict, calls = sensitivity.predict_logits, []
+
+        def fails_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("pass failed")
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "predict_logits", fails_second)
+        with pytest.raises(RuntimeError):
+            sweep(quq_pipeline, calib_images[:8])
+        restored = quq_pipeline.env.quantizers
+        assert restored.keys() == original.keys()
+        assert all(restored[name] is quantizer for name, quantizer in original.items())
+
     def test_tap_sensitivity_subset(self, quq_pipeline, calib_images):
         taps = quq_pipeline.tap_names()[:3]
         result = tap_sensitivity(quq_pipeline, calib_images[:8], taps=taps)

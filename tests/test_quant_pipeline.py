@@ -1,4 +1,6 @@
-"""Tests for tap classification, QuantEnv and the PTQ pipeline."""
+"""Tests for tap classification, the tap dispatchers and the PTQ pipeline."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.quant import (
     PTQPipeline,
     QuantEnv,
     TapKind,
+    TapRecorder,
     UniformQuantizer,
     classify_tap,
     hessian_refine,
@@ -18,7 +21,7 @@ from repro.quant import (
 from repro.quant.baselines.fqvit import Log2Quantizer
 from repro.quant.baselines.ptq4vit import TwinUniformQuantizer
 from repro.quant.uniform import RowwiseUniformQuantizer
-from repro.training import evaluate_top1
+from repro.training import evaluate_top1, predict_logits
 from repro import quantize_model
 
 
@@ -60,18 +63,31 @@ class TestTapClassification:
             taps_for_coverage(TapKind.WEIGHT, "half")
 
 
-class TestQuantEnv:
+class TestTapRecorder:
     def test_observe_records_copies(self):
-        env = QuantEnv()
-        env.phase = "observe"
+        recorder = TapRecorder()
         value = Tensor(np.ones((2, 3), dtype=np.float32))
-        env.tap("a", value)
+        assert recorder.tap("a", value) is value
         value.data[:] = 7.0
-        np.testing.assert_allclose(env.observed("a"), np.ones(6))
+        np.testing.assert_allclose(recorder.observed("a"), np.ones(6))
 
+    def test_watch_filter(self):
+        recorder = TapRecorder(taps={"a"})
+        recorder.tap("b", Tensor(np.ones(3)))
+        with pytest.raises(KeyError):
+            recorder.observed("b")
+
+    def test_grad_capture(self):
+        recorder = TapRecorder(grads=True)
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        out = recorder.tap("a", x)
+        (out * 2.0).backward()
+        np.testing.assert_allclose(recorder.observed_gradients("a"), [2.0, 2.0, 2.0])
+
+
+class TestQuantEnv:
     def test_quantize_phase_applies_quantizer(self, rng):
         env = QuantEnv()
-        env.phase = "quantize"
         env.quantizers["a"] = UniformQuantizer(4).fit(rng.normal(size=100))
         x = Tensor(rng.normal(size=(5,)).astype(np.float32))
         out = env.tap("a", x)
@@ -79,26 +95,30 @@ class TestQuantEnv:
 
     def test_unregistered_tap_passthrough(self, rng):
         env = QuantEnv()
-        env.phase = "quantize"
         x = Tensor(rng.normal(size=(5,)).astype(np.float32))
         assert env.tap("unseen", x) is x
 
-    def test_watch_filter(self):
-        env = QuantEnv()
-        env.phase = "observe"
-        env.watched = {"a"}
-        env.tap("b", Tensor(np.ones(3)))
-        with pytest.raises(KeyError):
-            env.observed("b")
+    def test_recording_sees_pre_quantization_tensors_and_restores(self, rng):
+        class Calls:
+            def __init__(self):
+                self.seen = []
 
-    def test_grad_capture(self):
+            def record(self, name, data):
+                self.seen.append((name, data.copy()))
+
         env = QuantEnv()
-        env.phase = "observe"
-        env.capture_grads = True
-        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        out = env.tap("a", x)
-        (out * 2.0).backward()
-        np.testing.assert_allclose(env.observed_gradients("a"), [2.0, 2.0, 2.0])
+        env.quantizers["a"] = UniformQuantizer(4).fit(rng.normal(size=100))
+        x = Tensor(rng.normal(size=(5,)).astype(np.float32))
+        outer, inner = Calls(), Calls()
+        with env.recording(outer):
+            with pytest.raises(RuntimeError), env.recording(inner):
+                env.tap("a", x)
+                raise RuntimeError("pass failed")
+            assert env.recorder is outer
+        assert env.recorder is None
+        assert outer.seen == []
+        assert [name for name, _ in inner.seen] == ["a"]
+        np.testing.assert_array_equal(inner.seen[0][1], x.data)
 
 
 class TestMakeQuantizer:
@@ -163,8 +183,9 @@ class TestPTQPipeline:
     def test_attach_after_detach(self, tiny_trained, calib_images):
         pipeline = PTQPipeline(tiny_trained, "baseq", 6, "full").calibrate(calib_images)
         pipeline.detach()
+        assert pipeline.model.tap_dispatcher is not pipeline.env
         pipeline.attach()
-        assert pipeline.env.phase == "quantize"
+        assert pipeline.model.tap_dispatcher is pipeline.env
         pipeline.detach()
 
     def test_invalid_args_rejected(self, tiny_trained):
@@ -194,20 +215,87 @@ class TestPTQPipeline:
         assert "nearest taps" in message and existing in message
         pipeline.detach()
 
-    def test_calibrate_is_idempotent(self, tiny_trained, calib_images):
+    def test_calibrate_is_idempotent(self, tiny_trained, calib_images, monkeypatch):
+        recorders = []
+        init = TapRecorder.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            recorders.append(weakref.ref(self))
+
+        monkeypatch.setattr(TapRecorder, "__init__", tracked)
         pipeline = PTQPipeline(tiny_trained, "baseq", 6, "full")
         pipeline.calibrate(calib_images)
         first = {n: pipeline.quantizer_for(n).delta for n in pipeline.tap_names()}
         pipeline.calibrate(calib_images)
         second = {n: pipeline.quantizer_for(n).delta for n in pipeline.tap_names()}
         assert first == second  # same data -> identical refit
-        assert not pipeline.env.records  # observations cleared
+        # Observations cleared: every recorder is gone with its records.
+        assert recorders and all(ref() is None for ref in recorders)
         # Every quantizer object was replaced, not reused.
         pipeline.env.quantizers[pipeline.tap_names()[0]].delta = -1.0
         pipeline.calibrate(calib_images)
         third = {n: pipeline.quantizer_for(n).delta for n in pipeline.tap_names()}
         assert third == first
         pipeline.detach()
+
+
+class TestProtocolSteps:
+    """observe -> fit -> install, and the float-pass hook under them."""
+
+    def test_observing_restores_the_dispatcher_when_a_pass_raises(
+        self, tiny_vit, calib_images
+    ):
+        pipeline = PTQPipeline(tiny_vit, "baseq", 6, "full").calibrate(calib_images)
+        with pytest.raises(RuntimeError), pipeline.observing(TapRecorder()) as recorder:
+            assert tiny_vit.tap_dispatcher is recorder
+            raise RuntimeError("pass failed")
+        assert tiny_vit.tap_dispatcher is pipeline.env
+
+    def test_observe_records_the_float_pass(self, tiny_vit, calib_images):
+        pipeline = PTQPipeline(tiny_vit, "baseq", 4, "full").calibrate(calib_images)
+        tap = next(n for n in pipeline.tap_names() if n.endswith(".qkv.input"))
+        recorder = pipeline.observe(calib_images[:8], [tap], batch_size=3)
+        assert list(recorder.values) == [tap]
+        assert [r.shape[0] for r in recorder.values[tap]] == [3, 3, 2]
+        pipeline.detach()
+        float_pass = pipeline.observe(calib_images[:8], [tap])
+        np.testing.assert_array_equal(recorder.observed(tap), float_pass.observed(tap))
+
+    def test_fit_takes_per_tap_bits_and_install_serves_them(self, tiny_vit, calib_images):
+        pipeline = PTQPipeline(tiny_vit, "baseq", 6, "full").calibrate(calib_images)
+        names = pipeline.tap_names()
+        recorder = pipeline.observe(calib_images, names)
+        bits = {name: 4 if i % 2 else 8 for i, name in enumerate(names)}
+        quantizers = pipeline.fit(names, recorder, bits=bits)
+        assert list(quantizers) == names
+        assert {name: q.bits for name, q in quantizers.items()} == bits
+        pipeline.detach()
+        before = pipeline.weight_cache_info()
+        pipeline.install(quantizers)
+        assert pipeline.env.quantizers is quantizers
+        assert tiny_vit.tap_dispatcher is pipeline.env
+        # The cache is invalidated and every weight tap refilled.
+        after = pipeline.weight_cache_info()
+        weights = [n for n in names if classify_tap(n) is TapKind.WEIGHT]
+        assert after["version"] == before["version"] + 1
+        assert after["entries"] == len(weights)
+        assert after["misses"] == before["misses"] + len(weights)
+
+    @pytest.mark.parametrize("step", ["calibrate", "hessian_refine"])
+    def test_failed_pass_leaves_the_pipeline_as_it_was(self, step, tiny_vit, calib_images):
+        pipeline = PTQPipeline(tiny_vit, "quq", 6, "full").calibrate(calib_images)
+        quantizers = dict(pipeline.env.quantizers)
+        before = predict_logits(tiny_vit, calib_images[:8])
+        with pytest.raises(ValueError):
+            # 8x8 images do not fit the 16x16 model: the first pass raises.
+            if step == "calibrate":
+                pipeline.calibrate(calib_images[:4, :8, :8])
+            else:
+                hessian_refine(pipeline, calib_images[:4, :8, :8])
+        assert pipeline.calibrated and pipeline.env.quantizers == quantizers
+        assert tiny_vit.tap_dispatcher is pipeline.env
+        np.testing.assert_array_equal(predict_logits(tiny_vit, calib_images[:8]), before)
 
 
 class TestHessianRefine:

@@ -564,6 +564,20 @@ class TestElasticCluster:
         assert snap["gauges"][f'lane_quarantined{{spec="{FULL_SPEC}"}}'] == 0
         assert snap["counters"]["quarantines_total"] == 1
 
+    def test_live_gauge_drops_a_shard_that_dies_in_quarantine(self):
+        # The watchdog sweep skips a quarantined lane, so only a gauge
+        # read at snapshot time sees this shard go.
+        with make_engine(shards=2) as engine:
+            engine.warm(SPEC)
+            assert engine.quarantine_lane(SPEC) is True
+            engine.kill_shard(SPEC, 0)
+            engine._find(SPEC).executors[0].process.join(timeout=10.0)
+            engine.check_watchdog()
+            snap = engine.snapshot()
+            stats = engine.lane_stats(SPEC)
+        assert stats["shards_alive"] == 1
+        assert snap["gauges"][f'shards_live{{spec="{FULL_SPEC}"}}'] == 1
+
     def test_quarantined_batches_record_no_breaker_outcome(self):
         plan = FaultPlan([FaultSpec(BATCH_EXCEPTION, start=0, count=1)])
         resilience = ResiliencePolicy(breaker_failures=1, breaker_cooldown_s=0.0)

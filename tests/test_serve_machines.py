@@ -13,9 +13,11 @@ promise after every rule:
   seq) order, nothing is dispatched at or past its expiry, and every
   request ends exactly once: dispatched, expired or failed by ``close``;
 * **cluster elastic surface** — a :class:`~repro.serve.ClusterEngine`
-  over forked stub shards: a lane never loses its last shard,
-  ``shards_live`` equals ``shard_count`` after a watchdog sweep, and
-  ``stop()`` resolves every request and leaves no shard alive.
+  over forked stub shards: a lane never loses its last shard, the
+  snapshot's ``shards_live`` counts the lane's live unfenced shards
+  (quarantined lanes included) and equals ``shard_count`` after a
+  watchdog sweep of an unquarantined lane, and ``stop()`` resolves
+  every request and leaves no shard alive.
 
 No thread but the test's runs a batch: each engine overrides ``_start``
 to register its executors without starting a thread, and the machine
@@ -481,13 +483,19 @@ class ClusterMachine(RuleBasedStateMachine):
         self.engine.kill_shard(SPEC, index)
         self.lane.executors[index].process.join(timeout=10.0)  # dead before the next rule
 
+    def live_gauges(self) -> dict[str, float]:
+        gauges = self.engine.snapshot()["gauges"]
+        return {spec: gauges[f'shards_live{{spec="{spec}"}}'] for spec in self.engine.lane_specs()}
+
     @rule()
     def check_watchdog(self):
         self.engine.check_watchdog()
         self.remember_processes()
-        if not self.lane.quarantined:  # a quarantined lane's dead shards stay down
-            live = self.engine.metrics.gauge("shards_live", labels={"spec": SPEC}).value
-            assert live == self.engine.shard_count(SPEC)
+        for spec, live in self.live_gauges().items():
+            if not self.engine.lane_stats(spec)["quarantined"]:
+                # The sweep respawned every dead shard; a quarantined
+                # lane's dead shards stay down.
+                assert live == self.engine.shard_count(spec)
 
     @rule()
     def quarantine_lane(self):
@@ -500,6 +508,11 @@ class ClusterMachine(RuleBasedStateMachine):
     @invariant()
     def lane_keeps_a_shard(self):
         assert self.engine.shard_count(SPEC) >= 1
+
+    @invariant()
+    def live_gauge_counts_live_shards(self):
+        for spec, live in self.live_gauges().items():
+            assert live == self.engine.lane_stats(spec)["shards_alive"]
 
     def teardown(self):
         self.engine.stop()
