@@ -15,6 +15,8 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..models.vit import VisionTransformer
+from ..quant.observers import QuantEnv, TapRecorder
+from ..quant.qmodel import PTQPipeline
 
 __all__ = [
     "attention_rollout",
@@ -46,12 +48,27 @@ def attention_rollout(maps: list[np.ndarray], num_prefix_tokens: int = 1) -> np.
 
 
 def rollout_for_images(model: VisionTransformer, images: np.ndarray) -> np.ndarray:
-    """Forward ``images`` and return the attention rollout saliency."""
+    """Forward ``images`` and return the attention rollout saliency.
+
+    The maps are each block's ``attn.probs`` tap, the softmax output before
+    its own quantization.  A quantized model (its dispatcher a
+    :class:`QuantEnv`) records them through ``env.recording``, so they are
+    the quantized model's; otherwise a float pass records them.
+    """
+    named = model.named_modules(prefix=f"{model.config.name}.")
+    taps = [f"{path}.probs" for path, _ in named if path.endswith(".attn")]
+    recorder = TapRecorder(taps)
+    env = model.tap_dispatcher
+    if isinstance(env, QuantEnv):
+        route = env.recording(recorder)
+    else:
+        route = PTQPipeline(model).observing(recorder)
     model.eval()
-    with no_grad():
+    with route, no_grad():
         model(Tensor(images))
+    maps = [recorder.values[name][0] for name in taps]
     prefix = 2 if model.dist_token is not None else 1
-    return attention_rollout(model.attention_maps(), num_prefix_tokens=prefix)
+    return attention_rollout(maps, num_prefix_tokens=prefix)
 
 
 def crucial_region_energy(

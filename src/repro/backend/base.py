@@ -40,10 +40,11 @@ class ServingBackend:
     def predict(self, images: np.ndarray, recorder=None) -> np.ndarray:
         """Logits for a batch of images.
 
-        ``recorder`` (a :class:`~repro.quant.drift.TapStatsRecorder`) is
-        fed the *pre-quantization* activation values at every quantized
-        tap, so drift monitoring sees the same distributions regardless
-        of which backend serves the batch.
+        ``recorder`` (a lane's :class:`~repro.quant.drift.DriftMonitor`, or
+        any object with ``record(name, data)``) is fed the
+        *pre-quantization* activation values at every quantized tap, so
+        drift monitoring sees the same distributions regardless of which
+        backend serves the batch.
         """
         raise NotImplementedError
 

@@ -93,7 +93,6 @@ class WindowAttention(Module):
 
         self.qkv = Linear(dim, dim * 3, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
-        self.last_attention: np.ndarray | None = None
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         bw, n, c = x.shape  # bw = batch * num_windows, n = window^2
@@ -118,7 +117,6 @@ class WindowAttention(Module):
 
         scores = self.tap("scores", scores)
         probs = softmax(scores, axis=-1)
-        self.last_attention = probs.data.copy()
         probs = self.tap("probs", probs)
 
         v = self.tap("v", v)
@@ -257,18 +255,6 @@ class SwinTransformer(Module):
         tokens = self.features(images)
         pooled = tokens.mean(axis=1)
         return self.head(pooled)
-
-    def attention_maps(self) -> list[np.ndarray]:
-        """Window-attention probabilities from the most recent forward."""
-        maps = []
-        for blocks in self.stages:
-            for block in blocks:
-                if block.attn.last_attention is None:
-                    raise RuntimeError(
-                        "run a forward pass before reading attention maps"
-                    )
-                maps.append(block.attn.last_attention)
-        return maps
 
 
 def build_swin(config: SwinConfig, seed: int = 0) -> SwinTransformer:

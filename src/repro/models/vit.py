@@ -84,15 +84,6 @@ class VisionTransformer(Module):
             )
         return (cls_logits + dist_logits) * 0.5
 
-    def attention_maps(self) -> list[np.ndarray]:
-        """Per-block attention probabilities from the most recent forward."""
-        maps = []
-        for block in self.blocks:
-            if block.attn.last_attention is None:
-                raise RuntimeError("run a forward pass before reading attention maps")
-            maps.append(block.attn.last_attention)
-        return maps
-
 
 def build_vit(config: ModelConfig, seed: int = 0) -> VisionTransformer:
     """Construct a ViT/DeiT from a config."""

@@ -27,9 +27,9 @@ __all__ = ["MultiHeadSelfAttention", "Mlp", "TransformerBlock"]
 class MultiHeadSelfAttention(Module):
     """Standard ViT multi-head self-attention.
 
-    Stores the most recent attention probabilities in ``last_attention``
-    (detached, shape ``(B, heads, N, N)``) for the attention-map analysis
-    of Figure 7.
+    The attention probabilities, shape ``(B, heads, N, N)``, pass through
+    the ``probs`` tap, where a recorder reads them for the attention-map
+    analysis of Figure 7.
     """
 
     def __init__(
@@ -47,7 +47,6 @@ class MultiHeadSelfAttention(Module):
         self.scale = self.head_dim**-0.5
         self.qkv = Linear(dim, dim * 3, bias=qkv_bias, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
-        self.last_attention: np.ndarray | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         b, n, c = x.shape
@@ -61,7 +60,6 @@ class MultiHeadSelfAttention(Module):
         scores = (q @ k.swapaxes(-1, -2)) * self.scale
         scores = self.tap("scores", scores)
         probs = softmax(scores, axis=-1)
-        self.last_attention = probs.data.copy()
         probs = self.tap("probs", probs)
 
         v = self.tap("v", v)

@@ -51,7 +51,6 @@ from .drift import (
     DriftThresholds,
     DriftVerdict,
     TapFingerprint,
-    TapStatsRecorder,
     fingerprint_pipeline,
     population_stability_index,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "DriftThresholds",
     "DriftVerdict",
     "TapFingerprint",
-    "TapStatsRecorder",
     "fingerprint_pipeline",
     "population_stability_index",
 ]

@@ -4,7 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Quantizer"]
+__all__ = ["Quantizer", "finite_values"]
+
+
+def finite_values(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``x`` flattened (as ``dtype``; ``None`` keeps its own) with NaN and
+    ±Inf dropped.
+
+    Every quantizer's ``fit`` reads its data through here, so the finite
+    values alone choose the parameters: one stray Inf cannot blow a range
+    out to infinity, nor a NaN poison a scale factor.  All-finite data
+    comes back as is, without a filtered copy.
+    """
+    flat = np.asarray(x, dtype=dtype).reshape(-1)
+    finite = np.isfinite(flat)
+    return flat if finite.all() else flat[finite]
 
 
 class Quantizer:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import Quantizer
+from ..base import Quantizer, finite_values
 
 __all__ = ["BiScaledQuantizer"]
 
@@ -49,7 +49,7 @@ class BiScaledQuantizer(Quantizer):
         return np.where(outlier, outlier_codes * delta_outlier, bulk_codes * delta_bulk)
 
     def fit(self, x: np.ndarray) -> "BiScaledQuantizer":
-        flat = np.asarray(x, dtype=np.float64).reshape(-1)
+        flat = finite_values(x)
         magnitudes = np.abs(flat)
         max_mag = float(magnitudes.max()) if flat.size else 1.0
         levels = 2 ** (self.bits - 1) - 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import Quantizer
+from ..base import Quantizer, finite_values
 
 __all__ = ["Log2Quantizer"]
 
@@ -30,7 +30,8 @@ class Log2Quantizer(Quantizer):
         super().__init__(bits)
 
     def fit(self, x: np.ndarray) -> "Log2Quantizer":
-        if np.asarray(x).size and float(np.min(x)) < -1e-6:
+        finite = finite_values(x)
+        if finite.size and float(finite.min()) < -1e-6:
             raise ValueError("Log2Quantizer requires non-negative inputs")
         self.fitted = True
         return self

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import Quantizer
+from ..base import Quantizer, finite_values
 
 __all__ = ["TwinUniformQuantizer"]
 
@@ -37,7 +37,7 @@ class TwinUniformQuantizer(Quantizer):
         self.delta_large: float = 0.0
 
     def fit(self, x: np.ndarray) -> "TwinUniformQuantizer":
-        flat = np.asarray(x, dtype=np.float64).reshape(-1)
+        flat = finite_values(x)
         half_levels = 2 ** (self.bits - 1) - 1
         if self.split == "sign":
             neg = -flat[flat < 0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import finite_values
 from .uniform import UniformQuantizer
 
 __all__ = [
@@ -37,17 +38,9 @@ __all__ = [
 _MIN_BOUND = 1e-12
 
 
-def _finite_magnitudes(x: np.ndarray) -> np.ndarray:
-    """Flattened |x| with NaN/Inf dropped — the common degenerate-input
-    guard for every bound strategy (a single stray Inf must not blow the
-    clip range out to infinity)."""
-    magnitudes = np.abs(np.asarray(x, dtype=np.float64)).reshape(-1)
-    return magnitudes[np.isfinite(magnitudes)]
-
-
 def absmax_bound(x: np.ndarray, bits: int) -> float:
     """The largest (finite) magnitude — no clipping."""
-    magnitudes = _finite_magnitudes(x)
+    magnitudes = np.abs(finite_values(x))
     if magnitudes.size == 0 or magnitudes.max() == 0:
         return 1.0
     return max(float(magnitudes.max()), _MIN_BOUND)
@@ -55,7 +48,7 @@ def absmax_bound(x: np.ndarray, bits: int) -> float:
 
 def percentile_bound(x: np.ndarray, bits: int, percentile: float = 99.9) -> float:
     """Magnitude percentile (clips the extreme tail)."""
-    magnitudes = _finite_magnitudes(x)
+    magnitudes = np.abs(finite_values(x))
     if magnitudes.size == 0 or magnitudes.max() == 0:
         return 1.0
     return max(float(np.percentile(magnitudes, percentile)), _MIN_BOUND)
@@ -63,8 +56,7 @@ def percentile_bound(x: np.ndarray, bits: int, percentile: float = 99.9) -> floa
 
 def mse_bound(x: np.ndarray, bits: int, candidates: int = 20) -> float:
     """Sweep clip bounds; return the quantization-MSE minimizer."""
-    flat = np.asarray(x, dtype=np.float64).reshape(-1)
-    flat = flat[np.isfinite(flat)]
+    flat = finite_values(x)
     if flat.size == 0:
         return 1.0
     max_mag = float(np.abs(flat).max())
@@ -90,7 +82,7 @@ def kl_bound(x: np.ndarray, bits: int, histogram_bins: int = 1024) -> float:
     quantized re-expansion over ``2^(bits-1)`` levels; the candidate with
     the smallest KL divergence wins.
     """
-    flat = _finite_magnitudes(x)
+    flat = np.abs(finite_values(x))
     if flat.size == 0 or flat.max() == 0:
         return 1.0
     counts, edges = np.histogram(flat, bins=histogram_bins)

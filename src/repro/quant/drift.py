@@ -15,11 +15,11 @@ that bet observable:
 * :class:`DriftMonitor` — compares live batch statistics against the
   fingerprints (clip-rate inflation, range overflow, population-stability
   index) and turns per-batch scores into thresholded, *sustained*
-  verdicts that the serving layer can act on.
-* :class:`TapStatsRecorder` — the lightweight hook the serving engine
-  hands to :meth:`QuantEnv.recording <repro.quant.observers.QuantEnv.recording>`
-  (or the int backend's datapath) so live activation statistics are
-  sampled during normal quantized forwards.
+  verdicts that the serving layer can act on.  The serving engine hands
+  a lane's monitor itself to
+  :meth:`QuantEnv.recording <repro.quant.observers.QuantEnv.recording>`
+  (or the int backend's datapath) as the recorder, so live activation
+  statistics are sampled during normal quantized forwards.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .base import finite_values
 
 __all__ = [
     "FINGERPRINT_PERCENTILES",
@@ -37,7 +39,6 @@ __all__ = [
     "DriftThresholds",
     "DriftVerdict",
     "DriftMonitor",
-    "TapStatsRecorder",
     "population_stability_index",
     "fingerprint_pipeline",
 ]
@@ -124,8 +125,7 @@ class TapFingerprint:
 
     @classmethod
     def from_data(cls, data: np.ndarray) -> "TapFingerprint":
-        flat = np.asarray(data, dtype=np.float64).reshape(-1)
-        finite = flat[np.isfinite(flat)]
+        finite = finite_values(data)
         if finite.size == 0:
             finite = np.zeros(1)
         magnitudes = np.abs(finite)
@@ -223,6 +223,10 @@ class DriftVerdict:
 class DriftMonitor:
     """Streaming comparison of live batches against calibration fingerprints.
 
+    A monitor is also a recorder (``record`` is :meth:`observe`): set for
+    one forward pass through ``QuantEnv.recording`` or
+    ``PackedDatapath.recorder``, it scores each tap's pre-quantization
+    values and keeps only the scalar statistics, never the activations.
     Not internally locked: callers (the serving engine's per-lane drift
     state, or a single-threaded harness) serialize access themselves.
     """
@@ -254,6 +258,8 @@ class DriftMonitor:
         scores.tap = name
         self._pending[name] = scores
         return scores
+
+    record = observe
 
     def complete_batch(self) -> DriftVerdict:
         """Fold this batch's observations into the sustained-drift state."""
@@ -302,39 +308,7 @@ class DriftMonitor:
         }
 
 
-class TapStatsRecorder:
-    """Recorder hook: route live tap tensors into a monitor's batch window.
-
-    Set (under the servable's lock) for the duration of one forward pass,
-    through ``QuantEnv.recording`` or ``PackedDatapath.recorder``; it only
-    computes scalar statistics, never copies activations.
-    """
-
-    def __init__(self, monitor: DriftMonitor):
-        self.monitor = monitor
-
-    def record(self, name: str, data: np.ndarray) -> None:
-        self.monitor.observe(name, data)
-
-
 _FINGERPRINT_SAMPLES_PER_BATCH = 1 << 16  # per-tap cap keeps memory bounded
-
-
-class _CollectingRecorder:
-    """Stats hook that retains (subsampled) tap values for fingerprinting."""
-
-    def __init__(self, taps: set[str]):
-        self.taps = taps
-        self.collected: dict[str, list[np.ndarray]] = {name: [] for name in taps}
-
-    def record(self, name: str, data: np.ndarray) -> None:
-        chunks = self.collected.get(name)
-        if chunks is None:
-            return
-        flat = np.asarray(data, dtype=np.float32).reshape(-1)
-        if flat.size > _FINGERPRINT_SAMPLES_PER_BATCH:
-            flat = flat[:: flat.size // _FINGERPRINT_SAMPLES_PER_BATCH + 1]
-        chunks.append(np.array(flat))
 
 
 def fingerprint_pipeline(
@@ -346,36 +320,46 @@ def fingerprint_pipeline(
     """Fingerprint every fitted activation tap of a calibrated pipeline.
 
     Attaches the pipeline and runs the calibration set through the
-    *quantized* model with a collecting stats hook, so fingerprints
-    describe exactly the distributions a live :class:`TapStatsRecorder`
-    sees during serving: the pre-quantization tap inputs, downstream of
-    quantized predecessors.  (Float re-runs would fingerprint the float
-    activations and then flag quantization error itself as drift on
-    clean traffic.)
+    *quantized* model, recording each batch into a
+    :class:`~repro.quant.observers.TapRecorder` through ``env.recording``,
+    so fingerprints describe exactly the distributions a live
+    :class:`DriftMonitor` sees during serving: the pre-quantization tap
+    inputs, downstream of quantized predecessors.  (Float re-runs would
+    fingerprint the float activations and then flag quantization error
+    itself as drift on clean traffic.)  Each recorded tensor is
+    subsampled to at most ``2**16`` values before the next batch runs,
+    so memory stays bounded by one batch.
     Weights are static and skipped.  Adds the ``input`` pseudo-tap so
     drift can be detected even on batches where no activation tap is
     sampled.
     """
     from ..autograd import Tensor, no_grad
-    from .observers import TapKind, classify_tap
+    from .observers import TapKind, TapRecorder, classify_tap
 
     if not pipeline.calibrated:
         raise RuntimeError("calibrate() must run before fingerprinting")
-    activation_taps = {
+    activation_taps = [
         name
         for name in pipeline.tap_names()
         if classify_tap(name) is not TapKind.WEIGHT
-    }
+    ]
     pipeline.attach()
     pipeline.model.eval()
-    collector = _CollectingRecorder(activation_taps)
-    with pipeline.env.recording(collector), no_grad():
-        for start in range(0, len(calib_images), batch_size):
+    samples: dict[str, list[np.ndarray]] = {}
+    for start in range(0, len(calib_images), batch_size):
+        recorder = TapRecorder(activation_taps)
+        with pipeline.env.recording(recorder), no_grad():
             pipeline.model(Tensor(calib_images[start : start + batch_size]))
+        for name, values in recorder.values.items():
+            for value in values:
+                flat = np.asarray(value, dtype=np.float32).reshape(-1)
+                if flat.size > _FINGERPRINT_SAMPLES_PER_BATCH:
+                    # A copy, so the full tensor goes with the recorder.
+                    flat = flat[:: flat.size // _FINGERPRINT_SAMPLES_PER_BATCH + 1].copy()
+                samples.setdefault(name, []).append(flat)
     fingerprints = {
         name: TapFingerprint.from_data(np.concatenate(chunks))
-        for name, chunks in collector.collected.items()
-        if chunks
+        for name, chunks in samples.items()
     }
     if include_input:
         fingerprints[INPUT_TAP] = TapFingerprint.from_data(calib_images)

@@ -4,10 +4,10 @@ The models route every activation through named taps (see
 :mod:`repro.nn.module`).  This module classifies each tap into the
 dataflow categories of Figure 1 — which determines whether *partial*
 quantization covers it — and provides the two dispatchers the PTQ
-pipeline attaches: :class:`TapRecorder`, which keeps copies of the
-calibration tensors (and optionally their gradients) during float
-passes, and :class:`QuantEnv`, which rewrites activations through the
-fitted quantizers.
+pipeline attaches: :class:`TapRecorder`, the one store of tap
+observations (calibration tensors, their gradients, fingerprint samples
+and attention maps), and :class:`QuantEnv`, which rewrites activations
+through the fitted quantizers.
 """
 
 from __future__ import annotations
@@ -84,12 +84,16 @@ def taps_for_coverage(kind: TapKind, coverage: str) -> bool:
 
 
 class TapRecorder(TapDispatcher):
-    """Float-pass dispatcher that keeps a copy of every tensor at its taps.
+    """Keeps a copy of every tensor seen at its watched taps.
 
-    ``taps=None`` watches every tap.  With ``grads``, each watched tap also
-    keeps the gradient flowing back through it when gradients are enabled
-    (for the Hessian-weighted search).  Tensors pass through unchanged, so
-    a forward under a recorder is the float forward; the observations live
+    It records on every route a tap value takes: as the model's dispatcher
+    for float passes (:meth:`tap`), or through :meth:`record` as the
+    recorder of :meth:`QuantEnv.recording` or ``PackedDatapath.recorder``,
+    which see each tap's pre-quantization values.  ``taps=None`` watches
+    every tap.  With ``grads``, each watched tap also keeps the gradient
+    flowing back through it when gradients are enabled (for the
+    Hessian-weighted search).  Tensors pass through unchanged, so a
+    forward under a recorder is the float forward; the observations live
     here and are dropped with the recorder.
     """
 
@@ -110,11 +114,15 @@ class TapRecorder(TapDispatcher):
             raise KeyError(f"no gradients recorded for tap {name!r}")
         return np.concatenate([g.reshape(-1) for g in self.gradients[name]])
 
+    def record(self, name: str, data: np.ndarray) -> None:
+        """Keep a copy of ``data`` if tap ``name`` is watched."""
+        if self.taps is None or name in self.taps:
+            self.values.setdefault(name, []).append(np.array(data, order="C"))
+
     def tap(self, name: str, value: Tensor) -> Tensor:
-        if self.taps is not None and name not in self.taps:
-            return value
-        self.values.setdefault(name, []).append(value.data.copy())
-        if not (self.grads and is_grad_enabled()):
+        self.record(name, value.data)
+        # A watched tap has a record by now; only those keep gradients.
+        if not (self.grads and is_grad_enabled() and name in self.values):
             return value
         store = self.gradients.setdefault(name, [])
 
@@ -138,19 +146,18 @@ class QuantEnv(TapDispatcher):
 
     def __init__(self):
         self.quantizers: dict[str, Quantizer] = {}
-        # Live-statistics hook (``record(name, data)``, e.g. the drift
-        # monitor's TapStatsRecorder); set only through ``recording``.
+        # Recorder hook (``record(name, data)``: a TapRecorder, or a lane's
+        # DriftMonitor); set only through ``recording``.
         self.recorder = None
         # Weight cache: weight taps always see the same parameter tensor
         # between calibrations, so their fake-quantized arrays are computed
-        # once and replayed per batch.  Entries are invalidated by the
-        # env-level ``cache_version`` (bumped on recalibration/reload), by
-        # the quantizer's ``param_version`` (bumped on any refit), and by
-        # the weight array's identity (every weight update in this codebase
-        # rebinds ``param.data``, and the QAT path runs with gradients
-        # enabled, which bypasses the cache entirely).
+        # once and replayed per batch.  ``PTQPipeline.install`` clears and
+        # refills it; an entry is stale once its quantizer's
+        # ``param_version`` moves (any refit) or the weight array is
+        # replaced (every weight update in this codebase rebinds
+        # ``param.data``, and the QAT path runs with gradients enabled,
+        # which bypasses the cache entirely).
         self.weight_cache_enabled = True
-        self.cache_version = 0
         self.weight_cache_hits = 0
         self.weight_cache_misses = 0
         self._weight_cache: dict[str, tuple] = {}
@@ -167,13 +174,13 @@ class QuantEnv(TapDispatcher):
 
     # ------------------------------------------------------------------
     def invalidate_weight_cache(self) -> None:
-        """Drop every cached weight and advance the cache version.
+        """Drop every cached weight.
 
-        Called whenever the set of fitted quantizers is replaced wholesale
-        (recalibration, deserialization) — per-entry staleness from a
-        refit or a weight rebind is caught by the entry checks instead.
+        ``PTQPipeline.install`` calls it whenever the set of fitted
+        quantizers is replaced wholesale (recalibration, deserialization)
+        — per-entry staleness from a refit or a weight rebind is caught by
+        the entry checks instead.
         """
-        self.cache_version += 1
         self._weight_cache.clear()
 
     def cached_fake_weight(
@@ -181,16 +188,17 @@ class QuantEnv(TapDispatcher):
     ) -> np.ndarray:
         """The fake-quantized array for weight tap ``name``, cached.
 
-        A hit requires the same weight array (by identity), the same
-        quantizer object at the same ``param_version``, and the current
-        ``cache_version`` — any mismatch recomputes, so the cached path is
-        bit-exact with the uncached one by construction.
+        A hit requires the same weight array (by identity) and the same
+        quantizer object at the same ``param_version`` — any mismatch
+        recomputes, so the cached path is bit-exact with the uncached one
+        by construction.
 
         ``quantizer.fake_quantize`` dispatches through the kernel
         registry, so both the cached fill and the uncached path honour
         ``REPRO_KERNELS`` (e.g. ``REPRO_KERNELS=reference`` during a
         bisection).  Because hits replay a stored array, flipping the
-        env var mid-run only takes effect after ``invalidate()``.
+        env var mid-run only takes effect after
+        :meth:`invalidate_weight_cache`.
         """
         entry = self._weight_cache.get(name)
         if (
@@ -198,16 +206,13 @@ class QuantEnv(TapDispatcher):
             and entry[0] is data
             and entry[1] is quantizer
             and entry[2] == quantizer.param_version
-            and entry[3] == self.cache_version
         ):
             self.weight_cache_hits += 1
-            return entry[4]
+            return entry[3]
         self.weight_cache_misses += 1
         quantized = np.asarray(quantizer.fake_quantize(data), dtype=np.float32)
         quantized.setflags(write=False)  # shared across batches: freeze it
-        self._weight_cache[name] = (
-            data, quantizer, quantizer.param_version, self.cache_version, quantized,
-        )
+        self._weight_cache[name] = (data, quantizer, quantizer.param_version, quantized)
         return quantized
 
     def weight_cache_info(self) -> dict:
@@ -217,7 +222,6 @@ class QuantEnv(TapDispatcher):
             "entries": len(self._weight_cache),
             "hits": self.weight_cache_hits,
             "misses": self.weight_cache_misses,
-            "version": self.cache_version,
         }
 
     # ------------------------------------------------------------------

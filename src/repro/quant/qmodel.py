@@ -9,7 +9,7 @@ scale factors (the "grid search similar to [PTQ4ViT]").
 (float passes under a :class:`~repro.quant.observers.TapRecorder`),
 :meth:`~PTQPipeline.fit` (one quantizer per tap) and
 :meth:`~PTQPipeline.install` (attach the :class:`~repro.quant.observers.QuantEnv`
-and re-warm its weight cache).  ``calibrate``, ``load_quantizers``,
+and refill its weight cache).  ``calibrate``, ``load_quantizers``,
 ``hessian_refine`` and the mixed-precision refit compose them; nothing
 changes until ``install``, so a pass that raises leaves the model serving
 what it served before.
@@ -151,12 +151,23 @@ class PTQPipeline:
         return quantizers
 
     def install(self, quantizers: dict[str, Quantizer]) -> "PTQPipeline":
-        """Serve ``quantizers``: attach the env and re-warm the weight cache."""
+        """Serve ``quantizers``: attach the env and refill its weight cache.
+
+        Weight quantizers are fitted on the parameter tensors themselves,
+        which never change between calibrations, so every weight tap's
+        quantize-dequantize round trip is computed here, once, and
+        replayed by each forward until a refit or a weight update makes
+        its entry stale.
+        """
         self.env.quantizers = quantizers
         self.env.invalidate_weight_cache()
         self.model.set_tap_dispatcher(self.env)
         self.calibrated = True
-        self.warm_weight_cache()
+        parameters = dict(self.model.named_parameters())
+        for name, quantizer in quantizers.items():
+            param = parameters.get(name.split(".", 1)[-1])
+            if param is not None and classify_tap(name) is TapKind.WEIGHT:
+                self.env.cached_fake_weight(name, quantizer, param.data)
         return self
 
     def calibrate(self, calib_images: np.ndarray, batch_size: int = 32) -> "PTQPipeline":
@@ -195,31 +206,6 @@ class PTQPipeline:
         if not self.calibrated:
             raise RuntimeError("calibrate() must run before querying taps")
         return sorted(self.env.quantizers)
-
-    def warm_weight_cache(self) -> int:
-        """Pre-compute the fake-quantized array for every weight tap.
-
-        Weight quantizers are fitted on the parameter tensors themselves
-        and those tensors never change between calibrations, so the
-        quantize-dequantize round trip is hoisted out of the per-batch
-        forward pass: each weight tap replays its cached array until a
-        recalibration, a :meth:`load_quantizers`, a quantizer refit, or a
-        weight update invalidates it.  Returns the number of weight taps
-        cached.  Idempotent and cheap when the cache is already warm.
-        """
-        if not self.calibrated:
-            raise RuntimeError("calibrate() must run before warm_weight_cache()")
-        parameters = dict(self.model.named_parameters())
-        count = 0
-        for name, quantizer in self.env.quantizers.items():
-            if classify_tap(name) is not TapKind.WEIGHT:
-                continue
-            param = parameters.get(name.split(".", 1)[-1])
-            if param is None:
-                continue  # tap without a live parameter (defensive)
-            self.env.cached_fake_weight(name, quantizer, param.data)
-            count += 1
-        return count
 
     def weight_cache_info(self) -> dict:
         """Cache statistics (hits/misses/entries) for observability."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import finite_values
 from .params import QUQParams, Subrange, SubrangeSpec
 
 __all__ = ["relax_two_scale_factors", "progressive_relaxation", "PRAConfig"]
@@ -74,15 +75,12 @@ class PRAConfig:
 def _positive_magnitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a tensor into negative magnitudes and positive values.
 
-    NaN and Inf are dropped, the policy every calibration method shares
-    (:func:`repro.quant.calibration._finite_magnitudes`): the finite data
-    alone fit the parameters.
+    NaN and Inf are dropped (:func:`repro.quant.base.finite_values`, the
+    policy every quantizer's fit shares): the finite data alone fit the
+    parameters.
     """
-    flat = np.asarray(x, dtype=np.float64).reshape(-1)
-    # Masked, not filtered: a filtered float64 copy of each tap raised
-    # calibration's peak memory, which is near the process peak.
-    finite = np.isfinite(flat)
-    return -flat[(flat < 0) & finite], flat[(flat > 0) & finite]
+    flat = finite_values(x)
+    return -flat[flat < 0], flat[flat > 0]
 
 
 def _two_sided(

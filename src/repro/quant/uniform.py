@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Quantizer
+from .base import Quantizer, finite_values
 
 __all__ = [
     "symmetric_uniform_quantize",
@@ -60,7 +60,7 @@ class UniformQuantizer(Quantizer):
         self.delta: float = 0.0
 
     def fit(self, x: np.ndarray) -> "UniformQuantizer":
-        bound = _percentile_absmax(x, self.percentile)
+        bound = _percentile_absmax(finite_values(x, dtype=None), self.percentile)
         levels = 2 ** (self.bits - 1) - 1
         self.delta = bound / levels if bound > 0 else 1.0
         self.fitted = True
@@ -99,7 +99,7 @@ class AsymmetricUniformQuantizer(Quantizer):
         self.zero_point: int = 0
 
     def fit(self, x: np.ndarray) -> "AsymmetricUniformQuantizer":
-        flat = np.asarray(x, dtype=np.float64).reshape(-1)
+        flat = finite_values(x)
         low = float(min(flat.min(), 0.0)) if flat.size else 0.0
         high = float(max(flat.max(), 0.0)) if flat.size else 1.0
         span = high - low
@@ -152,7 +152,8 @@ class RowwiseUniformQuantizer(Quantizer):
         x = np.asarray(x, dtype=np.float64)
         moved = np.moveaxis(x, self.axis, -1)
         rows = moved.reshape(-1, moved.shape[-1]) if moved.ndim > 1 else moved[None, :]
-        bounds = np.abs(rows).max(axis=-1)
+        # A non-finite element is ignored within its row.
+        bounds = np.where(np.isfinite(rows), np.abs(rows), 0.0).max(axis=-1)
         levels = 2 ** (self.bits - 1) - 1
         self.deltas = np.where(bounds > 0, bounds / levels, 1.0)
         self._row_count = rows.shape[0]

@@ -6,8 +6,8 @@ calibration fingerprints of its :class:`~repro.serve.registry.ServableModel`
 (taken when this manager first reads them, on the lane's first monitored
 batch), plus a bounded buffer of recent input images.  Every
 batch feeds the monitor (the ``input`` pseudo-tap always; activation taps
-via a sampled :class:`~repro.quant.drift.TapStatsRecorder`), and when
-drift is *sustained* the :class:`RecalibrationManager` reacts:
+on sampled batches, where the monitor is the forward pass's recorder), and
+when drift is *sustained* the :class:`RecalibrationManager` reacts:
 
 1. **shadow recalibration** — a fresh model instance is loaded and its
    pipeline calibrated on the recent-input buffer
@@ -42,7 +42,6 @@ from ..quant.drift import (
     DriftMonitor,
     DriftThresholds,
     DriftVerdict,
-    TapStatsRecorder,
 )
 from .metrics import Metrics
 from .registry import ModelKey, ModelRegistry, ServableModel
@@ -152,14 +151,14 @@ class RecalibrationManager:
 
     def recorder_for(
         self, key: ModelKey, servable: ServableModel
-    ) -> TapStatsRecorder | None:
-        """Activation-stats recorder for this batch, if it is a sampled one."""
+    ) -> DriftMonitor | None:
+        """The lane's monitor as this batch's recorder, if it is a sampled one."""
         state = self._state_for(key, servable)
         if state is None:
             return None
         with state.lock:
             if state.batches % self.policy.sample_every == 0:
-                return TapStatsRecorder(state.monitor)
+                return state.monitor
             return None
 
     # ------------------------------------------------------------------

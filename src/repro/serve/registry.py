@@ -187,10 +187,11 @@ class ServableModel:
     def predict(self, images: np.ndarray, recorder=None) -> np.ndarray:
         """Logits for a batch; serialized so one model runs one batch at a time.
 
-        ``recorder`` (a :class:`~repro.quant.drift.TapStatsRecorder`)
-        samples live activation statistics at every quantized tap for the
-        duration of this forward pass only — attached and detached under
-        the lock, so concurrent predicts never see another batch's hook.
+        ``recorder`` (a lane's :class:`~repro.quant.drift.DriftMonitor`, or
+        any object with ``record(name, data)``) samples live activation
+        statistics at every quantized tap for the duration of this forward
+        pass only — attached and detached under the lock, so concurrent
+        predicts never see another batch's hook.
         """
         with self._lock:
             return self.backend.predict(images, recorder=recorder)

@@ -30,14 +30,12 @@ def quantization_aware_finetune(
     batch_size: int = 64,
     lr: float = 2e-4,
     seed: int = 0,
-    recalibrate_every: int = 0,
 ) -> list[float]:
     """Fine-tune the quantized model through the STE; returns epoch losses.
 
     The pipeline must be calibrated and attached.  Weight quantizers were
-    fitted to the original weights; by default they are kept fixed (the
-    weights adapt to the grid).  Set ``recalibrate_every=N`` to refit all
-    quantizers from fresh calibration data every ``N`` epochs.
+    fitted to the original weights and stay fixed: the weights adapt to
+    the grid.
     """
     if not pipeline.calibrated:
         raise RuntimeError("calibrate the pipeline before fine-tuning")
@@ -59,8 +57,5 @@ def quantization_aware_finetune(
             optimizer.step()
             losses.append(float(loss.data))
         history.append(float(np.mean(losses)))
-        if recalibrate_every and (epoch + 1) % recalibrate_every == 0:
-            calib = train_set.subset(32, seed=seed).images
-            pipeline.calibrate(calib)
     model.eval()
     return history

@@ -15,7 +15,8 @@ from repro.analysis import (
     rollout_correlation,
     rollout_for_images,
 )
-from repro.quant import QUQQuantizer
+from repro.autograd import Tensor, no_grad
+from repro.quant import PTQPipeline, QUQQuantizer, TapRecorder
 
 
 class TestCaptureFigure3:
@@ -70,6 +71,24 @@ class TestAttentionRollout:
     def test_rollout_for_images_shape(self, tiny_trained, calib_images):
         saliency = rollout_for_images(tiny_trained, calib_images[:4])
         assert saliency.shape == (4, 16)  # 4x4 patch grid at 16x16/patch 4
+
+    def test_rollout_for_images_reads_the_attached_model(self, tiny_vit, calib_images):
+        images = calib_images[:4]
+        float_rollout = rollout_for_images(tiny_vit, images)
+        assert not isinstance(tiny_vit.tap_dispatcher, TapRecorder)
+        pipeline = PTQPipeline(tiny_vit, "baseq", 4, "full").calibrate(calib_images)
+        quant_rollout = rollout_for_images(tiny_vit, images)
+        assert tiny_vit.tap_dispatcher is pipeline.env and pipeline.env.recorder is None
+        # The quantized model's maps: each probs tap before its own quantization.
+        probs = [f"tiny_vit.blocks.{i}.attn.probs" for i in range(len(tiny_vit.blocks))]
+        recorder = TapRecorder(probs)
+        with pipeline.env.recording(recorder), no_grad():
+            tiny_vit(Tensor(images))
+        expected = attention_rollout([recorder.values[name][0] for name in probs])
+        np.testing.assert_array_equal(quant_rollout, expected)
+        assert not np.array_equal(quant_rollout, float_rollout)
+        pipeline.detach()
+        np.testing.assert_array_equal(rollout_for_images(tiny_vit, images), float_rollout)
 
 
 class TestComparisonMetrics:

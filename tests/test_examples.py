@@ -1,14 +1,18 @@
-"""Smoke tests: the fast examples must run end to end.
+"""Smoke tests: every example loads, and the fast ones run end to end.
 
-Only the examples that need no trained zoo model run end to end here (the
-others are exercised by the benchmark harness, which shares their code
-paths); ``custom_quantizer.py``'s ``evaluate_with`` runs on a random-init
-tiny model.
+Every example is loaded (imports and definitions, without ``main``), so
+an API change cannot leave one importing a name that is gone.  Only the
+examples that need no trained zoo model run end to end here (the others
+are exercised by the benchmark harness, which shares their code paths);
+``custom_quantizer.py``'s ``evaluate_with`` runs on a random-init tiny
+model.
 """
 
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.quant import QuantEnv
 
@@ -22,6 +26,10 @@ def _run(name: str, capsys, monkeypatch) -> str:
 
 
 class TestExamples:
+    @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.py")), ids=lambda p: p.name)
+    def test_loads(self, path):
+        runpy.run_path(str(path), run_name="example")
+
     def test_quickstart(self, capsys, monkeypatch):
         out = _run("quickstart.py", capsys, monkeypatch)
         assert "bit-exact" in out

@@ -14,6 +14,7 @@ from repro.models.swin import (
     _window_reverse,
     build_swin,
 )
+from repro.quant import TapRecorder
 from tests.conftest import TINY_SWIN
 
 
@@ -77,8 +78,10 @@ class TestWindowAttention:
         attn = WindowAttention(8, 4, 2, rng=rng)
         x = Tensor(rng.normal(size=(4, 16, 8)).astype(np.float32))
         mask = _shift_attention_mask(8, 4, 2)
+        recorder = TapRecorder(["probs"])
+        attn.set_tap_dispatcher(recorder)
         attn(x, mask=mask)
-        probs = attn.last_attention  # (4, heads, 16, 16)
+        probs = recorder.values["probs"][0]  # (4, heads, 16, 16)
         blocked = np.broadcast_to(mask[:, None, :, :], probs.shape)
         assert probs[blocked].max() < 1e-6
 
@@ -127,8 +130,11 @@ class TestSwinTransformer:
 
     def test_attention_maps_counted_per_block(self, tiny_swin, rng):
         images = rng.normal(size=(1, 16, 16, 3)).astype(np.float32)
+        recorder = TapRecorder()
+        tiny_swin.set_tap_dispatcher(recorder)
         tiny_swin(Tensor(images))
-        assert len(tiny_swin.attention_maps()) == sum(TINY_SWIN.depths)
+        maps = [v for name, v in recorder.values.items() if name.endswith(".attn.probs")]
+        assert [len(v) for v in maps] == [1] * sum(TINY_SWIN.depths)
 
     def test_gradients_reach_patch_embed(self, tiny_swin, rng):
         images = rng.normal(size=(1, 16, 16, 3)).astype(np.float32)

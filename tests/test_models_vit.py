@@ -7,6 +7,7 @@ from repro.autograd import Tensor
 from repro.models import MINI_CONFIGS, MINI_FOR_PAPER, PAPER_CONFIGS, get_config
 from repro.models.configs import ModelConfig
 from repro.models.vit import build_vit
+from repro.quant import TapRecorder
 from tests.conftest import TINY_DEIT, TINY_VIT
 
 
@@ -60,14 +61,13 @@ class TestVisionTransformer:
 
     def test_attention_maps_per_block(self, tiny_vit, rng):
         images = rng.normal(size=(2, 16, 16, 3)).astype(np.float32)
+        recorder = TapRecorder()
+        tiny_vit.set_tap_dispatcher(recorder)
         tiny_vit(Tensor(images))
-        maps = tiny_vit.attention_maps()
+        maps = [v for name, v in recorder.values.items() if name.endswith(".attn.probs")]
         assert len(maps) == TINY_VIT.depth
-        assert maps[0].shape == (2, TINY_VIT.num_heads, TINY_VIT.num_tokens, TINY_VIT.num_tokens)
-
-    def test_attention_maps_before_forward_rejected(self, tiny_vit):
-        with pytest.raises(RuntimeError):
-            tiny_vit.attention_maps()
+        tokens = TINY_VIT.num_tokens
+        assert [m[0].shape for m in maps] == [(2, TINY_VIT.num_heads, tokens, tokens)] * len(maps)
 
     def test_build_vit_rejects_swin_family(self):
         bad = ModelConfig("x", "swin", 16, 4, 3, 10, 32, 2, 2)

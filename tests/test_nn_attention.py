@@ -6,6 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.nn import Mlp, MultiHeadSelfAttention, TransformerBlock
 from repro.nn.module import TapDispatcher
+from repro.quant import TapRecorder
 
 
 class _Collector(TapDispatcher):
@@ -29,8 +30,10 @@ class TestMultiHeadSelfAttention:
 
     def test_attention_rows_normalized(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng=rng)
+        recorder = TapRecorder(["probs"])
+        attn.set_tap_dispatcher(recorder)
         attn(Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32)))
-        probs = attn.last_attention
+        (probs,) = recorder.values["probs"]
         assert probs.shape == (1, 2, 4, 4)
         np.testing.assert_allclose(probs.sum(-1), np.ones((1, 2, 4)), rtol=1e-5)
 

@@ -9,7 +9,6 @@ from repro.quant.drift import (
     DriftMonitor,
     DriftThresholds,
     TapFingerprint,
-    TapStatsRecorder,
     fingerprint_pipeline,
     population_stability_index,
 )
@@ -173,6 +172,25 @@ class TestFingerprintPipeline:
         }
         assert names == expected
 
+    def test_each_batch_is_subsampled_to_the_cap(self, pipeline, calib_images, monkeypatch):
+        from repro.quant import drift
+
+        cap, batch = 1000, 8
+        monkeypatch.setattr(drift, "_FINGERPRINT_SAMPLES_PER_BATCH", cap)
+        fingerprints = fingerprint_pipeline(
+            pipeline, calib_images, batch_size=batch, include_input=False
+        )
+        sizes = {
+            name: values[0].size
+            for name, values in pipeline.observe(calib_images[:batch], list(fingerprints)).values.items()
+        }
+        assert max(sizes.values()) > cap
+        batches = len(calib_images) // batch
+        for name, fingerprint in fingerprints.items():
+            n = sizes[name]
+            kept = n if n <= cap else len(range(0, n, n // cap + 1))
+            assert fingerprint.count == kept * batches, name
+
     def test_restores_quantize_phase_and_recorder(self, pipeline, calib_images):
         sentinel = object()
         pipeline.detach()
@@ -191,7 +209,7 @@ class TestFingerprintPipeline:
         monitor = DriftMonitor(
             fingerprints, DriftThresholds(consecutive=1, min_samples=1)
         )
-        with pipeline.env.recording(TapStatsRecorder(monitor)), no_grad():
+        with pipeline.env.recording(monitor), no_grad():
             pipeline.model(Tensor(calib_images[:16]))
         monitor.observe(INPUT_TAP, calib_images[:16])
         verdict = monitor.complete_batch()

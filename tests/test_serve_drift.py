@@ -8,7 +8,7 @@ import pytest
 
 from repro.data import corrupt_images
 from repro.quant import drift as drift_module
-from repro.quant.drift import DriftThresholds, TapFingerprint
+from repro.quant.drift import INPUT_TAP, DriftMonitor, DriftThresholds, TapFingerprint
 from repro.serve import (
     BatchPolicy,
     DriftPolicy,
@@ -171,6 +171,23 @@ class TestRecalibrationManager:
         servable = registry.get(key)
         outcome = manager.finish_batch(key, servable, chunk)
         assert outcome.attempted
+
+    def test_sampled_batches_record_into_the_lane_monitor(self, registry, tiny_data):
+        _, val_set = tiny_data
+        key = ModelKey.parse(SPEC)
+        manager = RecalibrationManager(
+            registry, make_policy(sample_every=2), metrics=Metrics()
+        )
+        servable = registry.get(key)
+        monitor = manager.recorder_for(key, servable)
+        assert isinstance(monitor, DriftMonitor)
+        servable.predict(val_set.images[:8], recorder=monitor)
+        outcome = manager.finish_batch(key, servable, val_set.images[:8])
+        assert set(outcome.verdict.scores) - {INPUT_TAP}  # activation taps scored
+        # The next batch is not sampled; the one after gets the same monitor.
+        assert manager.recorder_for(key, servable) is None
+        manager.finish_batch(key, servable, val_set.images[8:16])
+        assert manager.recorder_for(key, servable) is monitor
 
     def test_unmonitored_lanes_return_none(self, registry, tiny_data):
         _, val_set = tiny_data
