@@ -199,13 +199,20 @@ class RecoveryCurveConfig:
     stream_batches: int = 12  # corrupted batches streamed at the monitor
     batch_size: int = 16
     seed: int = 0
-    # consecutive=4 x batch_size=16 means the 64-image buffer has fully
-    # turned over to drifted inputs by the time recalibration triggers, so
-    # the shadow build calibrates on purely post-shift data.
-    thresholds: DriftThresholds = field(default_factory=lambda: DriftThresholds(
-        psi=0.25, clip_rate=0.05, overflow_ratio=1.5, consecutive=4, min_samples=96,
+    policy: DriftPolicy = field(default_factory=lambda: DriftPolicy(
+        # consecutive=4 x batch_size=16 means the 64-image buffer has fully
+        # turned over to drifted inputs by the time recalibration triggers,
+        # so the shadow build calibrates on purely post-shift data.
+        thresholds=DriftThresholds(
+            psi=0.25, clip_rate=0.05, overflow_ratio=1.5, consecutive=4, min_samples=96,
+        ),
+        sample_every=2,
+        buffer_size=64,
+        min_recalibration_images=32,
+        canary_count=16,
+        canary_agreement_floor=0.6,
+        cooldown_s=3600.0,  # one swap per run: no flapping mid-experiment
     ))
-    policy: DriftPolicy | None = None  # derived from thresholds when None
 
     def __post_init__(self):
         if self.corruption not in corruption_names():
@@ -217,16 +224,6 @@ class RecoveryCurveConfig:
             raise ValueError(f"severity must be in {SEVERITIES}, got {self.severity}")
         if self.eval_count < 1 or self.stream_batches < 1 or self.batch_size < 1:
             raise ValueError("eval_count, stream_batches, batch_size must be >= 1")
-        if self.policy is None:
-            self.policy = DriftPolicy(
-                thresholds=self.thresholds,
-                sample_every=2,
-                buffer_size=64,
-                min_recalibration_images=32,
-                canary_count=16,
-                canary_agreement_floor=0.6,
-                cooldown_s=3600.0,  # one swap per run: no flapping mid-experiment
-            )
 
 
 def _predict_labels(servable, images: np.ndarray, batch_size: int,
@@ -392,7 +389,7 @@ def run_recovery_curve(
             "seed": config.seed,
             "recovery_tolerance": RECOVERY_TOLERANCE,
             "min_stale_drop": MIN_STALE_DROP,
-            "thresholds": config.thresholds.to_dict(),
+            "thresholds": config.policy.thresholds.to_dict(),
         },
         "phases": {
             "clean_top1": round(clean_top1, 4),

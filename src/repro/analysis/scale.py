@@ -239,13 +239,17 @@ class Replay:
         return self.outcomes
 
     def _scan(self) -> None:
+        """Collect every admitted outcome, waiting at most one budget in all."""
         wait_budget = max(5.0, 2.0 * self.engine.policy.timeout_ms / 1000.0)
+        deadline = time.monotonic() + wait_budget
         limit = self.engine.guard.saturation_limit
         for outcome in self.outcomes:
             if outcome.handle is None:
                 continue
             try:
-                outcome.result = outcome.handle.result(timeout=wait_budget)
+                outcome.result = outcome.handle.result(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except Exception as error:
                 outcome.error = error
                 continue

@@ -17,13 +17,11 @@ storage/datapath sites of the behavioral model:
   register width of the area/power model);
 * ``sfu``          — QUB words on the SFU load path.
 
-Determinism rides on the event-indexed :class:`~repro.resilience.faults.
-FaultPlan` machinery: every injection call consumes one ``bit_flip`` event
-at its site, and the RNG that picks the flipped bit positions is derived
-from ``(seed, site, event index)`` — so the same seed reproduces the same
-faulty bits regardless of sweep order, and an explicit plan with
-``bit_flip`` windows composes hardware faults with the serving-layer
-chaos soak (faults fire only inside the windows).
+Determinism is event-indexed, as in :class:`~repro.resilience.faults.
+FaultPlan`: the injector numbers the injection calls at each site, and the
+RNG that picks the flipped bit positions is derived from ``(seed, site,
+event index)`` — so the same seed reproduces the same faulty bits
+regardless of sweep order.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-from ..resilience.faults import BIT_FLIP, FaultPlan, FaultSpec
 
 __all__ = [
     "SITE_QUB",
@@ -69,11 +65,6 @@ class BitFaultInjector:
     sites:
         Which site classes inject (subset of :data:`HW_FAULT_SITES`);
         calls for a disabled site are no-ops that consume no events.
-    plan:
-        Optional shared :class:`FaultPlan`.  When given, flips fire only
-        inside its ``bit_flip`` windows (chaos-soak composition); when
-        omitted, a private always-on plan is used and the BER governs
-        every event.
     """
 
     def __init__(
@@ -81,7 +72,6 @@ class BitFaultInjector:
         ber: float,
         seed: int = 0,
         sites: tuple[str, ...] = HW_FAULT_SITES,
-        plan: FaultPlan | None = None,
     ):
         if not 0.0 <= ber < 1.0:
             raise ValueError(f"bit-error rate must be in [0, 1), got {ber}")
@@ -91,9 +81,8 @@ class BitFaultInjector:
         self.ber = float(ber)
         self.seed = int(seed)
         self.sites = tuple(sites)
-        self.plan = plan if plan is not None else FaultPlan(
-            [FaultSpec(BIT_FLIP, start=0, count=1 << 62)], seed=seed
-        )
+        #: Events consumed per ``f"{site_class}:{site}"``: the next event's index.
+        self.site_events: dict[str, int] = {}
         self._events: dict[str, int] = {site: 0 for site in HW_FAULT_SITES}
         self._flipped_bits: dict[str, int] = {site: 0 for site in HW_FAULT_SITES}
         self._faulted_words: dict[str, int] = {site: 0 for site in HW_FAULT_SITES}
@@ -112,9 +101,10 @@ class BitFaultInjector:
         if site_class not in self.sites or total_bits == 0:
             return None
         full_site = f"{site_class}:{site}"
-        spec, index = self.plan.advance(BIT_FLIP, full_site)
+        index = self.site_events.get(full_site, 0)
+        self.site_events[full_site] = index + 1
         self._events[site_class] += 1
-        if spec is None or self.ber == 0.0:
+        if self.ber == 0.0:
             return np.empty(0, dtype=np.int64)
         rng = self._rng(full_site, index)
         flips = int(rng.binomial(total_bits, self.ber))

@@ -13,27 +13,26 @@ fault schedule.  This package provides both halves:
 * :mod:`repro.resilience.retry` — bounded retry-with-backoff for
   transient loads, injectable sleep.
 * :mod:`repro.resilience.guards` — numeric guardrail over batch logits.
-* :mod:`repro.resilience.watchdog` — heartbeat-based stalled-worker
-  detection (one beat per worker) behind the engine's worker restarts.
 * :mod:`repro.resilience.soak` — the chaos soak harness
   (``python -m repro chaos-soak``), which replays constant-rate load
   through the shared open-loop replay of :mod:`repro.analysis.scale`
   against a fault plan and reports availability and per-class recovery.
 
 :class:`ResiliencePolicy` bundles the tunables the serving engine wires
-into those defenses (``repro.serve.engine`` accepts one).
+into those defenses (``repro.serve.engine`` accepts one).  One of them,
+``watchdog_stall_s``, is the threshold of the stall rule in
+:mod:`repro.serve.core`: the lane core keeps each executor's heartbeat,
+and its watchdog sweep fences and replaces a busy executor whose
+heartbeat is that old.
 """
 
 from dataclasses import dataclass
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .faults import (
-    ALL_FAULT_KINDS,
     BATCH_EXCEPTION,
-    BIT_FLIP,
     CORRUPT_STATE,
     FAULT_KINDS,
-    HW_FAULT_KINDS,
     LOAD_ERROR,
     NUMERIC,
     QUEUE_SPIKE,
@@ -45,15 +44,11 @@ from .faults import (
 )
 from .guards import GuardVerdict, NumericGuard, NumericGuardError
 from .retry import RetryPolicy
-from .watchdog import WorkerWatchdog
 
 __all__ = [
-    "ALL_FAULT_KINDS",
     "BATCH_EXCEPTION",
-    "BIT_FLIP",
     "CORRUPT_STATE",
     "FAULT_KINDS",
-    "HW_FAULT_KINDS",
     "LOAD_ERROR",
     "NUMERIC",
     "QUEUE_SPIKE",
@@ -70,7 +65,6 @@ __all__ = [
     "NumericGuardError",
     "ResiliencePolicy",
     "RetryPolicy",
-    "WorkerWatchdog",
     "tamper_quantizer_state",
 ]
 
@@ -82,7 +76,7 @@ class ResiliencePolicy:
     breaker_failures: int = 3  # consecutive quantized-path failures to trip
     breaker_cooldown_s: float = 5.0  # open -> half-open delay on the engine clock
     guard_saturation: float = 1e6  # |logit| above this is saturated/overflowed
-    watchdog_stall_s: float = 5.0  # busy lane silent this long = stalled
+    watchdog_stall_s: float = 5.0  # a busy executor's heartbeat this old = stalled
 
     def __post_init__(self):
         if self.breaker_failures < 1:

@@ -20,7 +20,7 @@ Fault classes (one constant per class, ``FAULT_KINDS`` lists them all):
 * ``numeric`` — batch logits are polluted with NaN/Inf/saturated values
   (drives the numeric guardrail).
 * ``stall`` — the lane's worker blocks inside batch execution (drives
-  the watchdog; bounded by ``stall_s`` real seconds or an explicit
+  the lane core's stall rule; bounded by ``stall_s`` real seconds or an explicit
   :meth:`FaultPlan.release_stalls`).
 * ``queue_spike`` — the load source bursts extra submissions on one
   arrival (drives bounded-queue backpressure).
@@ -41,10 +41,7 @@ __all__ = [
     "NUMERIC",
     "STALL",
     "QUEUE_SPIKE",
-    "BIT_FLIP",
     "FAULT_KINDS",
-    "HW_FAULT_KINDS",
-    "ALL_FAULT_KINDS",
     "FaultInjected",
     "FaultSpec",
     "FaultPlan",
@@ -59,14 +56,6 @@ STALL = "stall"
 QUEUE_SPIKE = "queue_spike"
 
 FAULT_KINDS = (LOAD_ERROR, CORRUPT_STATE, BATCH_EXCEPTION, NUMERIC, STALL, QUEUE_SPIKE)
-
-#: Hardware (datapath) fault kinds live in their own registry so the
-#: serving-layer chaos soak's default plan (``kinds=FAULT_KINDS``) is
-#: unchanged, while a :class:`FaultSpec` of kind ``bit_flip`` can share a
-#: plan with serving faults (``repro.hw.faults`` consumes these windows).
-BIT_FLIP = "bit_flip"
-HW_FAULT_KINDS = (BIT_FLIP,)
-ALL_FAULT_KINDS = FAULT_KINDS + HW_FAULT_KINDS
 
 #: Numeric pollution modes: scattered NaNs, +-Inf extremes, or finite
 #: values far beyond any plausible logit magnitude (saturation/overflow).
@@ -100,9 +89,9 @@ class FaultSpec:
     spike: int = 32  # extra submissions injected on a queue_spike event
 
     def __post_init__(self):
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; choices: {ALL_FAULT_KINDS}"
+                f"unknown fault kind {self.kind!r}; choices: {FAULT_KINDS}"
             )
         if self.start < 0 or self.count < 1:
             raise ValueError("start must be >= 0 and count >= 1")
@@ -124,7 +113,7 @@ class FaultPlan:
         self.seed = seed
         self._lock = threading.Lock()
         self._events: dict[tuple[str, str], int] = {}
-        self._injected: dict[str, int] = {kind: 0 for kind in ALL_FAULT_KINDS}
+        self._injected: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self._stall_gate = threading.Event()
 
     @classmethod
@@ -184,15 +173,6 @@ class FaultPlan:
         spec matches — that is what makes schedules reproducible.
         """
         return self._fire(kind, site)[0]
-
-    def advance(self, kind: str, site: str = "") -> tuple[FaultSpec | None, int]:
-        """Like :meth:`fire`, but also return the event index consumed.
-
-        Event-indexed injectors (the hardware bit-fault injector) key
-        their per-event RNG streams on this index so the same plan + seed
-        reproduces the same faulty bits.
-        """
-        return self._fire(kind, site)
 
     def raise_if(self, kind: str, site: str = "") -> None:
         """Consume one event and raise :class:`FaultInjected` if it fires."""

@@ -16,9 +16,9 @@ process-level concerns in the parent:
 * **supervision** — a dispatch that gets no answer within
   ``watchdog_stall_s`` of the send (or sees the process die) kills and
   respawns the shard and **re-routes the in-flight batch** to the
-  replacement, bounded by ``max_redispatch``; :meth:`check_watchdog`
-  additionally restarts shards that crash while idle, reusing the
-  watchdog/backoff idioms of :mod:`repro.resilience`;
+  replacement, bounded by ``max_redispatch``; in place of the lane
+  core's stall rule, :meth:`check_watchdog` restarts shards that crash
+  while idle;
 * **the same lane core as the thread engine** (:mod:`repro.serve.core`)
   — admission, breaker, numeric guard, failover, deadline withholding
   and the metrics counter families are one implementation; each shard
@@ -224,8 +224,9 @@ class _ShardExecutor(Executor):
         """Kill (if needed) and respawn the shard; counts the restart.
 
         ``reason`` is ``"stall"`` (no answer in time — the watchdog
-        family, so chaos-soak recovery evidence holds across topologies)
-        or ``"crash"`` (process died).
+        family, counted in ``lane.restarts`` too, so chaos-soak recovery
+        evidence holds across topologies), ``"crash"`` (process died) or
+        ``"rolling"`` (a rolling restart, which is neither).
         """
         engine, lane, spec = self.engine, self.lane, self.lane.key.spec
         self.close()
@@ -235,13 +236,13 @@ class _ShardExecutor(Executor):
             lane.record_crash(engine.clock())
         self.spawn()
         self.restarts += 1
-        with lane.lock:
-            lane.restarts += 1
         engine.metrics.count("shard_restarts_total", spec=spec)
-        engine.metrics.count(
-            "watchdog_restarts_total" if reason == "stall" else "shard_crashes_total",
-            spec=spec,
-        )
+        if reason == "stall":
+            with lane.lock:
+                lane.restarts += 1
+            engine.metrics.count("watchdog_restarts_total", spec=spec)
+        elif reason == "crash":
+            engine.metrics.count("shard_crashes_total", spec=spec)
 
     def view(self, fenced: bool) -> dict:
         return {"index": self.index, "alive": self.alive(), "pid": self.process.pid,
@@ -460,7 +461,7 @@ class ClusterEngine(LaneCore):
             executor = lane.executors.get(index)
             if executor is not None and executor.lock.acquire(blocking=False):
                 try:  # busy shards are skipped
-                    executor.respawn("crash")
+                    executor.respawn("rolling")
                     restarted = True
                 finally:
                     executor.lock.release()
@@ -595,12 +596,12 @@ class ClusterEngine(LaneCore):
     # ------------------------------------------------------------------
     # Supervision and observability
     def _supervise(self, lane, index, executor, busy, now) -> bool:
-        """Respawn a shard that died while idle.
+        """Respawn a shard that died while idle, in place of the stall rule.
 
         Busy shards are supervised inline by their dispatch thread (which
-        also re-routes the in-flight batch); this sweep catches crashes
-        that happen between batches, so a lane never waits for the next
-        batch to discover it is down a replica.
+        times its own stalls and re-routes the in-flight batch); this sweep
+        catches crashes that happen between batches, so a lane never waits
+        for the next batch to discover it is down a replica.
         """
         if executor.alive() or not executor.lock.acquire(blocking=False):
             return False  # healthy, or its dispatch thread is handling it

@@ -15,6 +15,11 @@ owns everything about a batch except where it runs:
   path; a batch bad on both paths is failed, never served;
 * **completion** — a result that lands past its request's deadline is
   withheld with :class:`~repro.serve.scheduler.DeadlineExceededError`;
+* **supervision** — the stall rule: the core stamps each executor's
+  ``beat_at`` heartbeat on the engine clock when it registers it, on every
+  pass of its loop and when a pass takes a batch, and a sweep fences a
+  busy executor whose heartbeat is ``watchdog_stall_s`` old (it finishes
+  its batch and exits) and starts its replacement;
 * **lifecycle** — drain, stop and the metrics snapshot.
 
 Every wait in the core runs on the injected clock.
@@ -86,16 +91,14 @@ class Executor:
     """Where a lane's batches run; one thread drives each executor, except
     a quarantine stand-in, which every thread of its lane shares.
 
-    :meth:`beat` runs on every pass of the executor's thread, busy or idle.
-    :meth:`begin` readies the model for one batch and says whether it has a
-    quantized path; raising fails the batch against the breaker with no
-    float retry.  :meth:`run` returns the batch's logits and the datapath
-    that produced them.  :meth:`end` follows an answered batch, and
-    :meth:`close` releases the executor once its thread has stopped.
+    ``beat_at`` is the executor's heartbeat on the engine clock; the core
+    stamps it, and an executor with a long step outside :meth:`run` may
+    restamp it.  :meth:`begin` readies the model for one batch and says
+    whether it has a quantized path; raising fails the batch against the
+    breaker with no float retry.  :meth:`run` returns the batch's logits and
+    the datapath that produced them.  :meth:`end` follows an answered batch,
+    and :meth:`close` releases the executor once its thread has stopped.
     """
-
-    def beat(self) -> None:
-        pass
 
     def begin(self, batch: Batch) -> bool:
         return True
@@ -127,7 +130,7 @@ class Lane:
         self.fenced: set[int] = set()
         self.next_index = 0
         self.active: dict[int, Batch] = {}  # batches executing now, by executor
-        self.restarts = 0  # executors restarted by supervision
+        self.restarts = 0  # executors replaced after a stall
         self.reroutes = 0  # batches re-run after their executor was lost
         self.quarantined = False  # while set, every batch runs on stand_in
         self.stand_in: Executor | None = None
@@ -175,12 +178,14 @@ class Lane:
 class LaneCore:
     """Admission, batch execution, accounting and lifecycle for every lane.
 
-    Subclasses open a lane's executors in :meth:`_open`; the lane is
-    published only once that returns, so a lane that failed to open holds
-    no requests.  :meth:`_start` registers an executor and starts the
-    thread that loops on :meth:`step`, one pass of the executor's loop; a
-    subclass whose ``_start`` only registers the executor can drive every
-    lane, the clock and :meth:`check_watchdog` from one thread.
+    Subclasses start one executor at a fresh index in :meth:`_add`, which
+    :meth:`_open` calls for a lane's first executor and the stall rule for
+    each replacement; the lane is published only once ``_open`` returns, so
+    a lane that failed to open holds no requests.  :meth:`_start` registers
+    an executor and starts the thread that loops on :meth:`step`, one pass
+    of the executor's loop; a subclass whose thread body returns at once
+    can drive every lane, the clock and :meth:`check_watchdog` from one
+    thread.
     """
 
     #: How long :meth:`stop` waits for each executor thread to finish.
@@ -220,6 +225,10 @@ class LaneCore:
     # Lanes and their executors
     def _open(self, lane: Lane) -> None:
         """Start the lane's executors (raise if they cannot come up)."""
+        self._add(lane)
+
+    def _add(self, lane: Lane) -> None:
+        """Start one executor at a fresh index."""
         raise NotImplementedError
 
     def _lane(self, key: ModelKey) -> Lane:
@@ -270,6 +279,7 @@ class LaneCore:
             target=self._serve, args=(lane, index),
             name=f"{name}-{lane.key.slug}-{index}", daemon=True,
         )
+        executor.beat_at = self.clock()
         with lane.lock:
             lane.executors[index] = executor
             lane.threads[index] = thread
@@ -281,14 +291,16 @@ class LaneCore:
             pass
 
     def step(self, lane: Lane, index: int, timeout: float = 0.0) -> bool:
-        """One pass of executor ``index``'s loop: beat, wait up to
-        ``timeout`` seconds of the injected clock for a batch, run it.
+        """One pass of executor ``index``'s loop: stamp its heartbeat, wait
+        up to ``timeout`` seconds of the injected clock for a batch, and
+        stamp it again before running the batch, so a stall is timed from
+        the batch's start.
 
         Returns False, doing nothing, once the engine is stopping or the
         executor has been retired or fenced; True otherwise, whether or not
-        a batch was due.  The executor's thread loops on this; a test that
-        registers executors without threads calls it directly, so one
-        thread drives the lanes, the clock and the supervision.
+        a batch was due.  The executor's thread loops on this; a test whose
+        executor threads return at once calls it directly, so one thread
+        drives the lanes, the clock and the supervision.
         """
         if self._stopping:
             return False
@@ -297,10 +309,13 @@ class LaneCore:
             if executor is None or index in lane.fenced:
                 return False  # retired or draining: stop pulling work
             idle = not lane.active
-        executor.beat()
+        executor.beat_at = self.clock()
         batch = lane.scheduler.wait_for_batch(timeout=timeout, idle=idle)
         if batch is None:
             return True
+        # Stamped before the ledger shows the executor busy, so no sweep
+        # times this batch from the stamp of the pass's wait.
+        executor.beat_at = self.clock()
         # A fence raised during wait_for_batch does not strand this
         # batch: it runs to completion, and a retire joins this thread
         # before releasing the executor.
@@ -319,16 +334,33 @@ class LaneCore:
     # Supervision
     def _supervise(self, lane: Lane, index: int, executor: Executor, busy: bool,
                    now: float) -> bool:
-        """Replace or repair one executor found wedged or dead; say if it was."""
-        return False
+        """The stall rule: replace an executor wedged in its batch; say if it was.
+
+        A busy executor whose heartbeat is at least ``watchdog_stall_s`` old
+        is fenced, so it finishes its batch and exits and no later sweep
+        replaces it again; :meth:`_add` starts its replacement.
+        """
+        if not busy or now - executor.beat_at < self.resilience.watchdog_stall_s:
+            return False
+        with self._lock:
+            if self._stopping:
+                return False
+            with lane.lock:
+                lane.fenced.add(index)
+                lane.restarts += 1
+            self._add(lane)
+        self.metrics.count("watchdog_restarts_total", spec=lane.key.spec)
+        return True
 
     def check_watchdog(self, now: float | None = None) -> list[str]:
         """One supervision sweep over every unfenced executor.
 
-        Returns the spec of each executor restarted.  Callers drive the
-        sweep explicitly (the replay harness between arrivals; tests with a
-        fake clock call it directly), so detection is deterministic.  A
-        quarantined lane's executors stay down until the quarantine clears.
+        Applies :meth:`_supervise`, by default the stall rule, to each, and
+        returns the spec of each executor replaced or repaired.  Callers
+        drive the sweep explicitly (the replay harness between arrivals;
+        tests with a fake clock call it directly), so detection is
+        deterministic.  A quarantined lane's executors stay down until the
+        quarantine clears.
         """
         now = self.clock() if now is None else now
         with self._lock:

@@ -4,10 +4,11 @@ Run from the repo root with the *current* (trusted) implementation::
 
     PYTHONPATH=src python tests/data/make_hw_fault_sites.py
 
-Each entry counts the ``(kind, site)`` events one seeded
-:class:`~repro.hw.faults.BitFaultInjector` consumes during one
-``ModelExecutor.run``, for the tiny ViT and the distilled tiny DeiT, both
-SFU modes, and protection all on and all off.
+Each entry counts the events one seeded
+:class:`~repro.hw.faults.BitFaultInjector` consumes at each site during
+one ``ModelExecutor.run``, keyed ``"bit_flip <site_class>:<site>"``, for
+the tiny ViT and the distilled tiny DeiT, both SFU modes, and protection
+all on and all off.
 ``tests/test_hw_faults.py::TestFaultSiteRegression`` replays :func:`build`
 through the live code and requires the same multisets, so a refactor that
 renames, drops or adds a fault site fails even though a same-seed
@@ -19,7 +20,6 @@ behaviour.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +40,10 @@ PROTECTION = {
 
 
 def fault_sites(executor: ModelExecutor, images: np.ndarray) -> dict[str, int]:
-    """``"kind site" -> count`` over the events one run consumes."""
-    plan = executor.faults.plan
-    advance = plan.advance
-    events: Counter = Counter()
-
-    def recording(kind, site=""):
-        events[f"{kind} {site}"] += 1
-        return advance(kind, site)
-
-    plan.advance = recording
+    """``"bit_flip site" -> count`` over the events one run consumes."""
     executor.run(images)
-    return dict(sorted(events.items()))
+    return {f"bit_flip {site}": count
+            for site, count in sorted(executor.faults.site_events.items())}
 
 
 def build() -> dict[str, dict[str, int]]:

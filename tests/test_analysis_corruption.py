@@ -124,6 +124,9 @@ class TestRecoveryCurve:
         assert report["swap_batch"] is not None
         assert len(report["recovery_curve"]) == 6
         assert report["snapshot"]["counters"]["recalibration_swaps_total"] == 1
+        # The report states the thresholds the drift monitor ran.
+        thresholds = report["config"]["thresholds"]
+        assert (thresholds["consecutive"], thresholds["min_samples"]) == (2, 64)
 
         # Same seed from a fresh registry -> byte-identical report.
         rerun_registry = ModelRegistry(

@@ -1,8 +1,8 @@
 """Unit tests for the resilience building blocks.
 
-Everything here is clock- or event-driven: the breaker and watchdog run
-on a fake clock, the retry policy on a fake sleep, and the fault plan on
-its own event counters — no test in this module sleeps.
+Everything here is clock- or event-driven: the breaker runs on a fake
+clock, the retry policy on a fake sleep, and the fault plan on its own
+event counters — no test in this module sleeps.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.resilience import (
     NumericGuard,
     ResiliencePolicy,
     RetryPolicy,
-    WorkerWatchdog,
 )
 
 
@@ -226,28 +225,6 @@ class TestNumericGuard:
         guard = NumericGuard(saturation_limit=100.0)
         assert guard.scan(np.array([100.0, -100.0])).ok
         assert not guard.scan(np.array([100.0001])).ok
-
-
-class TestWorkerWatchdog:
-    def test_stall_detection_on_fake_clock(self):
-        clock = FakeClock()
-        dog = WorkerWatchdog(stall_after_s=2.0, clock=clock)
-        assert not dog.stalled("lane")  # never seen: not stalled
-        dog.beat("lane")
-        clock.advance(1.9)
-        assert not dog.stalled("lane")
-        clock.advance(0.1)
-        assert dog.stalled("lane")
-        dog.reset("lane")
-        assert not dog.stalled("lane")
-
-    def test_snapshot_reports_ages(self):
-        clock = FakeClock()
-        dog = WorkerWatchdog(stall_after_s=5.0, clock=clock)
-        dog.beat("a", now=0.0)
-        clock.advance(3.0)
-        snap = dog.snapshot()
-        assert snap["ages_s"]["a"] == pytest.approx(3.0)
 
 
 class TestResiliencePolicy:

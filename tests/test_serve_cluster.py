@@ -27,6 +27,7 @@ from repro.resilience.soak import ChaosSoakConfig, run_chaos_soak
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
+    Autoscaler,
     BatchPolicy,
     ClusterEngine,
     ClusterPolicy,
@@ -384,6 +385,22 @@ class TestClusterSupervision:
             result = engine.submit(SPEC, IMAGE).result(timeout=30.0)
         assert all(s["restarts"] >= 1 for s in snap["shards"][FULL_SPEC])
         assert result.label == 1
+
+    def test_rolling_restart_is_not_a_crash(self):
+        # Respawning every idle shard of a lane is neither a crash nor a
+        # stall, so the crash-loop breaker must not quarantine the lane.
+        with make_engine(shards=3) as engine:
+            engine.warm(SPEC)
+            assert engine.registry.invalidate(SPEC) is True
+            events = Autoscaler(engine).tick()
+            stats = engine.lane_stats(SPEC)
+            snap = engine.snapshot()
+        assert not any(event["action"] == "quarantine" for event in events)
+        assert stats["crash_times"] == []
+        counters = snap["counters"]
+        assert "shard_crashes_total" not in counters
+        assert counters[f'shard_restarts_total{{spec="{FULL_SPEC}"}}'] == 3
+        assert snap["lanes"][FULL_SPEC]["watchdog_restarts"] == 0
 
 
 class TestClusterChaosSoak:

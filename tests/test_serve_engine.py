@@ -2,6 +2,7 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.serve import (
     ModelRegistry,
     QueueFullError,
     ServeEngine,
+    ServeRequest,
     TraceEvent,
 )
 from tests.test_serve_registry import tiny_loader
@@ -293,8 +295,8 @@ class TestSubmitMetricsAccounting:
         engine.stop()
 
 
-@pytest.mark.slow
 class TestServeBenchmark:
+    @pytest.mark.slow
     def test_open_loop_run_produces_full_snapshot(self, registry):
         policy = BatchPolicy(
             max_batch_size=8, max_wait_ms=5.0, max_queue=256, timeout_ms=30000.0
@@ -313,6 +315,31 @@ class TestServeBenchmark:
         assert snapshot["distributions"]["batch_size"]
         # Warmed once, then every batch is a registry hit.
         assert snapshot["registry"]["hit_rate"] > 0.5
+
+    def test_outcome_scan_waits_one_budget_in_all(self):
+        class SilentEngine:
+            """Admits every request and answers none."""
+
+            policy = BatchPolicy(timeout_ms=100.0)
+            guard = SimpleNamespace(saturation_limit=1e6)
+
+            def submit(self, spec, image, **kwargs):
+                return ServeRequest(image, enqueued_at=0.0)
+
+            def check_watchdog(self):
+                return []
+
+            def drain(self, timeout):
+                return False
+
+        wait_budget = 5.0  # the scan's floor; twice the policy timeout is less
+        replay = Replay(SilentEngine(), ModelKey.parse(SPEC), image_pool(4, 16, seed=0))
+        begun = time.monotonic()
+        outcomes = replay.run([TraceEvent(0.0, "default")] * 20, settle_s=0.1)
+        assert time.monotonic() - begun < 2 * wait_budget
+        assert len(outcomes) == 20
+        assert all(isinstance(outcome.error, TimeoutError) for outcome in outcomes)
+        assert replay.resolved is False
 
 
 class TestSnapshotConsistencyUnderLoad:

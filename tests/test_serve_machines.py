@@ -7,8 +7,9 @@ promise after every rule:
 * **lane core** — :class:`~repro.serve.core.LaneCore` with stub executors
   on a fake clock: no batch left in flight between steps, no result
   delivered past its deadline, a bounded queue, ``responses_total`` equal
-  to the results delivered, and after ``stop()`` exactly one outcome per
-  accepted request;
+  to the results delivered, the core's own stall rule replacing exactly
+  the executors wedged in a batch, and after ``stop()`` exactly one
+  outcome per accepted request;
 * **EDF scheduler** — every batch is the head of the (band, deadline,
   seq) order, nothing is dispatched at or past its expiry, and every
   request ends exactly once: dispatched, expired or failed by ``close``;
@@ -19,13 +20,14 @@ promise after every rule:
   watchdog sweep of an unquarantined lane, and ``stop()`` resolves
   every request and leaves no shard alive.
 
-No thread but the test's runs a batch: each engine overrides ``_start``
-to register its executors without starting a thread, and the machine
-calls :meth:`~repro.serve.core.LaneCore.step` with ``timeout=0``.  The
-settings are fixed here, and sized so that each machine fails when its
-invariants are broken on purpose (a late result delivered, a batch left
-in ``lane.active``, a scheduler left open at stop, a lane's last shard
-retired).
+No thread but the test's runs a batch: each engine's executor threads
+return at once, and the machine calls
+:meth:`~repro.serve.core.LaneCore.step` with ``timeout=0``.  The settings
+are fixed here, and sized so that each machine fails when its invariants
+are broken on purpose (a late result delivered, a batch left in
+``lane.active``, a scheduler left open at stop, a stall rule that
+replaces a wedged executor without fencing it or never replaces it, a
+lane's last shard retired).
 """
 
 import math
@@ -60,9 +62,9 @@ SPEC = ModelKey.parse("vit_s/quq/6").spec
 IMAGE = np.zeros((4, 4, 3), dtype=np.float32)
 DEADLINES_MS = [None, 1.0, 2.0, 5.0, 20.0]
 ADVANCES_MS = [0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
-#: A batch whose compute runs this long is wedged for the core's watchdog.
+#: The core's stall threshold: a batch that runs this long is wedged.
 STALL_S = 0.02
-COMPUTE_MS = [0.0, 1.0, 2.0, 5.0, 50.0]
+COMPUTE_MS = [0.0, 1.0, 2.0, 5.0, 20.0, 50.0]
 
 
 def machine_settings(examples: int, steps: int) -> settings:
@@ -113,23 +115,33 @@ class StubExecutor(Executor):
     """Answers at once unless its ``mode`` says otherwise.
 
     ``compute_s`` advances the fake clock while the batch runs, which is
-    when a result can land late, and the stub then runs a watchdog sweep,
-    as a supervisor thread could while the batch is in flight.
+    when a result can land late, and the stub then runs two watchdog
+    sweeps, as a supervisor thread could while the batch is in flight.
+    Each run appends to the core's ``sweeps`` whether it is wedged — on a
+    registered, unfenced executor of an unquarantined lane, ``STALL_S``
+    after its batch began — and what both sweeps returned; an assertion
+    here would only turn into a float failover.
     """
 
-    def __init__(self, core):
+    def __init__(self, core, lane):
         self.core = core
+        self.lane = lane
         self.mode = "answer"  # answer | raise | nan | float
         self.both_paths = False  # "raise" and "nan" on the float path too
         self.compute_s = 0.0
-        self.beat_at = core.clock()
 
-    def beat(self):
-        self.beat_at = self.core.clock()
+    def begin(self, batch):
+        self.began_at = self.core.clock()
+        return True
 
     def run(self, batch, quantized):
-        self.core.clock.advance(self.compute_s)
-        self.core.check_watchdog()
+        core, lane = self.core, self.lane
+        core.clock.advance(self.compute_s)
+        with lane.lock:
+            unfenced = [e for i, e in lane.executors.items() if i not in lane.fenced]
+            watched = not lane.quarantined and any(e is self for e in unfenced)
+        wedged = watched and core.clock() - self.began_at >= STALL_S
+        core.sweeps.append((wedged, core.check_watchdog(), core.check_watchdog()))
         faulty = quantized or self.both_paths
         if self.mode == "raise" and faulty:
             raise RuntimeError("stub executor failed")
@@ -141,33 +153,26 @@ class StubExecutor(Executor):
 
 
 class Unthreaded:
-    """Registers each executor without starting a thread to drive it."""
+    """Registers and stamps each executor, but its thread returns at once."""
 
-    def _start(self, lane, index, executor, name):
-        with lane.lock:
-            lane.executors[index] = executor
+    def _serve(self, lane, index):
+        pass
 
 
 class SteppedCore(Unthreaded, LaneCore):
-    """The lane core over stub executors."""
+    """The lane core over stub executors, with the core's own stall rule."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sweeps = []
 
     def _open(self, lane):
-        lane.stand_in = StubExecutor(self)
+        lane.stand_in = StubExecutor(self, lane)
         for _ in range(2):
-            self.add_executor(lane)
+            self._add(lane)
 
-    def add_executor(self, lane):
-        self._start(lane, lane.claim(), StubExecutor(self), name="stub")
-
-    def _supervise(self, lane, index, executor, busy, now):
-        """Fence an executor wedged in its batch and start a replacement."""
-        if not busy or now - executor.beat_at < STALL_S:
-            return False
-        with lane.lock:
-            lane.fenced.add(index)
-            lane.restarts += 1
-        self.add_executor(lane)
-        return True
+    def _add(self, lane):
+        self._start(lane, lane.claim(), StubExecutor(self, lane), name="stub")
 
 
 class LaneCoreMachine(RuleBasedStateMachine):
@@ -178,10 +183,12 @@ class LaneCoreMachine(RuleBasedStateMachine):
         self.clock = FakeClock()
         self.core = SteppedCore(
             self.POLICY, clock=self.clock,
-            resilience=ResiliencePolicy(breaker_failures=2, breaker_cooldown_s=0.01),
+            resilience=ResiliencePolicy(breaker_failures=2, breaker_cooldown_s=0.01,
+                                        watchdog_stall_s=STALL_S),
         )
         self.lane = self.core._lane(ModelKey.parse(SPEC))
         self.outcomes = Outcomes()
+        self.wedged = 0  # runs the stall rule had to replace
 
     def unfenced(self) -> list[int]:
         with self.lane.lock:
@@ -221,10 +228,18 @@ class LaneCoreMachine(RuleBasedStateMachine):
             runs = index in self.lane.executors and index not in self.lane.fenced
         assert self.core.step(self.lane, index) is runs
 
+    @rule(band=st.sampled_from(PRIORITIES), deadline_ms=st.sampled_from(DEADLINES_MS),
+          k=st.integers(0, 7))
+    def submit_and_step(self, band, deadline_ms, k):
+        # One request, then an unfenced executor takes a batch at once.
+        self.submit(band, deadline_ms)
+        unfenced = self.unfenced()
+        assert self.core.step(self.lane, unfenced[k % len(unfenced)]) is True
+
     @precondition(lambda self: len(self.unfenced()) < 4)
     @rule()
     def add_executor(self):
-        self.core.add_executor(self.lane)
+        self.core._add(self.lane)
 
     @precondition(lambda self: len(self.unfenced()) > 1)
     @rule(k=st.integers(0, 7))
@@ -266,6 +281,17 @@ class LaneCoreMachine(RuleBasedStateMachine):
     @invariant()
     def nothing_in_flight_between_steps(self):
         assert not self.lane.active
+
+    @invariant()
+    def stall_rule_replaces_exactly_the_wedged(self):
+        for wedged, first, second in self.core.sweeps:
+            assert first == ([SPEC] if wedged else [])
+            assert second == []  # fenced: no sweep replaces it twice
+            self.wedged += wedged
+        self.core.sweeps.clear()
+        restarts = self.core.metrics.counter("watchdog_restarts_total", {"spec": SPEC}).value
+        assert self.lane.restarts == restarts == self.wedged
+        assert self.unfenced()  # each fenced executor got its replacement
 
     @invariant()
     def queue_is_bounded(self):

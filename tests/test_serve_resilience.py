@@ -67,13 +67,12 @@ def make_registry(tmp_path, calib_images, plan, attempts=4):
     )
 
 
-def make_engine(registry, plan, clock, workers=1, **policy_kwargs):
+def make_engine(registry, plan, clock, **policy_kwargs):
     defaults = dict(breaker_failures=2, breaker_cooldown_s=5.0, watchdog_stall_s=2.0)
     defaults.update(policy_kwargs)
     return ServeEngine(
         registry,
         BatchPolicy(max_batch_size=4, max_wait_ms=5.0, max_queue=64),
-        workers=workers,
         clock=clock,
         resilience=ResiliencePolicy(**defaults),
         faults=plan,
@@ -245,13 +244,13 @@ class TestStallWatchdog:
             stuck = engine.submit(SPEC, val_set.images[0])
             # Wait (real time) until the worker is wedged inside the batch.
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                lanes = engine.snapshot()["lanes"]
-                if lanes and next(iter(lanes.values()))["queued"] == 0:
-                    break
+            while plan.injected(STALL) == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
-            clock.advance(2.0)  # past the stall threshold
+            clock.advance(2.0)  # a heartbeat exactly watchdog_stall_s old is stale
             assert engine.check_watchdog() == [LANE]
+            # The wedged worker was fenced with its replacement started, so
+            # a second sweep finds nothing to replace.
+            assert engine.check_watchdog() == []
             # The replacement worker keeps the lane serving while the
             # wedged one is still blocked.  The wedged batch keeps the
             # lane non-idle, so dispatch rides the batching timer — which
@@ -270,32 +269,6 @@ class TestStallWatchdog:
         lane = engine.snapshot()["lanes"][LANE]
         assert lane["watchdog_restarts"] == 1
         assert plan.injected(STALL) == 1
-
-    def test_idle_sibling_does_not_hide_a_wedged_worker(
-        self, tmp_path, calib_images, tiny_data
-    ):
-        plan = FaultPlan([FaultSpec(STALL, start=0, count=1, stall_s=60.0)])
-        registry = make_registry(tmp_path, calib_images, plan)
-        _, val_set = tiny_data
-        clock = FakeClock()
-        with make_engine(registry, plan, clock, workers=2) as engine:
-            engine.warm(SPEC)
-            stuck = engine.submit(SPEC, val_set.images[0])
-            # Wait (real time) until one worker is wedged inside the batch.
-            deadline = time.monotonic() + 10.0
-            while plan.injected(STALL) == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            clock.advance(2.0)  # past the stall threshold
-            time.sleep(0.3)  # the idle sibling beats on every 0.1 s pass
-            assert engine.check_watchdog() == [LANE]
-            # The wedged worker was retired with its replacement, so a
-            # second sweep finds nothing to replace.
-            assert engine.check_watchdog() == []
-            plan.release_stalls()
-            assert np.isfinite(stuck.result(timeout=30.0).logits).all()
-        counters = engine.snapshot()["counters"]
-        assert counters["watchdog_restarts_total"] == 1
-        assert engine.snapshot()["lanes"][LANE]["watchdog_restarts"] == 1
 
     def test_check_watchdog_ignores_idle_lanes(self, tmp_path, calib_images, tiny_data):
         plan = FaultPlan()
