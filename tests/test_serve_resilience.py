@@ -270,6 +270,37 @@ class TestStallWatchdog:
         assert lane["watchdog_restarts"] == 1
         assert plan.injected(STALL) == 1
 
+    def test_idle_sibling_does_not_hide_a_wedged_worker(
+        self, tmp_path, calib_images, tiny_data
+    ):
+        plan = FaultPlan([FaultSpec(STALL, start=0, count=1, stall_s=60.0)])
+        registry = make_registry(tmp_path, calib_images, plan)
+        _, val_set = tiny_data
+        clock = FakeClock()
+        with make_engine(registry, plan, clock) as engine:
+            engine.warm(SPEC)
+            # A second worker in the lane, started through the hook that
+            # starts a stalled worker's replacement: the heartbeat is the
+            # executor's own, so a sibling beating on every pass cannot
+            # keep a wedged worker looking alive.
+            engine._add(engine._lane(ModelKey.parse(SPEC)))
+            stuck = engine.submit(SPEC, val_set.images[0])
+            # Wait (real time) until one worker is wedged inside the batch.
+            deadline = time.monotonic() + 10.0
+            while plan.injected(STALL) == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            clock.advance(2.0)  # past the stall threshold
+            time.sleep(0.3)  # the idle sibling beats on every 0.1 s pass
+            assert engine.check_watchdog() == [LANE]
+            # The wedged worker was fenced with its replacement started, so
+            # a second sweep finds nothing to replace.
+            assert engine.check_watchdog() == []
+            plan.release_stalls()
+            assert np.isfinite(stuck.result(timeout=30.0).logits).all()
+        counters = engine.snapshot()["counters"]
+        assert counters["watchdog_restarts_total"] == 1
+        assert engine.snapshot()["lanes"][LANE]["watchdog_restarts"] == 1
+
     def test_check_watchdog_ignores_idle_lanes(self, tmp_path, calib_images, tiny_data):
         plan = FaultPlan()
         registry = make_registry(tmp_path, calib_images, plan)
