@@ -56,6 +56,7 @@ three knobs from ladder/queue/crash pressure.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -80,6 +81,25 @@ __all__ = ["ClusterPolicy", "ClusterEngine", "default_shard_loader"]
 WAIT_SLICE_S = 0.1
 #: How long a spawn waits for its replica to load.
 READY_TIMEOUT_S = 120.0
+
+try:  # glibc's malloc_trim; other allocators have no equivalent to call
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError):
+    _malloc_trim = None
+
+
+def _trim_heap() -> None:
+    """Return the allocator's free pages to the OS before a fork.
+
+    A forked shard starts with every page the parent has resident, and
+    glibc keeps the pages that set-up (a calibration, say) freed until it
+    is asked to trim them.  How many it keeps depends on where the live
+    blocks landed, which differs from run to run; trimmed first, every
+    replica starts from the parent's live memory alone.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def default_shard_loader(spec: str):
@@ -178,6 +198,7 @@ class _ShardExecutor(Executor):
             # a sibling holding it would keep this shard's pipe unbroken
             # after the shard died, and a large send to it would block.
             self.conn, child = engine._ctx.Pipe()
+            _trim_heap()
             self.process = engine._ctx.Process(
                 target=_shard_main,
                 args=(self.lane.key.spec, engine.loader, child),

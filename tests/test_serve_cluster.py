@@ -24,6 +24,7 @@ from repro.resilience.faults import (
     FaultSpec,
 )
 from repro.resilience.soak import ChaosSoakConfig, run_chaos_soak
+from repro.serve import cluster as cluster_module
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -127,6 +128,15 @@ def stub_loader(spec):
 
 
 POLICY = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, max_queue=64, timeout_ms=5000.0)
+
+
+def rss_anon_mib(pid: int) -> int:
+    """Resident anonymous memory of process ``pid`` (MiB), from /proc."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) // 1024
+    raise RuntimeError(f"no RssAnon for pid {pid}")
 
 
 @pytest.fixture(autouse=True)
@@ -261,6 +271,23 @@ class TestClusterLifecycle:
             with pytest.raises(RuntimeError) as info:
                 handle.result(timeout=30.0)
         assert str(info.value) == f"shard error: ValueError: {RaisingServable.MESSAGE}"
+
+    @pytest.mark.skipif(cluster_module._malloc_trim is None
+                        or not os.path.exists("/proc/self/status"),
+                        reason="needs glibc's malloc_trim and /proc")
+    def test_shard_starts_without_the_parents_free_heap(self):
+        """Heap pages the parent freed are trimmed before the fork, so a
+        shard starts resident in the parent's live memory only."""
+        # 32 MiB of 64 KiB heap blocks, all freed but the last, which pins
+        # the heap's top: the freed pages stay resident until trimmed.
+        blocks = [np.ones(8192) for _ in range(512)]
+        blocks = blocks[-1:]
+        before = rss_anon_mib(os.getpid())
+        with make_engine(shards=1) as engine:
+            engine.warm(SPEC)
+            (shard,) = engine.snapshot()["lanes"][FULL_SPEC]["shards"]
+            started = rss_anon_mib(shard["pid"])
+        assert started < before - 16, (before, started)
 
     def test_stop_is_idempotent_and_reports_registry(self):
         engine = make_engine(shards=1)
